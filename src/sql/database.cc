@@ -662,13 +662,10 @@ Result<ResultSet> Database::ExecuteUpdate(const UpdateStmt& stmt,
   }
 
   ResultSet result;
-  for (RowId rid = 0; rid < table->slot_count(); ++rid) {
-    if (!table->IsLive(rid)) continue;
-    const Row& row = table->GetRow(rid);
-    if (where) {
-      Value v = EvalExpr(*where, row, &params);
-      if (v.is_null() || !v.Truthy()) continue;
-    }
+  std::vector<RowId> targets = FindTargetRows(*table, stmt.table, where.get(),
+                                              &params, &result.exec);
+  for (RowId rid : targets) {
+    Row row = table->GetRow(rid);
     Row updated = row;
     for (const auto& [idx, expr] : assignments) {
       updated[idx] = EvalExpr(*expr, row, &params);
@@ -700,17 +697,10 @@ Result<ResultSet> Database::ExecuteDelete(const DeleteStmt& stmt,
     where = stmt.where->Clone();
     DB2G_RETURN_NOT_OK(BindExpr(where.get(), scope));
   }
-  std::vector<RowId> to_delete;
-  for (RowId rid = 0; rid < table->slot_count(); ++rid) {
-    if (!table->IsLive(rid)) continue;
-    if (where) {
-      Value v = EvalExpr(*where, table->GetRow(rid), &params);
-      if (v.is_null() || !v.Truthy()) continue;
-    }
-    to_delete.push_back(rid);
-  }
   ResultSet result;
-  for (RowId rid : to_delete) {
+  std::vector<RowId> targets = FindTargetRows(*table, stmt.table, where.get(),
+                                              &params, &result.exec);
+  for (RowId rid : targets) {
     Result<Row> image = table->Delete(rid);
     if (!image.ok()) return image.status();
     if (in_transaction_) {

@@ -47,15 +47,128 @@ bool BindsIn(const Expr& expr, const Scope& scope) {
   return true;
 }
 
-// A predicate usable for index probing on the newly joined relation:
-// `column` belongs to that relation and every `value` expression binds in
-// the pre-join scope (so it is computable per outer row).
-struct ProbeTerm {
-  size_t column_index;                   // within the inner relation
-  std::vector<const Expr*> values;       // 1 = equality, >1 = IN list
-};
-
 }  // namespace
+
+// ---------------------------------------------------------------------
+// Index probe planning (SELECT join stages and UPDATE/DELETE targeting)
+// ---------------------------------------------------------------------
+
+IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
+                          const std::vector<const Expr*>& conjuncts,
+                          const Scope& outer) {
+  const TableSchema& schema = table.schema();
+  // A column reference that resolves into this relation, not an outer one.
+  auto is_inner_col = [&](const Expr* e) {
+    return e->kind == ExprKind::kColumnRef &&
+           (e->table_alias.empty() ||
+            EqualsIgnoreCase(e->table_alias, alias)) &&
+           schema.HasColumn(e->column) && !BindsIn(*e, outer);
+  };
+  std::vector<ProbeTerm> candidates;
+  for (const Expr* conjunct : conjuncts) {
+    const Expr* column_side = nullptr;
+    std::vector<const Expr*> values;
+    if (conjunct->kind == ExprKind::kBinary && conjunct->op == "=") {
+      const Expr* lhs = conjunct->children[0].get();
+      const Expr* rhs = conjunct->children[1].get();
+      if (is_inner_col(lhs) && BindsIn(*rhs, outer)) {
+        column_side = lhs;
+        values.push_back(rhs);
+      } else if (is_inner_col(rhs) && BindsIn(*lhs, outer)) {
+        column_side = rhs;
+        values.push_back(lhs);
+      }
+    } else if (conjunct->kind == ExprKind::kIn && !conjunct->negated) {
+      const Expr* lhs = conjunct->children[0].get();
+      bool all_outer = is_inner_col(lhs);
+      for (size_t i = 1; all_outer && i < conjunct->children.size(); ++i) {
+        all_outer = BindsIn(*conjunct->children[i], outer);
+      }
+      if (all_outer) {
+        column_side = lhs;
+        for (size_t i = 1; i < conjunct->children.size(); ++i) {
+          values.push_back(conjunct->children[i].get());
+        }
+      }
+    }
+    if (column_side != nullptr) {
+      candidates.push_back(
+          {*schema.ColumnIndex(column_side->column), std::move(values)});
+    }
+  }
+  // Index preference (multi-column exact cover, then first single-column
+  // candidate) lives in ChooseProbeIndex, shared with the graph layer's
+  // multi-hop collapse legality check.
+  std::vector<ProbeCandidate> shapes;
+  shapes.reserve(candidates.size());
+  for (const ProbeTerm& term : candidates) {
+    shapes.push_back({term.column_index, term.values.size()});
+  }
+  ProbeChoice choice = ChooseProbeIndex(table, shapes);
+  IndexProbe probe;
+  probe.index = choice.index;
+  for (size_t i : choice.term_indexes) {
+    probe.terms.push_back(std::move(candidates[i]));
+  }
+  return probe;
+}
+
+std::vector<Row> ProbeKeys(const IndexProbe& probe, const Row& outer,
+                           const std::vector<Value>* params) {
+  std::vector<Row> keys;
+  keys.emplace_back();
+  for (const ProbeTerm& term : probe.terms) {
+    std::vector<Row> expanded;
+    expanded.reserve(keys.size() * term.values.size());
+    for (const Row& partial : keys) {
+      for (const Expr* value_expr : term.values) {
+        Row key = partial;
+        key.push_back(EvalExpr(*value_expr, outer, params));
+        expanded.push_back(std::move(key));
+      }
+    }
+    keys = std::move(expanded);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
+                                  const Expr* where,
+                                  const std::vector<Value>* params,
+                                  ExecInfo* exec) {
+  std::vector<RowId> targets;
+  Row row;
+  auto consider = [&](RowId rid) {
+    exec->rows_scanned += 1;
+    if (where != nullptr) {
+      table.MaterializeRow(rid, &row);
+      Value v = EvalExpr(*where, row, params);
+      if (v.is_null() || !v.Truthy()) return;
+    }
+    targets.push_back(rid);
+  };
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  IndexProbe probe = PlanIndexProbe(table, alias, conjuncts, Scope());
+  if (probe.index == nullptr) {
+    exec->full_scans += 1;
+    for (RowId rid = 0; rid < table.slot_count(); ++rid) {
+      if (table.IsLive(rid)) consider(rid);
+    }
+    return targets;
+  }
+  std::vector<Row> keys = ProbeKeys(probe, Row(), params);
+  std::vector<RowId> candidates;
+  for (const Row& key : keys) probe.index->Lookup(key, &candidates);
+  exec->index_probes += keys.size();
+  // Distinct keys of one index never share a row, so sorting alone puts
+  // the candidates in the slot order a scan would visit them.
+  std::sort(candidates.begin(), candidates.end());
+  for (RowId rid : candidates) consider(rid);
+  return targets;
+}
 
 // ---------------------------------------------------------------------
 // Relation resolution
@@ -350,8 +463,7 @@ struct StageConfig {
   bool left = false;
 
   // Index-probe access path.
-  const Index* index = nullptr;
-  std::vector<ProbeTerm> probe_terms;
+  IndexProbe probe;
 
   // Hash-join candidate (used when no index and >1 outer row).
   bool has_hash = false;
@@ -433,7 +545,7 @@ class JoinStageOp : public Op {
   void EnsureDecided() {
     if (decided_) return;
     decided_ = true;
-    if (cfg_.index != nullptr || !cfg_.has_hash) return;
+    if (cfg_.probe.index != nullptr || !cfg_.has_hash) return;
     while (outer_buffer_.size() < 2 && !child_eof_) PullChild();
     if (outer_buffer_.size() < 2) return;
     hash_mode_ = true;
@@ -545,36 +657,10 @@ class JoinStageOp : public Op {
     const PlanRelation& rel = cfg_.relation;
     rids_.clear();
     rid_pos_ = 0;
-    if (cfg_.index != nullptr) {
+    if (cfg_.probe.index != nullptr) {
       cursor_ = CursorKind::kRids;
-      // Index probe: enumerate the cartesian product of probe values
-      // (IN-lists contribute several keys).
-      std::vector<Row> keys;
-      keys.emplace_back();
-      for (size_t c : cfg_.index->column_indexes()) {
-        const ProbeTerm* term = nullptr;
-        for (const ProbeTerm& t : cfg_.probe_terms) {
-          if (t.column_index == c) {
-            term = &t;
-            break;
-          }
-        }
-        std::vector<Row> expanded;
-        for (const Row& partial : keys) {
-          for (const Expr* value_expr : term->values) {
-            Row key = partial;
-            key.push_back(EvalExpr(*value_expr, outer_, ctx_->params));
-            expanded.push_back(std::move(key));
-          }
-        }
-        keys = std::move(expanded);
-      }
-      // Duplicate IN-list values must not duplicate result rows.
-      std::sort(keys.begin(), keys.end());
-      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-      for (const Row& key : keys) {
-        cfg_.index->Lookup(key, &rids_);
-      }
+      std::vector<Row> keys = ProbeKeys(cfg_.probe, outer_, ctx_->params);
+      for (const Row& key : keys) cfg_.probe.index->Lookup(key, &rids_);
       ctx_->exec.index_probes += keys.size();
       return;
     }
@@ -2566,81 +2652,20 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
       }
     }
 
-    // Probe-term extraction against the inner relation's base table index.
+    // Index probe against the inner relation's base table.
     const Table* table = stage.relation.table;
     if (table != nullptr) {
       std::vector<const Expr*> conjuncts;
-      for (const Expr* pred : cfg.preds) {
-        SplitConjuncts(pred, &conjuncts);
-      }
-      const TableSchema& schema = table->schema();
-      std::vector<ProbeTerm> candidates;
-      for (const Expr* conjunct : conjuncts) {
-        const Expr* column_side = nullptr;
-        std::vector<const Expr*> values;
-        if (conjunct->kind == ExprKind::kBinary && conjunct->op == "=") {
-          const Expr* lhs = conjunct->children[0].get();
-          const Expr* rhs = conjunct->children[1].get();
-          auto is_inner_col = [&](const Expr* e) {
-            return e->kind == ExprKind::kColumnRef &&
-                   (e->table_alias.empty() ||
-                    EqualsIgnoreCase(e->table_alias, stage.relation.alias)) &&
-                   schema.HasColumn(e->column) &&
-                   // ensure it resolved into this relation, not earlier
-                   !BindsIn(*e, before);
-          };
-          if (is_inner_col(lhs) && BindsIn(*rhs, before)) {
-            column_side = lhs;
-            values.push_back(rhs);
-          } else if (is_inner_col(rhs) && BindsIn(*lhs, before)) {
-            column_side = rhs;
-            values.push_back(lhs);
-          }
-        } else if (conjunct->kind == ExprKind::kIn && !conjunct->negated) {
-          const Expr* lhs = conjunct->children[0].get();
-          if (lhs->kind == ExprKind::kColumnRef &&
-              (lhs->table_alias.empty() ||
-               EqualsIgnoreCase(lhs->table_alias, stage.relation.alias)) &&
-              schema.HasColumn(lhs->column) && !BindsIn(*lhs, before)) {
-            bool all_outer = true;
-            for (size_t i = 1; i < conjunct->children.size(); ++i) {
-              all_outer &= BindsIn(*conjunct->children[i], before);
-            }
-            if (all_outer) {
-              column_side = lhs;
-              for (size_t i = 1; i < conjunct->children.size(); ++i) {
-                values.push_back(conjunct->children[i].get());
-              }
-            }
-          }
-        }
-        if (column_side != nullptr) {
-          ProbeTerm term;
-          term.column_index = *schema.ColumnIndex(column_side->column);
-          term.values = std::move(values);
-          candidates.push_back(std::move(term));
-        }
-      }
-      // Index preference (multi-column exact cover, then first
-      // single-column candidate) lives in ChooseProbeIndex, shared with
-      // the graph layer's multi-hop collapse legality check.
-      std::vector<ProbeCandidate> shapes;
-      shapes.reserve(candidates.size());
-      for (const ProbeTerm& term : candidates) {
-        shapes.push_back({term.column_index, term.values.size()});
-      }
-      ProbeChoice choice = ChooseProbeIndex(*table, shapes);
-      cfg.index = choice.index;
-      for (size_t i : choice.term_indexes) {
-        cfg.probe_terms.push_back(candidates[i]);
-      }
+      for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
+      cfg.probe =
+          PlanIndexProbe(*table, stage.relation.alias, conjuncts, before);
     }
 
     // Hash-join candidate: an equality term with no backing index
     // (materialized relations — subqueries, views, table functions — or
     // unindexed base tables). Whether the hash table is actually built is
     // decided at runtime, once the stage has seen more than one outer row.
-    if (cfg.index == nullptr) {
+    if (cfg.probe.index == nullptr) {
       std::vector<const Expr*> conjuncts;
       for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
       for (const Expr* conjunct : conjuncts) {
@@ -2684,7 +2709,7 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     // on a column with an ORDERED INDEX scans only the matching key range.
     // Used at runtime only when neither the index probe nor the hash join
     // applies.
-    if (cfg.index == nullptr && table != nullptr) {
+    if (cfg.probe.index == nullptr && table != nullptr) {
       std::vector<const Expr*> conjuncts;
       for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
       const TableSchema& schema = table->schema();
@@ -2740,7 +2765,7 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     // against the one-row seed, so it would full-scan too) — runs
     // column-at-a-time, with the WHERE conjuncts compiled to kernels.
     if (k == 0 && stages.size() == 1 && !cfg.left &&
-        stage.relation.table != nullptr && cfg.index == nullptr &&
+        stage.relation.table != nullptr && cfg.probe.index == nullptr &&
         cfg.range_index == nullptr && exec_cfg.vectorized()) {
       col_table = stage.relation.table;
       col_preds = cfg.preds;
@@ -2749,7 +2774,7 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     }
 
     std::string stage_detail = stage.relation.alias;
-    if (cfg.index != nullptr) {
+    if (cfg.probe.index != nullptr) {
       stage_detail += " index probe";
     } else if (cfg.range_index != nullptr) {
       stage_detail += " range scan";

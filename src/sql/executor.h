@@ -24,10 +24,56 @@
 #include "sql/ast.h"
 #include "sql/result_set.h"
 #include "sql/row_source.h"
+#include "sql/table.h"
 
 namespace db2graph::sql {
 
 class Database;
+class Scope;
+
+/// An equality/IN term that can probe a hash index on one relation:
+/// `column = v` has one value expression, `column IN (v1, ...)` one per
+/// list entry. Every value binds in the scope outside the relation, so it
+/// is computable before the relation is read: per outer row in a join
+/// stage, from constants and parameters alone for UPDATE/DELETE.
+struct ProbeTerm {
+  size_t column_index = 0;  // within the probed table
+  std::vector<const Expr*> values;
+};
+
+/// An index access path: the index ChooseProbeIndex picked and the terms
+/// feeding it, one per index column in index column order. `index` is
+/// null when no conjunct offers a usable term.
+struct IndexProbe {
+  const Index* index = nullptr;
+  std::vector<ProbeTerm> terms;
+};
+
+/// Plans the index probe on `table` (referenced as `alias`) from bound
+/// `conjuncts` whose probe values bind in `outer`. This is the one
+/// probe-term extractor: SELECT join stages pass the scope of the stages
+/// before them, UPDATE/DELETE pass an empty scope.
+IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
+                          const std::vector<const Expr*>& conjuncts,
+                          const Scope& outer);
+
+/// The keys `probe` looks up for `outer`: the cartesian product of its
+/// terms' values (IN lists contribute several), sorted and deduplicated so
+/// a repeated IN value cannot repeat a row.
+std::vector<Row> ProbeKeys(const IndexProbe& probe, const Row& outer,
+                           const std::vector<Value>* params);
+
+/// Slots of `table` whose row satisfies `where` (bound against the table
+/// alone, referenced as `alias`; null matches every row), in ascending
+/// slot order. Probes an index when PlanIndexProbe finds one, else scans
+/// every live slot; either way the full WHERE is re-evaluated on each
+/// candidate. Records the access path and the candidates examined in
+/// `exec`. The UPDATE/DELETE target search: it only reads, so callers
+/// collect every target before mutating.
+std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
+                                  const Expr* where,
+                                  const std::vector<Value>* params,
+                                  ExecInfo* exec);
 
 /// A compiled SELECT: the operator tree plus everything it borrows
 /// (bound expression clones, materialized FROM relations). Pull blocks

@@ -98,26 +98,35 @@ size_t Column::ApproxBytes() const {
 // Indexes
 // ---------------------------------------------------------------------
 
+void Index::Insert(Row key, RowId rid) {
+  map_.try_emplace(std::move(key)).first->second.push_back(rid);
+  ++entry_count_;
+}
+
 void Index::Erase(const Row& key, RowId rid) {
-  auto [begin, end] = map_.equal_range(key);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second == rid) {
-      map_.erase(it);
-      return;
-    }
-  }
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  std::vector<RowId>& postings = it->second;
+  auto pos = std::find(postings.begin(), postings.end(), rid);
+  if (pos == postings.end()) return;
+  postings.erase(pos);
+  --entry_count_;
+  if (postings.empty()) map_.erase(it);
 }
 
 void Index::Lookup(const Row& key, std::vector<RowId>* out) const {
-  auto [begin, end] = map_.equal_range(key);
-  for (auto it = begin; it != end; ++it) out->push_back(it->second);
+  auto it = map_.find(key);
+  if (it == map_.end()) return;
+  out->insert(out->end(), it->second.begin(), it->second.end());
 }
 
 size_t Index::ApproxBytes() const {
-  size_t bytes = 64;
-  for (const auto& [key, rid] : map_) {
-    (void)rid;
-    bytes += ApproxRowBytes(key) + sizeof(RowId) + 32;  // bucket overhead
+  size_t bytes = 64 + map_.bucket_count() * sizeof(void*);
+  for (const auto& [key, postings] : map_) {
+    // Hash node (next pointer, cached hash, key, posting vector header)
+    // plus the key's values and the posting array.
+    bytes += 2 * sizeof(void*) + ApproxRowBytes(key) +
+             sizeof(std::vector<RowId>) + postings.capacity() * sizeof(RowId);
   }
   return bytes;
 }
@@ -302,17 +311,20 @@ Table::ColumnStats Table::GetColumnStats(size_t column) const {
   return out;
 }
 
-void Table::PublishColumnStats() const {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+void Table::PublishColumnStats() {
+  if (colstats_gauges_.empty()) {
+    metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
+    for (const ColumnDef& column : schema_.columns) {
+      const std::string prefix =
+          "sql.colstats." + schema_.name + "." + column.name;
+      colstats_gauges_.push_back(registry.GetGauge(prefix + ".rows"));
+      colstats_gauges_.push_back(registry.GetGauge(prefix + ".nulls"));
+    }
+  }
   for (size_t c = 0; c < columns_.size(); ++c) {
-    ColumnStats stats = GetColumnStats(c);
-    const std::string prefix =
-        "sql.colstats." + schema_.name + "." + schema_.columns[c].name;
-    registry.GetGauge(prefix + ".rows")
-        ->Set(static_cast<int64_t>(stats.row_count));
-    registry.GetGauge(prefix + ".nulls")
-        ->Set(static_cast<int64_t>(stats.null_count));
-    registry.GetGauge(prefix + ".ndv")->Set(static_cast<int64_t>(stats.ndv));
+    colstats_gauges_[2 * c]->Set(static_cast<int64_t>(live_count_));
+    colstats_gauges_[2 * c + 1]->Set(
+        static_cast<int64_t>(stats_[c].null_count));
   }
 }
 
@@ -366,14 +378,16 @@ void Table::StatsOnErase(const Row& row) {
   }
 }
 
-Result<RowId> Table::Insert(Row row) {
-  if (row.size() != schema_.columns.size()) {
+Status Table::ConformRow(Row* row) const {
+  if (row->size() != schema_.columns.size()) {
     return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " does not match table " +
-        schema_.name + " arity " + std::to_string(schema_.columns.size()));
+        "row arity " + std::to_string(row->size()) +
+        " does not match table " + schema_.name + " arity " +
+        std::to_string(schema_.columns.size()));
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
+  for (size_t i = 0; i < row->size(); ++i) {
+    Value& v = (*row)[i];
+    if (v.is_null()) {
       if (schema_.columns[i].not_null) {
         return Status::ConstraintViolation("column " + schema_.columns[i].name +
                                            " of " + schema_.name +
@@ -383,31 +397,43 @@ Result<RowId> Table::Insert(Row row) {
     }
     // Coerce int literals into double columns; reject other mismatches.
     ValueType want = ColumnValueType(schema_.columns[i].type);
-    if (row[i].type() != want) {
-      if (want == ValueType::kDouble && row[i].is_int()) {
-        row[i] = Value(static_cast<double>(row[i].as_int()));
-      } else if (want == ValueType::kInt && row[i].is_double() &&
-                 row[i].as_double() ==
-                     static_cast<double>(
-                         static_cast<int64_t>(row[i].as_double()))) {
-        row[i] = Value(static_cast<int64_t>(row[i].as_double()));
+    if (v.type() != want) {
+      if (want == ValueType::kDouble && v.is_int()) {
+        v = Value(static_cast<double>(v.as_int()));
+      } else if (want == ValueType::kInt && v.is_double() &&
+                 v.as_double() ==
+                     static_cast<double>(static_cast<int64_t>(v.as_double()))) {
+        v = Value(static_cast<int64_t>(v.as_double()));
       } else {
         return Status::InvalidArgument(
             "type mismatch for column " + schema_.columns[i].name + " of " +
             schema_.name + ": expected " +
             ColumnTypeName(schema_.columns[i].type) + ", got " +
-            ValueTypeName(row[i].type()));
+            ValueTypeName(v.type()));
       }
     }
   }
-  // Unique-index enforcement before any mutation.
+  return Status::OK();
+}
+
+Status Table::CheckUnique(const Row& row, const Row* replaced) const {
   for (const auto& index : indexes_) {
-    if (index->unique() && index->Contains(index->KeyFor(row))) {
+    if (!index->unique()) continue;
+    Row key = index->KeyFor(row);
+    // A row keeping its own key does not collide with its own posting.
+    if (replaced != nullptr && key == index->KeyFor(*replaced)) continue;
+    if (index->Contains(key)) {
       return Status::ConstraintViolation("duplicate key for unique index " +
                                          index->name() + " on " +
                                          schema_.name);
     }
   }
+  return Status::OK();
+}
+
+Result<RowId> Table::Insert(Row row) {
+  DB2G_RETURN_NOT_OK(ConformRow(&row));
+  DB2G_RETURN_NOT_OK(CheckUnique(row, nullptr));
   RowId rid;
   if (!free_slots_.empty()) {
     rid = free_slots_.back();
@@ -444,10 +470,9 @@ Result<Row> Table::Update(RowId rid, Row new_row) {
     return Status::NotFound("row " + std::to_string(rid) + " of " +
                             schema_.name + " is not live");
   }
-  if (new_row.size() != schema_.columns.size()) {
-    return Status::InvalidArgument("update arity mismatch on " + schema_.name);
-  }
+  DB2G_RETURN_NOT_OK(ConformRow(&new_row));
   Row before = GetRow(rid);
+  DB2G_RETURN_NOT_OK(CheckUnique(new_row, &before));
   IndexErase(before, rid);
   StatsOnErase(before);
   IndexInsert(new_row, rid);
@@ -507,7 +532,7 @@ Status Table::CreateIndex(const std::string& name,
           "cannot create unique index " + name + " on " + schema_.name +
           ": duplicate existing keys");
     }
-    index->Insert(key, rid);
+    index->Insert(std::move(key), rid);
   }
   indexes_.push_back(std::move(index));
   return Status::OK();

@@ -22,6 +22,10 @@
 #include "common/value.h"
 #include "sql/schema.h"
 
+namespace db2graph::metrics {
+class Gauge;
+}  // namespace db2graph::metrics
+
 namespace db2graph::sql {
 
 /// Stable row identifier within a table (slot number).
@@ -90,7 +94,10 @@ class Column {
   std::vector<uint64_t> valid_;  // validity bitmap, 64 slots per word
 };
 
-/// A hash index over one or more columns of a table.
+/// A hash index over one or more columns of a table. Each distinct key
+/// owns one posting list of row ids in insertion order, so a lookup is one
+/// hash probe plus a contiguous copy, and a key costs one hash node however
+/// many rows share it.
 class Index {
  public:
   Index(std::string name, std::vector<size_t> column_indexes, bool unique)
@@ -112,15 +119,19 @@ class Index {
     return key;
   }
 
-  void Insert(const Row& key, RowId rid) { map_.emplace(key, rid); }
+  /// Appends `rid` to the posting list of `key`.
+  void Insert(Row key, RowId rid);
+  /// Removes `rid` from the posting list of `key`, keeping the order of
+  /// the others; the key disappears with its last posting.
   void Erase(const Row& key, RowId rid);
 
-  /// All row ids whose key equals `key`.
+  /// Appends all row ids whose key equals `key`, in insertion order.
   void Lookup(const Row& key, std::vector<RowId>* out) const;
 
   bool Contains(const Row& key) const { return map_.count(key) > 0; }
 
-  size_t entry_count() const { return map_.size(); }
+  /// Number of (key, row id) postings.
+  size_t entry_count() const { return entry_count_; }
 
   /// Approximate memory footprint, for storage accounting.
   size_t ApproxBytes() const;
@@ -129,7 +140,8 @@ class Index {
   std::string name_;
   std::vector<size_t> column_indexes_;
   bool unique_;
-  std::unordered_multimap<Row, RowId, RowHash> map_;
+  std::unordered_map<Row, std::vector<RowId>, RowHash> map_;
+  size_t entry_count_ = 0;
 };
 
 /// A single-column ordered (B-tree-style) index supporting range scans.
@@ -218,9 +230,13 @@ class Table {
     Value max;
   };
   ColumnStats GetColumnStats(size_t column) const;
-  /// Publishes rows/nulls/ndv gauges for every column to the global
-  /// MetricsRegistry as "sql.colstats.<table>.<column>.{rows,nulls,ndv}".
-  void PublishColumnStats() const;
+  /// Publishes the gauges the write path keeps exact, for every column, to
+  /// the global MetricsRegistry as "sql.colstats.<table>.<column>.{rows,
+  /// nulls}". Called after every DML statement, so it never triggers the
+  /// lazy min/max/NDV rescan: that cost stays with the stats readers
+  /// (GetColumnStats: the optimizer's snapshot and sysmon.column_stats).
+  /// The gauges are resolved on the first call and cached.
+  void PublishColumnStats();
 
   /// Monotonic counter bumped on every statistics-affecting write
   /// (insert/delete/update/undo). Database::stats_epoch() sums these so
@@ -230,14 +246,17 @@ class Table {
   }
 
   /// Appends a row (recycling a free slot when available). The row must
-  /// already match the schema arity. Index maintenance included. Uniqueness
-  /// for unique indexes is enforced here.
+  /// already match the schema arity. NOT NULL, column types (int/double
+  /// coercion) and unique indexes are enforced before any mutation; index
+  /// maintenance included.
   Result<RowId> Insert(Row row);
 
   /// Deletes a live row; returns the removed image for undo logs.
   Result<Row> Delete(RowId rid);
 
-  /// Replaces a live row in place; returns the before image.
+  /// Replaces a live row in place; returns the before image. Checks the
+  /// new image exactly as Insert does, except that a unique key the row
+  /// already holds does not collide with itself.
   Result<Row> Update(RowId rid, Row new_row);
 
   /// Re-inserts a row into a specific slot (transaction undo of Delete).
@@ -289,6 +308,11 @@ class Table {
     bool ndv_stale = false;
   };
 
+  /// Arity, NOT NULL and type checks; coerces numerics in place.
+  Status ConformRow(Row* row) const;
+  /// ConstraintViolation when `row` would duplicate a unique-index key.
+  /// `replaced` is the image an update overwrites (its keys are free).
+  Status CheckUnique(const Row& row, const Row* replaced) const;
   void IndexInsert(const Row& row, RowId rid);
   void IndexErase(const Row& row, RowId rid);
   void StatsOnInsert(const Row& row);
@@ -311,6 +335,8 @@ class Table {
   /// database lock, so they skip this mutex.
   mutable std::mutex stats_mutex_;
   std::atomic<uint64_t> stats_version_{0};
+  /// PublishColumnStats targets: rows then nulls gauge, per column.
+  std::vector<metrics::Gauge*> colstats_gauges_;
   std::vector<std::unique_ptr<Index>> indexes_;
   std::vector<std::unique_ptr<OrderedIndex>> ordered_indexes_;
 };

@@ -73,6 +73,30 @@ TEST_F(SysmonTest, QueryLogReturnsRecentExecutions) {
   EXPECT_EQ((*select_row)[4], Value(int64_t{2}));  // rows_emitted
 }
 
+// UPDATE and DELETE by an indexed key probe the index: the log shows the
+// access path and exactly one candidate row examined, never a scan.
+TEST_F(SysmonTest, QueryLogShowsDmlAccessPath) {
+  QueryLog::Global().Clear();
+  Run("UPDATE items SET price = 25 WHERE id = 2");
+  Run("DELETE FROM items WHERE id = 3");
+  Run("DELETE FROM items WHERE price > 30");
+  ResultSet rs = Run(
+      "SELECT script, access_path, rows_scanned, rows_emitted "
+      "FROM sysmon.query_log WHERE layer = 'sql'");
+  ASSERT_EQ(rs.rows.size(), 3u);
+  EXPECT_EQ(rs.rows[0][0], Value("UPDATE items"));
+  EXPECT_EQ(rs.rows[1][0], Value("DELETE FROM items"));
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(rs.rows[i][1], Value("index")) << i;
+    EXPECT_EQ(rs.rows[i][2], Value(int64_t{1})) << i;  // rows_scanned
+    EXPECT_EQ(rs.rows[i][3], Value(int64_t{1})) << i;  // rows affected
+  }
+  // No equality term on an indexed column: every live row is examined.
+  EXPECT_EQ(rs.rows[2][1], Value("scan"));
+  EXPECT_EQ(rs.rows[2][2], Value(int64_t{3}));
+  EXPECT_EQ(rs.rows[2][3], Value(int64_t{1}));
+}
+
 TEST_F(SysmonTest, QueryLogRecordsErrors) {
   EXPECT_FALSE(db_.Execute("SELECT * FROM no_such_table").ok());
   ResultSet rs = Run(
