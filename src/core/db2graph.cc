@@ -178,6 +178,7 @@ OptimizerContext Db2Graph::MakeOptimizerContext() const {
   ctx.db = db_;
   ctx.runtime = &options_.runtime;
   ctx.options = options_.optimizer;
+  ctx.aggregate_pushdown = options_.strategies.aggregate_pushdown;
   ctx.log = optimizer_log_;
   return ctx;
 }

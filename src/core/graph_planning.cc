@@ -190,6 +190,7 @@ void AppendCondParts(const QueryConds& conds, std::vector<std::string>* parts,
 
 std::string BuildJoinSql(const std::vector<JoinStage>& stages,
                          const std::string& select,
+                         const std::string& group_by,
                          std::vector<Value>* params) {
   std::string sql = "SELECT " + select + " FROM ";
   for (size_t i = 0; i < stages.size(); ++i) {
@@ -203,12 +204,14 @@ std::string BuildJoinSql(const std::vector<JoinStage>& stages,
   if (!where_parts.empty()) {
     sql += " WHERE " + Join(where_parts, " AND ");
   }
+  if (!group_by.empty()) sql += " GROUP BY " + group_by;
   return sql;
 }
 
 std::string JoinShapeKey(const std::vector<JoinStage>& stages,
-                         const std::string& select) {
-  std::string key = "join\x01" + select;
+                         const std::string& select,
+                         const std::string& group_by) {
+  std::string key = "join\x01" + select + "\x02" + group_by;
   for (const JoinStage& stage : stages) {
     key += "\x06";
     key += ShapeKey(stage.table + "\x07" + stage.alias, "", stage.conds);

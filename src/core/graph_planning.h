@@ -88,19 +88,22 @@ struct JoinStage {
   QueryConds conds;
 };
 
-/// Renders "SELECT <select> FROM "T0" AS a0, "T1" AS a1, ... WHERE ..."
-/// for a collapsed hop chain. Conditions render stage by stage (all of
-/// stage 0's, then stage 1's, ...) so the SQL executor assigns each one
-/// to the earliest join stage that covers its aliases — mirroring the
-/// per-table WHERE clauses of the equivalent step-at-a-time statements.
+/// Renders "SELECT <select> FROM "T0" AS a0, "T1" AS a1, ... WHERE ...
+/// [GROUP BY <group_by>]" for a collapsed hop chain. Conditions render
+/// stage by stage (all of stage 0's, then stage 1's, ...) so the SQL
+/// executor assigns each one to the earliest join stage that covers its
+/// aliases — mirroring the per-table WHERE clauses of the equivalent
+/// step-at-a-time statements.
 std::string BuildJoinSql(const std::vector<JoinStage>& stages,
                          const std::string& select,
+                         const std::string& group_by,
                          std::vector<Value>* params);
 
 /// Shape key uniquely determining BuildJoinSql's text (everything except
 /// parameter values), for the SQL-skeleton cache.
 std::string JoinShapeKey(const std::vector<JoinStage>& stages,
-                         const std::string& select);
+                         const std::string& select,
+                         const std::string& group_by);
 
 /// Parameter values of `stages` in BuildJoinSql render order.
 void CollectJoinParams(const std::vector<JoinStage>& stages,

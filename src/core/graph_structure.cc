@@ -1290,13 +1290,18 @@ struct JoinChainPlan {
   std::vector<const ResolvedVertexTable*> vertex_tables; // per hop
   std::vector<int> vertex_table_indexes;                 // per hop
   std::string select;
+  /// Count mode only: the near-endpoint columns of e0 the rows group by,
+  /// and their layout in the grouped row (the count follows them).
+  std::string group_by;
+  FetchLayout key_layout;
 };
 
 /// Builds the collapsed N-way join for chain `chain` of the provider
 /// plan. `first_plan` is hop 1's edge plan — with the source-endpoint
-/// conditions for execution, without them for Explain. Any violation of
-/// the compile-time legality assumptions returns Unsupported so the
-/// caller can fall back to step-at-a-time execution.
+/// conditions for execution, without them for Explain. A count-folded
+/// spec selects only the source key and COUNT(*), grouped by the key.
+/// Any violation of the compile-time legality assumptions returns
+/// Unsupported so the caller can fall back to step-at-a-time execution.
 Status BuildJoinChainPlan(const overlay::Topology& topology,
                           const RuntimeOptions& options,
                           const gremlin::MultiHopSpec& spec,
@@ -1307,6 +1312,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
       chain >= plan.first_hop.size()) {
     return Status::Unsupported("malformed multi-hop plan");
   }
+  const bool counting = spec.agg == AggOp::kCount;
   size_t offset = 0;
   int prev_vt = -1;
   for (size_t h = 0; h < hops; ++h) {
@@ -1402,7 +1408,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
                 JoinCondPosition(vp.conds, *vt.schema, vt.label_column)),
         std::move(vjoin));
     SetCondAlias(&vconds, valias);
-    std::vector<size_t> vcols = h + 1 == hops
+    std::vector<size_t> vcols = h + 1 == hops && !counting
                                     ? VertexFetchColumns(vt, hop.vertex_spec)
                                     : vt.id.column_indexes;
     FetchLayout vlayout = MakeLayout(*vt.schema, std::move(vcols));
@@ -1422,6 +1428,23 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
     out->vertex_tables.push_back(&vt);
     out->vertex_table_indexes.push_back(ht.vertex_table);
     prev_vt = ht.vertex_table;
+  }
+
+  if (counting) {
+    const ResolvedEdgeTable& et0 = *out->edge_tables[0];
+    const ResolvedField& near0 =
+        spec.hops[0].direction == Direction::kOut ? et0.src_v : et0.dst_v;
+    if (near0.column_indexes.empty()) {
+      return Status::Unsupported("multi-hop count without a source column");
+    }
+    std::vector<std::string> keys;
+    for (size_t ci : near0.column_indexes) {
+      keys.push_back("\"e0\".\"" + et0.schema->columns[ci].name + "\"");
+    }
+    out->group_by = Join(keys, ", ");
+    out->select = out->group_by + ", COUNT(*)";
+    out->key_layout = MakeLayout(*et0.schema, near0.column_indexes);
+    return Status::OK();
   }
 
   std::vector<std::string> select_parts;
@@ -1465,7 +1488,7 @@ Value ComposeEdgeId(const ResolvedEdgeTable& et, const FetchLayout& layout,
 
 Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
                                           const gremlin::MultiHopSpec& spec,
-                                          gremlin::MultiHopBuckets* out) {
+                                          gremlin::MultiHopResult* out) {
   auto plan = std::static_pointer_cast<const MultiHopProviderPlan>(
       spec.provider_plan);
   auto decline = [&](const char* why) {
@@ -1498,7 +1521,8 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
   }
 
   QueryTrace* trace = CurrentTrace();
-  uint64_t total = 0;
+  const bool counting = spec.agg == AggOp::kCount;
+  uint64_t total = 0;  // walks emitted (or counted), for sysmon.optimizer
   for (size_t ci = 0; ci < plan->first_hop.size(); ++ci) {
     const MultiHopProviderPlan::HopTables& ht = plan->first_hop[ci];
     if (ht.edge_table < 0 ||
@@ -1543,10 +1567,11 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
     CollectJoinParams(cp.stages, &params);
     Result<std::unique_ptr<DialectRowStream>> stream =
         dialect_->QueryShapedStreaming(
-            JoinShapeKey(cp.stages, cp.select),
+            JoinShapeKey(cp.stages, cp.select, cp.group_by),
             [&] {
               std::vector<Value> ignored;
-              return BuildJoinSql(cp.stages, cp.select, &ignored);
+              return BuildJoinSql(cp.stages, cp.select, cp.group_by,
+                                  &ignored);
             },
             params);
     if (!stream.ok()) return stream.status();
@@ -1563,6 +1588,13 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
         return governed;
       }
       for (Row& row : block.rows) {
+        if (counting) {
+          // Grouped row: the source key columns, then COUNT(*).
+          int64_t walks = row.back().as_int();
+          out->counts[ComposeField(near0, cp.key_layout, row)] += walks;
+          total += static_cast<uint64_t>(walks);
+          continue;
+        }
         Row e0row = StageRow(row, cp.meta[0]);
         Value source_id = ComposeField(near0, cp.meta[0].layout, e0row);
         gremlin::MultiHopEmission emission;
@@ -1590,7 +1622,7 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
           }
         }
         ++total;
-        (*out)[source_id].push_back(std::move(emission));
+        out->buckets[source_id].push_back(std::move(emission));
       }
     }
     if (!(*stream)->status().ok()) return (*stream)->status();
@@ -1712,10 +1744,11 @@ Status Db2GraphProvider::ExplainMultiHop(const gremlin::MultiHopSpec& spec,
     }
     preview.table = Join(chain_tables, ">");
     std::vector<Value> params;
-    std::string sql = BuildJoinSql(cp.stages, cp.select, &params);
+    std::string sql = BuildJoinSql(cp.stages, cp.select, cp.group_by, &params);
     preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path =
-        "multi-hop join (" + std::to_string(cp.stages.size()) + " stages)";
+    preview.access_path = "multi-hop join (" +
+                          std::to_string(cp.stages.size()) + " stages" +
+                          (cp.group_by.empty() ? ")" : ", grouped count)");
     preview.estimated_rows = spec.est_rows;
     out->push_back(std::move(preview));
   }

@@ -143,14 +143,17 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   /// Executes an optimizer-collapsed hop chain as one N-way join per
   /// (edge-table × vertex-table) chain, in chain order, appending each
   /// chain's emissions to the per-source buckets — which reproduces the
-  /// table-major per-source order of step-at-a-time execution. Returns
+  /// table-major per-source order of step-at-a-time execution. A
+  /// count-folded spec renders the same joins as SELECT <near endpoint>,
+  /// COUNT(*) ... GROUP BY <near endpoint> and sums the per-source counts
+  /// instead. Returns
   /// Unsupported (after logging a fallback against the plan's optimizer
   /// decision) whenever a runtime condition breaks the compile-time
   /// legality assumptions; the interpreter then re-runs the preserved
   /// step-at-a-time body.
   Status MultiHopTraverse(const std::vector<gremlin::VertexPtr>& sources,
                           const gremlin::MultiHopSpec& spec,
-                          gremlin::MultiHopBuckets* out) override;
+                          gremlin::MultiHopResult* out) override;
 
   const overlay::Topology& topology() const { return topology_; }
   const RuntimeOptions& options() const { return options_; }

@@ -167,7 +167,7 @@ bool EmitsVertices(const Step& s) {
     case StepKind::kEdgeVertex:
       return s.spec.agg == AggOp::kNone;
     case StepKind::kMultiHop:
-      return true;
+      return s.multi_hop == nullptr || s.multi_hop->agg == AggOp::kNone;
     default:
       return false;
   }
@@ -598,9 +598,20 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
     sum.attempted++;
     ChainResult chain = AnalyzeChain(hops, ctx, stats);
     const bool chosen = chain.hops_used >= 2;
+    size_t span = 0;
+    for (int h = 0; h < chain.hops_used; ++h) {
+      span += hops[static_cast<size_t>(h)].step_count;
+    }
+    // Count folding: a count() right after the collapsed chain moves into
+    // the step, which then asks the provider for per-source walk counts.
+    const bool fold_count =
+        chosen && ctx.aggregate_pushdown && i + span < steps->size() &&
+        (*steps)[i + span].kind == StepKind::kAggregate &&
+        (*steps)[i + span].agg == AggOp::kCount;
 
     OptimizerLog::Decision d;
     d.chain = DescribeHops(hops);
+    if (fold_count) d.chain += ".count()";
     d.chosen = chosen;
     d.hops = chosen ? chain.hops_used : static_cast<int>(hops.size());
     if (chosen) {
@@ -620,10 +631,7 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
       continue;
     }
 
-    size_t span = 0;
-    for (int h = 0; h < chain.hops_used; ++h) {
-      span += hops[static_cast<size_t>(h)].step_count;
-    }
+    if (fold_count) span += 1;  // the count() joins the fallback body
     auto spec = std::make_shared<MultiHopSpec>();
     for (int h = 0; h < chain.hops_used; ++h) {
       spec->hops.push_back(hops[static_cast<size_t>(h)].hop);
@@ -631,6 +639,7 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
     spec->est_rows =
         static_cast<uint64_t>(std::llround(std::max(chain.est_rows, 0.0)));
     spec->join_order = chain.join_order;
+    if (fold_count) spec->agg = AggOp::kCount;
     auto pplan = std::make_shared<MultiHopProviderPlan>();
     pplan->first_hop = std::move(chain.first_hop);
     pplan->later_hops = std::move(chain.later_hops);
@@ -649,7 +658,7 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
     steps->insert(steps->begin() + static_cast<ptrdiff_t>(i),
                   std::move(collapsed));
     sum.collapsed++;
-    ++i;  // the collapsed step emits vertices; a new run may start after it
+    ++i;  // a new run may start after the collapsed step
   }
   return sum;
 }

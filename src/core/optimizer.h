@@ -9,7 +9,10 @@
 // it can prove the join enumerates exactly the rows, in exactly the
 // order, the step-at-a-time plans would produce (see DESIGN.md §15), and
 // the replaced steps are preserved in the step body so the interpreter
-// falls back whenever the provider declines at runtime.
+// falls back whenever the provider declines at runtime. A count() that
+// directly follows a collapsed chain folds into the step (with aggregate
+// pushdown on): the provider then groups the same join by source and
+// returns per-source walk counts instead of the walks.
 //
 // Costing uses the live catalog statistics (table cardinalities and the
 // per-column KMV distinct-value estimates): per-hop fan-out is
@@ -72,7 +75,7 @@ class OptimizerLog {
     int hops = 0;
     std::string join_order;
     uint64_t est_rows = 0;     // per-source estimate at compile time
-    uint64_t actual_rows = 0;  // total emissions, once executed
+    uint64_t actual_rows = 0;  // total walks emitted (or counted), executed
     uint64_t executions = 0;   // collapsed runs of this decision
     uint64_t fallbacks = 0;    // runtime declines (step-at-a-time reruns)
   };
@@ -125,6 +128,9 @@ struct OptimizerContext {
   const sql::Database* db = nullptr;
   const RuntimeOptions* runtime = nullptr;
   OptimizerOptions options;
+  /// The graph's StrategyOptions::aggregate_pushdown: when set, a count()
+  /// directly after a collapsed chain folds into the MultiHopStep.
+  bool aggregate_pushdown = true;
   std::shared_ptr<OptimizerLog> log;  // optional
 };
 

@@ -167,7 +167,7 @@ Result<Value> GraphProvider::AggregateEdges(const LookupSpec&) {
 }
 
 Status GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>&,
-                                       const MultiHopSpec&, MultiHopBuckets*) {
+                                       const MultiHopSpec&, MultiHopResult*) {
   return Status::Unsupported("no multi-hop pushdown");
 }
 

@@ -152,6 +152,10 @@ struct MultiHopSpec {
   std::vector<MultiHopHop> hops;
   uint64_t est_rows = 0;   // optimizer's output-cardinality estimate
   std::string join_order;  // human-readable join order for Explain
+  /// kCount when the count() that directly followed the chain was folded
+  /// in: the provider returns per-source walk counts instead of the walks
+  /// (one GROUP BY join), and the step emits their sum as a barrier.
+  AggOp agg = AggOp::kNone;
   /// Provider-private compiled join plan (table chains, layouts, shape
   /// keys), attached by the optimizer and opaque to the interpreter.
   std::shared_ptr<const void> provider_plan;
@@ -170,6 +174,13 @@ struct MultiHopEmission {
 /// source, so collapsed plans stay byte-identical with the fallback.
 using MultiHopBuckets =
     std::unordered_map<Value, std::vector<MultiHopEmission>, ValueHash>;
+
+/// What one MultiHopTraverse call returns: the per-source emissions, or —
+/// for a count-folded spec — the per-source number of walks.
+struct MultiHopResult {
+  MultiHopBuckets buckets;                               // agg == kNone
+  std::unordered_map<Value, int64_t, ValueHash> counts;  // agg == kCount
+};
 
 /// Pull cursor over a vertex lookup: the streaming counterpart of
 /// GraphProvider::Vertices. Blocks arrive in the same deterministic order
@@ -250,11 +261,12 @@ class GraphProvider {
 
   /// Collapsed multi-hop traversal: all hops of `spec` from each source
   /// in one call (one N-way join statement per table chain in Db2 Graph).
+  /// Fills out->buckets, or out->counts when spec.agg is kCount.
   /// Default is Unsupported — the interpreter then falls back to the
   /// step-at-a-time plan kept alongside the MultiHopStep.
   virtual Status MultiHopTraverse(const std::vector<VertexPtr>& sources,
                                   const MultiHopSpec& spec,
-                                  MultiHopBuckets* out);
+                                  MultiHopResult* out);
 
   /// Whether the provider benefits from the Db2 Graph provider strategies
   /// (predicate/projection/aggregate pushdown and step mutations).

@@ -103,7 +103,9 @@ bool IsStreamableStep(const Step& step) {
       // Same shape as streamable kVertex: per-block distinct sources, one
       // provider call, per-traverser emission (the collapsed hops never
       // carry an aggregate or a kBoth direction — the optimizer bails).
-      return true;
+      // A folded count() makes it a barrier, like the count itself.
+      return step.multi_hop == nullptr ||
+             step.multi_hop->agg == AggOp::kNone;
     case StepKind::kEdgeVertex:
     case StepKind::kHas:
     case StepKind::kValues:
@@ -964,12 +966,28 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
     }
     if (seen.insert(t.vertex->id).second) sources.push_back(t.vertex);
   }
-  if (sources.empty()) return Status::OK();
+  const bool counted = step.multi_hop && step.multi_hop->agg == AggOp::kCount;
+  if (sources.empty()) {
+    if (counted) out->push_back(Traverser::OfValue(Value(int64_t{0})));
+    return Status::OK();
+  }
 
   if (step.multi_hop) {
-    MultiHopBuckets buckets;
-    Status st = provider_->MultiHopTraverse(sources, *step.multi_hop, &buckets);
+    MultiHopResult result;
+    Status st = provider_->MultiHopTraverse(sources, *step.multi_hop, &result);
+    if (st.ok() && counted) {
+      // The folded count() sees one traverser per walk from each input
+      // traverser, duplicates included.
+      int64_t total = 0;
+      for (const Traverser& t : input) {
+        auto it = result.counts.find(t.vertex->id);
+        if (it != result.counts.end()) total += it->second;
+      }
+      out->push_back(Traverser::OfValue(Value(total)));
+      return st;
+    }
     if (st.ok()) {
+      const MultiHopBuckets& buckets = result.buckets;
       for (const Traverser& t : input) {
         auto it = buckets.find(t.vertex->id);
         if (it == buckets.end()) continue;
@@ -987,7 +1005,8 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
   }
   // The provider declined: run the preserved step-at-a-time plan. The
   // collapsed steps are all block-safe transforms with no cross-pass
-  // state, so a per-block materialized pass matches exactly.
+  // state, so a per-block materialized pass matches exactly (a folded
+  // count() is the body's last step and sees the whole input).
   return ExecuteMaterialized(step.body, std::move(input), state, out);
 }
 
@@ -1257,12 +1276,15 @@ Status Interpreter::ApplyStep(const Step& step, std::vector<Traverser> input,
         DB2G_RETURN_NOT_OK(Execute(step.body, std::move(seed), state,
                                    &sub_out));
         bool matched = !sub_out.empty();
-        // A sub-traversal ending in an aggregate always yields one value;
-        // treat count()==0 as no match.
+        // A sub-traversal ending in an aggregate (or a multi-hop step with
+        // a folded count()) always yields one value; treat count()==0 as
+        // no match.
         if (matched && sub_out.size() == 1 &&
             sub_out[0].kind == Traverser::Kind::kValue &&
             sub_out[0].value.is_int() && !step.body.empty() &&
-            step.body.back().kind == StepKind::kAggregate) {
+            (step.body.back().kind == StepKind::kAggregate ||
+             (step.body.back().multi_hop != nullptr &&
+              step.body.back().multi_hop->agg != AggOp::kNone))) {
           matched = sub_out[0].value.as_int() != 0;
         }
         if (matched == (step.kind == StepKind::kWhere)) {

@@ -128,7 +128,9 @@ class Interpreter {
                              std::vector<Traverser>* out);
   /// Optimizer-collapsed hop chain: one MultiHopTraverse provider call for
   /// the whole chain; falls back to the preserved step-at-a-time plan in
-  /// step.body when the provider returns Unsupported.
+  /// step.body when the provider returns Unsupported. With a folded
+  /// count() it is a barrier emitting one value: the walk count summed
+  /// over the input traversers (0 for empty input).
   Status ApplyMultiHopStep(const Step& step, std::vector<Traverser> input,
                            ExecState* state, std::vector<Traverser>* out);
 

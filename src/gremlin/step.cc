@@ -207,6 +207,9 @@ std::string Step::ToString() const {
         os << " join=" << multi_hop->join_order;
       }
       if (multi_hop) os << " est=" << multi_hop->est_rows;
+      if (multi_hop && multi_hop->agg != AggOp::kNone) {
+        os << " agg=" << AggName(multi_hop->agg);
+      }
       os << " body=[";
       for (size_t i = 0; i < body.size(); ++i) {
         if (i > 0) os << ".";

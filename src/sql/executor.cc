@@ -47,6 +47,57 @@ bool BindsIn(const Expr& expr, const Scope& scope) {
   return true;
 }
 
+// Marks in `read` the flat offsets `expr` reads. Column references
+// resolve through the scope by name, as binding does; a select-alias
+// reference (ORDER BY) reads what its item reads, and anything else
+// unresolvable marks every column. A '*' inside an expression (COUNT(*))
+// evaluates to NULL and reads nothing.
+void MarkReads(const Expr& expr, const Scope& scope, const SelectStmt& stmt,
+               std::vector<bool>* read) {
+  if (expr.kind == ExprKind::kColumnRef) {
+    Result<size_t> offset = scope.Resolve(expr.table_alias, expr.column);
+    if (offset.ok()) {
+      (*read)[*offset] = true;
+      return;
+    }
+    if (expr.table_alias.empty()) {
+      for (const SelectItem& item : stmt.items) {
+        if (EqualsIgnoreCase(item.alias, expr.column)) return;
+      }
+    }
+    read->assign(read->size(), true);
+    return;
+  }
+  for (const auto& child : expr.children) {
+    MarkReads(*child, scope, stmt, read);
+  }
+}
+
+// Which columns of the statement's flat FROM-clause row any part of it
+// reads: the select list (with '*' / 'alias.*' expansions), WHERE, the
+// join ON conditions, GROUP BY, HAVING and ORDER BY.
+std::vector<bool> ReadColumns(const SelectStmt& stmt, const Scope& scope) {
+  std::vector<bool> read(scope.width(), false);
+  auto mark = [&](const std::unique_ptr<Expr>& expr) {
+    if (expr != nullptr) MarkReads(*expr, scope, stmt, &read);
+  };
+  for (const SelectItem& item : stmt.items) {
+    if (item.expr->kind == ExprKind::kStar) {
+      for (size_t offset : scope.StarOffsets(item.expr->table_alias)) {
+        read[offset] = true;
+      }
+    } else {
+      mark(item.expr);
+    }
+  }
+  mark(stmt.where);
+  for (const JoinClause& join : stmt.joins) mark(join.on);
+  for (const auto& g : stmt.group_by) mark(g);
+  mark(stmt.having);
+  for (const OrderItem& item : stmt.order_by) mark(item.expr);
+  return read;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -461,6 +512,9 @@ struct StageConfig {
   PlanRelation relation;
   std::vector<const Expr*> preds;  // ON + eligible WHERE conjuncts
   bool left = false;
+  /// Per relation column: read by some expression of the statement.
+  /// Unread columns are appended as NULL (offsets stay unchanged).
+  std::vector<bool> read;
 
   // Index-probe access path.
   IndexProbe probe;
@@ -702,60 +756,58 @@ class JoinStageOp : public Op {
     rows_pos_ = 0;
   }
 
-  // Starts the joined scratch row with a copy of the outer row; the inner
-  // side is appended straight from column storage (base tables) or from
-  // the materialized rows, with no intermediate Row.
-  void StartJoined(size_t inner_width) {
+  // Builds the joined scratch row: a copy of the outer row, then the
+  // inner row at `slot` (a row id of the base table, or an index into the
+  // materialized rows) appended with no intermediate Row. Columns nothing
+  // reads are appended as NULL rather than copied.
+  void BuildJoined(size_t slot) {
+    const PlanRelation& rel = cfg_.relation;
+    const size_t width = rel.columns.size();
     joined_.clear();
-    joined_.reserve(outer_.size() + inner_width);
+    joined_.reserve(outer_.size() + width);
     joined_.insert(joined_.end(), outer_.begin(), outer_.end());
+    for (size_t c = 0; c < width; ++c) {
+      if (!cfg_.read[c]) {
+        joined_.emplace_back();
+      } else if (rel.materialized()) {
+        joined_.push_back(rel.rows[slot][c]);
+      } else {
+        joined_.push_back(rel.table->ValueAt(slot, c));
+      }
+    }
   }
 
   // Builds the next joined (outer + inner) row of the current cursor into
   // joined_; false at cursor end. Counts each visited row.
   bool NextJoined() {
     const PlanRelation& rel = cfg_.relation;
+    size_t slot = 0;
     switch (cursor_) {
       case CursorKind::kRids:
         if (rid_pos_ >= rids_.size()) return false;
-        ctx_->exec.rows_scanned += 1;
-        StartJoined(rel.columns.size());
-        rel.table->AppendRow(rids_[rid_pos_++], &joined_);
-        return true;
-      case CursorKind::kHash: {
+        slot = rids_[rid_pos_++];
+        break;
+      case CursorKind::kHash:
         if (hash_it_ == hash_end_) return false;
-        ctx_->exec.rows_scanned += 1;
-        size_t slot = hash_it_->second;
+        slot = hash_it_->second;
         ++hash_it_;
-        StartJoined(rel.columns.size());
-        if (rel.materialized()) {
-          const Row& inner = rel.rows[slot];
-          joined_.insert(joined_.end(), inner.begin(), inner.end());
-        } else {
-          rel.table->AppendRow(slot, &joined_);
-        }
-        return true;
-      }
+        break;
       case CursorKind::kScan:
         while (scan_rid_ < rel.table->slot_count() &&
                !rel.table->IsLive(scan_rid_)) {
           ++scan_rid_;
         }
         if (scan_rid_ >= rel.table->slot_count()) return false;
-        ctx_->exec.rows_scanned += 1;
-        StartJoined(rel.columns.size());
-        rel.table->AppendRow(scan_rid_++, &joined_);
-        return true;
-      case CursorKind::kRows: {
+        slot = scan_rid_++;
+        break;
+      case CursorKind::kRows:
         if (rows_pos_ >= rel.rows.size()) return false;
-        ctx_->exec.rows_scanned += 1;
-        StartJoined(rel.columns.size());
-        const Row& inner = rel.rows[rows_pos_++];
-        joined_.insert(joined_.end(), inner.begin(), inner.end());
-        return true;
-      }
+        slot = rows_pos_++;
+        break;
     }
-    return false;
+    ctx_->exec.rows_scanned += 1;
+    BuildJoined(slot);
+    return true;
   }
 
   void EmitIfMatch(RowBlock* out) {
@@ -2548,6 +2600,15 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
   bool any_left = false;
   for (const StageInput& stage : stages) any_left |= stage.left;
 
+  // Columns some expression reads; join stages NULL-fill the rest.
+  // Prepared statements computed this once, in PrebindSelect.
+  std::vector<bool> computed_read;
+  const std::vector<bool>* read = &stmt.read_columns;
+  if (!stmt.prebound || read->size() != scope.width()) {
+    computed_read = ReadColumns(stmt, scope);
+    read = &computed_read;
+  }
+
   std::vector<std::unique_ptr<Expr>>& owned = state->owned;
   auto borrow = [&](const std::unique_ptr<Expr>& source)
       -> Result<const Expr*> {
@@ -2639,6 +2700,9 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
 
     StageConfig cfg;
     cfg.left = stage.left;
+    cfg.read.assign(read->begin() + static_cast<ptrdiff_t>(before.width()),
+                    read->begin() + static_cast<ptrdiff_t>(
+                                        partial_scope.width()));
 
     // Collect predicates applicable at this stage (borrowed pointers into
     // the already-bound where / on expressions).
@@ -3064,7 +3128,14 @@ bool PrebindSelect(Database* db, SelectStmt* stmt) {
   if (stmt->having && !BindExpr(stmt->having.get(), scope).ok()) {
     return false;
   }
+  // With aggregation, ORDER BY names output columns (by name or position)
+  // and is resolved after grouping: leave it as written.
+  bool has_aggregate = !stmt->group_by.empty();
+  for (const SelectItem& item : stmt->items) {
+    has_aggregate |= ContainsAggregate(*item.expr);
+  }
   for (OrderItem& item : stmt->order_by) {
+    if (has_aggregate) break;
     // Rewrite select-alias references to the underlying expression so
     // execution needs no alias logic.
     if (item.expr->kind == ExprKind::kColumnRef &&
@@ -3082,6 +3153,7 @@ bool PrebindSelect(Database* db, SelectStmt* stmt) {
     }
     if (!BindExpr(item.expr.get(), scope).ok()) return false;
   }
+  stmt->read_columns = ReadColumns(*stmt, scope);
   stmt->prebound = true;
   return true;
 }

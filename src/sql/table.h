@@ -204,8 +204,8 @@ class Table {
   /// Materializes one row from the column vectors. Returns by value —
   /// there is no contiguous row in storage to reference.
   Row GetRow(RowId rid) const;
-  /// Appends the row's values to `out` (join/row-adapter hot path: avoids
-  /// an intermediate Row).
+  /// Appends the row's values to `out` (row-adapter hot path: avoids an
+  /// intermediate Row).
   void AppendRow(RowId rid, Row* out) const;
   /// Materializes into a caller-owned scratch row, reusing its capacity.
   void MaterializeRow(RowId rid, Row* out) const;

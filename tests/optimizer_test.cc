@@ -20,6 +20,7 @@
 #include "common/query_log.h"
 #include "core/db2graph.h"
 #include "core/optimizer.h"
+#include "gremlin/interpreter.h"
 #include "gremlin/parser.h"
 #include "sql/database.h"
 
@@ -189,6 +190,167 @@ TEST_F(MultiHopCollapseTest, EquivalenceMatrix) {
   EXPECT_GT(c.bailed, 0u);  // the client-predicate scripts
   EXPECT_GT(c.executions, 0u);
   EXPECT_EQ(graph_off_->optimizer_log()->counters().attempted, 0u);
+}
+
+// ----------------------------------------------------------------------
+// Count folding: chain + count() as one GROUP BY join
+// ----------------------------------------------------------------------
+
+// Decisions whose chain carries a folded count().
+std::vector<OptimizerLog::Decision> CountDecisions(const OptimizerLog& log) {
+  std::vector<OptimizerLog::Decision> out;
+  for (const OptimizerLog::Decision& d : log.Snapshot()) {
+    if (d.chosen && d.chain.size() > 8 &&
+        d.chain.compare(d.chain.size() - 8, 8, ".count()") == 0) {
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
+TEST_F(MultiHopCollapseTest, CountFoldEquivalence) {
+  // A person with no out-edges at all.
+  ASSERT_TRUE(db_.Execute("INSERT INTO person VALUES (99, 30, 'p99')").ok());
+  const std::vector<std::string> scripts = {
+      "g.V(1).out('knows').out('knows').out('knows').count()",
+      // Duplicate start ids count their walks once per traverser.
+      "g.V(1, 1, 2).out('knows').out('knows').count()",
+      // The first hop reaches 2 and 4 from both starts, so the folded
+      // step's input repeats them (checked below).
+      "g.V(1, 3).out('knows').out('knows').out('knows').count()",
+      // A start with no out-edges, and a chain no source survives: both
+      // yield 0, not an empty result.
+      "g.V(99).out('knows').out('knows').out('knows').count()",
+      "g.V(1, 2).out('knows').has('age', gt(100)).out('knows').count()",
+      "g.V().has('age', gt(100)).out('knows').out('knows').count()",
+      // in() hops and outE().inV() hops.
+      "g.V(5, 6).in('knows').in('follows').count()",
+      "g.V(1, 7).outE('knows').inV().outE('knows').inV().count()",
+      "g.V(1).outE('knows').has('w', gte(2)).inV().out('follows').count()",
+      // A pushed has() on the final hop.
+      "g.V(1, 2, 3).out('knows').out('knows').has('age', lte(23)).count()",
+      // limit() / dedup() between the chain and count(): no fold.
+      "g.V(1, 2).out('knows').out('knows').limit(5).count()",
+      "g.V(1, 2).out('knows').out('knows').dedup().count()",
+      // A count inside where(): count 0 filters the traverser out.
+      "g.V().where(out('knows').out('knows').out('knows').count())",
+      "g.V().where(out('knows').out('follows').out('knows')"
+      ".has('age', gt(25)).count()).id()",
+      // The folded count feeds a value filter.
+      "g.V(1, 2, 3).out('knows').out('knows').count().is(gt(10))",
+      "g.V(1, 2, 3).out('knows').out('knows').count().is(gt(1000))",
+  };
+  for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+    for (int dop : {1, 4}) {
+      for (const std::string& script : scripts) {
+        EXPECT_EQ(Run(graph_on_.get(), script, block_rows, dop),
+                  Run(graph_off_.get(), script, block_rows, dop))
+            << script << " (block_rows=" << block_rows << " dop=" << dop
+            << ")";
+      }
+    }
+  }
+  EXPECT_NE(Run(graph_on_.get(), "g.V(1, 3).out('knows').count()", 256, 1),
+            Run(graph_on_.get(), "g.V(1, 3).out('knows').dedup().count()",
+                256, 1));
+  for (size_t empty : {3, 4, 5}) {
+    EXPECT_EQ(Run(graph_on_.get(), scripts[empty], 256, 1),
+              "v{0} path=[];\n")
+        << scripts[empty];
+  }
+
+  std::vector<OptimizerLog::Decision> folded =
+      CountDecisions(*graph_on_->optimizer_log());
+  ASSERT_FALSE(folded.empty());
+  uint64_t executions = 0;
+  for (const OptimizerLog::Decision& d : folded) {
+    executions += d.executions;
+    EXPECT_EQ(d.fallbacks, 0u) << d.chain;
+  }
+  EXPECT_GT(executions, 0u);
+  EXPECT_EQ(graph_on_->optimizer_log()->counters().fallbacks, 0u);
+}
+
+TEST_F(MultiHopCollapseTest, CountFoldCompilesIntoTheStep) {
+  Result<gremlin::Script> script = graph_on_->Compile(
+      "g.V(1).out('knows').out('knows').out('knows').count()");
+  ASSERT_TRUE(script.ok());
+  const auto& steps = script->statements[0].traversal.steps;
+  ASSERT_EQ(steps.back().kind, gremlin::StepKind::kMultiHop)
+      << script->statements[0].traversal.ToString();
+  ASSERT_NE(steps.back().multi_hop, nullptr);
+  EXPECT_EQ(steps.back().multi_hop->agg, gremlin::AggOp::kCount);
+  // The fallback body ends with the count() it replaced.
+  ASSERT_FALSE(steps.back().body.empty());
+  EXPECT_EQ(steps.back().body.back().kind, gremlin::StepKind::kAggregate);
+  EXPECT_NE(steps.back().ToString().find("agg=count"), std::string::npos);
+
+  // A count() inside where() folds too.
+  script = graph_on_->Compile(
+      "g.V().where(out('knows').out('knows').out('knows').count())");
+  ASSERT_TRUE(script.ok());
+  const auto& where = script->statements[0].traversal.steps.back();
+  ASSERT_EQ(where.kind, gremlin::StepKind::kWhere);
+  ASSERT_EQ(where.body.back().kind, gremlin::StepKind::kMultiHop);
+  EXPECT_EQ(where.body.back().multi_hop->agg, gremlin::AggOp::kCount);
+
+  // limit() between the chain and count(): the chain collapses, the
+  // count stays a step of its own.
+  script = graph_on_->Compile(
+      "g.V(1).out('knows').out('knows').limit(5).count()");
+  ASSERT_TRUE(script.ok());
+  const auto& limited = script->statements[0].traversal.steps;
+  EXPECT_EQ(limited.back().kind, gremlin::StepKind::kAggregate);
+  for (const auto& step : limited) {
+    if (step.multi_hop) {
+      EXPECT_EQ(step.multi_hop->agg, gremlin::AggOp::kNone);
+    }
+  }
+
+  // Aggregate pushdown off: the chain still collapses, without the count.
+  Db2Graph::Options no_agg;
+  no_agg.strategies.aggregate_pushdown = false;
+  std::unique_ptr<Db2Graph> graph = OpenGraph(no_agg);
+  script = graph->Compile(
+      "g.V(1).out('knows').out('knows').out('knows').count()");
+  ASSERT_TRUE(script.ok());
+  const auto& plain = script->statements[0].traversal.steps;
+  EXPECT_EQ(plain.back().kind, gremlin::StepKind::kAggregate);
+  bool collapsed = false;
+  for (const auto& step : plain) {
+    if (!step.multi_hop) continue;
+    collapsed = true;
+    EXPECT_EQ(step.multi_hop->agg, gremlin::AggOp::kNone);
+  }
+  EXPECT_TRUE(collapsed);
+}
+
+TEST_F(MultiHopCollapseTest, CountFoldFallbackBodyCounts) {
+  // A plan compiled with the fold, run on a provider without endpoint
+  // pinning: the provider declines at runtime and the preserved body —
+  // the hops and the count() — must produce the same number.
+  Db2Graph::Options unpinned;
+  unpinned.runtime.endpoint_table_pruning = false;
+  std::unique_ptr<Db2Graph> declining = OpenGraph(unpinned);
+  const std::vector<std::string> scripts = {
+      "g.V(1, 1, 2).out('knows').out('knows').out('knows').count()",
+      "g.V(3).out('knows').outE('knows').inV().out('follows').count()",
+      "g.V().has('age', gt(100)).out('knows').out('knows').count()",
+  };
+  for (const std::string& text : scripts) {
+    Result<gremlin::Script> script = graph_on_->Compile(text);
+    ASSERT_TRUE(script.ok());
+    uint64_t fallbacks = graph_on_->optimizer_log()->counters().fallbacks;
+    gremlin::Interpreter interpreter(declining->provider());
+    Result<std::vector<Traverser>> out = interpreter.RunScript(*script);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(RenderAll(*out), Run(graph_off_.get(), text, 256, 1)) << text;
+    if (text.find("gt(100)") == std::string::npos) {
+      EXPECT_EQ(graph_on_->optimizer_log()->counters().fallbacks,
+                fallbacks + 1)
+          << text;
+    }
+  }
 }
 
 // ----------------------------------------------------------------------
@@ -379,6 +541,60 @@ TEST_F(MultiHopCollapseTest, ProfileShowsMultiHopStep) {
   EXPECT_NE(trace.find("MultiHopStep"), std::string::npos) << trace;
   EXPECT_NE(trace.find("join=knows>person>knows>person"), std::string::npos)
       << trace;
+}
+
+TEST_F(MultiHopCollapseTest, CountFoldObservability) {
+  std::unique_ptr<Db2Graph> graph = OpenGraph(Db2Graph::Options());
+  const std::string script =
+      "g.V(1, 2).out('knows').out('knows').out('knows').count()";
+
+  // Actual rows are the walks counted — the emitted count — not the
+  // grouped rows the statement returned.
+  Result<std::vector<Traverser>> out = graph->Execute(script);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  const int64_t walks = (*out)[0].value.as_int();
+  ASSERT_GT(walks, 2);
+  std::vector<OptimizerLog::Decision> folded =
+      CountDecisions(*graph->optimizer_log());
+  ASSERT_EQ(folded.size(), 1u);
+  EXPECT_EQ(folded[0].executions, 1u);
+  EXPECT_EQ(folded[0].actual_rows, static_cast<uint64_t>(walks));
+
+  // sysmon.optimizer reads the log of the graph opened last.
+  Result<sql::ResultSet> rs = db_.Execute(
+      "SELECT chain, actual_rows, executions FROM sysmon.optimizer");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  bool found = false;
+  for (const Row& row : rs->rows) {
+    if (row[0].as_string() != folded[0].chain) continue;
+    found = true;
+    EXPECT_EQ(row[1].as_int(), walks);
+    EXPECT_EQ(row[2].as_int(), 1);
+  }
+  EXPECT_TRUE(found);
+
+  Result<Db2Graph::ExplainResult> explain = graph->Explain(script);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->text.find("MultiHopStep"), std::string::npos)
+      << explain->text;
+  EXPECT_NE(explain->text.find("agg=count"), std::string::npos)
+      << explain->text;
+  EXPECT_NE(explain->text.find("COUNT(*)"), std::string::npos)
+      << explain->text;
+  EXPECT_NE(explain->text.find("GROUP BY \"e0\".\"src\""),
+            std::string::npos)
+      << explain->text;
+  EXPECT_NE(explain->text.find("grouped count"), std::string::npos)
+      << explain->text;
+
+  Result<std::vector<Traverser>> profiled =
+      graph->Execute(script + ".profile()");
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  ASSERT_EQ(profiled->size(), 1u);
+  const std::string trace = (*profiled)[0].value.as_string();
+  EXPECT_NE(trace.find("agg=count"), std::string::npos) << trace;
+  EXPECT_NE(trace.find("GROUP BY"), std::string::npos) << trace;
 }
 
 TEST_F(MultiHopCollapseTest, QueryLogRecordsCollapsedHops) {

@@ -636,5 +636,144 @@ TEST_F(SqlEngineTest, OrderedIndexBytesTrackActualKeyWidths) {
   EXPECT_LT(long_index->ApproxBytes(), before);
 }
 
+// ---------------------------------------------------------------------
+// Join column pruning: join stages NULL-fill the columns no expression of
+// the statement reads. Every shape below reads some column from only one
+// clause, so a column dropped by mistake changes the exact rows.
+// ---------------------------------------------------------------------
+
+class JoinColumnPruningTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE a (id BIGINT PRIMARY KEY, grp BIGINT, label VARCHAR,
+                      pad VARCHAR);
+      CREATE TABLE b (aid BIGINT, val BIGINT, note VARCHAR);
+      CREATE TABLE c (k BIGINT, tag VARCHAR, extra VARCHAR);
+      CREATE ORDERED INDEX oc_k ON c (k);
+      INSERT INTO a VALUES
+        (1, 10, 'one', 'padding-one-xxxxxxxxxxxxxx'),
+        (2, 10, 'two', 'padding-two-xxxxxxxxxxxxxx'),
+        (3, 20, 'three', 'padding-three-xxxxxxxxxxxx'),
+        (4, 20, 'four', 'padding-four-xxxxxxxxxxxxx');
+      INSERT INTO b VALUES
+        (1, 100, 'n1'), (1, 101, 'n1b'), (2, 200, 'n2'), (3, 300, 'n3');
+      INSERT INTO c VALUES
+        (100, 'x', 'n1'), (150, 'y', 'n1b'), (250, 'z', 'n2'),
+        (300, 'w', 'zz');
+    )sql")
+                    .ok());
+  }
+
+  static std::string Render(const ResultSet& rs) {
+    std::string out;
+    for (const Row& row : rs.rows) {
+      for (size_t i = 0; i < row.size(); ++i) {
+        out += (i > 0 ? "," : "") + row[i].ToString();
+      }
+      out += ";";
+    }
+    return out;
+  }
+
+  // Runs `sql` ad hoc and as a prepared statement (twice: the read-column
+  // mask is computed once at prepare time) and checks all three results.
+  void Expect(const std::string& sql, const std::string& expected) {
+    Result<ResultSet> adhoc = db_.Execute(sql);
+    ASSERT_TRUE(adhoc.ok()) << adhoc.status().ToString() << " for " << sql;
+    EXPECT_EQ(Render(*adhoc), expected) << "ad hoc: " << sql;
+    Result<PreparedStatement> prepared = db_.Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    for (int run = 0; run < 2; ++run) {
+      Result<ResultSet> rs = prepared->Execute({});
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString() << " for " << sql;
+      EXPECT_EQ(Render(*rs), expected) << "prepared: " << sql;
+    }
+  }
+
+  // The plan of `sql` names `access` for one of its stages.
+  void ExpectAccessPath(const std::string& sql, const std::string& access) {
+    Result<ResultSet> rs = db_.Execute("EXPLAIN " + sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    std::string plan;
+    for (const Row& row : rs->rows) plan += row[0].as_string() + "\n";
+    EXPECT_NE(plan.find(access), std::string::npos) << plan;
+  }
+
+  Database db_;
+};
+
+TEST_F(JoinColumnPruningTest, StarAndQualifiedStar) {
+  Expect("SELECT * FROM a, b WHERE a.id = b.aid AND a.grp = 10 "
+         "ORDER BY b.val",
+         "1,10,one,padding-one-xxxxxxxxxxxxxx,1,100,n1;"
+         "1,10,one,padding-one-xxxxxxxxxxxxxx,1,101,n1b;"
+         "2,10,two,padding-two-xxxxxxxxxxxxxx,2,200,n2;");
+  Expect("SELECT b.* FROM a JOIN b ON a.id = b.aid WHERE a.grp = 20",
+         "3,300,n3;");
+  Expect("SELECT a.*, b.note FROM b JOIN a ON a.id = b.aid "
+         "WHERE b.val > 150 ORDER BY b.val",
+         "2,10,two,padding-two-xxxxxxxxxxxxxx,n2;"
+         "3,20,three,padding-three-xxxxxxxxxxxx,n3;");
+}
+
+TEST_F(JoinColumnPruningTest, CountStarAndCountColumn) {
+  Expect("SELECT COUNT(*) FROM a JOIN b ON a.id = b.aid", "4;");
+  // The LEFT JOIN null-extends a.id 4, whose note COUNT(col) skips.
+  Expect("SELECT COUNT(*), COUNT(b.note) FROM a LEFT JOIN b "
+         "ON a.id = b.aid",
+         "5,4;");
+  Expect("SELECT COUNT(a.pad) FROM a JOIN b ON a.id = b.aid "
+         "WHERE b.note <> 'n2'",
+         "3;");
+}
+
+TEST_F(JoinColumnPruningTest, OrderGroupHavingOutsideSelectList) {
+  Expect("SELECT a.label FROM a JOIN b ON a.id = b.aid "
+         "ORDER BY b.val DESC",
+         "three;two;one;one;");
+  Expect("SELECT b.val AS v FROM a JOIN b ON a.id = b.aid "
+         "WHERE a.label <> 'two' ORDER BY v",
+         "100;101;300;");
+  Expect("SELECT COUNT(*), SUM(b.val) FROM a JOIN b ON a.id = b.aid "
+         "GROUP BY a.grp HAVING a.grp > 15",
+         "1,300;");
+  Expect("SELECT COUNT(*) FROM a JOIN b ON a.id = b.aid "
+         "GROUP BY a.grp HAVING MAX(b.note) = 'n2'",
+         "3;");
+  Expect("SELECT a.grp, COUNT(*) AS n FROM a JOIN b ON a.id = b.aid "
+         "GROUP BY a.grp ORDER BY n",
+         "20,1;10,3;");
+}
+
+TEST_F(JoinColumnPruningTest, LeftJoinNullExtension) {
+  Expect("SELECT a.id, b.val FROM a LEFT JOIN b ON a.id = b.aid "
+         "ORDER BY a.id, b.val",
+         "1,100;1,101;2,200;3,300;4,NULL;");
+  Expect("SELECT a.label FROM a LEFT JOIN b ON a.id = b.aid "
+         "WHERE b.note IS NULL",
+         "four;");
+}
+
+TEST_F(JoinColumnPruningTest, HashJoinStage) {
+  // b has no index: with more than one outer row the b stage hashes.
+  const std::string sql =
+      "SELECT a.label, b.note FROM a JOIN b ON b.aid = a.id "
+      "WHERE a.grp = 10 ORDER BY b.val";
+  ExpectAccessPath(sql, "b hash candidate");
+  Expect(sql, "one,n1;one,n1b;two,n2;");
+}
+
+TEST_F(JoinColumnPruningTest, RangeStageWithLaterStringPredicate) {
+  // The c stage is an ordered-index range scan. b.note is read only by
+  // the c stage's predicate, never by the select list.
+  const std::string sql =
+      "SELECT a.label, b.val, c.k FROM a JOIN b ON a.id = b.aid "
+      "JOIN c ON c.k >= b.val AND c.k < b.val + 60 "
+      "WHERE c.extra <> b.note ORDER BY b.val, c.k";
+  ExpectAccessPath(sql, "c range scan");
+  Expect(sql, "one,100,150;three,300,300;");
+}
+
 }  // namespace
 }  // namespace db2graph::sql
