@@ -128,7 +128,9 @@ Result<std::unique_ptr<Db2Graph>> Db2Graph::Open(
       (s.aggregate_pushdown ? '1' : '0') +
       (s.graphstep_vertexstep_mutation ? '1' : '0') +
       (s.limit_pushdown ? '1' : '0') +
-      (options.optimizer.multi_hop_collapse ? '1' : '0') + '\x01';
+      (options.optimizer.multi_hop_collapse ? '1' : '0');
+  graph->shape_key_prefix_ = graph->plan_key_prefix_ + '\x02';
+  graph->plan_key_prefix_ += '\x01';
   return graph;
 }
 
@@ -199,37 +201,25 @@ Result<Script> Db2Graph::Compile(const std::string& script_text) const {
   return script;
 }
 
-Result<std::shared_ptr<const CompiledPlan>> Db2Graph::GetOrCompile(
-    const std::string& script_text, bool use_cache, bool* was_cached) {
-  // The catalog version is read before compiling: DDL racing the compile
-  // makes the plan stale (conservatively), never silently current.
-  uint64_t ddl_version = db_->ddl_version();
-  // Like the catalog version, the stats epoch is read before compiling so
-  // racing mutations make a stats-sensitive plan stale, never silently
-  // current.
-  uint64_t stats_epoch = db_->stats_epoch();
-  const std::string key = plan_key_prefix_ + script_text;
-  if (use_cache) {
-    if (std::shared_ptr<const CompiledPlan> hit =
-            plan_cache_->Lookup(key, ddl_version)) {
-      // A plan whose shape the multi-hop optimizer decided from the live
-      // statistics expires once the stats epoch drifts far enough that
-      // the costing could choose differently; fall through to recompile
-      // (Insert below replaces the entry).
-      if (hit->stats_sensitive && stats_epoch > hit->stats_epoch &&
-          stats_epoch - hit->stats_epoch >
-              options_.optimizer.stats_drift_limit) {
-        metrics::MetricsRegistry::Global()
-            .GetCounter(PlanCache::kStaleStatsRecompilesCounter)
-            ->fetch_add(1);
-      } else {
-        *was_cached = true;
-        return hit;
-      }
-    }
+bool Db2Graph::StatsCurrent(const CompiledPlan& plan,
+                            uint64_t stats_epoch) const {
+  // A plan whose shape the multi-hop optimizer decided from the live
+  // statistics expires once the stats epoch drifts far enough that the
+  // costing could choose differently.
+  if (plan.stats_sensitive && stats_epoch > plan.stats_epoch &&
+      stats_epoch - plan.stats_epoch > options_.optimizer.stats_drift_limit) {
+    metrics::MetricsRegistry::Global()
+        .GetCounter(PlanCache::kStaleStatsRecompilesCounter)
+        ->fetch_add(1);
+    return false;
   }
-  *was_cached = false;
-  Result<Script> script = gremlin::ParseGremlin(script_text);
+  return true;
+}
+
+Result<std::shared_ptr<CompiledPlan>> Db2Graph::CompilePlan(
+    const std::string& script_text, const std::vector<size_t>& slot_offsets,
+    uint64_t ddl_version, uint64_t stats_epoch) {
+  Result<Script> script = gremlin::ParseGremlin(script_text, slot_offsets);
   if (!script.ok()) return script.status();
   auto plan = std::make_shared<CompiledPlan>();
   plan->script_text = script_text;
@@ -256,8 +246,87 @@ Result<std::shared_ptr<const CompiledPlan>> Db2Graph::GetOrCompile(
   plan->collapsed_hops = CountCollapsedHops(*script);
   plan->script = std::move(*script);
   plan->binds = CollectBindSlots(plan->script);
-  if (use_cache) plan_cache_->Insert(key, plan);
-  return std::shared_ptr<const CompiledPlan>(std::move(plan));
+  return plan;
+}
+
+Result<std::shared_ptr<const CompiledPlan>> Db2Graph::GetOrCompile(
+    const std::string& script_text, bool use_cache, bool* was_cached,
+    std::vector<Value>* slots) {
+  if (slots != nullptr) {
+    slots->clear();
+    gremlin::ConcentratedScript shape;
+    if (use_cache && gremlin::ConcentrateIdLiterals(script_text, &shape) &&
+        !shape.values.empty()) {
+      return GetOrCompileShape(script_text, std::move(shape), was_cached,
+                               slots);
+    }
+  }
+  // The catalog version is read before compiling: DDL racing the compile
+  // makes the plan stale (conservatively), never silently current.
+  uint64_t ddl_version = db_->ddl_version();
+  // Like the catalog version, the stats epoch is read before compiling so
+  // racing mutations make a stats-sensitive plan stale, never silently
+  // current.
+  uint64_t stats_epoch = db_->stats_epoch();
+  const std::string key = plan_key_prefix_ + script_text;
+  if (use_cache) {
+    std::shared_ptr<const CompiledPlan> hit =
+        plan_cache_->Lookup(key, ddl_version);
+    // A drifted hit falls through to recompile (Insert replaces it).
+    if (hit != nullptr && StatsCurrent(*hit, stats_epoch)) {
+      *was_cached = true;
+      return hit;
+    }
+  }
+  *was_cached = false;
+  Result<std::shared_ptr<CompiledPlan>> plan =
+      CompilePlan(script_text, {}, ddl_version, stats_epoch);
+  if (!plan.ok()) return plan.status();
+  if (use_cache) plan_cache_->Insert(key, *plan);
+  return std::shared_ptr<const CompiledPlan>(std::move(*plan));
+}
+
+Result<std::shared_ptr<const CompiledPlan>> Db2Graph::GetOrCompileShape(
+    const std::string& script_text, gremlin::ConcentratedScript shape,
+    bool* was_cached, std::vector<Value>* slots) {
+  uint64_t ddl_version = db_->ddl_version();
+  uint64_t stats_epoch = db_->stats_epoch();
+  const std::string shape_key = shape_key_prefix_ + shape.shape;
+  // Probe uncounted: a literal-keyed marker hands the lookup (and its
+  // count) to the text as written.
+  std::shared_ptr<const CompiledPlan> hit =
+      plan_cache_->Find(shape_key, ddl_version);
+  if (hit != nullptr && hit->literal_keyed) {
+    return GetOrCompile(script_text, /*use_cache=*/true, was_cached);
+  }
+  plan_cache_->CountLookup(hit != nullptr);
+  if (hit != nullptr && StatsCurrent(*hit, stats_epoch)) {
+    *was_cached = true;
+    *slots = std::move(shape.values);
+    return hit;
+  }
+  *was_cached = false;
+  // One parse of the caller's own text (parse errors read exactly as for
+  // any other path), with the id literals tagged by their slots.
+  Result<std::shared_ptr<CompiledPlan>> plan =
+      CompilePlan(script_text, shape.offsets, ddl_version, stats_epoch);
+  if (!plan.ok()) return plan.status();
+  if (ParameterizeIdSlots(plan->get(), shape.values)) {
+    (*plan)->script_text = shape.shape;
+    plan_cache_->Insert(shape_key, *plan);
+    *slots = std::move(shape.values);
+    return std::shared_ptr<const CompiledPlan>(std::move(*plan));
+  }
+  // A compile pass consumed an id literal, so the plan is only good for
+  // this text: cache it under the text as written, and leave a marker
+  // that sends the shape's later scripts there too.
+  plan_cache_->Insert(plan_key_prefix_ + script_text, *plan);
+  auto marker = std::make_shared<CompiledPlan>();
+  marker->script_text = std::move(shape.shape);
+  marker->ddl_version = ddl_version;
+  marker->literal_keyed = true;
+  plan_cache_->Insert(shape_key, std::move(marker));
+  return std::shared_ptr<const CompiledPlan>(std::move(*plan));
 }
 
 namespace {
@@ -276,7 +345,8 @@ const std::vector<Value>* FindBinding(const ExecOptions& options,
 // Files one sysmon.query_log entry for a Gremlin execution. With a trace,
 // row totals come from the statements the query issued; untraced, the
 // traverser count stands in for rows_emitted.
-void RecordGremlinQueryLog(const CompiledPlan& plan, bool plan_cached,
+void RecordGremlinQueryLog(const CompiledPlan& plan,
+                           const std::string& script_text, bool plan_cached,
                            const Result<std::vector<Traverser>>& out,
                            uint64_t micros, const QueryTrace* trace,
                            uint64_t dop) {
@@ -284,7 +354,7 @@ void RecordGremlinQueryLog(const CompiledPlan& plan, bool plan_cached,
   if (!log.enabled()) return;
   QueryLog::Entry entry;
   entry.layer = "gremlin";
-  entry.script = plan.script_text;
+  entry.script = script_text;
   entry.plan_source = plan_cached ? "cached" : "compiled";
   entry.dop = dop;
   entry.collapsed_hops = plan.collapsed_hops;
@@ -348,16 +418,19 @@ Status Db2Graph::ValidateBindings(const CompiledPlan& plan,
 
 Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
     std::shared_ptr<const CompiledPlan> plan, const ExecOptions& options,
-    bool plan_cached) {
+    bool plan_cached, const std::string& script_text,
+    std::vector<Value> slots) {
   // A PreparedQuery outliving DDL recompiles transparently — the same
   // staleness rule the cache itself enforces.
   if (plan->ddl_version != db_->ddl_version()) {
     Result<std::shared_ptr<const CompiledPlan>> fresh =
-        GetOrCompile(plan->script_text, options.use_plan_cache, &plan_cached);
+        GetOrCompile(script_text, options.use_plan_cache, &plan_cached,
+                     plan->slot_count > 0 ? &slots : nullptr);
     if (!fresh.ok()) return fresh.status();
     plan = std::move(*fresh);
   }
   DB2G_RETURN_NOT_OK(ValidateBindings(*plan, options));
+  const std::vector<Value>* slot_values = slots.empty() ? nullptr : &slots;
 
   // Bindings land in the session environment when one is given (they
   // persist like assignments); otherwise they seed a per-execution one.
@@ -399,7 +472,7 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
   std::shared_ptr<governor::QueryContext> query_ctx;
   if (limits.any() || options.cancel_token.valid()) {
     query_ctx = std::make_shared<governor::QueryContext>(
-        plan->script_text, limits, options.cancel_token);
+        script_text, limits, options.cancel_token);
   }
   governor::ScopedActiveQuery governed(query_ctx);
 
@@ -415,15 +488,15 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
     // guarded deque push.
     if (!QueryLog::Global().enabled()) {
       Result<std::vector<Traverser>> out =
-          interpreter.RunScript(plan->script, env);
+          interpreter.RunScript(plan->script, env, slot_values);
       governor::CountTermination(out.status());
       return out;
     }
     uint64_t begin = trace_clock_->NowMicros();
     Result<std::vector<Traverser>> out =
-        interpreter.RunScript(plan->script, env);
+        interpreter.RunScript(plan->script, env, slot_values);
     governor::CountTermination(out.status());
-    RecordGremlinQueryLog(*plan, plan_cached, out,
+    RecordGremlinQueryLog(*plan, script_text, plan_cached, out,
                           trace_clock_->NowMicros() - begin, nullptr,
                           exec_cfg.parallelism());
     return out;
@@ -431,18 +504,20 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
 
   QueryTrace local_trace(trace_clock_);
   QueryTrace* trace = options.trace != nullptr ? options.trace : &local_trace;
-  trace->SetScript(plan->script_text);
+  trace->SetScript(script_text);
   trace->SetPlanSource(plan_cached ? "cached" : "compiled");
   // Strategies already ran at compile time; replay their rewrites so a
-  // cached plan's trace still explains how the plan came to be.
+  // cached plan's trace still explains how the plan came to be (with the
+  // slot values of this execution in place of the shape's slot names).
   for (const StrategyRewrite& r : plan->rewrites) {
-    trace->AddRewrite(r.strategy, r.before, r.after);
+    trace->AddRewrite(r.strategy, gremlin::BindSlotText(r.before, slots),
+                      gremlin::BindSlotText(r.after, slots));
   }
   uint64_t start = trace->clock()->NowMicros();
   Result<std::vector<Traverser>> out =
       [&]() -> Result<std::vector<Traverser>> {
     ScopedTrace scoped(trace);
-    return interpreter.RunScript(plan->script, env);
+    return interpreter.RunScript(plan->script, env, slot_values);
   }();
   uint64_t elapsed = trace->clock()->NowMicros() - start;
   governor::CountTermination(out.status());
@@ -450,7 +525,7 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
   trace->Finish(elapsed);
   if (slow_ms > 0 && elapsed >= static_cast<uint64_t>(slow_ms) * 1000) {
     SlowQueryLog::Entry entry;
-    entry.script = plan->script_text;
+    entry.script = script_text;
     entry.elapsed_micros = elapsed;
     QueryTrace::RowTotals totals = trace->SqlRowTotals();
     entry.rows_scanned = totals.rows_scanned;
@@ -459,7 +534,7 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
     entry.trace_json = trace->ToJson().Dump(2);
     SlowQueryLog::Global().Record(std::move(entry));
   }
-  RecordGremlinQueryLog(*plan, plan_cached, out, elapsed, trace,
+  RecordGremlinQueryLog(*plan, script_text, plan_cached, out, elapsed, trace,
                         exec_cfg.parallelism());
   if (!out.ok()) return out.status();
   if (plan->has_profile) {
@@ -473,10 +548,12 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
 Result<std::vector<Traverser>> Db2Graph::Execute(
     const std::string& script_text, const ExecOptions& options) {
   bool was_cached = false;
+  std::vector<Value> slots;
   Result<std::shared_ptr<const CompiledPlan>> plan =
-      GetOrCompile(script_text, options.use_plan_cache, &was_cached);
+      GetOrCompile(script_text, options.use_plan_cache, &was_cached, &slots);
   if (!plan.ok()) return plan.status();
-  return ExecutePlan(std::move(*plan), options, was_cached);
+  return ExecutePlan(std::move(*plan), options, was_cached, script_text,
+                     std::move(slots));
 }
 
 Result<std::vector<Traverser>> Db2Graph::Execute(
@@ -504,7 +581,8 @@ Result<std::vector<Traverser>> PreparedQuery::Execute(
   if (graph_ == nullptr || plan_ == nullptr) {
     return Status::InvalidArgument("PreparedQuery: not prepared");
   }
-  return graph_->ExecutePlan(plan_, options, /*plan_cached=*/true);
+  return graph_->ExecutePlan(plan_, options, /*plan_cached=*/true,
+                             plan_->script_text, {});
 }
 
 std::vector<std::string> PreparedQuery::unbound_variables() const {

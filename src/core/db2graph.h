@@ -11,7 +11,9 @@
 // Every path — text, PreparedQuery, GremlinService, AutoGraph, graphQuery
 // — funnels through the same compiled-plan cache, so repeated query
 // shapes parse and optimize once (Gremlin Server's parameterized-script
-// compilation cache, brought inside the RDBMS).
+// compilation cache, brought inside the RDBMS). Text executions are keyed
+// on their shape, with id literals as bind slots (Db2's statement
+// concentrator), so g.V(1).out() and g.V(2).out() share one plan.
 
 #ifndef DB2GRAPH_CORE_DB2GRAPH_H_
 #define DB2GRAPH_CORE_DB2GRAPH_H_
@@ -52,8 +54,9 @@ struct ExecOptions {
   /// land here (Finish() is stamped). Otherwise tracing is decided by the
   /// script (.profile() terminal) and the slow-query threshold.
   QueryTrace* trace = nullptr;
-  /// Consult/fill the compiled-plan cache. Disabled by benchmarks to
-  /// measure the re-parsing text path.
+  /// Consult/fill the compiled-plan cache (for text, keyed on its
+  /// concentrated shape). Disabled by benchmarks to measure the
+  /// re-parsing text path.
   bool use_plan_cache = true;
   /// Per-call execution tuning, overlaid on the session config (set at
   /// Open via Db2Graph::Options::exec / Database::SetExecConfig) which in
@@ -155,7 +158,11 @@ class Db2Graph {
   /// cache), validates and applies bindings, and runs it. A .profile()
   /// terminal, an options.trace, or a nonzero slow-query threshold runs
   /// the query traced; profile() replaces the result with one traverser
-  /// holding the trace rendered as JSON text.
+  /// holding the trace rendered as JSON text. The cache key is the
+  /// script's concentrated shape (gremlin::ConcentrateIdLiterals): its
+  /// id literals are read per execution, so scripts differing only in
+  /// them share one plan. Every surface (query log, trace, slow-query
+  /// log, sysmon.active_queries) still shows `script` as given.
   Result<std::vector<gremlin::Traverser>> Execute(const std::string& script,
                                                   const ExecOptions& options);
 
@@ -235,14 +242,39 @@ class Db2Graph {
 
   /// Plan-cache lookup (keyed on options fingerprint + script text,
   /// ddl-version checked) or compile-and-insert. `was_cached` reports
-  /// which happened.
+  /// which happened. With `slots` (the Execute(text) path), a script
+  /// whose id literals concentrate is keyed on its shape instead, and
+  /// *slots receives the values the returned plan reads (left empty for
+  /// a plan keyed on the text as written). Counts one cache hit or miss.
   Result<std::shared_ptr<const CompiledPlan>> GetOrCompile(
-      const std::string& script_text, bool use_cache, bool* was_cached);
+      const std::string& script_text, bool use_cache, bool* was_cached,
+      std::vector<Value>* slots = nullptr);
 
-  /// The execution core every public path funnels into.
+  /// The shape-keyed half of GetOrCompile.
+  Result<std::shared_ptr<const CompiledPlan>> GetOrCompileShape(
+      const std::string& script_text, gremlin::ConcentratedScript shape,
+      bool* was_cached, std::vector<Value>* slots);
+
+  /// Parses `script_text` once (tagging the id literals at
+  /// `slot_offsets`), then runs the strategies and the multi-hop collapse.
+  Result<std::shared_ptr<CompiledPlan>> CompilePlan(
+      const std::string& script_text,
+      const std::vector<size_t>& slot_offsets, uint64_t ddl_version,
+      uint64_t stats_epoch);
+
+  /// False when `plan` is statistics-sensitive and the stats epoch has
+  /// drifted past the limit since it compiled (counted as a stale-stats
+  /// recompile).
+  bool StatsCurrent(const CompiledPlan& plan, uint64_t stats_epoch) const;
+
+  /// The execution core every public path funnels into. `script_text` is
+  /// the caller's text, shown on every surface and recompiled from when
+  /// DDL made the plan stale; `slots` holds the values of the plan's
+  /// concentrated id slots.
   Result<std::vector<gremlin::Traverser>> ExecutePlan(
       std::shared_ptr<const CompiledPlan> plan, const ExecOptions& options,
-      bool plan_cached);
+      bool plan_cached, const std::string& script_text,
+      std::vector<Value> slots);
 
   /// Bind validation: every slot supplied (NotFound otherwise) with a
   /// usable type/shape (InvalidArgument otherwise).
@@ -265,6 +297,9 @@ class Db2Graph {
   std::shared_ptr<OptimizerLog> optimizer_log_;
   /// Options part of the cache key (strategy toggles change the plan).
   std::string plan_key_prefix_;
+  /// The same for shape keys; differs from plan_key_prefix_ in its last
+  /// byte, so a shape never collides with a script's text as written.
+  std::string shape_key_prefix_;
 };
 
 /// A self-refreshing AutoOverlay graph: the overlay is derived from the

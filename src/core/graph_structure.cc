@@ -1132,7 +1132,9 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
                         !dialect_->db()->access_control_enabled();
   uint64_t epoch = cache_on ? dialect_->db()->write_epoch() : 0;
   // The pinned paths below replace spec.ids with the endpoint ids, so
-  // cached vertices are filtered against labels/predicates only.
+  // cached vertices are filtered against labels/predicates only; ids the
+  // spec asks for (a hasId() folded into out()/in()) filter the endpoints
+  // up front instead.
   LookupSpec cached_check = spec;
   cached_check.ids.clear();
 
@@ -1143,6 +1145,10 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
 
   auto classify = [&](const EdgePtr& e, bool source_side) -> bool {
     const Value& id = source_side ? e->src_id : e->dst_id;
+    if (!spec.ids.empty() &&
+        std::find(spec.ids.begin(), spec.ids.end(), id) == spec.ids.end()) {
+      return true;
+    }
     if (!seen.insert(id).second) return true;  // already handled
     const auto* prov = static_cast<const RowProvenance*>(e->provenance.get());
     int vertex_table = -1;

@@ -60,7 +60,74 @@ void CollectFromSteps(const std::vector<Step>& steps,
   }
 }
 
+// Calls fn on every id-argument list of every step, sub-plans included.
+template <typename Fn>
+void ForEachIdArgs(std::vector<Step>* steps, const Fn& fn) {
+  for (Step& step : *steps) {
+    fn(&step.start_ids);
+    fn(&step.src_id_args);
+    fn(&step.dst_id_args);
+    fn(&step.id_args);
+    ForEachIdArgs(&step.body, fn);
+    for (std::vector<Step>& branch : step.branches) {
+      ForEachIdArgs(&branch, fn);
+    }
+  }
+}
+
+// True when a compile pass moved ids into a step's LookupSpec (only the
+// hasId() and where(...hasId()) folds into adjacency steps do).
+bool SpecsCarryIds(const std::vector<Step>& steps) {
+  for (const Step& step : steps) {
+    if (!step.spec.ids.empty() || !step.spec.src_ids.empty() ||
+        !step.spec.dst_ids.empty() || SpecsCarryIds(step.body)) {
+      return true;
+    }
+    for (const std::vector<Step>& branch : step.branches) {
+      if (SpecsCarryIds(branch)) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+bool ParameterizeIdSlots(CompiledPlan* plan,
+                         const std::vector<Value>& values) {
+  std::vector<bool> survived(values.size(), false);
+  bool consumed = false;
+  for (gremlin::ScriptStatement& stmt : plan->script.statements) {
+    ForEachIdArgs(&stmt.traversal.steps, [&](std::vector<GremlinArg>* args) {
+      for (const GremlinArg& arg : *args) {
+        if (arg.is_slot()) survived[arg.slot] = true;
+      }
+    });
+    consumed |= SpecsCarryIds(stmt.traversal.steps);
+  }
+  for (bool s : survived) consumed |= !s;
+  for (gremlin::ScriptStatement& stmt : plan->script.statements) {
+    ForEachIdArgs(&stmt.traversal.steps, [&](std::vector<GremlinArg>* args) {
+      for (GremlinArg& arg : *args) {
+        if (!arg.is_slot()) continue;
+        if (consumed) {
+          arg.slot = -1;
+        } else {
+          arg.literal = Value();
+        }
+      }
+    });
+  }
+  if (consumed) {
+    // Rewrites were rendered with slot names while the tags were live.
+    for (StrategyRewrite& r : plan->rewrites) {
+      r.before = gremlin::BindSlotText(r.before, values);
+      r.after = gremlin::BindSlotText(r.after, values);
+    }
+    return false;
+  }
+  plan->slot_count = values.size();
+  return true;
+}
 
 std::vector<CompiledPlan::BindSlot> CollectBindSlots(
     const gremlin::Script& script) {
@@ -96,14 +163,17 @@ PlanCache::Shard& PlanCache::ShardFor(const std::string& key) {
 
 std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
     const std::string& key, uint64_t current_ddl_version) {
+  std::shared_ptr<const CompiledPlan> plan = Find(key, current_ddl_version);
+  CountLookup(plan != nullptr);
+  return plan;
+}
+
+std::shared_ptr<const CompiledPlan> PlanCache::Find(
+    const std::string& key, uint64_t current_ddl_version) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1);
-    registry_misses_->fetch_add(1);
-    return nullptr;
-  }
+  if (it == shard.map.end()) return nullptr;
   if (it->second->second->ddl_version != current_ddl_version) {
     // Compiled under a different catalog: the overlay mapping (and thus
     // the plan's implied SQL) may no longer hold. Drop and recompile.
@@ -111,14 +181,20 @@ std::shared_ptr<const CompiledPlan> PlanCache::Lookup(
     shard.map.erase(it);
     invalidations_.fetch_add(1);
     registry_invalidations_->fetch_add(1);
-    misses_.fetch_add(1);
-    registry_misses_->fetch_add(1);
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1);
-  registry_hits_->fetch_add(1);
   return it->second->second;
+}
+
+void PlanCache::CountLookup(bool hit) {
+  if (hit) {
+    hits_.fetch_add(1);
+    registry_hits_->fetch_add(1);
+  } else {
+    misses_.fetch_add(1);
+    registry_misses_->fetch_add(1);
+  }
 }
 
 void PlanCache::Insert(const std::string& key,

@@ -13,6 +13,11 @@
 // under; a lookup under a newer version evicts the entry and reports a
 // miss (the same mechanism Db2Graph::OverlayMayBeStale() uses), so DDL can
 // never serve a stale plan.
+//
+// Text executions are keyed on their concentrated shape (Db2's statement
+// concentrator): id literals become numbered slots, so g.V(1).out() and
+// g.V(2).out() share one plan that reads the id per execution (see
+// Db2Graph::Execute and DESIGN.md §9).
 
 #ifndef DB2GRAPH_CORE_PLAN_CACHE_H_
 #define DB2GRAPH_CORE_PLAN_CACHE_H_
@@ -54,6 +59,15 @@ struct CompiledPlan {
   uint64_t collapsed_hops = 0;
   /// Any statement carries a .profile() terminal.
   bool has_profile = false;
+  /// Number of concentrated id slots the plan reads per execution (0 =
+  /// compiled for its script text as written). script_text is then the
+  /// shape ("g.V(__c0)...") and executions supply the slot values.
+  size_t slot_count = 0;
+  /// A shape entry with no plan of its own: compiling the shape consumed
+  /// an id literal into a LookupSpec (a hasId() folded into an adjacency
+  /// step), so scripts of this shape are cached under their text as
+  /// written.
+  bool literal_keyed = false;
   /// Strategy rewrites recorded at compile time, replayed into the trace
   /// of each traced execution (strategies do not re-run on cached plans).
   std::vector<StrategyRewrite> rewrites;
@@ -77,6 +91,16 @@ struct CompiledPlan {
 /// before (or without) an assignment by an earlier statement.
 std::vector<CompiledPlan::BindSlot> CollectBindSlots(
     const gremlin::Script& script);
+
+/// Finishes a plan compiled from concentrated text (ParseGremlin with the
+/// slot offsets of ConcentrateIdLiterals; `values` are the slot literals).
+/// When every slot still appears as an id argument and no compile pass
+/// moved an id into a LookupSpec, the tagged arguments become
+/// per-execution slot reads (slot_count = values.size()) and the plan
+/// serves every script of its shape: returns true. Otherwise the shape is
+/// literal-keyed: the tags are dropped, leaving exactly the plan the text
+/// as written compiles to, and false is returned.
+bool ParameterizeIdSlots(CompiledPlan* plan, const std::vector<Value>& values);
 
 /// Sharded LRU cache of compiled plans. Thread-safe; lookups and inserts
 /// on different shards never contend. Hit/miss/invalidation/eviction
@@ -106,6 +130,13 @@ class PlanCache {
   /// and reported as a miss.
   std::shared_ptr<const CompiledPlan> Lookup(const std::string& key,
                                              uint64_t current_ddl_version);
+
+  /// Lookup without counting the hit or miss: for a probe whose outcome
+  /// the caller reports itself (CountLookup), once it knows which plan it
+  /// serves. Invalidations still count.
+  std::shared_ptr<const CompiledPlan> Find(const std::string& key,
+                                           uint64_t current_ddl_version);
+  void CountLookup(bool hit);
 
   /// Inserts (or replaces) the plan for `key`, evicting the shard's least
   /// recently used entry when full.

@@ -83,6 +83,14 @@ Traverser Derive(const Traverser& parent, Traverser child,
   return child;
 }
 
+// A step as trace spans show it: concentrated id slots render as this
+// execution's values, so a plan cached per text shape traces like the
+// caller's own text.
+std::string SpanText(const Step& step, const std::vector<Value>* slots) {
+  std::string text = step.ToString();
+  return slots == nullptr ? text : BindSlotText(text, *slots);
+}
+
 // True for steps a streaming segment can apply one block at a time with
 // results identical to a materialized pass: per-traverser transforms and
 // filters, plus the cumulative-counter steps (limit/range, handled inline
@@ -302,6 +310,15 @@ Result<std::vector<Value>> Interpreter::ResolveIds(
     const std::vector<GremlinArg>& args, const ExecState& state) const {
   std::vector<Value> out;
   for (const GremlinArg& arg : args) {
+    if (arg.is_slot()) {
+      if (state.slots == nullptr ||
+          static_cast<size_t>(arg.slot) >= state.slots->size()) {
+        return Status::Internal("Gremlin: no value for id slot " +
+                                std::to_string(arg.slot));
+      }
+      out.push_back((*state.slots)[arg.slot]);
+      continue;
+    }
     if (!arg.is_var()) {
       out.push_back(arg.literal);
       continue;
@@ -315,10 +332,12 @@ Result<std::vector<Value>> Interpreter::ResolveIds(
   return out;
 }
 
-Result<std::vector<Traverser>> Interpreter::Run(const Traversal& traversal,
-                                                const Environment& env) {
+Result<std::vector<Traverser>> Interpreter::Run(
+    const Traversal& traversal, const Environment& env,
+    const std::vector<Value>* slots) {
   ExecState state;
   state.env = &env;
+  state.slots = slots;
   std::vector<Traverser> seed;
   seed.emplace_back();  // a single dummy traverser seeds the GraphStep
   std::vector<Traverser> out;
@@ -327,13 +346,15 @@ Result<std::vector<Traverser>> Interpreter::Run(const Traversal& traversal,
   return out;
 }
 
-Result<std::vector<Traverser>> Interpreter::RunScript(const Script& script,
-                                                      Environment* env) {
+Result<std::vector<Traverser>> Interpreter::RunScript(
+    const Script& script, Environment* env,
+    const std::vector<Value>* slots) {
   Environment local;
   Environment* bindings = env != nullptr ? env : &local;
   std::vector<Traverser> last;
   for (const ScriptStatement& stmt : script.statements) {
-    Result<std::vector<Traverser>> result = Run(stmt.traversal, *bindings);
+    Result<std::vector<Traverser>> result =
+        Run(stmt.traversal, *bindings, slots);
     if (!result.ok()) return result.status();
     last = std::move(*result);
     if (stmt.terminal_next && last.size() > 1) {
@@ -392,8 +413,8 @@ Status Interpreter::Execute(const std::vector<Step>& steps,
     DB2G_RETURN_NOT_OK(governor::CheckCurrent());
     std::vector<Traverser> next;
     if (trace != nullptr) {
-      int span = trace->BeginStep(StepKindName(step.kind), step.ToString(),
-                                  stream.size());
+      int span = trace->BeginStep(StepKindName(step.kind),
+                                  SpanText(step, state->slots), stream.size());
       Status st = ApplyStep(step, std::move(stream), state, &next);
       trace->EndStep(span, next.size());
       DB2G_RETURN_NOT_OK(st);
@@ -421,8 +442,8 @@ Status Interpreter::ExecuteMaterialized(const std::vector<Step>& steps,
     DB2G_RETURN_NOT_OK(governor::CheckCurrent());
     std::vector<Traverser> next;
     if (trace != nullptr) {
-      int span = trace->BeginStep(StepKindName(step.kind), step.ToString(),
-                                  stream.size());
+      int span = trace->BeginStep(StepKindName(step.kind),
+                                  SpanText(step, state->slots), stream.size());
       Status st = ApplyStep(step, std::move(stream), state, &next);
       trace->EndStep(span, next.size());
       DB2G_RETURN_NOT_OK(st);
@@ -454,7 +475,8 @@ Status Interpreter::RunSegment(const std::vector<Step>& steps, size_t begin,
   if (graph_source) {
     const Step& g = steps[begin];
     if (trace != nullptr) {
-      source_span = trace->BeginStep(StepKindName(g.kind), g.ToString(),
+      source_span = trace->BeginStep(StepKindName(g.kind),
+                                     SpanText(g, state->slots),
                                      carried.size());
     }
     Result<LookupSpec> spec = BuildGraphSpec(g, *state);
@@ -508,7 +530,7 @@ Status Interpreter::RunSegment(const std::vector<Step>& steps, size_t begin,
     cs.step = &steps[j];
     if (trace != nullptr) {
       cs.span = trace->BeginStep(StepKindName(cs.step->kind),
-                                 cs.step->ToString(), 0);
+                                 SpanText(*cs.step, state->slots), 0);
       trace->PauseStep(cs.span);
     }
     if (cs.step->kind == StepKind::kLimit ||

@@ -82,18 +82,25 @@ class Interpreter {
 
   const Options& options() const { return options_; }
 
-  /// Runs one traversal with variable bindings.
+  /// Runs one traversal with variable bindings. `slots` supplies the
+  /// values of the plan's concentrated id slots (GremlinArg::slot); they
+  /// live apart from the environment, so they never collide with a
+  /// variable or persist into a session.
   Result<std::vector<Traverser>> Run(const Traversal& traversal,
-                                     const Environment& env = {});
+                                     const Environment& env = {},
+                                     const std::vector<Value>* slots =
+                                         nullptr);
 
   /// Runs a full script; returns the final statement's output stream.
   /// Assignments bind intermediate results into the environment.
-  Result<std::vector<Traverser>> RunScript(const Script& script,
-                                           Environment* env = nullptr);
+  Result<std::vector<Traverser>> RunScript(
+      const Script& script, Environment* env = nullptr,
+      const std::vector<Value>* slots = nullptr);
 
  private:
   struct ExecState {
     const Environment* env;
+    const std::vector<Value>* slots = nullptr;
     std::map<std::string, std::vector<Value>> stores;  // store()/cap()
     // dedup() keeps its seen-set across repeat() iterations, keyed by the
     // identity of the step within this execution.

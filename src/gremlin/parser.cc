@@ -1,5 +1,6 @@
 #include "gremlin/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
@@ -158,6 +159,7 @@ struct Arg {
   enum class Kind { kLiteral, kVar, kPredicate, kTraversal };
   Kind kind = Kind::kLiteral;
   Value literal;
+  size_t offset = 0;  // kLiteral: the token's offset in the text
   std::string var;
   PropPredicate::Op pred_op = PropPredicate::Op::kEq;
   std::vector<Value> pred_values;
@@ -167,7 +169,8 @@ struct Arg {
 
 class GremlinParser {
  public:
-  explicit GremlinParser(std::vector<Tok> toks) : toks_(std::move(toks)) {}
+  GremlinParser(std::vector<Tok> toks, const std::vector<size_t>& slot_offsets)
+      : toks_(std::move(toks)), slot_offsets_(slot_offsets) {}
 
   Result<Script> ParseScript() {
     Script script;
@@ -272,6 +275,7 @@ class GremlinParser {
     const Tok& t = Peek();
     if (t.type == TokType::kString || t.type == TokType::kNumber) {
       out->kind = Arg::Kind::kLiteral;
+      out->offset = t.offset;
       out->literal = Advance().value;
       return Status::OK();
     }
@@ -365,12 +369,21 @@ class GremlinParser {
     return Status::OK();
   }
 
-  static Status ArgsToIds(const std::vector<Arg>& args,
-                          std::vector<GremlinArg>* out) {
+  // The slot a literal token at `offset` was concentrated into, or -1.
+  int SlotAt(size_t offset) const {
+    auto it = std::lower_bound(slot_offsets_.begin(), slot_offsets_.end(),
+                               offset);
+    if (it == slot_offsets_.end() || *it != offset) return -1;
+    return static_cast<int>(it - slot_offsets_.begin());
+  }
+
+  Status ArgsToIds(const std::vector<Arg>& args,
+                   std::vector<GremlinArg>* out) const {
     for (const Arg& arg : args) {
       GremlinArg id;
       if (arg.kind == Arg::Kind::kLiteral) {
         id.literal = arg.literal;
+        id.slot = SlotAt(arg.offset);
       } else if (arg.kind == Arg::Kind::kVar) {
         id.var = arg.var;
       } else {
@@ -672,11 +685,27 @@ class GremlinParser {
 
   std::vector<Tok> toks_;
   size_t pos_ = 0;
+  const std::vector<size_t>& slot_offsets_;
 };
+
+bool IsIdStep(const std::string& text, size_t begin, size_t end) {
+  const size_t len = end - begin;
+  return (len == 1 && (text[begin] == 'V' || text[begin] == 'E')) ||
+         text.compare(begin, len, "hasId") == 0;
+}
+
+// True when the next non-space character after `i` closes an argument.
+bool ArgumentEndsAt(const std::string& text, size_t i) {
+  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
+    ++i;
+  }
+  return i < text.size() && (text[i] == ',' || text[i] == ')');
+}
 
 }  // namespace
 
-Result<Script> ParseGremlin(const std::string& text) {
+Result<Script> ParseGremlin(const std::string& text,
+                            const std::vector<size_t>& slot_offsets) {
   // Registry counter proving the plan cache's compile-once contract: a
   // cached execution must not move it (tests and the prepared-query bench
   // assert a zero delta).
@@ -685,7 +714,110 @@ Result<Script> ParseGremlin(const std::string& text) {
   parse_calls->fetch_add(1);
   Result<std::vector<Tok>> toks = Lex(text);
   if (!toks.ok()) return toks.status();
-  return GremlinParser(std::move(*toks)).ParseScript();
+  return GremlinParser(std::move(*toks), slot_offsets).ParseScript();
+}
+
+bool ConcentrateIdLiterals(const std::string& text, ConcentratedScript* out) {
+  out->shape.clear();
+  out->values.clear();
+  out->offsets.clear();
+  if (text.find(kSlotPrefix) != std::string::npos) return false;
+  // The token rules below mirror Lex() exactly; only the bookkeeping
+  // differs. `id_parens` holds, per open parenthesis, whether it opened
+  // the argument list of an id step.
+  std::vector<bool> id_parens;
+  enum class Prev { kOther, kIdent, kOpen, kComma } prev = Prev::kOther;
+  size_t ident_begin = 0;
+  size_t ident_end = 0;
+  size_t copied = 0;  // text before this offset is already in the shape
+  size_t i = 0;
+  const size_t n = text.size();
+  while (i < n) {
+    const char c = text[i];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++i;
+      continue;
+    }
+    if (c == '/' && i + 1 < n && text[i + 1] == '/') return false;
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      ident_begin = i;
+      while (i < n && (std::isalnum(static_cast<unsigned char>(text[i])) ||
+                       text[i] == '_')) {
+        ++i;
+      }
+      ident_end = i;
+      prev = Prev::kIdent;
+      continue;
+    }
+    const size_t start = i;
+    size_t value_end = 0;  // end of the digits, or the closing quote
+    bool is_string = false;
+    if (std::isdigit(static_cast<unsigned char>(c)) ||
+        (c == '-' && i + 1 < n &&
+         std::isdigit(static_cast<unsigned char>(text[i + 1])))) {
+      if (c == '-') ++i;
+      while (i < n && (std::isdigit(static_cast<unsigned char>(text[i])) ||
+                       text[i] == '.')) {
+        if (text[i] == '.') {
+          if (i + 1 < n &&
+              !std::isdigit(static_cast<unsigned char>(text[i + 1]))) {
+            break;
+          }
+          return false;  // a double
+        }
+        ++i;
+      }
+      value_end = i;
+      if (i < n && (text[i] == 'L' || text[i] == 'l')) ++i;
+    } else if (c == '\'' || c == '"') {
+      ++i;
+      while (i < n && text[i] != c) {
+        if (text[i] == '\\') return false;  // an escape sequence
+        ++i;
+      }
+      if (i >= n) return false;  // unterminated
+      value_end = i;
+      is_string = true;
+      ++i;
+    } else {
+      if (c == '(') {
+        id_parens.push_back(prev == Prev::kIdent &&
+                            IsIdStep(text, ident_begin, ident_end));
+        prev = Prev::kOpen;
+      } else if (c == ')') {
+        if (id_parens.empty()) return false;
+        id_parens.pop_back();
+        prev = Prev::kOther;
+      } else if (c == ',') {
+        prev = Prev::kComma;
+      } else if (c == '.' || c == ';' || c == '=') {
+        prev = Prev::kOther;
+      } else {
+        return false;
+      }
+      ++i;
+      continue;
+    }
+    // A literal: a slot when it is a whole argument of an id step.
+    const bool whole_argument = prev == Prev::kOpen || prev == Prev::kComma;
+    prev = Prev::kOther;
+    if (id_parens.empty() || !id_parens.back() || !whole_argument ||
+        !ArgumentEndsAt(text, i)) {
+      continue;
+    }
+    out->shape.append(text, copied, start - copied);
+    out->shape += kSlotPrefix;
+    out->shape += std::to_string(out->values.size());
+    copied = i;
+    out->values.push_back(
+        is_string ? Value(text.substr(start + 1, value_end - start - 1))
+                  : Value(static_cast<int64_t>(std::strtoll(
+                        text.substr(start, value_end - start).c_str(),
+                        nullptr, 10))));
+    out->offsets.push_back(start);
+  }
+  out->shape.append(text, copied, std::string::npos);
+  return true;
 }
 
 Result<Traversal> ParseTraversal(const std::string& text) {

@@ -1,6 +1,8 @@
 #include "gremlin/step.h"
 
+#include <cctype>
 #include <sstream>
+#include <string>
 
 namespace db2graph::gremlin {
 
@@ -101,8 +103,11 @@ std::string Step::ToString() const {
         os << " ids=[";
         for (size_t i = 0; i < start_ids.size(); ++i) {
           if (i > 0) os << ",";
-          os << (start_ids[i].is_var() ? "$" + start_ids[i].var
-                                       : start_ids[i].literal.ToString());
+          const GremlinArg& id = start_ids[i];
+          os << (id.is_var()    ? "$" + id.var
+                 : id.is_slot() ? "$" + std::string(kSlotPrefix) +
+                                      std::to_string(id.slot)
+                                : id.literal.ToString());
         }
         os << "]";
       }
@@ -222,6 +227,32 @@ std::string Step::ToString() const {
       break;
   }
   return os.str();
+}
+
+std::string BindSlotText(const std::string& text,
+                         const std::vector<Value>& slots) {
+  const std::string marker = std::string("$") + kSlotPrefix;
+  std::string out;
+  size_t copied = 0;
+  for (size_t at = text.find(marker); at != std::string::npos;
+       at = text.find(marker, copied)) {
+    size_t end = at + marker.size();
+    size_t slot = 0;
+    while (end < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[end]))) {
+      slot = slot * 10 + static_cast<size_t>(text[end] - '0');
+      ++end;
+    }
+    out.append(text, copied, at - copied);
+    if (end > at + marker.size() && slot < slots.size()) {
+      out += slots[slot].ToString();
+    } else {
+      out.append(text, at, end - at);
+    }
+    copied = end;
+  }
+  out.append(text, copied, std::string::npos);
+  return out;
 }
 
 std::string Traversal::ToString() const {

@@ -57,8 +57,27 @@ const char* StepKindName(StepKind kind);
 struct GremlinArg {
   Value literal;
   std::string var;  // non-empty = variable reference
+  /// >= 0: an id literal of concentrated script text (see
+  /// ConcentrateIdLiterals in parser.h), numbered in text order. While
+  /// the plan compiles, `literal` still holds the value and strategies
+  /// treat the argument as a literal; a plan cached per text shape clears
+  /// `literal` and reads slot values per execution instead. Renders as
+  /// "$__c<slot>".
+  int slot = -1;
   bool is_var() const { return !var.empty(); }
+  bool is_slot() const { return slot >= 0; }
 };
+
+/// Reserved identifier prefix of concentrated id slots ("__c0", "__c1",
+/// ...). Text that already contains it is never concentrated, so slot
+/// names cannot collide with script variables.
+inline constexpr const char kSlotPrefix[] = "__c";
+
+/// Replaces every "$__c<N>" slot rendering in `text` (a Step::ToString or
+/// Traversal::ToString result) with slot N's value, so traces of a plan
+/// cached per text shape read like the caller's own text.
+std::string BindSlotText(const std::string& text,
+                         const std::vector<Value>& slots);
 
 /// One step of a traversal plan. Only the fields relevant to `kind` are
 /// meaningful; everything else stays default.

@@ -156,6 +156,42 @@ TEST_F(GremlinServiceTest, SessionBindingsPersistLikeAssignments) {
   EXPECT_EQ((*second)[0].value, Value(int64_t{1}));
 }
 
+TEST_F(GremlinServiceTest, SessionScriptsShareOneShapePlanWithoutSlotLeaks) {
+  GremlinService service(graph_.get(),
+                         GremlinService::Options::WithWorkers(2));
+  auto first =
+      service.SubmitSession("s", "a = g.V(1).out('e').id()").get();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second =
+      service.SubmitSession("s", "a = g.V(2).out('e').id()").get();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(second->size(), 1u);
+  EXPECT_EQ((*second)[0].value, Value(int64_t{3}));
+  // Two scripts, one shape: one compile, one cached execution.
+  PlanCache::Counts counts = graph_->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 1u);
+  // The session sees its assignment and no slot variable.
+  auto assigned = service.SubmitSession("s", "g.V(a).id()").get();
+  ASSERT_TRUE(assigned.ok()) << assigned.status().ToString();
+  ASSERT_EQ(assigned->size(), 1u);
+  EXPECT_EQ((*assigned)[0].value, Value(int64_t{3}));
+  auto slot = service.SubmitSession("s", "g.V(__c0).id()").get();
+  ASSERT_FALSE(slot.ok());
+  EXPECT_EQ(slot.status().code(), StatusCode::kNotFound);
+
+  // The environment a session request runs against holds exactly the
+  // variables its scripts assigned.
+  gremlin::Environment env;
+  ExecOptions options;
+  options.session_env = &env;
+  ASSERT_TRUE(graph_->Execute("b = g.V(1).out('e').id()", options).ok());
+  ASSERT_TRUE(graph_->Execute("c = g.V(2).out('e').id()", options).ok());
+  ASSERT_EQ(env.size(), 2u);
+  EXPECT_EQ(env.count("b"), 1u);
+  EXPECT_EQ(env["c"], std::vector<Value>{Value(int64_t{3})});
+}
+
 TEST_F(GremlinServiceTest, SessionRequestsExecuteInSubmissionOrder) {
   // Fire a burst of assignments into one session without waiting between
   // them; serialization in submission order means the last assignment

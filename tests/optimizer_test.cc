@@ -132,10 +132,13 @@ class MultiHopCollapseTest : public ::testing::Test {
     return graph.ok() ? std::move(*graph) : nullptr;
   }
 
+  // Cached runs key text on its concentrated shape (id literals as bind
+  // slots); use_cache=false parses the text as written on every call.
   std::string Run(Db2Graph* graph, const std::string& script,
-                  size_t block_rows, int dop) {
+                  size_t block_rows, int dop, bool use_cache = true) {
     ExecOptions options;
     options.config = ExecConfig().block_rows(block_rows).parallelism(dop);
+    options.use_plan_cache = use_cache;
     Result<std::vector<Traverser>> out = graph->Execute(script, options);
     EXPECT_TRUE(out.ok()) << out.status().ToString() << " for " << script;
     return out.ok() ? RenderAll(*out) : "<error>";
@@ -158,8 +161,10 @@ TEST_F(MultiHopCollapseTest, EquivalenceMatrix) {
       ".out('knows')",
       "g.V(1, 2, 3, 4).out('knows').out('follows').out('knows')",
       "g.V().out('knows').out('knows').out('follows').out('knows').id()",
-      // inbound direction.
+      // inbound direction; the second script runs the first one's plan
+      // with another id.
       "g.V(5).in('knows').in('knows')",
+      "g.V(6).in('knows').in('knows')",
       // outE().inV() pairs: edge ids on the path, edge predicates pushed.
       "g.V(1, 7, 13).outE('knows').inV().outE('knows').inV().path()",
       "g.V().outE('knows').has('w', gte(2)).inV().out('follows')",
@@ -181,6 +186,10 @@ TEST_F(MultiHopCollapseTest, EquivalenceMatrix) {
         EXPECT_EQ(collapsed, stepwise)
             << script << " (block_rows=" << block_rows << " dop=" << dop
             << ")";
+        EXPECT_EQ(collapsed, Run(graph_on_.get(), script, block_rows, dop,
+                                 /*use_cache=*/false))
+            << script << " concentrated vs uncached (block_rows="
+            << block_rows << " dop=" << dop << ")";
       }
     }
   }
@@ -190,6 +199,9 @@ TEST_F(MultiHopCollapseTest, EquivalenceMatrix) {
   EXPECT_GT(c.bailed, 0u);  // the client-predicate scripts
   EXPECT_GT(c.executions, 0u);
   EXPECT_EQ(graph_off_->optimizer_log()->counters().attempted, 0u);
+  // ...and if the concentrated runs served a script from a plan compiled
+  // for other literals: fewer entries than scripts.
+  EXPECT_LT(graph_on_->plan_cache()->size(), scripts.size());
 }
 
 // ----------------------------------------------------------------------
@@ -243,10 +255,14 @@ TEST_F(MultiHopCollapseTest, CountFoldEquivalence) {
   for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
     for (int dop : {1, 4}) {
       for (const std::string& script : scripts) {
-        EXPECT_EQ(Run(graph_on_.get(), script, block_rows, dop),
-                  Run(graph_off_.get(), script, block_rows, dop))
+        std::string folded = Run(graph_on_.get(), script, block_rows, dop);
+        EXPECT_EQ(folded, Run(graph_off_.get(), script, block_rows, dop))
             << script << " (block_rows=" << block_rows << " dop=" << dop
             << ")";
+        EXPECT_EQ(folded, Run(graph_on_.get(), script, block_rows, dop,
+                              /*use_cache=*/false))
+            << script << " concentrated vs uncached (block_rows="
+            << block_rows << " dop=" << dop << ")";
       }
     }
   }

@@ -8,6 +8,7 @@
 // Prepare/Execute/DDL stress (TSan target).
 
 #include <atomic>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +32,15 @@ uint64_t ParseCalls() {
       ->load();
 }
 
+constexpr char kConfig[] = R"json({
+  "v_tables": [{"table_name": "N", "id": "id", "fix_label": true,
+                "label": "'n'", "properties": ["score"]}],
+  "e_tables": [{"table_name": "E2", "src_v_table": "N", "src_v": "src",
+                "dst_v_table": "N", "dst_v": "dst",
+                "implicit_edge_id": true, "fix_label": true,
+                "label": "'e'"}]
+})json";
+
 class PlanCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,14 +52,7 @@ class PlanCacheTest : public ::testing::Test {
       INSERT INTO E2 VALUES (100, 1, 2), (101, 2, 3), (102, 1, 3);
     )sql")
                     .ok());
-    auto graph = Db2Graph::Open(&db_, R"json({
-      "v_tables": [{"table_name": "N", "id": "id", "fix_label": true,
-                    "label": "'n'", "properties": ["score"]}],
-      "e_tables": [{"table_name": "E2", "src_v_table": "N", "src_v": "src",
-                    "dst_v_table": "N", "dst_v": "dst",
-                    "implicit_edge_id": true, "fix_label": true,
-                    "label": "'e'"}]
-    })json");
+    auto graph = Db2Graph::Open(&db_, kConfig);
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = std::move(*graph);
   }
@@ -165,6 +168,304 @@ TEST_F(PlanCacheTest, OptingOutOfTheCacheReparsesEveryTime) {
   ASSERT_TRUE(graph_->Execute("g.V(1).id()", no_cache).ok());
   EXPECT_EQ(ParseCalls(), parses_before + 1);
   EXPECT_EQ(graph_->plan_cache()->size(), 0u);
+}
+
+// ----------------------------------------------------------------------
+// Statement concentration: id literals as per-execution bind slots
+// ----------------------------------------------------------------------
+
+// Ids of a result stream, in order.
+std::vector<Value> Ids(const Result<std::vector<Traverser>>& out) {
+  std::vector<Value> ids;
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  if (!out.ok()) return ids;
+  for (const Traverser& t : *out) ids.push_back(t.value);
+  return ids;
+}
+
+std::vector<Value> Ints(std::initializer_list<int64_t> values) {
+  std::vector<Value> out;
+  for (int64_t v : values) out.emplace_back(v);
+  return out;
+}
+
+TEST(ConcentrateIdLiteralsTest, SlotsOnlyWholeIdArguments) {
+  gremlin::ConcentratedScript shape;
+  const std::string text = "g.V(-3).out('e').hasId(7L, 'a').limit(2)";
+  ASSERT_TRUE(gremlin::ConcentrateIdLiterals(text, &shape));
+  EXPECT_EQ(shape.shape, "g.V(__c0).out('e').hasId(__c1, __c2).limit(2)");
+  ASSERT_EQ(shape.values.size(), 3u);
+  EXPECT_EQ(shape.values[0], Value(int64_t{-3}));
+  EXPECT_EQ(shape.values[1], Value(int64_t{7}));
+  EXPECT_EQ(shape.values[2], Value("a"));
+  EXPECT_EQ(shape.offsets,
+            (std::vector<size_t>{text.find("-3"), text.find("7L"),
+                                 text.find("'a'")}));
+
+  // Labels, has() values, predicate arguments and variables stay.
+  ASSERT_TRUE(gremlin::ConcentrateIdLiterals(
+      "x = g.V(1).has('score', 10).hasLabel('n').next(); "
+      "g.V(x, 2).where(inV().hasId(within(3, 4)))",
+      &shape));
+  EXPECT_EQ(shape.shape,
+            "x = g.V(__c0).has('score', 10).hasLabel('n').next(); "
+            "g.V(x, __c1).where(inV().hasId(within(3, 4)))");
+
+  // Declined: a double, an escape, a comment, the reserved prefix, and
+  // text the lexer rejects.
+  for (const char* declined :
+       {"g.V(1).has('score', gt(1.5))", "g.V('a\\'b')", "g.V(1) // c",
+        "g.V(__c0)", "g.V(1).has('k', 'x__cy')", "g.V('open", "g.V(1) #"}) {
+    EXPECT_FALSE(gremlin::ConcentrateIdLiterals(declined, &shape))
+        << declined;
+  }
+}
+
+TEST_F(PlanCacheTest, DifferentIdLiteralsShareOnePlan) {
+  ASSERT_EQ(Ids(graph_->Execute("g.V(1).out('e').id()")), Ints({2, 3}));
+  uint64_t parses_before = ParseCalls();
+  ASSERT_EQ(Ids(graph_->Execute("g.V(2).out('e').id()")), Ints({3}));
+  ASSERT_EQ(Ids(graph_->Execute("g.V(3).out('e').id()")), Ints({}));
+  EXPECT_EQ(ParseCalls(), parses_before)
+      << "a new id in a known text shape must not parse";
+  PlanCache::Counts counts = graph_->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 1u);
+  EXPECT_EQ(counts.hits, 2u);
+  EXPECT_EQ(graph_->plan_cache()->size(), 1u);
+}
+
+TEST_F(PlanCacheTest, LabelsAndLimitsStayInTheKey) {
+  ASSERT_EQ(Ids(graph_->Execute("g.V(1).hasLabel('n').id()")), Ints({1}));
+  ASSERT_EQ(Ids(graph_->Execute("g.V(1).hasLabel('m').id()")), Ints({}));
+  ASSERT_EQ(Ids(graph_->Execute("g.V().limit(1).id()")), Ints({1}));
+  ASSERT_EQ(Ids(graph_->Execute("g.V().limit(2).id()")), Ints({1, 2}));
+  PlanCache::Counts counts = graph_->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 4u);
+  EXPECT_EQ(counts.hits, 0u);
+}
+
+TEST_F(PlanCacheTest, ConcentratesNegativeLongRepeatedAndMixedIds) {
+  ExecOptions raw;
+  raw.use_plan_cache = false;
+  ExecOptions with_x;
+  with_x.bindings = {{"x", {Value(int64_t{3})}}};
+  ExecOptions raw_with_x = with_x;
+  raw_with_x.use_plan_cache = false;
+  struct Case {
+    std::string script;
+    const ExecOptions* options;
+    const ExecOptions* raw_options;
+  };
+  // Each pair shares a shape: the second script runs the first's plan.
+  const std::vector<Case> cases = {
+      {"g.V(-3).id()", nullptr, &raw},
+      {"g.V(1).id()", nullptr, &raw},
+      {"g.V(7L).out('e').id()", nullptr, &raw},
+      {"g.V(1L).out('e').id()", nullptr, &raw},
+      {"g.V(1, 1).id()", nullptr, &raw},
+      {"g.V(2, 3).id()", nullptr, &raw},
+      {"g.V(1, x).id()", &with_x, &raw_with_x},
+      {"g.V(2, x).id()", &with_x, &raw_with_x},
+  };
+  for (const Case& c : cases) {
+    Result<std::vector<Traverser>> out =
+        c.options != nullptr ? graph_->Execute(c.script, *c.options)
+                             : graph_->Execute(c.script);
+    EXPECT_EQ(Ids(out), Ids(graph_->Execute(c.script, *c.raw_options)))
+        << c.script;
+  }
+  EXPECT_EQ(Ids(graph_->Execute("g.V(1, 1).id()")), Ints({1}));
+  EXPECT_EQ(Ids(graph_->Execute("g.V(1, x).id()", with_x)), Ints({1, 3}));
+  PlanCache::Counts counts = graph_->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 4u);
+  EXPECT_EQ(counts.hits, 6u);
+  EXPECT_EQ(graph_->plan_cache()->size(), 4u);
+}
+
+TEST_F(PlanCacheTest, DeclinedTextsKeepTheRawKey) {
+  for (const std::string& script :
+       {std::string("g.V(1).has('score', gt(1.5)).id()"),
+        std::string("g.V('x\\'y').id()"),
+        std::string("g.V(1).id() // one")}) {
+    ASSERT_TRUE(graph_->Execute(script).ok()) << script;
+    ASSERT_TRUE(graph_->Execute(script).ok()) << script;
+  }
+  // A different id in a declined text is a different key.
+  ASSERT_TRUE(graph_->Execute("g.V(2).has('score', gt(1.5)).id()").ok());
+  PlanCache::Counts counts = graph_->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 4u);
+  EXPECT_EQ(counts.hits, 3u);
+
+  // Text naming the reserved prefix is a plain variable reference: the
+  // caller's binding is used, never a slot.
+  ExecOptions options;
+  options.bindings = {{"__c0", {Value(int64_t{2})}}};
+  EXPECT_EQ(Ids(graph_->Execute("g.V(__c0).id()", options)), Ints({2}));
+  options.bindings = {{"__c0", {Value(int64_t{3})}}};
+  EXPECT_EQ(Ids(graph_->Execute("g.V(__c0).id()", options)), Ints({3}));
+  EXPECT_EQ(graph_->plan_cache()->Snapshot().hits, 4u);
+}
+
+TEST_F(PlanCacheTest, LiteralKeyedShapeKeepsItsIdFold) {
+  // Without the GraphStep::VertexStep mutation, hasId() after out() folds
+  // into the adjacency step's LookupSpec: the literal shapes the plan, so
+  // the shape stays keyed on each text as written.
+  Db2Graph::Options options;
+  options.strategies.graphstep_vertexstep_mutation = false;
+  auto graph = Db2Graph::Open(&db_, kConfig, options);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  Db2Graph* g = graph->get();
+  EXPECT_EQ(Ids(g->Execute("g.V(1).out('e').hasId(2).id()")), Ints({2}));
+  EXPECT_EQ(Ids(g->Execute("g.V(1).out('e').hasId(3).id()")), Ints({3}));
+  EXPECT_EQ(Ids(g->Execute("g.V(2).out('e').hasId(2).id()")), Ints({}));
+  uint64_t parses_before = ParseCalls();
+  EXPECT_EQ(Ids(g->Execute("g.V(1).out('e').hasId(3).id()")), Ints({3}));
+  EXPECT_EQ(ParseCalls(), parses_before);
+  PlanCache::Counts counts = g->plan_cache()->Snapshot();
+  EXPECT_EQ(counts.misses, 3u);
+  EXPECT_EQ(counts.hits, 1u);
+
+  // The fold is still there: the far-vertex lookup is constrained by id.
+  auto explain = g->Explain("g.V(1).out('e').hasId(3)");
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  const Json* steps = explain->json.Find("steps");
+  ASSERT_NE(steps, nullptr);
+  bool id_constrained = false;
+  for (const Json& step : steps->items()) {
+    if (step.Find("step")->as_string() != "VertexStep") continue;
+    for (const Json& stmt : step.Find("statements")->items()) {
+      const std::string& sql = stmt.Find("sql")->as_string();
+      id_constrained |= sql.find("FROM \"N\" WHERE \"id\" IN (3)") !=
+                        std::string::npos;
+    }
+  }
+  EXPECT_TRUE(id_constrained) << explain->text;
+
+  // With the mutation on, the fold happens on a second out(): the folded
+  // ids filter the far endpoints.
+  EXPECT_EQ(Ids(graph_->Execute("g.V(1).out('e').out('e').hasId(3).id()")),
+            Ints({3}));
+  EXPECT_EQ(Ids(graph_->Execute("g.V(1).out('e').out('e').hasId(2).id()")),
+            Ints({}));
+}
+
+TEST_F(PlanCacheTest, DdlAndStatsDriftStillRecompileConcentratedEntries) {
+  ASSERT_EQ(Ids(graph_->Execute("g.V(1).out('e').id()")), Ints({2, 3}));
+  BumpDdl();
+  uint64_t parses_before = ParseCalls();
+  ASSERT_EQ(Ids(graph_->Execute("g.V(2).out('e').id()")), Ints({3}));
+  EXPECT_EQ(ParseCalls(), parses_before + 1);
+  EXPECT_EQ(graph_->plan_cache()->Snapshot().invalidations, 1u);
+
+  Db2Graph::Options options;
+  options.optimizer.stats_drift_limit = 2;
+  auto graph = Db2Graph::Open(&db_, kConfig, options);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  Db2Graph* g = graph->get();
+  // A two-hop chain: the optimizer examines it, so the plan is
+  // statistics-sensitive.
+  ASSERT_EQ(
+      Ids(g->Execute("g.V(1).has('score', gte(0)).out('e').out('e').id()")),
+      Ints({3}));
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    INSERT INTO E2 VALUES (103, 3, 1), (104, 3, 2), (105, 2, 1);
+    INSERT INTO N VALUES (4, 40), (5, 50);
+  )sql")
+                  .ok());
+  uint64_t stale_before =
+      metrics::MetricsRegistry::Global()
+          .GetCounter(PlanCache::kStaleStatsRecompilesCounter)
+          ->load();
+  parses_before = ParseCalls();
+  const std::string drifted =
+      "g.V(2).has('score', gte(0)).out('e').out('e').id()";
+  std::vector<Value> ids = Ids(g->Execute(drifted));
+  EXPECT_EQ(ids.size(), 4u);
+  ExecOptions raw;
+  raw.use_plan_cache = false;
+  EXPECT_EQ(ids, Ids(g->Execute(drifted, raw)));
+  EXPECT_EQ(ParseCalls(), parses_before + 2);  // the recompile + raw
+  EXPECT_EQ(metrics::MetricsRegistry::Global()
+                .GetCounter(PlanCache::kStaleStatsRecompilesCounter)
+                ->load(),
+            stale_before + 1);
+}
+
+TEST_F(PlanCacheTest, EachExecuteCountsOneHitOrMiss) {
+  Db2Graph::Options no_mutation;
+  no_mutation.strategies.graphstep_vertexstep_mutation = false;
+  auto other = Db2Graph::Open(&db_, kConfig, no_mutation);
+  ASSERT_TRUE(other.ok());
+  for (Db2Graph* g : {graph_.get(), other->get()}) {
+    const std::vector<std::string> scripts = {
+        "g.V(1).out('e').id()",          "g.V(2).out('e').id()",
+        "g.V().count()",                 "g.V().count()",
+        "g.V(1).out('e').hasId(2)",      "g.V(1).out('e').hasId(3)",
+        "g.V(1).out('e').hasId(3)",      "g.V(1).has('score', gt(0.5))",
+        "g.V(1).has('score', gt(0.5))",  "g.V(1).noSuchStep()",
+        "g.V(2).noSuchStep()",
+    };
+    PlanCache::Counts before = g->plan_cache()->Snapshot();
+    for (const std::string& script : scripts) (void)g->Execute(script);
+    PlanCache::Counts after = g->plan_cache()->Snapshot();
+    EXPECT_EQ(after.hits + after.misses - before.hits - before.misses,
+              scripts.size());
+  }
+}
+
+TEST_F(PlanCacheTest, ParseErrorsReadAsWritten) {
+  ExecOptions raw;
+  raw.use_plan_cache = false;
+  for (const std::string& script :
+       {std::string("g.V(1).noSuchStep()"), std::string("g.V(1, 2"),
+        std::string("g.V(1).out(2)"), std::string("g.V(1).limit('x')"),
+        std::string("g.V(1,)"), std::string("g.V(1 2)"),
+        std::string("g.V('open"), std::string("g.V(-1) #")}) {
+    // Twice: errors are never cached.
+    for (int i = 0; i < 2; ++i) {
+      auto concentrated = graph_->Execute(script);
+      auto as_written = graph_->Execute(script, raw);
+      ASSERT_FALSE(concentrated.ok()) << script;
+      ASSERT_FALSE(as_written.ok()) << script;
+      EXPECT_EQ(concentrated.status().ToString(),
+                as_written.status().ToString());
+    }
+  }
+  EXPECT_EQ(graph_->plan_cache()->size(), 0u);
+}
+
+TEST_F(PlanCacheTest, CachedShapeKeepsTheCallersTextInTraces) {
+  ASSERT_TRUE(graph_->Execute("g.V(1).out('e').values('score')").ok());
+  QueryTrace trace;
+  ExecOptions options;
+  options.trace = &trace;
+  auto out = graph_->Execute("g.V(2).out('e').values('score')", options);
+  ASSERT_EQ(Ids(out), Ints({30}));
+  EXPECT_EQ(trace.script(), "g.V(2).out('e').values('score')");
+  EXPECT_EQ(trace.plan_source(), "cached");
+  std::vector<StrategyRewrite> rewrites = trace.Rewrites();
+  ASSERT_FALSE(rewrites.empty());
+  EXPECT_NE(rewrites[0].before.find("ids=[2]"), std::string::npos)
+      << rewrites[0].before;
+  for (const StrategyRewrite& r : rewrites) {
+    EXPECT_EQ(r.before.find("__c"), std::string::npos) << r.before;
+    EXPECT_EQ(r.after.find("__c"), std::string::npos) << r.after;
+  }
+  for (const StepTraceSpan& span : trace.Spans()) {
+    EXPECT_EQ(span.detail.find("__c"), std::string::npos) << span.detail;
+  }
+
+  // profile() on a cached shape: the same.
+  ASSERT_TRUE(
+      graph_->Execute("g.V(3).out('e').values('score').profile()").ok());
+  auto warm = graph_->Execute("g.V(2).out('e').values('score').profile()");
+  ASSERT_TRUE(warm.ok());
+  std::string json = (*warm)[0].value.ToString();
+  EXPECT_NE(json.find("\"plan\": \"cached\""), std::string::npos) << json;
+  EXPECT_NE(json.find("g.V(2).out('e').values('score').profile()"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("__c"), std::string::npos) << json;
 }
 
 // ----------------------------------------------------------------------

@@ -340,5 +340,31 @@ TEST_F(SysmonTest, GremlinExecutionsAndPlanCacheAreQueryable) {
   EXPECT_TRUE(gone.rows.empty());
 }
 
+TEST_F(SysmonTest, QueryLogShowsEachCallersTextForASharedShapePlan) {
+  Result<std::unique_ptr<core::Db2Graph>> graph =
+      core::Db2Graph::Open(&db_, kGraphConfig);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_TRUE((*graph)->Execute("g.V(1).values('name')").ok());
+  ASSERT_TRUE((*graph)->Execute("g.V(2).values('name')").ok());  // shared
+  ASSERT_TRUE((*graph)->Execute("g.V('x').values('name')").ok());
+
+  ResultSet gremlin = Run(
+      "SELECT script, plan_source FROM sysmon.query_log "
+      "WHERE layer = 'gremlin' ORDER BY id");
+  ASSERT_EQ(gremlin.rows.size(), 3u);
+  EXPECT_EQ(gremlin.rows[0][0], Value("g.V(1).values('name')"));
+  EXPECT_EQ(gremlin.rows[0][1], Value("compiled"));
+  EXPECT_EQ(gremlin.rows[1][0], Value("g.V(2).values('name')"));
+  EXPECT_EQ(gremlin.rows[1][1], Value("cached"));
+  EXPECT_EQ(gremlin.rows[2][0], Value("g.V('x').values('name')"));
+  EXPECT_EQ(gremlin.rows[2][1], Value("cached"));
+
+  ResultSet cache = Run("SELECT hits, misses, entries FROM sysmon.plan_cache");
+  ASSERT_EQ(cache.rows.size(), 1u);
+  EXPECT_EQ(cache.rows[0][0], Value(int64_t{2}));
+  EXPECT_EQ(cache.rows[0][1], Value(int64_t{1}));
+  EXPECT_EQ(cache.rows[0][2], Value(int64_t{1}));
+}
+
 }  // namespace
 }  // namespace db2graph::sql
