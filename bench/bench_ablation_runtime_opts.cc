@@ -129,12 +129,13 @@ int main() {
   std::printf("\nLinkBench mixed workload (100 queries/type):\n");
   std::printf("%-24s %18s %18s %9s\n", "Variant", "mean us", "tables/query",
               "");
-  for (auto [name, options] :
-       {std::pair<const char*, RuntimeOptions>{"all-on", RuntimeOptions{}},
-        std::pair<const char*, RuntimeOptions>{"all-off",
-                                               RuntimeOptions::AllOff()}}) {
-    Db2Graph::Options graph_options;
-    graph_options.runtime = options;
+  // All-off also runs the pre-streaming, row-at-a-time executor.
+  Db2Graph::Options all_off;
+  all_off.runtime = RuntimeOptions::AllOff();
+  all_off.exec = db2graph::ExecConfig().streaming(false).vectorized(false);
+  for (const auto& [name, graph_options] :
+       {std::pair<const char*, Db2Graph::Options>{"all-on", {}},
+        std::pair<const char*, Db2Graph::Options>{"all-off", all_off}}) {
     auto graph = Db2Graph::Open(
         &db, db2graph::linkbench::MakePartitionedOverlay(true),
         graph_options);

@@ -1,20 +1,16 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// ExecConfig: the one execution-tuning surface. Before it, every feature
-// added its own toggle — RuntimeOptions::streaming_execution /
-// vectorized_execution, Database::set_vectorized_execution /
-// set_profile_execution, the governor's env-seeded defaults — and a
-// degree-of-parallelism knob would have been a ninth setter. ExecConfig
-// replaces them with one immutable, builder-style value:
+// ExecConfig: the one execution-tuning surface, an immutable,
+// builder-style value:
 //
 //   ExecConfig cfg = ExecConfig().parallelism(4).vectorized(true);
 //
 // Each field is tri-state: explicitly set, or unset ("inherit"). A query
 // resolves its effective config by overlaying, in order:
 //
-//   engine defaults <- ExecConfig::ProcessDefault() <- session config
-//       (Database::SetExecConfig / Db2Graph::Options::exec) <- per-call
-//       ExecOptions::config
+//   engine defaults <- ExecConfig::ProcessDefault() <- database session
+//       (Database::SetExecConfig) <- graph (Db2Graph::Options::exec)
+//       <- per-call ExecOptions::config
 //
 // ...so an unset field at one layer falls through to the layer below.
 // The per-query result travels thread-locally via ScopedExecConfig (the

@@ -21,35 +21,6 @@ Result<std::unique_ptr<Db2Graph>> Db2Graph::Open(
     Options options) {
   Result<overlay::Topology> topology = overlay::Topology::Build(*db, config);
   if (!topology.ok()) return topology.status();
-  // Session execution config: Options::exec, with the deprecated
-  // RuntimeOptions execution flags folded in underneath (only when they
-  // were changed from their defaults, and only for fields exec leaves
-  // unset — the new API wins on conflict). Installed on the database so
-  // SQL issued through any path resolves the same session layer.
-  {
-    ExecConfig session;
-    const RuntimeOptions defaults;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    if (options.runtime.vectorized_execution !=
-        defaults.vectorized_execution) {
-      session = session.vectorized(options.runtime.vectorized_execution);
-    }
-    if (options.runtime.streaming_execution !=
-        defaults.streaming_execution) {
-      session = session.streaming(options.runtime.streaming_execution);
-    }
-    if (options.runtime.streaming_block_rows !=
-        defaults.streaming_block_rows) {
-      session = session.block_rows(options.runtime.streaming_block_rows);
-    }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-    db->SetExecConfig(session.OverlaidBy(options.exec));
-  }
   std::unique_ptr<Db2Graph> graph(new Db2Graph(db, options));
   graph->ddl_version_at_open_ = db->ddl_version();
   graph->dialect_ = std::make_unique<SqlDialect>(db);
@@ -376,6 +347,13 @@ void RecordGremlinQueryLog(const CompiledPlan& plan,
 
 }  // namespace
 
+ExecConfig Db2Graph::ResolveExecConfig(const ExecConfig& call) const {
+  return ExecConfig::ProcessDefault()
+      .OverlaidBy(db_->exec_config())
+      .OverlaidBy(options_.exec)
+      .OverlaidBy(call);
+}
+
 Status Db2Graph::ValidateBindings(const CompiledPlan& plan,
                                   const ExecOptions& options) const {
   for (const CompiledPlan::BindSlot& slot : plan.binds) {
@@ -445,14 +423,11 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
     env = &local_env;
   }
 
-  // Per-query execution config: process defaults <- database session
-  // (Options::exec / SetExecConfig) <- this call's overrides. Installed
-  // thread-locally so every SQL statement this execution issues — provider
-  // lookups, graphQuery bodies — resolves the same dop / vectorized /
-  // block-size settings (Executor::Compile reads ExecConfig::Current()).
-  const ExecConfig exec_cfg = ExecConfig::ProcessDefault()
-                                  .OverlaidBy(db_->exec_config())
-                                  .OverlaidBy(options.config);
+  // Per-query execution config, installed thread-locally so every SQL
+  // statement this execution issues — provider lookups, graphQuery
+  // bodies — resolves the same dop / vectorized / block-size settings
+  // (Executor::Compile reads ExecConfig::Current()).
+  const ExecConfig exec_cfg = ResolveExecConfig(options.config);
   ScopedExecConfig scoped_exec(exec_cfg);
 
   // Workload governance: any effective limit (per-call or inherited
@@ -760,11 +735,13 @@ Status Db2Graph::RegisterGraphQueryFunction() {
         // Run the plan directly (not ExecutePlan): a graphQuery inside a
         // traced outer query must keep recording into the caller's
         // thread-local trace, not open one of its own. The exec config
-        // resolves through the database session plus any thread-local
-        // scope an outer execution installed.
-        gremlin::Interpreter interpreter(
-            self->provider(),
-            InterpreterOptions(self->db()->ResolveExecConfig()));
+        // resolves through this graph's layers, topped by any scope an
+        // outer execution installed.
+        const ExecConfig exec_cfg =
+            self->ResolveExecConfig(ExecConfig::Current());
+        ScopedExecConfig scoped_exec(exec_cfg);
+        gremlin::Interpreter interpreter(self->provider(),
+                                         InterpreterOptions(exec_cfg));
         Result<std::vector<Traverser>> out = interpreter.RunScript(script);
         if (!out.ok()) return out.status();
         Result<std::vector<Row>> rows =

@@ -58,9 +58,10 @@ struct ExecOptions {
   /// concentrated shape). Disabled by benchmarks to measure the
   /// re-parsing text path.
   bool use_plan_cache = true;
-  /// Per-call execution tuning, overlaid on the session config (set at
-  /// Open via Db2Graph::Options::exec / Database::SetExecConfig) which in
-  /// turn overlays ExecConfig::ProcessDefault(). Unset fields inherit.
+  /// Per-call execution tuning, the top layer of the resolution chain:
+  /// ExecConfig::ProcessDefault() <- database session
+  /// (Database::SetExecConfig) <- the graph's Options::exec <- this.
+  /// Unset fields inherit.
   /// The resolved config travels thread-locally (ScopedExecConfig) into
   /// every SQL statement the execution issues, so `.parallelism(4)` here
   /// parallelizes the scans deep inside the provider.
@@ -129,11 +130,9 @@ class Db2Graph {
     RuntimeOptions runtime;
     /// The cost-based multi-hop join collapse (core/optimizer.h).
     OptimizerOptions optimizer;
-    /// Session-level execution tuning, installed on the database at Open
-    /// (Database::SetExecConfig). Per-call ExecOptions::config overlays
-    /// it. Supersedes the deprecated RuntimeOptions streaming/vectorized
-    /// flags, which are folded in underneath when they were changed from
-    /// their defaults.
+    /// This graph's execution tuning: overlays the database session
+    /// (Database::SetExecConfig) for this graph's executions only, and is
+    /// overlaid by per-call ExecOptions::config.
     ExecConfig exec;
     /// Compiled-plan cache sizing (entries across all shards).
     size_t plan_cache_entries;
@@ -275,6 +274,11 @@ class Db2Graph {
       std::shared_ptr<const CompiledPlan> plan, const ExecOptions& options,
       bool plan_cached, const std::string& script_text,
       std::vector<Value> slots);
+
+  /// The effective config of one execution: process default <- database
+  /// session <- Options::exec <- `call`. Every execution path (Execute,
+  /// graphQuery) resolves through here.
+  ExecConfig ResolveExecConfig(const ExecConfig& call) const;
 
   /// Bind validation: every slot supplied (NotFound otherwise) with a
   /// usable type/shape (InvalidArgument otherwise).

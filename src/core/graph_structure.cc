@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/exec_config.h"
 #include "common/fault_injection.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -57,21 +58,20 @@ void Db2GraphProvider::ExecuteJobs(size_t n,
     stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
     stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
     QueryTrace* trace = CurrentTrace();
-    // Pool workers have no thread-local trace or governor context; install
-    // this query's for the duration of each job so per-table SQL lands in
-    // the right trace (never a concurrent query's) and deadline /
-    // cancellation checks inside the job observe the right budgets.
+    // Pool workers have no thread-local trace, governor context, or exec
+    // config; install this query's for the duration of each job so
+    // per-table SQL lands in the right trace (never a concurrent query's),
+    // deadline / cancellation checks inside the job observe the right
+    // budgets, and the SQL compiles under the execution's config.
     governor::QueryContext* qctx = governor::CurrentQueryContext();
-    if (trace != nullptr || qctx != nullptr) {
-      if (trace != nullptr) trace->AddFanout(1, n);
-      ThreadPool::Shared().RunBatch(n, [&fn, trace, qctx](size_t i) {
-        ScopedTrace scoped(trace);
-        governor::ScopedQueryContext governed(qctx);
-        fn(i);
-      });
-      return;
-    }
-    ThreadPool::Shared().RunBatch(n, fn);
+    const ExecConfig exec = ExecConfig::Current();
+    if (trace != nullptr) trace->AddFanout(1, n);
+    ThreadPool::Shared().RunBatch(n, [&](size_t i) {
+      ScopedTrace scoped(trace);
+      governor::ScopedQueryContext governed(qctx);
+      ScopedExecConfig configured(exec);
+      fn(i);
+    });
     return;
   }
   for (size_t i = 0; i < n; ++i) fn(i);
@@ -145,6 +145,80 @@ VertexPtr BuildVertexFromFetched(const ResolvedVertexTable& t, int table_index,
   return v;
 }
 
+// One surviving table of a vertex lookup.
+struct VertexJob {
+  int table_index;
+  VertexPlan plan;
+};
+
+// Plans every vertex table for `spec`, counting and tracing the pruned
+// and consulted ones; the survivors come back in table order.
+std::vector<VertexJob> PlanVertexJobs(const overlay::Topology& topology,
+                                      const LookupSpec& spec,
+                                      const RuntimeOptions& options,
+                                      Db2GraphProvider::Stats* stats) {
+  QueryTrace* trace = CurrentTrace();
+  std::vector<VertexJob> jobs;
+  for (size_t ti = 0; ti < topology.vertex_tables().size(); ++ti) {
+    const ResolvedVertexTable& t = topology.vertex_tables()[ti];
+    VertexPlan plan = PlanVertexTable(t, spec, options);
+    if (plan.skip) {
+      stats->vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
+      continue;
+    }
+    stats->vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
+    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
+    jobs.push_back(VertexJob{static_cast<int>(ti), std::move(plan)});
+  }
+  return jobs;
+}
+
+// The per-table vertex statement, shared by the materialized fetch and
+// the stream: fetched-column layout, pushed-down conditions, row budget.
+struct VertexTableQuery {
+  FetchLayout layout;
+  QueryConds conds;
+  int64_t limit = -1;
+  std::string select;
+  std::vector<Value> params;
+  const std::string* table = nullptr;
+
+  std::string Key() const { return ShapeKey(*table, select, conds, limit); }
+  std::string Sql() const {
+    std::vector<Value> ignored;
+    return BuildSql(*table, select, conds, &ignored, limit);
+  }
+};
+
+// Prepares job `plan`'s statement against `t` and records its predicate
+// columns for the index advisor.
+VertexTableQuery PrepareVertexTableQuery(SqlDialect* dialect,
+                                         const ResolvedVertexTable& t,
+                                         const LookupSpec& spec,
+                                         const VertexPlan& plan) {
+  const sql::TableSchema& schema = *t.schema;
+  VertexTableQuery q;
+  q.table = &t.conf.table_name;
+  // The naive path fetches full rows (needed for client-side filtering);
+  // the pushdown path fetches only the projected layout.
+  std::vector<size_t> cols;
+  if (plan.client_filter) {
+    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
+  } else {
+    cols = VertexFetchColumns(t, spec);
+  }
+  q.layout = MakeLayout(schema, std::move(cols));
+  if (!plan.client_filter) q.conds = plan.conds;
+  // The per-table row budget holds only when SQL sees every filter; a
+  // client-filtered fetch must not be truncated before filtering.
+  q.limit = plan.client_filter ? -1 : spec.limit;
+  q.select = SelectListFor(schema, q.layout);
+  CollectParams(q.conds, &q.params);
+  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
+  return q;
+}
+
 // One per-table vertex fetch: the unit of work the fan-out parallelizes.
 // Everything it touches is either private to the call or internally
 // synchronized (dialect template cache, database shared lock, atomics).
@@ -156,48 +230,19 @@ Status FetchVertexTable(SqlDialect* dialect, const ResolvedVertexTable& t,
   // and the batch unwinds at the merge.
   DB2G_RETURN_NOT_OK(governor::CheckCurrent());
   DB2G_FAILPOINT("provider.fetch_vertex_table");
-  const sql::TableSchema& schema = *t.schema;
-  // The naive path fetches full rows (needed for client-side filtering);
-  // the pushdown path fetches only the projected layout.
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = VertexFetchColumns(t, spec);
-  }
-  FetchLayout layout = MakeLayout(schema, std::move(cols));
-
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  // The per-table row budget holds only when SQL sees every filter; a
-  // client-filtered fetch must not be truncated before filtering.
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
+  VertexTableQuery q = PrepareVertexTableQuery(dialect, t, spec, plan);
   Result<sql::ResultSet> rs = dialect->QueryShaped(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
+      q.Key(), [&] { return q.Sql(); }, q.params);
   if (!rs.ok()) return rs.status();
 
   for (Row& row : rs->rows) {
-    VertexPtr v = BuildVertexFromFetched(t, table_index, layout,
+    VertexPtr v = BuildVertexFromFetched(t, table_index, q.layout,
                                          std::move(row));
     if (plan.client_filter && !gremlin::MatchesSpec(*v, spec)) continue;
     out->push_back(std::move(v));
   }
   return Status::OK();
 }
-
-// One surviving table of a streaming vertex lookup.
-struct VertexJob {
-  int table_index;
-  VertexPlan plan;
-};
 
 // Opens the per-table SQL stream FetchVertexTable would have executed
 // materialized. `layout` receives the fetched-column layout the caller
@@ -206,27 +251,10 @@ Result<std::unique_ptr<DialectRowStream>> OpenVertexTableStream(
     SqlDialect* dialect, const ResolvedVertexTable& t, const LookupSpec& spec,
     const VertexPlan& plan, FetchLayout* layout) {
   DB2G_FAILPOINT("provider.open_vertex_stream");
-  const sql::TableSchema& schema = *t.schema;
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = VertexFetchColumns(t, spec);
-  }
-  *layout = MakeLayout(schema, std::move(cols));
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, *layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
+  VertexTableQuery q = PrepareVertexTableQuery(dialect, t, spec, plan);
+  *layout = q.layout;
   return dialect->QueryShapedStreaming(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
+      q.Key(), [&] { return q.Sql(); }, q.params);
 }
 
 // Bounded handoff of vertex blocks from one per-table producer to the
@@ -393,14 +421,16 @@ class Db2VertexStream : public gremlin::VertexStream {
     // kill observed mid-table stops the fetch from inside the producer,
     // not only when the consumer gets around to calling Close().
     governor::QueryContext* qctx = governor::CurrentQueryContext();
+    // ...and the consumer's exec config, so their SQL compiles under it.
+    const ExecConfig exec = ExecConfig::Current();
     // RunBatch blocks its caller until every task finished, which must not
     // be the consumer: a dedicated coordinator submits the batch and is
     // joined on Close(). The consumer only ever waits on queue pops.
-    coordinator_ = std::thread([this, trace, qctx] {
-      ThreadPool::Shared().RunBatch(jobs_.size(),
-                                    [this, trace, qctx](size_t j) {
+    coordinator_ = std::thread([this, trace, qctx, exec] {
+      ThreadPool::Shared().RunBatch(jobs_.size(), [&](size_t j) {
         ScopedTrace scoped(trace);
         governor::ScopedQueryContext governed(qctx);
+        ScopedExecConfig configured(exec);
         ProduceTable(j);
       });
     });
@@ -545,24 +575,8 @@ Status Db2GraphProvider::Vertices(const LookupSpec& spec,
     if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
   }
 
-  struct Job {
-    int table_index;
-    VertexPlan plan;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan)});
-  }
+  std::vector<VertexJob> jobs =
+      PlanVertexJobs(topology_, spec, options_, &stats_);
 
   // Per-job result slots keep the merge deterministic in table order no
   // matter which worker finishes first.
@@ -600,20 +614,8 @@ Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
     return GraphProvider::VerticesStreaming(spec);
   }
 
-  QueryTrace* trace = CurrentTrace();
-  std::vector<VertexJob> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(VertexJob{static_cast<int>(ti), std::move(plan)});
-  }
+  std::vector<VertexJob> jobs =
+      PlanVertexJobs(topology_, spec, options_, &stats_);
 
   // Same fan-out eligibility rule as ExecuteJobs: never spawn workers
   // when this thread already holds the database read lock.

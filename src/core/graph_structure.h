@@ -53,54 +53,12 @@ struct RuntimeOptions {
   bool vertex_cache = true;
   size_t vertex_cache_entries = 65536;
 
-  // The execution-tuning flags below are superseded by ExecConfig
-  // (Db2Graph::Options::exec / ExecOptions::config); Open() folds
-  // non-default values into the session config underneath it. They carry
-  // no default member initializers — a deprecated member's NSDMI would
-  // warn from every synthesized constructor — so the user-provided
-  // constructor below initializes them under a pragma.
-
-  /// Streaming Gremlin execution: linear step chains run block-at-a-time
-  /// under a pull cursor, so a saturated limit()/range() stops issuing
-  /// per-table SQL (see Interpreter::Options). Off = one materialized
-  /// pass per step, the pre-streaming behavior.
-  [[deprecated("use ExecConfig().streaming(on) — Db2Graph::Options::exec")]]
-  bool streaming_execution;
-  /// Traversers per block in streaming segments.
-  [[deprecated("use ExecConfig().block_rows(n) — Db2Graph::Options::exec")]]
-  size_t streaming_block_rows;
-
-  /// Column-at-a-time SQL execution for eligible single-table scans.
-  /// Off = every SELECT runs on the row-at-a-time operators.
-  [[deprecated("use ExecConfig().vectorized(on) — Db2Graph::Options::exec")]]
-  bool vectorized_execution;
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  RuntimeOptions()
-      : streaming_execution(true),
-        streaming_block_rows(256),
-        vectorized_execution(true) {}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
   static RuntimeOptions AllOff() {
     RuntimeOptions o;
     o.label_pruning = o.prefixed_id_pinning = o.property_pruning =
         o.endpoint_table_pruning = o.vertex_from_edge_shortcut =
             o.implicit_edge_id_decomposition = o.parallel_fanout =
                 o.vertex_cache = false;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-    o.streaming_execution = o.vectorized_execution = false;
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
     return o;
   }
 };

@@ -6,12 +6,6 @@
 
 namespace db2graph::core {
 
-// The deprecated constructor predates admission control; WithWorkers
-// keeps its queue unbounded so callers that batch-submit far ahead of
-// the workers (load generators, tests) see no behavior change.
-GremlinService::GremlinService(Db2Graph* graph, int workers)
-    : GremlinService(graph, Options::WithWorkers(workers)) {}
-
 GremlinService::GremlinService(Db2Graph* graph, const Options& options)
     : graph_(graph),
       options_(options),

@@ -86,8 +86,8 @@ class GremlinService {
     /// Unset fields inherit session / process defaults as usual.
     ExecConfig exec;
 
-    /// Legacy shape of the deprecated (graph, workers) constructor: n
-    /// workers, unbounded queue.
+    /// n workers with an unbounded queue, for callers that batch-submit
+    /// far ahead of the workers (load generators, tests).
     static Options WithWorkers(int n) {
       Options o;
       o.workers = n;
@@ -99,11 +99,6 @@ class GremlinService {
   /// Starts `options.workers` executor threads over `graph` (not owned;
   /// must outlive the service).
   GremlinService(Db2Graph* graph, const Options& options);
-  [[deprecated(
-      "use GremlinService(graph, GremlinService::Options::WithWorkers(n)) "
-      "— Options also carries queue bounds, governor limits, and "
-      "ExecConfig")]]
-  GremlinService(Db2Graph* graph, int workers);
   ~GremlinService();
 
   GremlinService(const GremlinService&) = delete;

@@ -335,17 +335,8 @@ bool Database::ReadLockHeldByThisThread() const {
 }
 
 void Database::SetExecConfig(const ExecConfig& config) {
-  {
-    std::lock_guard<std::mutex> lock(exec_config_mutex_);
-    session_exec_config_ = config;
-  }
-  // Mirror the resolved monitoring-visible fields into the lock-free
-  // atomics (resolved through the process default so an env-seeded
-  // DB2G_VECTORIZED=0 shows even when the session leaves it unset).
-  ExecConfig resolved = ExecConfig::ProcessDefault().OverlaidBy(config);
-  vectorized_execution_.store(resolved.vectorized(),
-                              std::memory_order_relaxed);
-  profile_execution_.store(resolved.profile(), std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(exec_config_mutex_);
+  session_exec_config_ = config;
 }
 
 ExecConfig Database::exec_config() const {

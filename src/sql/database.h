@@ -222,37 +222,14 @@ class Database {
   /// The session layer of the ExecConfig resolution chain: fields the
   /// session config leaves unset fall through to ExecConfig::ProcessDefault()
   /// and from there to the engine defaults; a thread-local per-query
-  /// override (ScopedExecConfig) wins over both. Replaces the old
-  /// set_vectorized_execution / set_profile_execution toggles and adds
-  /// .parallelism(n) for morsel-driven scans, sharded hash-join builds,
-  /// and parallel sort drains.
+  /// override (ScopedExecConfig) wins over both. A graph's
+  /// Db2Graph::Options::exec overlays this layer for that graph's
+  /// executions only.
   void SetExecConfig(const ExecConfig& config);
   ExecConfig exec_config() const;
   /// The effective config for a statement starting now on this thread:
   /// process defaults <- session config <- ExecConfig::Current().
   ExecConfig ResolveExecConfig() const;
-
-  [[deprecated(
-      "use SetExecConfig(exec_config().vectorized(on)) — ExecConfig is the "
-      "single execution-tuning surface")]]
-  void set_vectorized_execution(bool on) {
-    SetExecConfig(exec_config().vectorized(on));
-  }
-  /// Resolved vectorized-execution state of the session layer (kept for
-  /// monitoring readers; the executor resolves per-query instead).
-  bool vectorized_execution() const {
-    return vectorized_execution_.load(std::memory_order_relaxed);
-  }
-
-  [[deprecated(
-      "use SetExecConfig(exec_config().profile(on)) — ExecConfig is the "
-      "single execution-tuning surface")]]
-  void set_profile_execution(bool on) {
-    SetExecConfig(exec_config().profile(on));
-  }
-  bool profile_execution() const {
-    return profile_execution_.load(std::memory_order_relaxed);
-  }
 
   /// True while a BEGIN..COMMIT/ROLLBACK transaction is open.
   bool InTransaction() const { return in_transaction_; }
@@ -367,12 +344,8 @@ class Database {
 
   std::atomic<uint64_t> ddl_version_{0};
   std::atomic<uint64_t> write_epoch_{0};
-  /// Session-layer ExecConfig plus lock-free mirrors of its resolved
-  /// vectorized/profile fields for monitoring readers.
   mutable std::mutex exec_config_mutex_;
   ExecConfig session_exec_config_;
-  std::atomic<bool> vectorized_execution_{true};
-  std::atomic<bool> profile_execution_{false};
   bool access_control_ = false;
   std::string current_user_;  // "" = superuser
   struct Privilege {

@@ -446,7 +446,7 @@ struct PlanContext {
   int dop = 1;
   ExecInfo exec;
   Status error = Status::OK();
-  /// EXPLAIN [ANALYZE] / Database::profile_execution: each operator gets a
+  /// EXPLAIN [ANALYZE] / ExecConfig::profile: each operator gets a
   /// wrapper that records into one node here. deque: the wrappers hold
   /// stable pointers while compilation keeps appending. Leaf-first order.
   bool profiled = false;
@@ -1330,18 +1330,20 @@ class LimitOp : public Op {
 // Vectorized (column-at-a-time) operators
 // ---------------------------------------------------------------------
 //
-// These run below the row tree for single-table full scans when
-// Database::vectorized_execution() is on:
+// These run below the row tree for single-table full scans when the
+// resolved ExecConfig is vectorized:
 //
-//   ColumnScan -> ColumnFilter? -> (ColumnAggregate | ColumnProject
-//                                   | ColumnToRow -> <row operators>)
+//   ColumnScan -> (ColumnProject | ColumnToRow -> <row operators>)
+//   ColumnAggregate
 //
-// Blocks are selection vectors over the base table's column vectors; no
-// row is materialized until the top of the column section. Filter
-// conjuncts compile to fused compare+select kernels when they have the
-// shape `col <op> const` (or IS [NOT] NULL); anything else falls back to
-// per-row materialization + EvalExpr, counted in scalar_fallback_rows so
-// profile() shows how much of the block actually ran scalar.
+// Both leaves scan and filter in one operator, morsel by morsel, at the
+// resolved dop (dop 1 is the serial case). Blocks are selection vectors
+// over the base table's column vectors; no row is materialized until the
+// top of the column section. Filter conjuncts compile to fused
+// compare+select kernels when they have the shape `col <op> const` (or
+// IS [NOT] NULL); anything else falls back to per-row materialization +
+// EvalExpr, counted in scalar_fallback_rows so profile() shows how much
+// of the block actually ran scalar.
 
 // Pull interface for the column section (ColumnBlock analogue of Op).
 class ColOp {
@@ -1353,44 +1355,6 @@ class ColOp {
 
  protected:
   PlanContext* ctx_;
-};
-
-// Emits the live slots of a base table in ascending order.
-class ColumnScanOp : public ColOp {
- public:
-  ColumnScanOp(PlanContext* ctx, const Table* table)
-      : ColOp(ctx), table_(table) {
-    ctx_->exec.vectorized_ops += 1;
-  }
-
-  bool Next(ColumnBlock* out) override {
-    out->Clear();
-    out->table = table_;
-    if (closed_) return false;
-    if (!GovernorOk(ctx_)) return false;
-    DB2G_FAILPOINT_STATUS("sql.executor.block", ctx_->error);
-    if (!ctx_->error.ok()) return false;
-    if (!started_) {
-      started_ = true;
-      ctx_->exec.full_scans += 1;
-    }
-    size_t cap = std::max<size_t>(out->capacity, 1);
-    while (rid_ < table_->slot_count() && out->sel.size() < cap) {
-      if (table_->IsLive(rid_)) out->sel.push_back(rid_);
-      ++rid_;
-    }
-    ctx_->exec.rows_scanned += out->sel.size();
-    ctx_->exec.vectorized_rows += out->sel.size();
-    return !out->sel.empty();
-  }
-
-  void Close() override { closed_ = true; }
-
- private:
-  const Table* table_;
-  RowId rid_ = 0;
-  bool started_ = false;
-  bool closed_ = false;
 };
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
@@ -1488,8 +1452,8 @@ inline FilterKernel CompileFilterKernel(const Expr* conjunct) {
   return k;
 }
 
-// Compiled WHERE conjuncts, shared by the serial ColumnFilterOp and the
-// parallel scan workers. Compile() orders kernelized conjuncts before
+// Compiled WHERE conjuncts, shared by the morsel workers of the column
+// scan and the column aggregate. Compile() orders kernelized conjuncts before
 // scalar fallbacks (AND conjuncts are side-effect free, so reordering
 // preserves the result set); MaterializeConstants() evaluates compare
 // constants once on the coordinating thread, after which the set is
@@ -1666,59 +1630,33 @@ class KernelSet {
   std::unordered_map<const Expr*, Value> constants_;
 };
 
-// Applies compiled kernels to each block, narrowing the selection vector
-// in place.
-class ColumnFilterOp : public ColOp {
+// Morsel sizing for dop > 1: aim for ~4 morsels per worker (work
+// stealing evens out skew from dead-slot gaps and selective filters)
+// within fixed bounds.
+constexpr uint64_t kMinMorselSlots = 256;
+constexpr uint64_t kMaxMorselSlots = 8192;
+
+uint64_t MorselSlots(uint64_t slots, int dop) {
+  uint64_t morsel = slots / (static_cast<uint64_t>(dop) * 4);
+  return std::clamp(morsel, kMinMorselSlots, kMaxMorselSlots);
+}
+
+// The column scan, with the WHERE conjuncts fused in. Each round cuts
+// the next slot range into up to dop morsels and runs them on the shared
+// pool (RunBatch(1, ...) runs inline, so dop 1 is the serial scan); every
+// morsel enumerates the live slots of its range and narrows them through
+// the shared read-only KernelSet. Outputs concatenate in morsel order, so
+// every dop emits the same ascending-slot selection. At dop 1 a round is
+// one morsel of the consumer's block capacity, and Next() returns as soon
+// as a round produced rows, so a LIMIT above stops the scan within one
+// block. Each worker installs the query's governor context and checks it
+// per morsel, so deadlines, cancellation, and budgets observe mid-scan;
+// the first failing morsel (in morsel order) becomes the plan error.
+class ColumnScanOp : public ColOp {
  public:
-  ColumnFilterOp(PlanContext* ctx, std::unique_ptr<ColOp> child,
-                 const std::vector<const Expr*>& conjuncts)
-      : ColOp(ctx), child_(std::move(child)) {
-    ctx_->exec.vectorized_ops += 1;
-    kernels_.Compile(conjuncts);
-    kernels_.MaterializeConstants(ctx->params);
-  }
-
-  bool Next(ColumnBlock* out) override {
-    if (closed_) {
-      out->Clear();
-      return false;
-    }
-    while (child_->Next(out)) {
-      ctx_->exec.scalar_fallback_rows +=
-          kernels_.Apply(out->table, &out->sel, ctx_->params, &scratch_);
-      if (!out->sel.empty()) return true;
-    }
-    out->Clear();
-    return false;
-  }
-
-  void Close() override {
-    closed_ = true;
-    child_->Close();
-  }
-
- private:
-  std::unique_ptr<ColOp> child_;
-  KernelSet kernels_;
-  Row scratch_;
-  bool closed_ = false;
-};
-
-// Morsel-driven parallel scan with fused filtering: the table's slot
-// space splits into fixed-size morsels; each round dispatches up to dop
-// morsels to the shared pool, every worker enumerating the live slots of
-// its range and narrowing them through the shared read-only KernelSet
-// (private scratch row each). Worker outputs concatenate in morsel index
-// order, so downstream operators see the identical ascending-slot
-// selection a serial ColumnScan -> ColumnFilter chain emits. Each worker
-// installs the query's governor context and checks it per morsel, so
-// deadlines, cancellation, and budgets observe mid-scan; the first
-// failing morsel (in morsel order) becomes the plan error.
-class ParallelColumnScanOp : public ColOp {
- public:
-  ParallelColumnScanOp(PlanContext* ctx, const Table* table,
-                       const std::vector<const Expr*>& conjuncts, int dop,
-                       OpProfile* profile)
+  ColumnScanOp(PlanContext* ctx, const Table* table,
+               const std::vector<const Expr*>& conjuncts, int dop,
+               OpProfile* profile)
       : ColOp(ctx),
         table_(table),
         dop_(dop < 1 ? 1 : dop),
@@ -1739,9 +1677,13 @@ class ParallelColumnScanOp : public ColOp {
     size_t cap = std::max<size_t>(out->capacity, 1);
     while (out->sel.size() < cap) {
       if (pos_ >= ready_.size()) {
-        if (next_morsel_ >= morsel_count_) break;
-        RunRound();
+        if (!out->sel.empty() || next_slot_ >= slot_count_) break;
+        RunRound(cap);
         if (!ctx_->error.ok()) return false;
+        continue;
+      }
+      if (pos_ == 0 && out->sel.empty() && ready_.size() <= cap) {
+        out->sel.swap(ready_);  // the whole round fits: no copy
         continue;
       }
       size_t take = std::min(cap - out->sel.size(), ready_.size() - pos_);
@@ -1758,58 +1700,59 @@ class ParallelColumnScanOp : public ColOp {
   }
 
  private:
+  struct MorselOut {
+    std::vector<uint64_t> sel;
+    Row scratch;  // scalar-fallback row
+    uint64_t live = 0;
+    uint64_t fallback = 0;
+    Status status = Status::OK();
+  };
+
   void Start() {
     started_ = true;
-    uint64_t slots = table_->slot_count();
-    // Aim for ~4 morsels per worker (work stealing evens out skew from
-    // dead-slot gaps and selective filters) within fixed bounds.
-    morsel_slots_ = slots / (static_cast<uint64_t>(dop_) * 4);
-    if (morsel_slots_ < kMinMorselSlots) morsel_slots_ = kMinMorselSlots;
-    if (morsel_slots_ > kMaxMorselSlots) morsel_slots_ = kMaxMorselSlots;
-    morsel_count_ = (slots + morsel_slots_ - 1) / morsel_slots_;
+    slot_count_ = table_->slot_count();
     ctx_->exec.full_scans += 1;
+    if (dop_ == 1) return;  // serial: reports dop 1 / morsels 0
+    morsel_slots_ = MorselSlots(slot_count_, dop_);
+    uint64_t morsels = (slot_count_ + morsel_slots_ - 1) / morsel_slots_;
     ctx_->exec.dop = std::max<uint64_t>(ctx_->exec.dop,
                                         static_cast<uint64_t>(dop_));
-    ctx_->exec.morsels += morsel_count_;
+    ctx_->exec.morsels += morsels;
     if (profile_ != nullptr) {
-      profile_->detail += " morsels=" + std::to_string(morsel_count_);
+      profile_->detail += " morsels=" + std::to_string(morsels);
     }
   }
 
-  // One round: up to dop_ morsels in parallel, outputs merged in morsel
-  // order into ready_.
-  void RunRound() {
-    size_t n = static_cast<size_t>(
-        std::min<uint64_t>(dop_, morsel_count_ - next_morsel_));
-    uint64_t base = next_morsel_;
-    next_morsel_ += n;
-    struct MorselOut {
-      std::vector<uint64_t> sel;
-      uint64_t live = 0;
-      uint64_t fallback = 0;
-      Status status = Status::OK();
-    };
-    std::vector<MorselOut> outs(n);
+  // One round: up to dop_ morsels from next_slot_ on, outputs merged in
+  // morsel order into ready_. `cap` sizes the dop-1 morsel.
+  void RunRound(size_t cap) {
+    const uint64_t width = dop_ == 1 ? cap : morsel_slots_;
+    const uint64_t base = next_slot_;
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(
+        dop_, (slot_count_ - base + width - 1) / width));
+    next_slot_ = std::min<uint64_t>(slot_count_, base + n * width);
+    if (outs_.size() < n) outs_.resize(n);
     governor::QueryContext* qc = governor::CurrentQueryContext();
     ThreadPool::Shared().RunBatch(n, [&](size_t i) {
       governor::ScopedQueryContext governed(qc);
-      MorselOut& mo = outs[i];
+      MorselOut& mo = outs_[i];
+      mo.sel.clear();
+      mo.live = mo.fallback = 0;
       mo.status = governor::CheckCurrent();
       if (!mo.status.ok()) return;
-      uint64_t lo = (base + i) * morsel_slots_;
-      uint64_t hi =
-          std::min<uint64_t>(table_->slot_count(), lo + morsel_slots_);
-      mo.sel.reserve(hi - lo);
+      uint64_t lo = base + i * width;
+      uint64_t hi = std::min<uint64_t>(slot_count_, lo + width);
       for (uint64_t rid = lo; rid < hi; ++rid) {
         if (table_->IsLive(rid)) mo.sel.push_back(rid);
       }
       mo.live = mo.sel.size();
-      Row scratch;
-      mo.fallback = kernels_.Apply(table_, &mo.sel, ctx_->params, &scratch);
+      mo.fallback =
+          kernels_.Apply(table_, &mo.sel, ctx_->params, &mo.scratch);
     });
     ready_.clear();
     pos_ = 0;
-    for (MorselOut& mo : outs) {
+    for (size_t i = 0; i < n; ++i) {
+      MorselOut& mo = outs_[i];
       if (!mo.status.ok()) {
         if (ctx_->error.ok()) ctx_->error = std::move(mo.status);
         return;
@@ -1817,22 +1760,24 @@ class ParallelColumnScanOp : public ColOp {
       ctx_->exec.rows_scanned += mo.live;
       ctx_->exec.vectorized_rows += mo.live;
       ctx_->exec.scalar_fallback_rows += mo.fallback;
-      ready_.insert(ready_.end(), mo.sel.begin(), mo.sel.end());
+      if (ready_.empty()) {
+        ready_.swap(mo.sel);  // buffers circulate between rounds
+      } else {
+        ready_.insert(ready_.end(), mo.sel.begin(), mo.sel.end());
+      }
     }
   }
-
-  static constexpr uint64_t kMinMorselSlots = 256;
-  static constexpr uint64_t kMaxMorselSlots = 8192;
 
   const Table* table_;
   int dop_;
   OpProfile* profile_;
   KernelSet kernels_;
+  std::vector<MorselOut> outs_;
   std::vector<uint64_t> ready_;
   size_t pos_ = 0;
+  uint64_t slot_count_ = 0;
   uint64_t morsel_slots_ = kMaxMorselSlots;
-  uint64_t morsel_count_ = 0;
-  uint64_t next_morsel_ = 0;
+  uint64_t next_slot_ = 0;
   bool started_ = false;
   bool closed_ = false;
 };
@@ -1912,202 +1857,132 @@ class ColumnToRowOp : public Op {
   bool closed_ = false;
 };
 
-// Vectorized aggregation barrier. Two shapes, mirroring AggregateOp:
-// the "simple" global-aggregate list (SELECT AGG(col), ...), accumulated
-// with typed per-column loops, and GROUP BY over plain columns with
-// aggregate-or-group-key select items. Anything else stays on the scalar
-// AggregateOp behind the ColumnToRow adapter.
-class ColumnAggregateOp : public Op {
- public:
-  struct Config {
-    bool simple = false;
-    std::vector<std::string> ops;  // per aggregate, upper-cased
-    std::vector<int> arg_cols;     // per aggregate; -1 = COUNT(*)
-    // Grouped shape:
-    std::vector<size_t> group_cols;
-    struct Item {
-      bool is_group = false;  // true: group key, false: aggregate
-      size_t index = 0;       // into group_cols / ops+arg_cols
-    };
-    std::vector<Item> items;  // grouped shape only
+// Lowered shape of a vectorized aggregate. Two shapes, mirroring
+// AggregateOp: the "simple" global-aggregate list (SELECT AGG(col), ...),
+// accumulated with typed per-column loops, and GROUP BY over plain
+// columns with aggregate-or-group-key select items. Anything else stays
+// on the scalar AggregateOp behind the ColumnToRow adapter.
+struct ColumnAggConfig {
+  bool simple = false;
+  std::vector<std::string> ops;  // per aggregate, upper-cased
+  std::vector<int> arg_cols;     // per aggregate; -1 = COUNT(*)
+  // Grouped shape:
+  std::vector<size_t> group_cols;
+  struct Item {
+    bool is_group = false;  // true: group key, false: aggregate
+    size_t index = 0;       // into group_cols / ops+arg_cols
   };
-
-  ColumnAggregateOp(PlanContext* ctx, std::unique_ptr<ColOp> child,
-                    Config cfg)
-      : Op(ctx), child_(std::move(child)), cfg_(std::move(cfg)) {
-    ctx_->exec.vectorized_ops += 1;
-  }
-
-  // Typed accumulation of one aggregate over one selection. Mirrors
-  // AggState::Accumulate exactly (including elementwise double-sum
-  // rounding, so AVG matches the scalar path bit for bit); min/max are
-  // only tracked when the op needs them. Static and side-effect free on
-  // shared state, so parallel morsel workers reuse it on partial states.
-  static void AccumulateColumn(const Table* table,
-                               const std::vector<uint64_t>& sel, int arg_col,
-                               const std::string& op, AggState* st) {
-    if (arg_col < 0) {
-      st->count += static_cast<int64_t>(sel.size());  // COUNT(*)
-      return;
-    }
-    const Column& col = table->column(arg_col);
-    bool want_minmax = op == "MIN" || op == "MAX";
-    switch (col.value_type()) {
-      case ValueType::kInt: {
-        const int64_t* data = col.ints();
-        for (uint64_t rid : sel) {
-          if (col.IsNull(rid)) continue;
-          int64_t x = data[rid];
-          ++st->count;
-          st->isum += x;
-          st->sum += static_cast<double>(x);
-          if (want_minmax) {
-            if (st->min.is_null() || x < st->min.as_int()) st->min = Value(x);
-            if (st->max.is_null() || x > st->max.as_int()) st->max = Value(x);
-          }
-        }
-        return;
-      }
-      case ValueType::kDouble: {
-        const double* data = col.doubles();
-        for (uint64_t rid : sel) {
-          if (col.IsNull(rid)) continue;
-          double x = data[rid];
-          ++st->count;
-          st->sum += x;
-          st->sum_is_int = false;
-          if (want_minmax) {
-            if (st->min.is_null() || x < st->min.as_double()) {
-              st->min = Value(x);
-            }
-            if (st->max.is_null() || x > st->max.as_double()) {
-              st->max = Value(x);
-            }
-          }
-        }
-        return;
-      }
-      default:
-        for (uint64_t rid : sel) {
-          if (!col.IsNull(rid)) st->Accumulate(col.Get(rid));
-        }
-        return;
-    }
-  }
-
-  // Grouped accumulation of one selection into a (group key -> states)
-  // map; shared with the parallel aggregate's per-worker partial maps.
-  static void AccumulateGrouped(const Table* table,
-                                const std::vector<uint64_t>& sel,
-                                const Config& cfg,
-                                std::map<Row, std::vector<AggState>>* groups) {
-    for (uint64_t rid : sel) {
-      Row key;
-      key.reserve(cfg.group_cols.size());
-      for (size_t c : cfg.group_cols) {
-        key.push_back(table->column(c).Get(rid));
-      }
-      std::vector<AggState>& states = (*groups)[key];
-      if (states.empty()) states.resize(cfg.ops.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        int ci = cfg.arg_cols[a];
-        if (ci < 0) {
-          ++states[a].count;  // COUNT(*)
-        } else {
-          states[a].Accumulate(table->column(ci).Get(rid));
-        }
-      }
-    }
-  }
-
-  // Renders one group's output row per the select-item layout.
-  static Row FinishGroup(const Config& cfg, const Row& key,
-                         const std::vector<AggState>& states) {
-    Row out;
-    out.reserve(cfg.items.size());
-    for (const Config::Item& item : cfg.items) {
-      if (item.is_group) {
-        out.push_back(key[item.index]);
-      } else {
-        out.push_back(states[item.index].Finish(cfg.ops[item.index]));
-      }
-    }
-    return out;
-  }
-
-  bool Next(RowBlock* out) override {
-    out->Clear();
-    if (closed_) return false;
-    if (!finished_) DrainAndFinish();
-    while (pos_ < output_.size() && out->rows.size() < out->capacity) {
-      out->rows.push_back(std::move(output_[pos_]));
-      ++pos_;
-    }
-    return !out->rows.empty();
-  }
-
-  void Close() override {
-    closed_ = true;
-    child_->Close();
-    groups_.clear();
-    output_.clear();
-  }
-
- private:
-  void DrainAndFinish() {
-    finished_ = true;
-    ColumnBlock block;
-    block.capacity = ctx_->block_rows;
-    if (cfg_.simple) {
-      std::vector<AggState> states(cfg_.ops.size());
-      while (child_->Next(&block)) {
-        for (size_t a = 0; a < states.size(); ++a) {
-          AccumulateColumn(block.table, block.sel, cfg_.arg_cols[a],
-                           cfg_.ops[a], &states[a]);
-        }
-      }
-      Row out;
-      out.reserve(states.size());
-      for (size_t a = 0; a < states.size(); ++a) {
-        out.push_back(states[a].Finish(cfg_.ops[a]));
-      }
-      output_.push_back(std::move(out));
-      return;
-    }
-
-    while (child_->Next(&block)) {
-      AccumulateGrouped(block.table, block.sel, cfg_, &groups_);
-    }
-    for (auto& [key, states] : groups_) {
-      output_.push_back(FinishGroup(cfg_, key, states));
-    }
-  }
-
-  std::unique_ptr<ColOp> child_;
-  Config cfg_;
-  std::map<Row, std::vector<AggState>> groups_;  // deterministic output
-  std::vector<Row> output_;
-  bool finished_ = false;
-  size_t pos_ = 0;
-  bool closed_ = false;
+  std::vector<Item> items;  // grouped shape only
 };
 
-// Fused parallel scan + filter + aggregate: the full-scan aggregate is
-// the one shape where the barrier already owns the whole input, so the
-// morsel workers skip the block protocol entirely — each task scans a
-// contiguous range of morsels, narrows them through the shared KernelSet,
-// and accumulates into a private partial state (vector<AggState> for the
-// simple shape, an ordered group map for GROUP BY). The barrier merges
-// partials in task order: COUNT/MIN/MAX and integer sums merge exactly;
-// double sums reassociate deterministically for a fixed dop. Grouped
-// output stays key-sorted (std::map) and therefore identical to serial.
-class ParallelColumnAggregateOp : public Op {
- public:
-  using Config = ColumnAggregateOp::Config;
+// Typed accumulation of one aggregate over one selection. Mirrors
+// AggState::Accumulate exactly (including elementwise double-sum
+// rounding, so AVG over one partial matches the row path bit for bit);
+// min/max are only tracked when the op needs them.
+void AccumulateColumn(const Table* table, const std::vector<uint64_t>& sel,
+                      int arg_col, const std::string& op, AggState* st) {
+  if (arg_col < 0) {
+    st->count += static_cast<int64_t>(sel.size());  // COUNT(*)
+    return;
+  }
+  const Column& col = table->column(arg_col);
+  bool want_minmax = op == "MIN" || op == "MAX";
+  switch (col.value_type()) {
+    case ValueType::kInt: {
+      const int64_t* data = col.ints();
+      for (uint64_t rid : sel) {
+        if (col.IsNull(rid)) continue;
+        int64_t x = data[rid];
+        ++st->count;
+        st->isum += x;
+        st->sum += static_cast<double>(x);
+        if (want_minmax) {
+          if (st->min.is_null() || x < st->min.as_int()) st->min = Value(x);
+          if (st->max.is_null() || x > st->max.as_int()) st->max = Value(x);
+        }
+      }
+      return;
+    }
+    case ValueType::kDouble: {
+      const double* data = col.doubles();
+      for (uint64_t rid : sel) {
+        if (col.IsNull(rid)) continue;
+        double x = data[rid];
+        ++st->count;
+        st->sum += x;
+        st->sum_is_int = false;
+        if (want_minmax) {
+          if (st->min.is_null() || x < st->min.as_double()) {
+            st->min = Value(x);
+          }
+          if (st->max.is_null() || x > st->max.as_double()) {
+            st->max = Value(x);
+          }
+        }
+      }
+      return;
+    }
+    default:
+      for (uint64_t rid : sel) {
+        if (!col.IsNull(rid)) st->Accumulate(col.Get(rid));
+      }
+      return;
+  }
+}
 
-  ParallelColumnAggregateOp(PlanContext* ctx, const Table* table,
-                            const std::vector<const Expr*>& conjuncts,
-                            Config cfg, int dop, OpProfile* profile)
+// Grouped accumulation of one selection into a (group key -> states) map.
+void AccumulateGrouped(const Table* table, const std::vector<uint64_t>& sel,
+                       const ColumnAggConfig& cfg,
+                       std::map<Row, std::vector<AggState>>* groups) {
+  for (uint64_t rid : sel) {
+    Row key;
+    key.reserve(cfg.group_cols.size());
+    for (size_t c : cfg.group_cols) {
+      key.push_back(table->column(c).Get(rid));
+    }
+    std::vector<AggState>& states = (*groups)[key];
+    if (states.empty()) states.resize(cfg.ops.size());
+    for (size_t a = 0; a < states.size(); ++a) {
+      int ci = cfg.arg_cols[a];
+      if (ci < 0) {
+        ++states[a].count;  // COUNT(*)
+      } else {
+        states[a].Accumulate(table->column(ci).Get(rid));
+      }
+    }
+  }
+}
+
+// Renders one group's output row per the select-item layout.
+Row FinishGroup(const ColumnAggConfig& cfg, const Row& key,
+                const std::vector<AggState>& states) {
+  Row out;
+  out.reserve(cfg.items.size());
+  for (const ColumnAggConfig::Item& item : cfg.items) {
+    if (item.is_group) {
+      out.push_back(key[item.index]);
+    } else {
+      out.push_back(states[item.index].Finish(cfg.ops[item.index]));
+    }
+  }
+  return out;
+}
+
+// The column aggregate, with the scan and the WHERE conjuncts fused in:
+// the barrier owns the whole input, so it skips the block protocol
+// entirely. Each of up to dop tasks scans a contiguous range of morsels,
+// narrows them through the shared KernelSet, and accumulates into a
+// private partial state (vector<AggState> for the simple shape, an
+// ordered group map for GROUP BY); dop 1 is one inline task over every
+// morsel. The barrier merges partials in task order: COUNT/MIN/MAX and
+// integer sums merge exactly; double sums reassociate deterministically
+// for a fixed dop, and at dop 1 the single partial is the row path's
+// sum. Grouped output stays key-sorted (std::map) at every dop.
+class ColumnAggregateOp : public Op {
+ public:
+  ColumnAggregateOp(PlanContext* ctx, const Table* table,
+                    const std::vector<const Expr*>& conjuncts,
+                    ColumnAggConfig cfg, int dop, OpProfile* profile)
       : Op(ctx),
         table_(table),
         cfg_(std::move(cfg)),
@@ -2152,12 +2027,12 @@ class ParallelColumnAggregateOp : public Op {
   void DrainAndFinish() {
     finished_ = true;
     const uint64_t slots = table_->slot_count();
-    uint64_t morsel_slots = slots / (static_cast<uint64_t>(dop_) * 4);
-    if (morsel_slots < kMinMorselSlots) morsel_slots = kMinMorselSlots;
-    if (morsel_slots > kMaxMorselSlots) morsel_slots = kMaxMorselSlots;
+    const uint64_t morsel_slots = MorselSlots(slots, dop_);
     const uint64_t morsel_count = (slots + morsel_slots - 1) / morsel_slots;
-    const size_t task_count =
-        static_cast<size_t>(std::min<uint64_t>(dop_, morsel_count));
+    // At least one task, so an empty table still yields the simple
+    // shape's one row.
+    const size_t task_count = static_cast<size_t>(
+        std::max<uint64_t>(1, std::min<uint64_t>(dop_, morsel_count)));
     const uint64_t per_task = (morsel_count + task_count - 1) / task_count;
     std::vector<Partial> partials(task_count);
     governor::QueryContext* qc = governor::CurrentQueryContext();
@@ -2182,20 +2057,22 @@ class ParallelColumnAggregateOp : public Op {
         p.fallback += kernels_.Apply(table_, &sel, ctx_->params, &scratch);
         if (cfg_.simple) {
           for (size_t a = 0; a < p.states.size(); ++a) {
-            ColumnAggregateOp::AccumulateColumn(table_, sel, cfg_.arg_cols[a],
-                                                cfg_.ops[a], &p.states[a]);
+            AccumulateColumn(table_, sel, cfg_.arg_cols[a], cfg_.ops[a],
+                             &p.states[a]);
           }
         } else {
-          ColumnAggregateOp::AccumulateGrouped(table_, sel, cfg_, &p.groups);
+          AccumulateGrouped(table_, sel, cfg_, &p.groups);
         }
       }
     });
     ctx_->exec.full_scans += 1;
-    ctx_->exec.dop = std::max<uint64_t>(ctx_->exec.dop,
-                                        static_cast<uint64_t>(dop_));
-    ctx_->exec.morsels += morsel_count;
-    if (profile_ != nullptr) {
-      profile_->detail += " morsels=" + std::to_string(morsel_count);
+    if (dop_ > 1) {
+      ctx_->exec.dop = std::max<uint64_t>(ctx_->exec.dop,
+                                          static_cast<uint64_t>(dop_));
+      ctx_->exec.morsels += morsel_count;
+      if (profile_ != nullptr) {
+        profile_->detail += " morsels=" + std::to_string(morsel_count);
+      }
     }
     // Merge in task order (== morsel order, tasks own contiguous ranges).
     std::vector<AggState> states(cfg_.ops.size());
@@ -2212,6 +2089,8 @@ class ParallelColumnAggregateOp : public Op {
         for (size_t a = 0; a < states.size(); ++a) {
           states[a].Merge(p.states[a]);
         }
+      } else if (groups.empty()) {
+        groups = std::move(p.groups);
       } else {
         for (auto& [key, partial_states] : p.groups) {
           std::vector<AggState>& merged = groups[key];
@@ -2232,16 +2111,12 @@ class ParallelColumnAggregateOp : public Op {
       return;
     }
     for (auto& [key, group_states] : groups) {
-      output_.push_back(ColumnAggregateOp::FinishGroup(cfg_, key,
-                                                       group_states));
+      output_.push_back(FinishGroup(cfg_, key, group_states));
     }
   }
 
-  static constexpr uint64_t kMinMorselSlots = 256;
-  static constexpr uint64_t kMaxMorselSlots = 8192;
-
   const Table* table_;
-  Config cfg_;
+  ColumnAggConfig cfg_;
   int dop_;
   OpProfile* profile_;
   KernelSet kernels_;
@@ -2318,7 +2193,7 @@ namespace {
 bool LowerVectorizedAggregate(const exec_ops::AggregateOp::Config& agg,
                               const exec_ops::Projection& proj,
                               const SelectStmt& stmt,
-                              exec_ops::ColumnAggregateOp::Config* out) {
+                              exec_ops::ColumnAggConfig* out) {
   auto bound_col = [](const Expr* e) {
     return e != nullptr && e->kind == ExprKind::kColumnRef &&
            e->bound_index >= 0;
@@ -2355,7 +2230,7 @@ bool LowerVectorizedAggregate(const exec_ops::AggregateOp::Config& agg,
     }
   }
   for (const Expr* item : proj.item_exprs) {
-    exec_ops::ColumnAggregateOp::Config::Item lowered;
+    exec_ops::ColumnAggConfig::Item lowered;
     bool found = false;
     if (bound_col(item)) {
       // A bare column must be one of the group keys; anything else is
@@ -2548,18 +2423,6 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     return std::make_unique<exec_ops::ProfiledOp>(
         &state->ctx, std::move(op), &state->ctx.profiles.back());
   };
-  auto prof_col = [&](std::unique_ptr<exec_ops::ColOp> op, const char* name,
-                      std::string detail)
-      -> std::unique_ptr<exec_ops::ColOp> {
-    if (!profiled) return op;
-    OpProfile node;
-    node.name = name;
-    node.detail = std::move(detail);
-    state->ctx.profiles.push_back(std::move(node));
-    return std::make_unique<exec_ops::ProfiledColOp>(
-        &state->ctx, std::move(op), &state->ctx.profiles.back());
-  };
-
   // 1. Resolve all FROM-clause relations, in order.
   struct StageInput {
     PlanRelation relation;
@@ -2645,50 +2508,38 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
 
   // 3. Chain join-stage operators, probing indexes where possible. A
   // single-stage base-table full scan may instead become the column
-  // section of the tree (ColumnScan -> ColumnFilter), consumed in step 5.
+  // section of the tree, lowered in step 5 into one fused operator: a
+  // ColumnScan (scan + WHERE kernels) below ColumnProject / ColumnToRow,
+  // or a ColumnAggregate (scan + kernels + aggregate). Both run their
+  // morsels at the resolved dop; the gate below records the pieces.
   std::unique_ptr<Op> source =
       std::make_unique<exec_ops::SeedOp>(&state->ctx);
-  std::unique_ptr<exec_ops::ColOp> col_source;
-  // Column-section pieces, recorded by the vectorized gate below and
-  // lowered lazily in step 5: at dop > 1 the scan (and, for eligible
-  // aggregates, the whole scan+filter+aggregate pipeline) fuses into a
-  // parallel operator instead of the serial ColumnScan -> ColumnFilter
-  // chain.
   const Table* col_table = nullptr;
   std::vector<const Expr*> col_preds;
   std::string col_alias;
-  auto build_col_source = [&]() -> std::unique_ptr<exec_ops::ColOp> {
-    if (dop > 1) {
-      std::unique_ptr<exec_ops::ColOp> op;
-      if (profiled) {
-        OpProfile node;
-        node.name = "ParallelColumnScan";
-        node.detail = col_alias + " dop=" + std::to_string(dop);
-        if (!col_preds.empty()) {
-          node.detail += " " + std::to_string(col_preds.size()) +
-                         " conjunct(s)";
-        }
-        state->ctx.profiles.push_back(std::move(node));
-        OpProfile* prof_node = &state->ctx.profiles.back();
-        op = std::make_unique<exec_ops::ParallelColumnScanOp>(
-            &state->ctx, col_table, col_preds, dop, prof_node);
-        return std::make_unique<exec_ops::ProfiledColOp>(
-            &state->ctx, std::move(op), prof_node);
-      }
-      return std::make_unique<exec_ops::ParallelColumnScanOp>(
-          &state->ctx, col_table, col_preds, dop, nullptr);
-    }
-    std::unique_ptr<exec_ops::ColOp> op =
-        prof_col(std::make_unique<exec_ops::ColumnScanOp>(&state->ctx,
-                                                          col_table),
-                 "ColumnScan", col_alias);
+  // Profile node of a fused column operator, registered before the
+  // operator exists so it can append its morsel count (nullptr when the
+  // plan is not profiled).
+  auto col_node = [&](const char* name, std::string detail) -> OpProfile* {
+    if (!profiled) return nullptr;
+    detail += " dop=" + std::to_string(dop);
     if (!col_preds.empty()) {
-      size_t npreds = col_preds.size();
-      op = prof_col(std::make_unique<exec_ops::ColumnFilterOp>(
-                        &state->ctx, std::move(op), col_preds),
-                    "ColumnFilter", std::to_string(npreds) + " conjunct(s)");
+      detail += " " + std::to_string(col_preds.size()) + " conjunct(s)";
     }
-    return op;
+    OpProfile node;
+    node.name = name;
+    node.detail = std::move(detail);
+    state->ctx.profiles.push_back(std::move(node));
+    return &state->ctx.profiles.back();
+  };
+  auto build_col_source = [&]() -> std::unique_ptr<exec_ops::ColOp> {
+    OpProfile* node = col_node("ColumnScan", col_alias);
+    std::unique_ptr<exec_ops::ColOp> op =
+        std::make_unique<exec_ops::ColumnScanOp>(&state->ctx, col_table,
+                                                 col_preds, dop, node);
+    if (node == nullptr) return op;
+    return std::make_unique<exec_ops::ProfiledColOp>(&state->ctx,
+                                                     std::move(op), node);
   };
   Scope partial_scope;
   bool no_from = stages.empty();
@@ -2936,37 +2787,15 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     }
     bool lowered = false;
     if (col_table != nullptr) {
-      exec_ops::ColumnAggregateOp::Config vagg;
+      exec_ops::ColumnAggConfig vagg;
       if (LowerVectorizedAggregate(agg, proj, stmt, &vagg)) {
-        const char* vdetail = vagg.simple ? "simple" : "grouped";
-        if (dop > 1) {
-          // Fused parallel scan+filter+aggregate: the barrier owns the
-          // whole input, so the morsel workers aggregate directly into
-          // per-worker partial states merged in morsel order.
-          std::string pdetail =
-              std::string(vdetail) + " dop=" + std::to_string(dop);
-          if (profiled) {
-            OpProfile node;
-            node.name = "ParallelColumnAggregate";
-            node.detail = std::move(pdetail);
-            state->ctx.profiles.push_back(std::move(node));
-            OpProfile* prof_node = &state->ctx.profiles.back();
-            std::unique_ptr<exec_ops::Op> op =
-                std::make_unique<exec_ops::ParallelColumnAggregateOp>(
-                    &state->ctx, col_table, col_preds, std::move(vagg), dop,
-                    prof_node);
-            source = std::make_unique<exec_ops::ProfiledOp>(
-                &state->ctx, std::move(op), prof_node);
-          } else {
-            source = std::make_unique<exec_ops::ParallelColumnAggregateOp>(
-                &state->ctx, col_table, col_preds, std::move(vagg), dop,
-                nullptr);
-          }
-        } else {
-          source = prof(std::make_unique<exec_ops::ColumnAggregateOp>(
-                            &state->ctx, build_col_source(),
-                            std::move(vagg)),
-                        "ColumnAggregate", vdetail);
+        OpProfile* node =
+            col_node("ColumnAggregate", vagg.simple ? "simple" : "grouped");
+        source = std::make_unique<exec_ops::ColumnAggregateOp>(
+            &state->ctx, col_table, col_preds, std::move(vagg), dop, node);
+        if (node != nullptr) {
+          source = std::make_unique<exec_ops::ProfiledOp>(
+              &state->ctx, std::move(source), node);
         }
         lowered = true;
       } else {
@@ -3013,7 +2842,8 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     }
     bool lowered = false;
     std::vector<size_t> out_cols;
-    if (col_table != nullptr) col_source = build_col_source();
+    std::unique_ptr<exec_ops::ColOp> col_source =
+        col_table != nullptr ? build_col_source() : nullptr;
     if (col_source != nullptr && order_exprs.empty() &&
         LowerVectorizedProjection(proj, &out_cols)) {
       size_t ncols = out_cols.size();

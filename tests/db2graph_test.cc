@@ -374,6 +374,7 @@ TEST_F(Db2GraphTest, SrcIdDecompositionUsesIndexProbes) {
 TEST_F(Db2GraphTest, RuntimeOptimizationsPreserveResults) {
   Db2Graph::Options naive;
   naive.runtime = RuntimeOptions::AllOff();
+  naive.exec = ExecConfig().streaming(false).vectorized(false);
   Result<std::unique_ptr<Db2Graph>> unoptimized =
       Db2Graph::Open(&db_, kPaperConfig, naive);
   ASSERT_TRUE(unoptimized.ok());

@@ -260,25 +260,6 @@ TEST_F(GremlinServiceTest, CloseSessionFailsRequestsAwaitingTheirTurn) {
   }
 }
 
-// Shim coverage: the deprecated (graph, workers) constructor must keep
-// its historical shape — n workers, unbounded queue — until callers
-// finish migrating to Options::WithWorkers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(GremlinServiceTest, DeprecatedWorkerCountConstructorStillServes) {
-  GremlinService service(graph_.get(), 2);
-  std::vector<std::future<GremlinService::Response>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(service.Submit("g.V().count()"));
-  }
-  for (auto& f : futures) {
-    auto out = f.get();
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-  }
-  EXPECT_EQ(service.shed(), 0u) << "legacy constructor queue is unbounded";
-}
-#pragma GCC diagnostic pop
-
 TEST_F(GremlinServiceTest, ServiceExecConfigAppliesToEveryRequest) {
   GremlinService::Options options = GremlinService::Options::WithWorkers(2);
   options.exec = ExecConfig().parallelism(4);

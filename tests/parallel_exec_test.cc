@@ -4,12 +4,14 @@
 // surface that fronts it:
 //
 //  * ExecConfig tri-state layering — overlay precedence, clamping, the
-//    thread-local scope, and the database session resolution chain;
+//    thread-local scope, and the database session and per-graph layers
+//    of the resolution chain;
 //  * SQL parallel-vs-serial equivalence — every eligible shape (full
 //    scans, kernel and fallback filters, simple and grouped aggregates,
-//    hash joins, ORDER BY) produces identical rows at dop 1/2/8 x block
-//    sizes 1/7/1024 x vectorized/scalar (double aggregates compare with
-//    an epsilon: per-worker partial sums reassociate);
+//    hash joins, ORDER BY) produces the serial row path's rows at dop
+//    1/2/8 x block sizes 1/7/1024 x vectorized/scalar (double aggregates
+//    match exactly at dop 1 and within an epsilon above it: per-worker
+//    partial sums reassociate);
 //  * Gremlin parallel-vs-serial equivalence — the streaming shape suite
 //    at every (dop, block size, vectorized) combination matches the
 //    serial materialized baseline exactly, ordering included;
@@ -33,6 +35,7 @@
 
 #include "common/exec_config.h"
 #include "common/query_log.h"
+#include "common/trace.h"
 #include "common/workload_governor.h"
 #include "core/db2graph.h"
 #include "linkbench/linkbench.h"
@@ -128,6 +131,98 @@ TEST(ExecConfigTest, DatabaseSessionThenThreadScopeResolution) {
   EXPECT_EQ(db.exec_config().parallelism(), 4);
 }
 
+TEST(ExecConfigTest, GraphConfigDoesNotLeakIntoOtherGraphs) {
+  // Each graph's Options::exec is its own layer of the resolution chain:
+  // opening a second graph on the same database must not change how the
+  // first one executes (nor the database session).
+  linkbench::Config config;
+  config.num_vertices = 100000;
+  config.edges_per_vertex = 0;
+  linkbench::Dataset dataset = linkbench::Generate(config);
+  sql::Database db;
+  ASSERT_TRUE(linkbench::LoadIntoDatabase(&db, dataset).ok());
+  // Without LIMIT pushdown only the streaming interpreter bounds the
+  // scan, so rows_scanned shows which execution mode a graph ran.
+  Db2Graph::Options streaming_options;
+  streaming_options.strategies.limit_pushdown = false;
+  Result<std::unique_ptr<Db2Graph>> streaming =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), streaming_options);
+  ASSERT_TRUE(streaming.ok());
+  auto rows_scanned = [&](Db2Graph* graph) -> uint64_t {
+    const uint64_t before = db.stats().Snapshot().rows_scanned;
+    Result<std::vector<Traverser>> out =
+        graph->Execute("g.V().hasLabel('vt3').limit(10)");
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    if (out.ok()) {
+      EXPECT_EQ(out->size(), 10u);
+    }
+    return db.stats().Snapshot().rows_scanned - before;
+  };
+  const uint64_t streamed = rows_scanned(streaming->get());
+  EXPECT_LT(streamed, 1000u);
+
+  Db2Graph::Options materialized_options = streaming_options;
+  materialized_options.exec = ExecConfig().streaming(false);
+  Result<std::unique_ptr<Db2Graph>> materialized =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), materialized_options);
+  ASSERT_TRUE(materialized.ok());
+  EXPECT_GE(rows_scanned(materialized->get()), 100000u);
+  EXPECT_EQ(rows_scanned(streaming->get()), streamed);
+  EXPECT_FALSE(db.exec_config().has_streaming());
+}
+
+TEST(ExecConfigTest, ReachesFanOutWorkers) {
+  // The provider runs per-table SQL on pool threads, both in the
+  // materialized fan-out and in the streaming producers. Each statement
+  // must compile under the caller's execution config (which carries the
+  // graph layer and the per-call overlay), not just the database session.
+  // Tables are large enough that pool workers, not only the calling
+  // thread, pick up fan-out tasks.
+  linkbench::Config config;
+  config.num_vertices = 20000;
+  config.edges_per_vertex = 0;
+  linkbench::Dataset dataset = linkbench::GeneratePartitioned(config);
+  sql::Database db;
+  ASSERT_TRUE(linkbench::LoadIntoPartitionedDatabase(&db, dataset).ok());
+  Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(
+      &db, linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false));
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  for (bool streaming : {false, true}) {
+    for (bool vectorized : {true, false}) {
+      QueryTrace trace;
+      ScopedTrace traced(&trace);
+      ScopedExecConfig configured(ExecConfig().vectorized(vectorized));
+      // One span open for the whole lookup, so every statement is filed.
+      const int span = trace.BeginStep("V", "", 0);
+      gremlin::LookupSpec spec;  // every vertex: a full scan per table
+      std::vector<gremlin::VertexPtr> vertices;
+      if (streaming) {
+        Result<std::unique_ptr<gremlin::VertexStream>> stream =
+            (*graph)->provider()->VerticesStreaming(spec);
+        ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+        std::vector<gremlin::VertexPtr> block;
+        while ((*stream)->Next(&block, 64)) {
+          vertices.insert(vertices.end(), block.begin(), block.end());
+        }
+        ASSERT_TRUE((*stream)->status().ok());
+        (*stream)->Close();
+      } else {
+        ASSERT_TRUE((*graph)->provider()->Vertices(spec, &vertices).ok());
+      }
+      trace.EndStep(span, vertices.size());
+      EXPECT_EQ(vertices.size(), dataset.nodes.size());
+      const std::vector<StepTraceSpan> spans = trace.Spans();
+      ASSERT_EQ(spans.size(), 1u);
+      EXPECT_GT(spans[0].fanout_tasks, 1u) << "streaming=" << streaming;
+      EXPECT_EQ(spans[0].statements.size(), spans[0].fanout_tasks);
+      for (const SqlTraceRecord& record : spans[0].statements) {
+        EXPECT_EQ(record.exec_mode, vectorized ? "vectorized" : "scalar")
+            << record.sql << " streaming=" << streaming;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------------
 // SQL parallel-vs-serial equivalence matrix.
 // ------------------------------------------------------------------
@@ -200,8 +295,8 @@ TEST_F(ParallelSqlEquivalenceTest, AllShapesMatchSerialAcrossTheMatrix) {
       "SELECT a FROM Facts ORDER BY a LIMIT 20",
   };
 
-  // Serial baseline: nothing set, so everything resolves to defaults.
-  db_.SetExecConfig(ExecConfig());
+  // Independent baseline: the row-at-a-time operators, serially.
+  db_.SetExecConfig(ExecConfig().vectorized(false).parallelism(1));
   std::vector<ResultSet> expected;
   for (const char* q : kQueries) expected.push_back(Run(q));
 
@@ -230,25 +325,75 @@ TEST_F(ParallelSqlEquivalenceTest, AllShapesMatchSerialAcrossTheMatrix) {
 TEST_F(ParallelSqlEquivalenceTest, DoubleAggregatesMatchWithinEpsilon) {
   // SUM/AVG over DOUBLE reassociate across per-worker partial states;
   // the result is deterministic for a fixed dop but may differ from the
-  // serial sum in the last bits.
+  // row path's sum in the last bits. At dop 1 the one partial accumulates
+  // in slot order exactly like the row path, so it matches bit for bit.
   const char* const kQueries[] = {
       "SELECT SUM(b) FROM Facts",
       "SELECT AVG(b) FROM Facts WHERE a < 2000",
   };
-  db_.SetExecConfig(ExecConfig());
+  db_.SetExecConfig(ExecConfig().vectorized(false).parallelism(1));
   std::vector<double> expected;
   for (const char* q : kQueries) {
     ResultSet rs = Run(q);
     ASSERT_EQ(rs.rows.size(), 1u);
     expected.push_back(rs.rows[0][0].as_double());
   }
-  for (int dop : {2, 8}) {
+  for (int dop : {1, 2, 8}) {
     db_.SetExecConfig(ExecConfig().parallelism(dop));
     for (size_t i = 0; i < std::size(kQueries); ++i) {
       ResultSet rs = Run(kQueries[i]);
       ASSERT_EQ(rs.rows.size(), 1u);
+      EXPECT_STREQ(rs.exec.ExecMode(), "vectorized") << kQueries[i];
       double got = rs.rows[0][0].as_double();
-      EXPECT_NEAR(got, expected[i], std::abs(expected[i]) * 1e-9)
+      if (dop == 1) {
+        EXPECT_EQ(got, expected[i]) << kQueries[i] << " at dop=1";
+      } else {
+        EXPECT_NEAR(got, expected[i], std::abs(expected[i]) * 1e-9)
+            << kQueries[i] << " at dop=" << dop;
+      }
+    }
+  }
+  db_.SetExecConfig(ExecConfig());
+}
+
+TEST_F(ParallelSqlEquivalenceTest, SerialColumnScanStopsWithinOneBlock) {
+  // At dop 1 a scan round visits at most the consumer's block capacity in
+  // slots, and Next() hands back the first round that matched, so a
+  // selective filter under a small pull touches a block, not the table.
+  db_.SetExecConfig(ExecConfig());
+  constexpr size_t kBlock = 64;
+  Result<std::unique_ptr<sql::RowStream>> stream =
+      db_.ExecuteStreaming("SELECT a FROM Facts WHERE g < 50", kBlock);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  sql::RowBlock block;
+  block.capacity = kBlock;
+  ASSERT_TRUE((*stream)->Next(&block));
+  EXPECT_LT(block.rows.size(), kBlock);  // about 1 row in 10 matches
+  const sql::ExecInfo& exec = (*stream)->exec();
+  EXPECT_EQ(exec.rows_scanned % kBlock, 0u);
+  EXPECT_LE(exec.rows_scanned, 2 * kBlock);
+  EXPECT_EQ(exec.dop, 1u);
+  EXPECT_EQ(exec.morsels, 0u);
+}
+
+TEST_F(ParallelSqlEquivalenceTest, EmptyTableAggregatesMatchRowPath) {
+  // No slots means no morsels; the column aggregate still runs one task,
+  // so the simple shape yields its one row at every dop.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE Empty (a BIGINT, g BIGINT)").ok());
+  const char* const kQueries[] = {
+      "SELECT COUNT(*), SUM(a), MIN(a) FROM Empty",
+      "SELECT g, COUNT(*) FROM Empty GROUP BY g",
+  };
+  db_.SetExecConfig(ExecConfig().vectorized(false).parallelism(1));
+  std::vector<ResultSet> expected;
+  for (const char* q : kQueries) expected.push_back(Run(q));
+  ASSERT_EQ(expected[0].rows.size(), 1u);
+  for (int dop : {1, 4}) {
+    db_.SetExecConfig(ExecConfig().parallelism(dop));
+    for (size_t i = 0; i < std::size(kQueries); ++i) {
+      ResultSet rs = Run(kQueries[i]);
+      EXPECT_STREQ(rs.exec.ExecMode(), "vectorized") << kQueries[i];
+      EXPECT_EQ(expected[i].rows, rs.rows)
           << kQueries[i] << " at dop=" << dop;
     }
   }
@@ -267,7 +412,7 @@ TEST_F(ParallelSqlEquivalenceTest, ExplainAnalyzeSurfacesDopAndMorsels) {
   EXPECT_GT(rs.exec.morsels, 0u);
   std::string plan;
   for (const Row& row : rs.rows) plan += row[0].as_string() + "\n";
-  EXPECT_NE(plan.find("ParallelColumnAggregate"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("ColumnAggregate"), std::string::npos) << plan;
   EXPECT_NE(plan.find("dop=4"), std::string::npos) << plan;
   EXPECT_NE(plan.find("morsels="), std::string::npos) << plan;
 
@@ -276,7 +421,7 @@ TEST_F(ParallelSqlEquivalenceTest, ExplainAnalyzeSurfacesDopAndMorsels) {
   EXPECT_GT(rs.exec.morsels, 0u);
   plan.clear();
   for (const Row& row : rs.rows) plan += row[0].as_string() + "\n";
-  EXPECT_NE(plan.find("ParallelColumnScan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("ColumnScan"), std::string::npos) << plan;
   db_.SetExecConfig(ExecConfig());
 }
 

@@ -4,8 +4,8 @@
 // variables, the transparent plan cache behind the text Execute() path
 // (zero ParseGremlin calls on a hit, counter-verified), DDL staleness
 // invalidation, binding validation statuses, plan provenance in
-// Explain()/profile(), the deprecated wrapper shims, and a concurrent
-// Prepare/Execute/DDL stress (TSan target).
+// Explain()/profile(), ExecOptions covering the removed execution
+// wrappers, and a concurrent Prepare/Execute/DDL stress (TSan target).
 
 #include <atomic>
 #include <initializer_list>

@@ -495,29 +495,6 @@ TEST_F(SqlEngineTest, ExecModeAttributesVectorizedAndScalarOperators) {
   db_.SetExecConfig(db_.exec_config().vectorized(true));
 }
 
-// Shim coverage: the deprecated per-flag setters must keep routing
-// through the session ExecConfig until callers finish migrating.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(SqlEngineTest, DeprecatedExecutionTogglesRouteThroughExecConfig) {
-  db_.set_vectorized_execution(false);
-  EXPECT_FALSE(db_.ResolveExecConfig().vectorized());
-  EXPECT_FALSE(db_.vectorized_execution());
-  ResultSet rs = Query("SELECT name FROM Patient");
-  EXPECT_STREQ(rs.exec.ExecMode(), "scalar");
-
-  db_.set_vectorized_execution(true);
-  EXPECT_TRUE(db_.ResolveExecConfig().vectorized());
-
-  db_.set_profile_execution(true);
-  EXPECT_TRUE(db_.ResolveExecConfig().profile());
-  rs = Query("SELECT name FROM Patient");
-  EXPECT_FALSE(rs.exec.op_profiles.empty());
-  db_.set_profile_execution(false);
-  EXPECT_FALSE(db_.ResolveExecConfig().profile());
-}
-#pragma GCC diagnostic pop
-
 // Deletes leave a recyclable slot; re-inserts reuse it without growing
 // the column vectors, and both execution modes keep dead slots invisible.
 TEST_F(SqlEngineTest, DeletedSlotsAreRecycledAndStayInvisible) {

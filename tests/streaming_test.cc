@@ -156,8 +156,8 @@ TEST_F(StreamingEquivalenceTest, BlockSizesMatchUnderVectorizedAndScalar) {
   };
   const size_t kBlockSizes[] = {1, 7, 1024};
   for (bool vectorized : {false, true}) {
-    // Open() pushes the vectorized toggle onto the shared database, so
-    // the baseline and its streaming counterparts are grouped per mode.
+    // Each graph keeps its own config; grouping per mode keeps the
+    // baseline in the same SQL mode as its streaming counterparts.
     std::unique_ptr<Db2Graph> materialized =
         Open(/*streaming=*/false, 256, vectorized);
     ASSERT_NE(materialized, nullptr);

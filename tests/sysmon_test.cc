@@ -4,7 +4,7 @@
 // relations (plain SELECT, WHERE, aggregation, vectorized execution, the
 // Gremlin entry point feeds them), sysmon.query_log reflects live engine
 // state, EXPLAIN ANALYZE reports per-operator actuals that match the
-// ExecInfo totals, and profile_execution attaches plans to the log.
+// ExecInfo totals, and ExecConfig::profile attaches plans to the log.
 
 #include <algorithm>
 #include <cstdint>
@@ -247,13 +247,13 @@ TEST_F(SysmonTest, ExplainAnalyzeActualsMatchExecInfoVectorized) {
   ResultSet rs = Run("EXPLAIN ANALYZE SELECT name FROM items "
                      "WHERE price > 15");
   const std::vector<OpProfile>& ops = rs.exec.op_profiles;
-  ASSERT_EQ(ops.size(), 3u);  // ColumnScan -> ColumnFilter -> ColumnProject
+  ASSERT_EQ(ops.size(), 2u);  // ColumnScan (filter fused) -> ColumnProject
   EXPECT_EQ(ops[0].name, "ColumnScan");
-  EXPECT_EQ(ops[1].name, "ColumnFilter");
-  EXPECT_EQ(ops[2].name, "ColumnProject");
+  EXPECT_EQ(ops[1].name, "ColumnProject");
+  EXPECT_EQ(ops[0].detail, "items dop=1 1 conjunct(s)");
   EXPECT_STREQ(rs.exec.ExecMode(), "vectorized");
-  EXPECT_EQ(ops[0].rows_out, rs.exec.rows_scanned);  // pre-filter
-  EXPECT_EQ(ops[2].rows_out, rs.exec.rows_emitted);
+  EXPECT_EQ(ops[0].rows_out, rs.exec.rows_emitted);  // post-filter
+  EXPECT_EQ(ops[1].rows_out, rs.exec.rows_emitted);
   EXPECT_EQ(ops[1].rows_in, ops[0].rows_out);
   EXPECT_EQ(rs.exec.rows_scanned, 4u);
   EXPECT_EQ(rs.exec.rows_emitted, 2u);
