@@ -117,16 +117,23 @@ void QueryTrace::AddRewrite(std::string strategy, std::string before,
       {std::move(strategy), std::move(before), std::move(after)});
 }
 
-void QueryTrace::RecordSql(SqlTraceRecord record) {
+int QueryTrace::InnermostOpenSpan() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return open_.empty() ? -1 : open_.back();
+}
+
+void QueryTrace::RecordSql(SqlTraceRecord record, int span_id) {
   if (record.tid == 0) record.tid = TraceTid();
   if (record.start_micros == 0) {
     uint64_t now = clock_->NowMicros();
     record.start_micros = now > record.micros ? now - record.micros : 0;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (StepTraceSpan* span = InnermostOpenLocked()) {
-    span->statements.push_back(std::move(record));
-  }
+  StepTraceSpan* span = span_id >= 0 &&
+                                span_id < static_cast<int>(spans_.size())
+                            ? &spans_[span_id]
+                            : InnermostOpenLocked();
+  if (span != nullptr) span->statements.push_back(std::move(record));
 }
 
 void QueryTrace::AddTableConsulted(std::string table) {
@@ -408,9 +415,16 @@ Json QueryTrace::ToChromeTrace() const {
 
 namespace {
 thread_local QueryTrace* g_current_trace = nullptr;
+thread_local int g_current_span = -1;
 }  // namespace
 
 QueryTrace* CurrentTrace() { return g_current_trace; }
+
+int CurrentTraceSpan() {
+  if (g_current_trace == nullptr) return -1;
+  if (g_current_span >= 0) return g_current_span;
+  return g_current_trace->InnermostOpenSpan();
+}
 
 int TraceTid() {
   static std::atomic<int> next_tid{1};
@@ -418,11 +432,16 @@ int TraceTid() {
   return tid;
 }
 
-ScopedTrace::ScopedTrace(QueryTrace* trace) : previous_(g_current_trace) {
+ScopedTrace::ScopedTrace(QueryTrace* trace, int span)
+    : previous_(g_current_trace), previous_span_(g_current_span) {
   g_current_trace = trace;
+  g_current_span = span;
 }
 
-ScopedTrace::~ScopedTrace() { g_current_trace = previous_; }
+ScopedTrace::~ScopedTrace() {
+  g_current_trace = previous_;
+  g_current_span = previous_span_;
+}
 
 SlowQueryLog::SlowQueryLog(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {

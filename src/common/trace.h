@@ -156,10 +156,16 @@ class QueryTrace {
   void AddRewrite(std::string strategy, std::string before,
                   std::string after);
 
+  /// Id of the innermost open span; -1 when none is open.
+  int InnermostOpenSpan() const;
+
   // Record sites for the layers below; each attaches to the innermost
   // open span (or is dropped when no span is open — e.g. SQL issued
-  // outside any traversal step).
-  void RecordSql(SqlTraceRecord record);
+  // outside any traversal step). A statement recorded with `span_id` >= 0
+  // attaches to that span whether or not it is still open: a streamed
+  // statement files its record when it ends, and by then the step that
+  // issued it may be paused (see CurrentTraceSpan()).
+  void RecordSql(SqlTraceRecord record, int span_id = -1);
   void AddTableConsulted(std::string table);
   void AddTablePruned(std::string table);
   void AddCacheHit();
@@ -216,21 +222,30 @@ class QueryTrace {
 /// untraced (the common case).
 QueryTrace* CurrentTrace();
 
+/// The span SQL issued on this thread belongs to: the span the enclosing
+/// ScopedTrace pinned (fan-out workers run on behalf of the consumer's
+/// step), else the current trace's innermost open span; -1 when untraced
+/// or no span is open.
+int CurrentTraceSpan();
+
 /// Small, stable integer identifying the calling thread (1, 2, 3, ... in
 /// first-use order) — friendlier than std::thread::id for trace output.
 int TraceTid();
 
 /// RAII installer; saves and restores the previous thread-local trace, so
-/// fan-out workers (and nested graphQuery interpreters) compose.
+/// fan-out workers (and nested graphQuery interpreters) compose. `span`
+/// pins the span this thread's SQL records attach to (CurrentTraceSpan);
+/// -1 leaves them to the trace's innermost open span.
 class ScopedTrace {
  public:
-  explicit ScopedTrace(QueryTrace* trace);
+  explicit ScopedTrace(QueryTrace* trace, int span = -1);
   ~ScopedTrace();
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
  private:
   QueryTrace* previous_;
+  int previous_span_;
 };
 
 /// Ring buffer of queries whose wall time crossed the slow-query

@@ -52,15 +52,15 @@ void RenderCond(const SqlCond& cond, std::string* sql,
   params->push_back(cond.params[0]);
 }
 
-std::string BuildSql(const std::string& table, const std::string& select,
-                     const QueryConds& conds, std::vector<Value>* params,
-                     int64_t limit) {
-  std::string sql = "SELECT " + select + " FROM \"" + table + "\"";
-  std::vector<std::string> where_parts;
+namespace {
+
+// Renders each conjunct, then each OR-group, as one WHERE part.
+void AppendCondParts(const QueryConds& conds, std::vector<std::string>* parts,
+                     std::vector<Value>* params) {
   for (const SqlCond& cond : conds.conjuncts) {
     std::string part;
     RenderCond(cond, &part, params);
-    where_parts.push_back(std::move(part));
+    parts->push_back(std::move(part));
   }
   for (const auto& group : conds.or_groups) {
     std::string part = "(";
@@ -74,8 +74,18 @@ std::string BuildSql(const std::string& table, const std::string& select,
       part += ")";
     }
     part += ")";
-    where_parts.push_back(std::move(part));
+    parts->push_back(std::move(part));
   }
+}
+
+}  // namespace
+
+std::string BuildSql(const std::string& table, const std::string& select,
+                     const QueryConds& conds, std::vector<Value>* params,
+                     int64_t limit) {
+  std::string sql = "SELECT " + select + " FROM \"" + table + "\"";
+  std::vector<std::string> where_parts;
+  AppendCondParts(conds, &where_parts, params);
   if (!where_parts.empty()) {
     sql += " WHERE " + Join(where_parts, " AND ");
   }
@@ -160,33 +170,6 @@ const char* SqlOpFor(PropPredicate::Op op) {
       return nullptr;  // within / without / exists handled separately
   }
 }
-
-namespace {
-
-void AppendCondParts(const QueryConds& conds, std::vector<std::string>* parts,
-                     std::vector<Value>* params) {
-  for (const SqlCond& cond : conds.conjuncts) {
-    std::string part;
-    RenderCond(cond, &part, params);
-    parts->push_back(std::move(part));
-  }
-  for (const auto& group : conds.or_groups) {
-    std::string part = "(";
-    for (size_t g = 0; g < group.size(); ++g) {
-      if (g > 0) part += " OR ";
-      part += "(";
-      for (size_t c = 0; c < group[g].size(); ++c) {
-        if (c > 0) part += " AND ";
-        RenderCond(group[g][c], &part, params);
-      }
-      part += ")";
-    }
-    part += ")";
-    parts->push_back(std::move(part));
-  }
-}
-
-}  // namespace
 
 std::string BuildJoinSql(const std::vector<JoinStage>& stages,
                          const std::string& select,
@@ -396,109 +379,107 @@ std::optional<ImplicitIdParts> DecomposeImplicitEdgeId(
 // Per-table lookup plans
 // ----------------------------------------------------------------------
 
-VertexPlan PlanVertexTable(const ResolvedVertexTable& t,
-                           const LookupSpec& spec,
-                           const RuntimeOptions& options) {
-  VertexPlan plan;
-  const sql::TableSchema& schema = *t.schema;
+namespace {
 
-  // Fixed-label pruning (Section 6.3 "Using Label Values").
-  if (!spec.labels.empty()) {
-    if (t.conf.label.fixed) {
-      bool matches = std::find(spec.labels.begin(), spec.labels.end(),
-                               t.conf.label.value) != spec.labels.end();
-      if (!matches) {
-        if (options.label_pruning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      }
+// Fixed-label pruning (Section 6.3 "Using Label Values") or, for a label
+// column, an IN condition on it.
+template <typename Table>
+void PlanLabels(const Table& t, const LookupSpec& spec,
+                const RuntimeOptions& options, TablePlan* plan) {
+  if (spec.labels.empty()) return;
+  if (t.conf.label.fixed) {
+    bool matches = std::find(spec.labels.begin(), spec.labels.end(),
+                             t.conf.label.value) != spec.labels.end();
+    if (matches) return;
+    if (options.label_pruning) {
+      plan->skip = true;
     } else {
-      SqlCond cond;
-      cond.column = schema.columns[*t.label_column].name;
-      cond.op = "IN";
-      cond.params.reserve(spec.labels.size());
-      for (const std::string& l : spec.labels) cond.params.emplace_back(l);
-      plan.conds.conjuncts.push_back(cond);
-      plan.predicate_columns.push_back(cond.column);
+      plan->client_filter = true;
     }
+    return;
   }
+  SqlCond cond;
+  cond.column = t.schema->columns[*t.label_column].name;
+  cond.op = "IN";
+  cond.params.reserve(spec.labels.size());
+  for (const std::string& l : spec.labels) cond.params.emplace_back(l);
+  plan->predicate_columns.push_back(cond.column);
+  plan->conds.conjuncts.push_back(std::move(cond));
+}
 
-  // Prefixed-id pinning / composite-id decomposition.
-  if (!spec.ids.empty()) {
-    QueryConds id_conds;
-    IdCondResult r = BuildIdConds(t.id, schema, spec.ids, &id_conds);
-    if (!r.any_match) {
-      if (options.prefixed_id_pinning) {
-        plan.skip = true;
-        return plan;
-      }
-      plan.client_filter = true;
+// Prefixed-id pinning / composite-id decomposition: constrains `field` to
+// one of `ids`. Ids that cannot belong to the table prune it under
+// pinning and are filtered client-side otherwise.
+void PlanIdConds(const ResolvedField& field, const sql::TableSchema& schema,
+                 const std::vector<Value>& ids, const RuntimeOptions& options,
+                 TablePlan* plan) {
+  if (ids.empty()) return;
+  QueryConds conds;
+  if (!BuildIdConds(field, schema, ids, &conds).any_match) {
+    if (options.prefixed_id_pinning) {
+      plan->skip = true;
     } else {
-      for (auto& c : id_conds.conjuncts) {
-        plan.predicate_columns.push_back(c.column);
-        plan.conds.conjuncts.push_back(std::move(c));
-      }
-      for (auto& g : id_conds.or_groups) {
-        if (!g.empty() && !g[0].empty()) {
-          for (const SqlCond& c : g[0]) {
-            plan.predicate_columns.push_back(c.column);
-          }
-        }
-        plan.conds.or_groups.push_back(std::move(g));
+      plan->client_filter = true;
+    }
+    return;
+  }
+  for (SqlCond& c : conds.conjuncts) {
+    plan->predicate_columns.push_back(c.column);
+    plan->conds.conjuncts.push_back(std::move(c));
+  }
+  for (auto& group : conds.or_groups) {
+    if (!group.empty()) {
+      for (const SqlCond& c : group[0]) {
+        plan->predicate_columns.push_back(c.column);
       }
     }
+    plan->conds.or_groups.push_back(std::move(group));
   }
+}
 
-  // Property predicates: pushdown + property-name pruning.
+// Property predicates (pushdown + property-name pruning), then
+// projection-based pruning: a traversal that only consumes projected
+// properties gets nothing from a table having none of them.
+template <typename Table>
+void PlanProperties(const Table& t, const LookupSpec& spec,
+                    const RuntimeOptions& options, TablePlan* plan) {
   for (const PropPredicate& pred : spec.predicates) {
     if (pred.key == gremlin::kIdKey || pred.key == gremlin::kLabelKey) {
-      plan.client_filter = true;  // rare; resolved after materialization
+      plan->client_filter = true;  // rare; resolved after materialization
       continue;
     }
-    if (!t.HasProperty(pred.key)) {
+    std::optional<size_t> column = PropertyColumn(t, pred.key);
+    if (!column) {
       if (options.property_pruning) {
-        plan.skip = true;  // no row of this table can have the property
-        return plan;
+        plan->skip = true;  // no row of this table can have the property
+        return;
       }
-      plan.client_filter = true;
+      plan->client_filter = true;
       continue;
     }
-    // Locate the schema column behind the property.
-    size_t column = 0;
-    for (size_t i = 0; i < t.properties.size(); ++i) {
-      if (EqualsIgnoreCase(t.properties[i], pred.key)) {
-        column = t.property_columns[i];
-        break;
-      }
-    }
-    const std::string& column_name = schema.columns[column].name;
     SqlCond cond;
-    cond.column = column_name;
+    cond.column = t.schema->columns[*column].name;
     if (pred.op == PropPredicate::Op::kExists) {
       cond.op = "NOTNULL";
     } else if (pred.op == PropPredicate::Op::kWithin) {
       cond.op = "IN";
       cond.params = pred.values;
     } else if (pred.op == PropPredicate::Op::kWithout) {
-      plan.client_filter = true;  // NOT IN needs null care; keep client-side
+      plan->client_filter = true;  // NOT IN needs null care; keep client-side
       continue;
     } else {
       const char* op = SqlOpFor(pred.op);
       if (op == nullptr) {
-        plan.client_filter = true;
+        plan->client_filter = true;
         continue;
       }
       cond.op = op;
       cond.params = pred.values;
     }
-    plan.predicate_columns.push_back(column_name);
-    plan.conds.conjuncts.push_back(std::move(cond));
+    plan->predicate_columns.push_back(cond.column);
+    plan->conds.conjuncts.push_back(std::move(cond));
   }
 
-  // Projection-based pruning: a traversal that only consumes projected
-  // properties gets nothing from a table having none of them.
   if (spec.has_projection && !spec.projection.empty() &&
       options.property_pruning) {
     bool any = false;
@@ -508,18 +489,14 @@ VertexPlan PlanVertexTable(const ResolvedVertexTable& t,
         break;
       }
     }
-    if (!any) {
-      plan.skip = true;
-      return plan;
-    }
+    if (!any) plan->skip = true;
   }
-  return plan;
 }
 
-std::vector<size_t> VertexFetchColumns(const ResolvedVertexTable& t,
-                                       const LookupSpec& spec) {
-  std::vector<size_t> cols = t.id.column_indexes;
-  if (t.label_column) cols.push_back(*t.label_column);
+// Appends the property columns `spec` fetches (projection-aware).
+template <typename Table>
+void AppendPropertyColumns(const Table& t, const LookupSpec& spec,
+                           std::vector<size_t>* cols) {
   for (size_t i = 0; i < t.properties.size(); ++i) {
     if (spec.has_projection) {
       bool wanted = false;
@@ -531,200 +508,116 @@ std::vector<size_t> VertexFetchColumns(const ResolvedVertexTable& t,
       }
       if (!wanted) continue;
     }
-    cols.push_back(t.property_columns[i]);
+    cols->push_back(t.property_columns[i]);
   }
+}
+
+template <typename Table>
+std::optional<size_t> FindPropertyColumn(const Table& t,
+                                         const std::string& key) {
+  for (size_t i = 0; i < t.properties.size(); ++i) {
+    if (EqualsIgnoreCase(t.properties[i], key)) return t.property_columns[i];
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<size_t> PropertyColumn(const ResolvedVertexTable& t,
+                                     const std::string& key) {
+  return FindPropertyColumn(t, key);
+}
+
+std::optional<size_t> PropertyColumn(const ResolvedEdgeTable& t,
+                                     const std::string& key) {
+  return FindPropertyColumn(t, key);
+}
+
+TablePlan PlanVertexTable(const ResolvedVertexTable& t,
+                          const LookupSpec& spec,
+                          const RuntimeOptions& options) {
+  TablePlan plan;
+  PlanLabels(t, spec, options, &plan);
+  if (plan.skip) return plan;
+  PlanIdConds(t.id, *t.schema, spec.ids, options, &plan);
+  if (plan.skip) return plan;
+  PlanProperties(t, spec, options, &plan);
+  return plan;
+}
+
+std::vector<size_t> VertexFetchColumns(const ResolvedVertexTable& t,
+                                       const LookupSpec& spec) {
+  std::vector<size_t> cols = t.id.column_indexes;
+  if (t.label_column) cols.push_back(*t.label_column);
+  AppendPropertyColumns(t, spec, &cols);
   return cols;
 }
 
-EdgePlan PlanEdgeTable(const ResolvedEdgeTable& t, const LookupSpec& spec,
-                       const RuntimeOptions& options) {
-  EdgePlan plan;
+TablePlan PlanEdgeTable(const ResolvedEdgeTable& t, const LookupSpec& spec,
+                        const RuntimeOptions& options) {
+  TablePlan plan;
   const sql::TableSchema& schema = *t.schema;
-
-  // Fixed-label pruning.
-  if (!spec.labels.empty()) {
-    if (t.conf.label.fixed) {
-      bool matches = std::find(spec.labels.begin(), spec.labels.end(),
-                               t.conf.label.value) != spec.labels.end();
-      if (!matches) {
-        if (options.label_pruning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      }
-    } else {
-      SqlCond cond;
-      cond.column = schema.columns[*t.label_column].name;
-      cond.op = "IN";
-      cond.params.reserve(spec.labels.size());
-      for (const std::string& l : spec.labels) cond.params.emplace_back(l);
-      plan.predicate_columns.push_back(cond.column);
-      plan.conds.conjuncts.push_back(std::move(cond));
-    }
-  }
+  PlanLabels(t, spec, options, &plan);
+  if (plan.skip) return plan;
 
   // Endpoint constraints via src/dst id decomposition.
-  auto endpoint = [&](const ResolvedField& field,
-                      const std::vector<Value>& ids) {
-    if (ids.empty() || plan.skip) return;
-    QueryConds conds;
-    IdCondResult r = BuildIdConds(field, schema, ids, &conds);
-    if (!r.any_match) {
-      if (options.prefixed_id_pinning) {
-        plan.skip = true;
-        return;
-      }
-      plan.client_filter = true;
-      return;
-    }
-    for (auto& c : conds.conjuncts) {
-      plan.predicate_columns.push_back(c.column);
-      plan.conds.conjuncts.push_back(std::move(c));
-    }
-    for (auto& g : conds.or_groups) {
-      if (!g.empty()) {
-        for (const SqlCond& c : g[0]) {
-          plan.predicate_columns.push_back(c.column);
-        }
-      }
-      plan.conds.or_groups.push_back(std::move(g));
-    }
-  };
-  endpoint(t.src_v, spec.src_ids);
+  PlanIdConds(t.src_v, schema, spec.src_ids, options, &plan);
   if (plan.skip) return plan;
-  endpoint(t.dst_v, spec.dst_ids);
+  PlanIdConds(t.dst_v, schema, spec.dst_ids, options, &plan);
   if (plan.skip) return plan;
 
   // Edge-id constraints: explicit ids decompose like vertex ids; implicit
   // ids decompose into src + label + dst conjunctive predicates.
-  if (!spec.ids.empty()) {
-    if (!t.conf.implicit_edge_id) {
-      QueryConds conds;
-      IdCondResult r = BuildIdConds(t.id, schema, spec.ids, &conds);
-      if (!r.any_match) {
-        if (options.prefixed_id_pinning) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      } else {
-        for (auto& c : conds.conjuncts) {
-          plan.predicate_columns.push_back(c.column);
-          plan.conds.conjuncts.push_back(std::move(c));
-        }
-        for (auto& g : conds.or_groups) {
-          plan.conds.or_groups.push_back(std::move(g));
-        }
+  if (!t.conf.implicit_edge_id) {
+    PlanIdConds(t.id, schema, spec.ids, options, &plan);
+    if (plan.skip) return plan;
+  } else if (!spec.ids.empty()) {
+    std::vector<std::vector<SqlCond>> group;
+    for (const Value& id : spec.ids) {
+      auto parts = DecomposeImplicitEdgeId(t, id);
+      if (!parts) continue;
+      if (t.conf.label.fixed && parts->label != t.conf.label.value) {
+        continue;  // label encoded in the id does not match this table
       }
-    } else {
-      std::vector<std::vector<SqlCond>> group;
-      for (const Value& id : spec.ids) {
-        auto parts = DecomposeImplicitEdgeId(t, id);
-        if (!parts) continue;
-        if (t.conf.label.fixed && parts->label != t.conf.label.value) {
-          continue;  // label encoded in the id does not match this table
-        }
-        std::vector<SqlCond> conjunction;
-        for (size_t i = 0; i < t.src_v.column_indexes.size(); ++i) {
-          SqlCond c;
-          c.column = schema.columns[t.src_v.column_indexes[i]].name;
-          c.op = "=";
-          c.params = {parts->src_values[i]};
-          conjunction.push_back(std::move(c));
-        }
-        for (size_t i = 0; i < t.dst_v.column_indexes.size(); ++i) {
-          SqlCond c;
-          c.column = schema.columns[t.dst_v.column_indexes[i]].name;
-          c.op = "=";
-          c.params = {parts->dst_values[i]};
-          conjunction.push_back(std::move(c));
-        }
-        if (!t.conf.label.fixed) {
-          SqlCond c;
-          c.column = schema.columns[*t.label_column].name;
-          c.op = "=";
-          c.params = {Value(parts->label)};
-          conjunction.push_back(std::move(c));
-        }
-        group.push_back(std::move(conjunction));
+      std::vector<SqlCond> conjunction;
+      for (size_t i = 0; i < t.src_v.column_indexes.size(); ++i) {
+        SqlCond c;
+        c.column = schema.columns[t.src_v.column_indexes[i]].name;
+        c.op = "=";
+        c.params = {parts->src_values[i]};
+        conjunction.push_back(std::move(c));
       }
-      if (group.empty()) {
-        if (options.implicit_edge_id_decomposition) {
-          plan.skip = true;
-          return plan;
-        }
-        plan.client_filter = true;
-      } else {
-        if (!group[0].empty()) {
-          for (const SqlCond& c : group[0]) {
-            plan.predicate_columns.push_back(c.column);
-          }
-        }
-        plan.conds.or_groups.push_back(std::move(group));
+      for (size_t i = 0; i < t.dst_v.column_indexes.size(); ++i) {
+        SqlCond c;
+        c.column = schema.columns[t.dst_v.column_indexes[i]].name;
+        c.op = "=";
+        c.params = {parts->dst_values[i]};
+        conjunction.push_back(std::move(c));
       }
+      if (!t.conf.label.fixed) {
+        SqlCond c;
+        c.column = schema.columns[*t.label_column].name;
+        c.op = "=";
+        c.params = {Value(parts->label)};
+        conjunction.push_back(std::move(c));
+      }
+      group.push_back(std::move(conjunction));
     }
-  }
-
-  // Property predicates.
-  for (const PropPredicate& pred : spec.predicates) {
-    if (pred.key == gremlin::kIdKey || pred.key == gremlin::kLabelKey) {
-      plan.client_filter = true;
-      continue;
-    }
-    if (!t.HasProperty(pred.key)) {
-      if (options.property_pruning) {
+    if (group.empty()) {
+      if (options.implicit_edge_id_decomposition) {
         plan.skip = true;
         return plan;
       }
       plan.client_filter = true;
-      continue;
-    }
-    size_t column = 0;
-    for (size_t i = 0; i < t.properties.size(); ++i) {
-      if (EqualsIgnoreCase(t.properties[i], pred.key)) {
-        column = t.property_columns[i];
-        break;
-      }
-    }
-    const std::string& column_name = schema.columns[column].name;
-    SqlCond cond;
-    cond.column = column_name;
-    if (pred.op == PropPredicate::Op::kExists) {
-      cond.op = "NOTNULL";
-    } else if (pred.op == PropPredicate::Op::kWithin) {
-      cond.op = "IN";
-      cond.params = pred.values;
-    } else if (pred.op == PropPredicate::Op::kWithout) {
-      plan.client_filter = true;
-      continue;
     } else {
-      const char* op = SqlOpFor(pred.op);
-      if (op == nullptr) {
-        plan.client_filter = true;
-        continue;
+      for (const SqlCond& c : group[0]) {
+        plan.predicate_columns.push_back(c.column);
       }
-      cond.op = op;
-      cond.params = pred.values;
+      plan.conds.or_groups.push_back(std::move(group));
     }
-    plan.predicate_columns.push_back(column_name);
-    plan.conds.conjuncts.push_back(std::move(cond));
   }
 
-  if (spec.has_projection && !spec.projection.empty() &&
-      options.property_pruning) {
-    bool any = false;
-    for (const std::string& key : spec.projection) {
-      if (t.HasProperty(key)) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) {
-      plan.skip = true;
-      return plan;
-    }
-  }
+  PlanProperties(t, spec, options, &plan);
   return plan;
 }
 
@@ -738,19 +631,7 @@ std::vector<size_t> EdgeFetchColumns(const ResolvedEdgeTable& t,
                 t.id.column_indexes.end());
   }
   if (t.label_column) cols.push_back(*t.label_column);
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    if (spec.has_projection) {
-      bool wanted = false;
-      for (const std::string& key : spec.projection) {
-        if (EqualsIgnoreCase(key, t.properties[i])) {
-          wanted = true;
-          break;
-        }
-      }
-      if (!wanted) continue;
-    }
-    cols.push_back(t.property_columns[i]);
-  }
+  AppendPropertyColumns(t, spec, &cols);
   return cols;
 }
 

@@ -186,36 +186,36 @@ std::optional<ImplicitIdParts> DecomposeImplicitEdgeId(
 // Per-table lookup plans
 // ----------------------------------------------------------------------
 
-/// Per-table vertex query plan shared by Vertices, the aggregates, and
-/// the multi-hop optimizer's legality checks.
-struct VertexPlan {
-  bool skip = false;
+/// Per-table lookup plan for either kind of table, shared by the
+/// provider's lookups, aggregates and Explain, and by the multi-hop
+/// optimizer's legality checks.
+struct TablePlan {
+  bool skip = false;           // no row of the table can match: prune it
   bool client_filter = false;  // fetch everything, filter in the provider
   QueryConds conds;
   std::vector<std::string> predicate_columns;  // for the index advisor
 };
 
-VertexPlan PlanVertexTable(const overlay::ResolvedVertexTable& t,
-                           const gremlin::LookupSpec& spec,
-                           const RuntimeOptions& options);
+TablePlan PlanVertexTable(const overlay::ResolvedVertexTable& t,
+                          const gremlin::LookupSpec& spec,
+                          const RuntimeOptions& options);
 
-/// Columns a vertex fetch needs under `spec` (projection-aware).
+TablePlan PlanEdgeTable(const overlay::ResolvedEdgeTable& t,
+                        const gremlin::LookupSpec& spec,
+                        const RuntimeOptions& options);
+
+/// Columns a vertex / edge fetch needs under `spec` (projection-aware).
 std::vector<size_t> VertexFetchColumns(const overlay::ResolvedVertexTable& t,
                                        const gremlin::LookupSpec& spec);
-
-struct EdgePlan {
-  bool skip = false;
-  bool client_filter = false;
-  QueryConds conds;
-  std::vector<std::string> predicate_columns;
-};
-
-EdgePlan PlanEdgeTable(const overlay::ResolvedEdgeTable& t,
-                       const gremlin::LookupSpec& spec,
-                       const RuntimeOptions& options);
-
 std::vector<size_t> EdgeFetchColumns(const overlay::ResolvedEdgeTable& t,
                                      const gremlin::LookupSpec& spec);
+
+/// Schema column behind property `key` (matched case-insensitively);
+/// nullopt when the table has no such property.
+std::optional<size_t> PropertyColumn(const overlay::ResolvedVertexTable& t,
+                                     const std::string& key);
+std::optional<size_t> PropertyColumn(const overlay::ResolvedEdgeTable& t,
+                                     const std::string& key);
 
 /// Predicts the access path the executor would pick for `conds` against
 /// `table` from index availability: an equality/IN conjunct backed by an

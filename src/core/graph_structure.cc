@@ -8,6 +8,8 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -26,12 +28,418 @@ using gremlin::Direction;
 using gremlin::Edge;
 using gremlin::EdgePtr;
 using gremlin::LookupSpec;
-using gremlin::PropPredicate;
 using gremlin::Vertex;
 using gremlin::VertexPtr;
 using overlay::ResolvedEdgeTable;
 using overlay::ResolvedField;
 using overlay::ResolvedVertexTable;
+
+// ----------------------------------------------------------------------
+// Row-to-element builders: one per element kind
+// ----------------------------------------------------------------------
+
+namespace {
+
+// A fetched row's label: the table's fixed label or its label column.
+template <typename Table>
+std::string FetchedLabel(const Table& t, const FetchLayout& layout,
+                         const Row& row) {
+  return t.conf.label.fixed ? t.conf.label.value
+                            : row[layout.PosOf(*t.label_column)].ToString();
+}
+
+// What both element kinds take from a fetched row once id and label are
+// set: the non-null fetched properties, the source table, and the row
+// itself as provenance.
+template <typename Table>
+void FillFromFetched(const Table& t, int table_index,
+                     const FetchLayout& layout, Row row,
+                     gremlin::Element* element) {
+  for (size_t i = 0; i < t.properties.size(); ++i) {
+    if (!layout.Has(t.property_columns[i])) continue;
+    const Value& value = row[layout.PosOf(t.property_columns[i])];
+    if (!value.is_null()) {
+      element->properties.emplace_back(t.properties[i], value);
+    }
+  }
+  element->source_table = t.conf.table_name;
+  auto prov = std::make_shared<RowProvenance>();
+  prov->table_index = table_index;
+  prov->row = std::move(row);
+  element->provenance = std::move(prov);
+}
+
+VertexPtr BuildVertexFromFetched(const ResolvedVertexTable& t, int table_index,
+                                 const FetchLayout& layout, Row row) {
+  auto v = std::make_shared<Vertex>();
+  v->id = ComposeField(t.id, layout, row);
+  v->label = FetchedLabel(t, layout, row);
+  FillFromFetched(t, table_index, layout, std::move(row), v.get());
+  return v;
+}
+
+// The implicit edge id "src::label::dst".
+Value ImplicitEdgeId(const Value& src, const std::string& label,
+                     const Value& dst) {
+  return Value(src.ToString() + kIdSeparator + label + kIdSeparator +
+               dst.ToString());
+}
+
+EdgePtr BuildEdgeFromFetched(const ResolvedEdgeTable& t, int table_index,
+                             const FetchLayout& layout, Row row) {
+  auto e = std::make_shared<Edge>();
+  e->src_id = ComposeField(t.src_v, layout, row);
+  e->dst_id = ComposeField(t.dst_v, layout, row);
+  e->label = FetchedLabel(t, layout, row);
+  e->id = t.conf.implicit_edge_id ? ImplicitEdgeId(e->src_id, e->label,
+                                                   e->dst_id)
+                                  : ComposeField(t.id, layout, row);
+  FillFromFetched(t, table_index, layout, std::move(row), e.get());
+  return e;
+}
+
+// Layout of a full-row fetch: every schema column, in schema order.
+FetchLayout FullRowLayout(const sql::TableSchema& schema) {
+  std::vector<size_t> cols(schema.columns.size());
+  std::iota(cols.begin(), cols.end(), size_t{0});
+  return MakeLayout(schema, std::move(cols));
+}
+
+// ----------------------------------------------------------------------
+// The per-table lookup pipeline
+// ----------------------------------------------------------------------
+//
+// Every lookup runs the same stages over either kind of table: plan each
+// table, prune and count it (PlanJobs); build its statement
+// (BuildStatement); fan the per-table jobs out and merge their results in
+// table order (Db2GraphProvider::RunInOrder); build elements from the
+// rows (AppendElements). TableKind holds what differs between the kinds.
+
+template <typename Table>
+struct TableKind;
+
+template <>
+struct TableKind<ResolvedVertexTable> {
+  using ElementPtr = VertexPtr;
+  static constexpr const char* kFetchFailpoint = "provider.fetch_vertex_table";
+
+  static TablePlan Plan(const ResolvedVertexTable& t, const LookupSpec& spec,
+                        const RuntimeOptions& options) {
+    return PlanVertexTable(t, spec, options);
+  }
+  static std::vector<size_t> FetchColumns(const ResolvedVertexTable& t,
+                                          const LookupSpec& spec) {
+    return VertexFetchColumns(t, spec);
+  }
+  static metrics::Counter& Queried(Db2GraphProvider::Stats* stats) {
+    return stats->vertex_tables_queried;
+  }
+  static metrics::Counter& Pruned(Db2GraphProvider::Stats* stats) {
+    return stats->vertex_tables_pruned;
+  }
+  static VertexPtr Build(const ResolvedVertexTable& t, int table_index,
+                         const FetchLayout& layout, Row row) {
+    return BuildVertexFromFetched(t, table_index, layout, std::move(row));
+  }
+  static bool Matches(const Vertex& v, const LookupSpec& spec) {
+    return gremlin::MatchesSpec(v, spec);
+  }
+};
+
+template <>
+struct TableKind<ResolvedEdgeTable> {
+  using ElementPtr = EdgePtr;
+  static constexpr const char* kFetchFailpoint = "provider.fetch_edge_table";
+
+  static TablePlan Plan(const ResolvedEdgeTable& t, const LookupSpec& spec,
+                        const RuntimeOptions& options) {
+    return PlanEdgeTable(t, spec, options);
+  }
+  static std::vector<size_t> FetchColumns(const ResolvedEdgeTable& t,
+                                          const LookupSpec& spec) {
+    return EdgeFetchColumns(t, spec);
+  }
+  static metrics::Counter& Queried(Db2GraphProvider::Stats* stats) {
+    return stats->edge_tables_queried;
+  }
+  static metrics::Counter& Pruned(Db2GraphProvider::Stats* stats) {
+    return stats->edge_tables_pruned;
+  }
+  static EdgePtr Build(const ResolvedEdgeTable& t, int table_index,
+                       const FetchLayout& layout, Row row) {
+    return BuildEdgeFromFetched(t, table_index, layout, std::move(row));
+  }
+  static bool Matches(const Edge& e, const LookupSpec& spec) {
+    return MatchesEdgeSpec(e, spec);
+  }
+};
+
+// The column an aggregate reads: "" for count(*), nullopt when `t` lacks
+// the aggregated property (the table contributes nothing).
+template <typename Table>
+std::optional<std::string> AggregatedColumn(const Table& t,
+                                            const LookupSpec& spec) {
+  if (spec.agg == AggOp::kCount && spec.agg_key.empty()) {
+    return std::string();
+  }
+  std::optional<size_t> column = PropertyColumn(t, spec.agg_key);
+  if (!column) return std::nullopt;
+  return t.schema->columns[*column].name;
+}
+
+// One table a lookup consults, with its plan.
+struct TableJob {
+  int table_index;
+  TablePlan plan;
+};
+
+// Plans `spec` against `tables` (all of them, or only `subset`, in the
+// order given) and appends the surviving tables to `jobs`, counting and
+// tracing each pruned and each consulted table in that order. An
+// aggregate declines (Unsupported) at the first table that needs
+// client-side filtering, and skips the tables lacking the aggregated
+// property without counting them.
+template <typename Table>
+Status PlanJobs(const std::vector<Table>& tables, const LookupSpec& spec,
+                const std::vector<int>* subset, bool aggregate,
+                const RuntimeOptions& options,
+                Db2GraphProvider::Stats* stats, std::vector<TableJob>* jobs) {
+  using Kind = TableKind<Table>;
+  QueryTrace* trace = CurrentTrace();
+  const size_t n = subset != nullptr ? subset->size() : tables.size();
+  for (size_t i = 0; i < n; ++i) {
+    const int ti = subset != nullptr ? (*subset)[i] : static_cast<int>(i);
+    const Table& t = tables[ti];
+    TablePlan plan = Kind::Plan(t, spec, options);
+    if (aggregate && plan.client_filter) {
+      return Status::Unsupported("aggregate needs client-side filtering");
+    }
+    if (plan.skip) {
+      Kind::Pruned(stats).fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
+      continue;
+    }
+    if (aggregate && !AggregatedColumn(t, spec)) continue;
+    Kind::Queried(stats).fetch_add(1, std::memory_order_relaxed);
+    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
+    jobs->push_back(TableJob{ti, std::move(plan)});
+  }
+  return Status::OK();
+}
+
+// One table's statement. The materialized fetch, the stream, the
+// aggregates and Explain all run BuildStatement, so a preview shows
+// exactly the SQL that executes. `table` and `conds` point into the
+// overlay table and the plan, which outlive the statement.
+struct TableStatement {
+  const std::string* table = nullptr;
+  std::string select;
+  const QueryConds* conds = nullptr;
+  int64_t limit = -1;
+  FetchLayout layout;  // element fetches only
+  std::vector<Value> params;
+
+  // Key of the statement's text in the dialect's SQL-skeleton cache.
+  std::string Key() const { return ShapeKey(*table, select, *conds, limit); }
+  std::string Sql() const {
+    std::vector<Value> ignored;
+    return BuildSql(*table, select, *conds, &ignored, limit);
+  }
+};
+
+std::string AggregateSelect(AggOp op, const std::string& column) {
+  const std::string quoted = "\"" + column + "\"";
+  switch (op) {
+    case AggOp::kCount:
+      return column.empty() ? "COUNT(*)" : "COUNT(" + quoted + ")";
+    case AggOp::kSum:
+    case AggOp::kMean:
+      return "SUM(" + quoted + "), COUNT(" + quoted + ")";
+    case AggOp::kMin:
+      return "MIN(" + quoted + ")";
+    case AggOp::kMax:
+      return "MAX(" + quoted + ")";
+    case AggOp::kNone:
+      break;
+  }
+  return "";
+}
+
+// Builds `plan`'s statement against `t`. An aggregate selects COUNT /
+// SUM+COUNT / MIN / MAX under the plan's conditions; nullopt means `t`
+// lacks the aggregated property. An element fetch selects the projected
+// columns under the plan's conditions and row budget — or, when the plan
+// filters client-side, full rows with neither: SQL does not see every
+// filter, so it must not drop or truncate rows.
+template <typename Table>
+std::optional<TableStatement> BuildStatement(const Table& t,
+                                             const LookupSpec& spec,
+                                             const TablePlan& plan,
+                                             bool aggregate) {
+  static const QueryConds kNoConds;
+  TableStatement q;
+  q.table = &t.conf.table_name;
+  q.conds = &plan.conds;
+  if (aggregate) {
+    std::optional<std::string> column = AggregatedColumn(t, spec);
+    if (!column) return std::nullopt;
+    q.select = AggregateSelect(spec.agg, *column);
+  } else if (plan.client_filter) {
+    q.layout = FullRowLayout(*t.schema);
+    q.select = SelectListFor(*t.schema, q.layout);
+    q.conds = &kNoConds;
+  } else {
+    q.layout = MakeLayout(*t.schema, TableKind<Table>::FetchColumns(t, spec));
+    q.select = SelectListFor(*t.schema, q.layout);
+    q.limit = spec.limit;
+  }
+  CollectParams(*q.conds, &q.params);
+  return q;
+}
+
+// Folds per-table aggregate rows into the aggregate's value: counts add
+// up, SUM+COUNT pairs give the sum or mean, MIN/MAX keep the extreme
+// non-null value.
+Value MergeAggregate(AggOp op, const std::vector<Row>& partials) {
+  int64_t total_count = 0;
+  double total_sum = 0;
+  bool sum_is_int = true;
+  int64_t total_isum = 0;
+  Value min_v;
+  Value max_v;
+  for (const Row& row : partials) {
+    switch (op) {
+      case AggOp::kCount:
+        total_count += row[0].is_null() ? 0 : row[0].as_int();
+        break;
+      case AggOp::kSum:
+      case AggOp::kMean:
+        if (!row[0].is_null()) {
+          total_sum += row[0].NumericValue();
+          if (row[0].is_int()) {
+            total_isum += row[0].as_int();
+          } else {
+            sum_is_int = false;
+          }
+          total_count += row[1].as_int();
+        }
+        break;
+      case AggOp::kMin:
+        if (!row[0].is_null() && (min_v.is_null() || row[0] < min_v)) {
+          min_v = row[0];
+        }
+        break;
+      case AggOp::kMax:
+        if (!row[0].is_null() && (max_v.is_null() || row[0] > max_v)) {
+          max_v = row[0];
+        }
+        break;
+      case AggOp::kNone:
+        break;
+    }
+  }
+  switch (op) {
+    case AggOp::kCount:
+      return Value(total_count);
+    case AggOp::kSum:
+      if (total_count == 0) return Value::Null();
+      return sum_is_int ? Value(total_isum) : Value(total_sum);
+    case AggOp::kMean:
+      if (total_count == 0) return Value::Null();
+      return Value(total_sum / static_cast<double>(total_count));
+    case AggOp::kMin:
+      return min_v;
+    case AggOp::kMax:
+      return max_v;
+    case AggOp::kNone:
+      break;
+  }
+  return Value::Null();
+}
+
+// Builds `job`'s elements from fetched rows, dropping those a
+// client-filtered plan rejects.
+template <typename Table>
+void AppendElements(const Table& t, const TableJob& job,
+                    const LookupSpec& spec, const FetchLayout& layout,
+                    std::vector<Row>* rows,
+                    std::vector<typename TableKind<Table>::ElementPtr>* out) {
+  for (Row& row : *rows) {
+    auto element =
+        TableKind<Table>::Build(t, job.table_index, layout, std::move(row));
+    if (job.plan.client_filter &&
+        !TableKind<Table>::Matches(*element, spec)) {
+      continue;
+    }
+    out->push_back(std::move(element));
+  }
+}
+
+// One per-table fetch: the unit of work the fan-out parallelizes.
+// Everything it touches is either private to the call or internally
+// synchronized (dialect template cache, database shared lock, atomics).
+template <typename Table>
+Status FetchTable(SqlDialect* dialect, const Table& t, const TableJob& job,
+                  const LookupSpec& spec,
+                  std::vector<typename TableKind<Table>::ElementPtr>* out) {
+  // A cancelled / timed-out query skips the tables it has not fetched
+  // yet; with fan-out, workers past this check finish their one statement
+  // and the batch unwinds at the merge.
+  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
+  DB2G_FAILPOINT(TableKind<Table>::kFetchFailpoint);
+  TableStatement q = *BuildStatement(t, spec, job.plan, /*aggregate=*/false);
+  dialect->RecordPattern(t.conf.table_name, job.plan.predicate_columns);
+  Result<sql::ResultSet> rs = dialect->QueryShaped(
+      q.Key(), [&] { return q.Sql(); }, q.params);
+  if (!rs.ok()) return rs.status();
+  AppendElements(t, job, spec, q.layout, &rs->rows, out);
+  return Status::OK();
+}
+
+// Opens the per-table SQL stream FetchTable would have executed
+// materialized. `layout` receives the fetched-column layout the caller
+// needs to build vertices from the stream's rows.
+Result<std::unique_ptr<DialectRowStream>> OpenVertexTableStream(
+    SqlDialect* dialect, const ResolvedVertexTable& t, const TableJob& job,
+    const LookupSpec& spec, FetchLayout* layout) {
+  DB2G_FAILPOINT("provider.open_vertex_stream");
+  TableStatement q = *BuildStatement(t, spec, job.plan, /*aggregate=*/false);
+  dialect->RecordPattern(t.conf.table_name, job.plan.predicate_columns);
+  *layout = std::move(q.layout);
+  return dialect->QueryShapedStreaming(
+      q.Key(), [&] { return q.Sql(); }, q.params);
+}
+
+// Endpoint-table pruning (Section 6.3 "Using Source/Destination Vertex
+// Tables"): whether edge table `t`'s endpoint on the `dir` side (either
+// side for kBoth) can hold a vertex of `source_tables`. An undeclared
+// endpoint table, or an empty set of source tables, always can.
+bool EndpointCanHold(const overlay::Topology& topology,
+                     const ResolvedEdgeTable& t, Direction dir,
+                     const std::unordered_set<std::string>& source_tables) {
+  if (source_tables.empty()) return true;
+  auto holds = [&](int vertex_table) {
+    return vertex_table < 0 ||
+           source_tables.count(
+               topology.vertex_tables()[vertex_table].conf.table_name) > 0;
+  };
+  return ((dir == Direction::kOut || dir == Direction::kBoth) &&
+          holds(t.src_vertex_table)) ||
+         ((dir == Direction::kIn || dir == Direction::kBoth) &&
+          holds(t.dst_vertex_table));
+}
+
+// The vertex tables the given elements were fetched from.
+std::unordered_set<std::string> SourceTables(
+    const std::vector<VertexPtr>& vertices) {
+  std::unordered_set<std::string> tables;
+  for (const VertexPtr& v : vertices) {
+    if (!v->source_table.empty()) tables.insert(v->source_table);
+  }
+  return tables;
+}
+
+}  // namespace
 
 // ----------------------------------------------------------------------
 
@@ -46,35 +454,103 @@ Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
   }
 }
 
-void Db2GraphProvider::ExecuteJobs(size_t n,
-                                   const std::function<void(size_t)>& fn) {
+bool Db2GraphProvider::BeginFanOut(size_t n) {
   // Fanning out while this thread already holds the database's shared
   // read lock (a graphQuery table function inside a SELECT) is unsafe:
   // pool workers would queue for fresh shared locks behind any waiting
   // writer, which in turn waits on this thread — a deadlock. Reentrant
   // calls run serially instead; the outer statement still parallelizes.
-  if (n > 1 && options_.parallel_fanout &&
-      !dialect_->db()->ReadLockHeldByThisThread()) {
-    stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
-    QueryTrace* trace = CurrentTrace();
+  if (n <= 1 || !options_.parallel_fanout ||
+      dialect_->db()->ReadLockHeldByThisThread()) {
+    return false;
+  }
+  stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
+  stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
+  if (QueryTrace* trace = CurrentTrace()) trace->AddFanout(1, n);
+  return true;
+}
+
+template <typename T>
+Status Db2GraphProvider::RunInOrder(
+    size_t n, const std::function<Status(size_t, std::vector<T>*)>& job,
+    std::vector<T>* out) {
+  // Jobs append only when they succeed, so a single job needs no slot.
+  if (n == 1) return job(0, out);
+  // Per-job result slots keep the merge deterministic in table order no
+  // matter which worker finishes first.
+  std::vector<std::vector<T>> slots(n);
+  std::vector<Status> statuses(n, Status::OK());
+  if (BeginFanOut(n)) {
     // Pool workers have no thread-local trace, governor context, or exec
     // config; install this query's for the duration of each job so
-    // per-table SQL lands in the right trace (never a concurrent query's),
-    // deadline / cancellation checks inside the job observe the right
-    // budgets, and the SQL compiles under the execution's config.
+    // per-table SQL lands in the right trace and step (never a concurrent
+    // query's), deadline / cancellation checks inside the job observe the
+    // right budgets, and the SQL compiles under the execution's config.
+    QueryTrace* trace = CurrentTrace();
+    const int span = CurrentTraceSpan();
     governor::QueryContext* qctx = governor::CurrentQueryContext();
     const ExecConfig exec = ExecConfig::Current();
-    if (trace != nullptr) trace->AddFanout(1, n);
-    ThreadPool::Shared().RunBatch(n, [&](size_t i) {
-      ScopedTrace scoped(trace);
+    ThreadPool::Shared().RunBatch(n, [&](size_t j) {
+      ScopedTrace scoped(trace, span);
       governor::ScopedQueryContext governed(qctx);
       ScopedExecConfig configured(exec);
-      fn(i);
+      statuses[j] = job(j, &slots[j]);
     });
-    return;
+  } else {
+    for (size_t j = 0; j < n; ++j) statuses[j] = job(j, &slots[j]);
   }
-  for (size_t i = 0; i < n; ++i) fn(i);
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  for (std::vector<T>& slot : slots) {
+    for (T& item : slot) out->push_back(std::move(item));
+  }
+  return Status::OK();
+}
+
+template <typename Table, typename ElementPtr>
+Status Db2GraphProvider::FetchTables(const std::vector<Table>& tables,
+                                     const LookupSpec& spec,
+                                     const std::vector<int>* subset,
+                                     std::vector<ElementPtr>* out) {
+  std::vector<TableJob> jobs;
+  DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, subset, /*aggregate=*/false,
+                              options_, &stats_, &jobs));
+  return RunInOrder<ElementPtr>(
+      jobs.size(),
+      [&](size_t j, std::vector<ElementPtr>* slot) {
+        return FetchTable(dialect_, tables[jobs[j].table_index], jobs[j],
+                          spec, slot);
+      },
+      out);
+}
+
+template <typename Table>
+Result<Value> Db2GraphProvider::AggregateTables(
+    const std::vector<Table>& tables, const LookupSpec& spec) {
+  if (spec.agg == AggOp::kNone) {
+    return Status::Unsupported("no aggregate in spec");
+  }
+  std::vector<TableJob> jobs;
+  DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, /*subset=*/nullptr,
+                              /*aggregate=*/true, options_, &stats_, &jobs));
+  std::vector<Row> partials;  // one row per consulted table, table order
+  DB2G_RETURN_NOT_OK(RunInOrder<Row>(
+      jobs.size(),
+      [&](size_t j, std::vector<Row>* rows) {
+        const Table& t = tables[jobs[j].table_index];
+        TableStatement q =
+            *BuildStatement(t, spec, jobs[j].plan, /*aggregate=*/true);
+        dialect_->RecordPattern(t.conf.table_name,
+                                jobs[j].plan.predicate_columns);
+        Result<sql::ResultSet> rs = dialect_->QueryShaped(
+            q.Key(), [&] { return q.Sql(); }, q.params);
+        if (!rs.ok()) return rs.status();
+        for (Row& row : rs->rows) rows->push_back(std::move(row));
+        return Status::OK();
+      },
+      &partials));
+  return MergeAggregate(spec.agg, partials);
 }
 
 bool Db2GraphProvider::CacheUsable(const LookupSpec& spec) const {
@@ -97,165 +573,11 @@ bool Db2GraphProvider::CacheFillEligible(const LookupSpec& spec) const {
   return spec.labels.empty() && spec.predicates.empty() && spec.limit < 0;
 }
 
-VertexPtr Db2GraphProvider::MaterializeVertex(int table_index,
-                                              const Row& row) const {
-  // Only used with full-row fetches (client-filter paths).
-  const ResolvedVertexTable& t = topology_.vertex_tables()[table_index];
-  auto v = std::make_shared<Vertex>();
-  v->id = t.id.Compose(row);
-  v->label = t.conf.label.fixed ? t.conf.label.value
-                                : row[*t.label_column].ToString();
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    const Value& value = row[t.property_columns[i]];
-    if (!value.is_null()) v->properties.emplace_back(t.properties[i], value);
-  }
-  v->source_table = t.conf.table_name;
-  auto prov = std::make_shared<RowProvenance>();
-  prov->table_index = table_index;
-  prov->row = row;
-  v->provenance = std::move(prov);
-  return v;
-}
-
 // ----------------------------------------------------------------------
 // Vertices
 // ----------------------------------------------------------------------
 
 namespace {
-
-VertexPtr BuildVertexFromFetched(const ResolvedVertexTable& t, int table_index,
-                                 const FetchLayout& layout, Row row) {
-  auto v = std::make_shared<Vertex>();
-  v->id = ComposeField(t.id, layout, row);
-  v->label = t.conf.label.fixed
-                 ? t.conf.label.value
-                 : row[layout.PosOf(*t.label_column)].ToString();
-  for (size_t i = 0; i < t.properties.size(); ++i) {
-    if (!layout.Has(t.property_columns[i])) continue;
-    const Value& value = row[layout.PosOf(t.property_columns[i])];
-    if (!value.is_null()) {
-      v->properties.emplace_back(t.properties[i], value);
-    }
-  }
-  v->source_table = t.conf.table_name;
-  auto prov = std::make_shared<RowProvenance>();
-  prov->table_index = table_index;
-  prov->row = std::move(row);
-  v->provenance = std::move(prov);
-  return v;
-}
-
-// One surviving table of a vertex lookup.
-struct VertexJob {
-  int table_index;
-  VertexPlan plan;
-};
-
-// Plans every vertex table for `spec`, counting and tracing the pruned
-// and consulted ones; the survivors come back in table order.
-std::vector<VertexJob> PlanVertexJobs(const overlay::Topology& topology,
-                                      const LookupSpec& spec,
-                                      const RuntimeOptions& options,
-                                      Db2GraphProvider::Stats* stats) {
-  QueryTrace* trace = CurrentTrace();
-  std::vector<VertexJob> jobs;
-  for (size_t ti = 0; ti < topology.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options);
-    if (plan.skip) {
-      stats->vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats->vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(VertexJob{static_cast<int>(ti), std::move(plan)});
-  }
-  return jobs;
-}
-
-// The per-table vertex statement, shared by the materialized fetch and
-// the stream: fetched-column layout, pushed-down conditions, row budget.
-struct VertexTableQuery {
-  FetchLayout layout;
-  QueryConds conds;
-  int64_t limit = -1;
-  std::string select;
-  std::vector<Value> params;
-  const std::string* table = nullptr;
-
-  std::string Key() const { return ShapeKey(*table, select, conds, limit); }
-  std::string Sql() const {
-    std::vector<Value> ignored;
-    return BuildSql(*table, select, conds, &ignored, limit);
-  }
-};
-
-// Prepares job `plan`'s statement against `t` and records its predicate
-// columns for the index advisor.
-VertexTableQuery PrepareVertexTableQuery(SqlDialect* dialect,
-                                         const ResolvedVertexTable& t,
-                                         const LookupSpec& spec,
-                                         const VertexPlan& plan) {
-  const sql::TableSchema& schema = *t.schema;
-  VertexTableQuery q;
-  q.table = &t.conf.table_name;
-  // The naive path fetches full rows (needed for client-side filtering);
-  // the pushdown path fetches only the projected layout.
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = VertexFetchColumns(t, spec);
-  }
-  q.layout = MakeLayout(schema, std::move(cols));
-  if (!plan.client_filter) q.conds = plan.conds;
-  // The per-table row budget holds only when SQL sees every filter; a
-  // client-filtered fetch must not be truncated before filtering.
-  q.limit = plan.client_filter ? -1 : spec.limit;
-  q.select = SelectListFor(schema, q.layout);
-  CollectParams(q.conds, &q.params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
-  return q;
-}
-
-// One per-table vertex fetch: the unit of work the fan-out parallelizes.
-// Everything it touches is either private to the call or internally
-// synchronized (dialect template cache, database shared lock, atomics).
-Status FetchVertexTable(SqlDialect* dialect, const ResolvedVertexTable& t,
-                        int table_index, const LookupSpec& spec,
-                        const VertexPlan& plan, std::vector<VertexPtr>* out) {
-  // A cancelled / timed-out query skips the tables it has not fetched
-  // yet; with fan-out, workers past this check finish their one statement
-  // and the batch unwinds at the merge.
-  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-  DB2G_FAILPOINT("provider.fetch_vertex_table");
-  VertexTableQuery q = PrepareVertexTableQuery(dialect, t, spec, plan);
-  Result<sql::ResultSet> rs = dialect->QueryShaped(
-      q.Key(), [&] { return q.Sql(); }, q.params);
-  if (!rs.ok()) return rs.status();
-
-  for (Row& row : rs->rows) {
-    VertexPtr v = BuildVertexFromFetched(t, table_index, q.layout,
-                                         std::move(row));
-    if (plan.client_filter && !gremlin::MatchesSpec(*v, spec)) continue;
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-// Opens the per-table SQL stream FetchVertexTable would have executed
-// materialized. `layout` receives the fetched-column layout the caller
-// needs to build vertices from the stream's rows.
-Result<std::unique_ptr<DialectRowStream>> OpenVertexTableStream(
-    SqlDialect* dialect, const ResolvedVertexTable& t, const LookupSpec& spec,
-    const VertexPlan& plan, FetchLayout* layout) {
-  DB2G_FAILPOINT("provider.open_vertex_stream");
-  VertexTableQuery q = PrepareVertexTableQuery(dialect, t, spec, plan);
-  *layout = q.layout;
-  return dialect->QueryShapedStreaming(
-      q.Key(), [&] { return q.Sql(); }, q.params);
-}
 
 // Bounded handoff of vertex blocks from one per-table producer to the
 // consuming stream: producers block when their queue is full (backpressure
@@ -329,13 +651,14 @@ class Db2VertexStream : public gremlin::VertexStream {
  public:
   static constexpr size_t kQueueBlocks = 4;  // per-table backpressure bound
 
+  // `parallel`: the caller counted a fan-out over `jobs` (BeginFanOut).
   Db2VertexStream(SqlDialect* dialect, const overlay::Topology* topology,
-                  LookupSpec spec, std::vector<VertexJob> jobs, bool parallel)
+                  LookupSpec spec, std::vector<TableJob> jobs, bool parallel)
       : dialect_(dialect),
         topology_(topology),
         spec_(std::move(spec)),
         jobs_(std::move(jobs)) {
-    if (parallel && jobs_.size() > 1) StartParallel();
+    if (parallel) StartParallel();
   }
 
   ~Db2VertexStream() override { Close(); }
@@ -374,10 +697,11 @@ class Db2VertexStream : public gremlin::VertexStream {
       }
       if (serial_stream_ == nullptr) {
         if (job_pos_ >= jobs_.size()) return false;
+        const TableJob& job = jobs_[job_pos_];
         Result<std::unique_ptr<DialectRowStream>> stream =
             OpenVertexTableStream(
-                dialect_, topology_->vertex_tables()[jobs_[job_pos_].table_index],
-                spec_, jobs_[job_pos_].plan, &layout_);
+                dialect_, topology_->vertex_tables()[job.table_index], job,
+                spec_, &layout_);
         if (!stream.ok()) {
           status_ = stream.status();
           return false;
@@ -393,17 +717,9 @@ class Db2VertexStream : public gremlin::VertexStream {
         ++job_pos_;
         continue;
       }
-      const VertexJob& job = jobs_[job_pos_];
-      const ResolvedVertexTable& t =
-          topology_->vertex_tables()[job.table_index];
-      for (Row& row : block_.rows) {
-        VertexPtr v = BuildVertexFromFetched(t, job.table_index, layout_,
-                                             std::move(row));
-        if (job.plan.client_filter && !gremlin::MatchesSpec(*v, spec_)) {
-          continue;
-        }
-        out->push_back(std::move(v));
-      }
+      const TableJob& job = jobs_[job_pos_];
+      AppendElements(topology_->vertex_tables()[job.table_index], job, spec_,
+                     layout_, &block_.rows, out);
       if (!out->empty()) return true;  // all-filtered block: keep pulling
     }
   }
@@ -415,8 +731,11 @@ class Db2VertexStream : public gremlin::VertexStream {
     for (size_t i = 0; i < jobs_.size(); ++i) {
       queues_.push_back(std::make_unique<VertexBlockQueue>(kQueueBlocks));
     }
+    // Producers record SQL into the consumer's trace, filed under the step
+    // that opened this stream: the consumer's spans may all be paused
+    // while a producer runs.
     QueryTrace* trace = CurrentTrace();
-    if (trace != nullptr) trace->AddFanout(1, jobs_.size());
+    const int span = CurrentTraceSpan();
     // Producers inherit the consumer's governor context so a deadline or
     // kill observed mid-table stops the fetch from inside the producer,
     // not only when the consumer gets around to calling Close().
@@ -426,9 +745,9 @@ class Db2VertexStream : public gremlin::VertexStream {
     // RunBatch blocks its caller until every task finished, which must not
     // be the consumer: a dedicated coordinator submits the batch and is
     // joined on Close(). The consumer only ever waits on queue pops.
-    coordinator_ = std::thread([this, trace, qctx, exec] {
+    coordinator_ = std::thread([this, trace, span, qctx, exec] {
       ThreadPool::Shared().RunBatch(jobs_.size(), [&](size_t j) {
-        ScopedTrace scoped(trace);
+        ScopedTrace scoped(trace, span);
         governor::ScopedQueryContext governed(qctx);
         ScopedExecConfig configured(exec);
         ProduceTable(j);
@@ -444,11 +763,11 @@ class Db2VertexStream : public gremlin::VertexStream {
       queue.MarkDone(Status::OK());
       return;
     }
-    const VertexJob& job = jobs_[j];
+    const TableJob& job = jobs_[j];
     const ResolvedVertexTable& t = topology_->vertex_tables()[job.table_index];
     FetchLayout layout;
     Result<std::unique_ptr<DialectRowStream>> stream =
-        OpenVertexTableStream(dialect_, t, spec_, job.plan, &layout);
+        OpenVertexTableStream(dialect_, t, job, spec_, &layout);
     if (!stream.ok()) {
       queue.MarkDone(stream.status());
       return;
@@ -473,14 +792,7 @@ class Db2VertexStream : public gremlin::VertexStream {
       }
       std::vector<VertexPtr> vertices;
       vertices.reserve(block.rows.size());
-      for (Row& row : block.rows) {
-        VertexPtr v = BuildVertexFromFetched(t, job.table_index, layout,
-                                             std::move(row));
-        if (job.plan.client_filter && !gremlin::MatchesSpec(*v, spec_)) {
-          continue;
-        }
-        vertices.push_back(std::move(v));
-      }
+      AppendElements(t, job, spec_, layout, &block.rows, &vertices);
       if (vertices.empty()) continue;
       if (qctx != nullptr) {
         // Blocks parked in the bounded queue count against the query's
@@ -532,7 +844,7 @@ class Db2VertexStream : public gremlin::VertexStream {
   SqlDialect* dialect_;
   const overlay::Topology* topology_;
   LookupSpec spec_;
-  std::vector<VertexJob> jobs_;
+  std::vector<TableJob> jobs_;
   Status status_ = Status::OK();
   bool closed_ = false;
 
@@ -575,26 +887,9 @@ Status Db2GraphProvider::Vertices(const LookupSpec& spec,
     if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
   }
 
-  std::vector<VertexJob> jobs =
-      PlanVertexJobs(topology_, spec, options_, &stats_);
-
-  // Per-job result slots keep the merge deterministic in table order no
-  // matter which worker finishes first.
-  std::vector<std::vector<VertexPtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchVertexTable(
-        dialect_, topology_.vertex_tables()[jobs[j].table_index],
-        jobs[j].table_index, spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-
   std::vector<VertexPtr> fetched;
-  for (auto& slot : slots) {
-    for (VertexPtr& v : slot) fetched.push_back(std::move(v));
-  }
+  DB2G_RETURN_NOT_OK(
+      FetchTables(topology_.vertex_tables(), spec, nullptr, &fetched));
   if (cache_on && CacheFillEligible(spec)) {
     // Every surviving table was consulted and nothing was filtered, so
     // `fetched` is the complete vertex set for this id (possibly empty —
@@ -613,447 +908,29 @@ Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
   if (spec.agg != AggOp::kNone || CacheUsable(spec)) {
     return GraphProvider::VerticesStreaming(spec);
   }
-
-  std::vector<VertexJob> jobs =
-      PlanVertexJobs(topology_, spec, options_, &stats_);
-
-  // Same fan-out eligibility rule as ExecuteJobs: never spawn workers
-  // when this thread already holds the database read lock.
-  bool parallel = jobs.size() > 1 && options_.parallel_fanout &&
-                  !dialect_->db()->ReadLockHeldByThisThread();
-  if (parallel) {
-    stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.parallel_tasks.fetch_add(jobs.size(), std::memory_order_relaxed);
-  }
+  std::vector<TableJob> jobs;
+  DB2G_RETURN_NOT_OK(PlanJobs(topology_.vertex_tables(), spec, nullptr,
+                              /*aggregate=*/false, options_, &stats_, &jobs));
+  const bool parallel = BeginFanOut(jobs.size());
   return std::unique_ptr<gremlin::VertexStream>(new Db2VertexStream(
       dialect_, &topology_, spec, std::move(jobs), parallel));
 }
 
 Result<Value> Db2GraphProvider::AggregateVertices(const LookupSpec& spec) {
-  if (spec.agg == AggOp::kNone) {
-    return Status::Unsupported("no aggregate in spec");
-  }
-  struct Job {
-    int table_index;
-    VertexPlan plan;
-    std::string select;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    if (plan.client_filter) {
-      return Status::Unsupported(
-          "aggregate requires client-side filtering; falling back");
-    }
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    // Locate the aggregated property column (count(*) needs none).
-    std::string agg_column;
-    if (spec.agg != AggOp::kCount || !spec.agg_key.empty()) {
-      bool found = false;
-      for (size_t i = 0; i < t.properties.size(); ++i) {
-        if (EqualsIgnoreCase(t.properties[i], spec.agg_key)) {
-          agg_column = t.schema->columns[t.property_columns[i]].name;
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;  // table contributes nothing
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    std::string select;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        select = agg_column.empty() ? "COUNT(*)"
-                                    : "COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        select = "SUM(\"" + agg_column + "\"), COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMin:
-        select = "MIN(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMax:
-        select = "MAX(\"" + agg_column + "\")";
-        break;
-      case AggOp::kNone:
-        return Status::Internal("unreachable");
-    }
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan),
-                       std::move(select)});
-  }
-
-  struct Partial {
-    Status status = Status::OK();
-    bool has_row = false;
-    Row row;
-  };
-  std::vector<Partial> partials(jobs.size());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    const ResolvedVertexTable& t =
-        topology_.vertex_tables()[jobs[j].table_index];
-    std::vector<Value> params;
-    CollectParams(jobs[j].plan.conds, &params);
-    dialect_->RecordPattern(t.conf.table_name, jobs[j].plan.predicate_columns);
-    Result<sql::ResultSet> rs = dialect_->QueryShaped(
-        ShapeKey(t.conf.table_name, jobs[j].select, jobs[j].plan.conds),
-        [&] {
-          std::vector<Value> ignored;
-          return BuildSql(t.conf.table_name, jobs[j].select,
-                          jobs[j].plan.conds, &ignored);
-        },
-        params);
-    if (!rs.ok()) {
-      partials[j].status = rs.status();
-      return;
-    }
-    if (!rs->rows.empty()) {
-      partials[j].has_row = true;
-      partials[j].row = std::move(rs->rows[0]);
-    }
-  });
-
-  int64_t total_count = 0;
-  double total_sum = 0;
-  bool sum_is_int = true;
-  int64_t total_isum = 0;
-  Value min_v;
-  Value max_v;
-  for (Partial& partial : partials) {
-    if (!partial.status.ok()) return partial.status;
-    if (!partial.has_row) continue;
-    const Row& row = partial.row;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        total_count += row[0].is_null() ? 0 : row[0].as_int();
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        if (!row[0].is_null()) {
-          total_sum += row[0].NumericValue();
-          if (row[0].is_int()) {
-            total_isum += row[0].as_int();
-          } else {
-            sum_is_int = false;
-          }
-          total_count += row[1].as_int();
-        }
-        break;
-      case AggOp::kMin:
-        if (!row[0].is_null() && (min_v.is_null() || row[0] < min_v)) {
-          min_v = row[0];
-        }
-        break;
-      case AggOp::kMax:
-        if (!row[0].is_null() && (max_v.is_null() || row[0] > max_v)) {
-          max_v = row[0];
-        }
-        break;
-      case AggOp::kNone:
-        break;
-    }
-  }
-  switch (spec.agg) {
-    case AggOp::kCount:
-      return Value(total_count);
-    case AggOp::kSum:
-      if (total_count == 0) return Value::Null();
-      return sum_is_int ? Value(total_isum) : Value(total_sum);
-    case AggOp::kMean:
-      if (total_count == 0) return Value::Null();
-      return Value(total_sum / static_cast<double>(total_count));
-    case AggOp::kMin:
-      return min_v;
-    case AggOp::kMax:
-      return max_v;
-    case AggOp::kNone:
-      break;
-  }
-  return Status::Internal("unreachable");
+  return AggregateTables(topology_.vertex_tables(), spec);
 }
 
 // ----------------------------------------------------------------------
 // Edges
 // ----------------------------------------------------------------------
 
-namespace {
-
-// One per-table edge fetch: the parallel fan-out unit for Edges /
-// AdjacentEdges. Same thread-safety contract as FetchVertexTable.
-Status FetchEdgeTable(SqlDialect* dialect, const ResolvedEdgeTable& t,
-                      int table_index, const LookupSpec& spec,
-                      const EdgePlan& plan, std::vector<EdgePtr>* out) {
-  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-  DB2G_FAILPOINT("provider.fetch_edge_table");
-  const sql::TableSchema& schema = *t.schema;
-  std::vector<size_t> cols;
-  if (plan.client_filter) {
-    for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-  } else {
-    cols = EdgeFetchColumns(t, spec);
-  }
-  FetchLayout layout = MakeLayout(schema, std::move(cols));
-
-  QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-  int64_t limit = plan.client_filter ? -1 : spec.limit;
-  std::string select = SelectListFor(schema, layout);
-  std::vector<Value> params;
-  CollectParams(conds, &params);
-  dialect->RecordPattern(t.conf.table_name, plan.predicate_columns);
-  Result<sql::ResultSet> rs = dialect->QueryShaped(
-      ShapeKey(t.conf.table_name, select, conds, limit),
-      [&] {
-        std::vector<Value> ignored;
-        return BuildSql(t.conf.table_name, select, conds, &ignored, limit);
-      },
-      params);
-  if (!rs.ok()) return rs.status();
-
-  for (Row& row : rs->rows) {
-    auto e = std::make_shared<Edge>();
-    e->src_id = ComposeField(t.src_v, layout, row);
-    e->dst_id = ComposeField(t.dst_v, layout, row);
-    e->label = t.conf.label.fixed
-                   ? t.conf.label.value
-                   : row[layout.PosOf(*t.label_column)].ToString();
-    if (t.conf.implicit_edge_id) {
-      e->id = Value(e->src_id.ToString() + kIdSeparator + e->label +
-                    kIdSeparator + e->dst_id.ToString());
-    } else {
-      e->id = ComposeField(t.id, layout, row);
-    }
-    for (size_t i = 0; i < t.properties.size(); ++i) {
-      if (!layout.Has(t.property_columns[i])) continue;
-      const Value& value = row[layout.PosOf(t.property_columns[i])];
-      if (!value.is_null()) {
-        e->properties.emplace_back(t.properties[i], value);
-      }
-    }
-    e->source_table = t.conf.table_name;
-    auto prov = std::make_shared<RowProvenance>();
-    prov->table_index = table_index;
-    prov->row = std::move(row);
-    e->provenance = std::move(prov);
-    if (plan.client_filter && !MatchesEdgeSpec(*e, spec)) continue;
-    out->push_back(std::move(e));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status Db2GraphProvider::Edges(const LookupSpec& spec,
                                std::vector<EdgePtr>* out) {
-  return EdgesOnTables(spec, {}, out);
-}
-
-Status Db2GraphProvider::EdgesOnTables(const LookupSpec& spec,
-                                       const std::vector<int>& tables,
-                                       std::vector<EdgePtr>* out) {
-  struct Job {
-    int table_index;
-    EdgePlan plan;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    if (!tables.empty() &&
-        std::find(tables.begin(), tables.end(), static_cast<int>(ti)) ==
-            tables.end()) {
-      continue;
-    }
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    if (plan.skip) {
-      stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan)});
-  }
-
-  // Edge order matters downstream (per-source emission order in the
-  // interpreter), so per-job slots are merged in table order.
-  std::vector<std::vector<EdgePtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchEdgeTable(
-        dialect_, topology_.edge_tables()[jobs[j].table_index],
-        jobs[j].table_index, spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (auto& slot : slots) {
-    for (EdgePtr& e : slot) out->push_back(std::move(e));
-  }
-  return Status::OK();
+  return FetchTables(topology_.edge_tables(), spec, nullptr, out);
 }
 
 Result<Value> Db2GraphProvider::AggregateEdges(const LookupSpec& spec) {
-  return AggregateEdgesOnTables(spec, {});
-}
-
-Result<Value> Db2GraphProvider::AggregateEdgesOnTables(
-    const LookupSpec& spec, const std::vector<int>& tables) {
-  if (spec.agg == AggOp::kNone) {
-    return Status::Unsupported("no aggregate in spec");
-  }
-  struct Job {
-    int table_index;
-    EdgePlan plan;
-    std::string select;
-  };
-  QueryTrace* trace = CurrentTrace();
-  std::vector<Job> jobs;
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    if (!tables.empty() &&
-        std::find(tables.begin(), tables.end(), static_cast<int>(ti)) ==
-            tables.end()) {
-      continue;
-    }
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    if (plan.client_filter) {
-      return Status::Unsupported("aggregate needs client-side filtering");
-    }
-    if (plan.skip) {
-      stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-      continue;
-    }
-    std::string agg_column;
-    if (spec.agg != AggOp::kCount || !spec.agg_key.empty()) {
-      bool found = false;
-      for (size_t i = 0; i < t.properties.size(); ++i) {
-        if (EqualsIgnoreCase(t.properties[i], spec.agg_key)) {
-          agg_column = t.schema->columns[t.property_columns[i]].name;
-          found = true;
-          break;
-        }
-      }
-      if (!found) continue;
-    }
-    stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (trace != nullptr) trace->AddTableConsulted(t.conf.table_name);
-    std::string select;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        select = agg_column.empty() ? "COUNT(*)"
-                                    : "COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        select = "SUM(\"" + agg_column + "\"), COUNT(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMin:
-        select = "MIN(\"" + agg_column + "\")";
-        break;
-      case AggOp::kMax:
-        select = "MAX(\"" + agg_column + "\")";
-        break;
-      case AggOp::kNone:
-        return Status::Internal("unreachable");
-    }
-    jobs.push_back(Job{static_cast<int>(ti), std::move(plan),
-                       std::move(select)});
-  }
-
-  struct Partial {
-    Status status = Status::OK();
-    bool has_row = false;
-    Row row;
-  };
-  std::vector<Partial> partials(jobs.size());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    const ResolvedEdgeTable& t = topology_.edge_tables()[jobs[j].table_index];
-    std::vector<Value> params;
-    CollectParams(jobs[j].plan.conds, &params);
-    dialect_->RecordPattern(t.conf.table_name, jobs[j].plan.predicate_columns);
-    Result<sql::ResultSet> rs = dialect_->QueryShaped(
-        ShapeKey(t.conf.table_name, jobs[j].select, jobs[j].plan.conds),
-        [&] {
-          std::vector<Value> ignored;
-          return BuildSql(t.conf.table_name, jobs[j].select,
-                          jobs[j].plan.conds, &ignored);
-        },
-        params);
-    if (!rs.ok()) {
-      partials[j].status = rs.status();
-      return;
-    }
-    if (!rs->rows.empty()) {
-      partials[j].has_row = true;
-      partials[j].row = std::move(rs->rows[0]);
-    }
-  });
-
-  int64_t total_count = 0;
-  double total_sum = 0;
-  bool sum_is_int = true;
-  int64_t total_isum = 0;
-  Value min_v;
-  Value max_v;
-  for (Partial& partial : partials) {
-    if (!partial.status.ok()) return partial.status;
-    if (!partial.has_row) continue;
-    const Row& row = partial.row;
-    switch (spec.agg) {
-      case AggOp::kCount:
-        total_count += row[0].is_null() ? 0 : row[0].as_int();
-        break;
-      case AggOp::kSum:
-      case AggOp::kMean:
-        if (!row[0].is_null()) {
-          total_sum += row[0].NumericValue();
-          if (row[0].is_int()) {
-            total_isum += row[0].as_int();
-          } else {
-            sum_is_int = false;
-          }
-          total_count += row[1].as_int();
-        }
-        break;
-      case AggOp::kMin:
-        if (!row[0].is_null() && (min_v.is_null() || row[0] < min_v)) {
-          min_v = row[0];
-        }
-        break;
-      case AggOp::kMax:
-        if (!row[0].is_null() && (max_v.is_null() || row[0] > max_v)) {
-          max_v = row[0];
-        }
-        break;
-      case AggOp::kNone:
-        break;
-    }
-  }
-  switch (spec.agg) {
-    case AggOp::kCount:
-      return Value(total_count);
-    case AggOp::kSum:
-      if (total_count == 0) return Value::Null();
-      return sum_is_int ? Value(total_isum) : Value(total_sum);
-    case AggOp::kMean:
-      if (total_count == 0) return Value::Null();
-      return Value(total_sum / static_cast<double>(total_count));
-    case AggOp::kMin:
-      return min_v;
-    case AggOp::kMax:
-      return max_v;
-    case AggOp::kNone:
-      break;
-  }
-  return Status::Internal("unreachable");
+  return AggregateTables(topology_.edge_tables(), spec);
 }
 
 // ----------------------------------------------------------------------
@@ -1063,40 +940,21 @@ Result<Value> Db2GraphProvider::AggregateEdgesOnTables(
 Status Db2GraphProvider::AdjacentEdges(const std::vector<VertexPtr>& from,
                                        Direction dir, const LookupSpec& spec,
                                        std::vector<EdgePtr>* out) {
-  // Which vertex tables do the anchors come from?
-  std::unordered_set<std::string> source_tables;
   std::vector<Value> ids;
   ids.reserve(from.size());
-  for (const VertexPtr& v : from) {
-    ids.push_back(v->id);
-    if (!v->source_table.empty()) source_tables.insert(v->source_table);
-  }
+  for (const VertexPtr& v : from) ids.push_back(v->id);
   // Candidate edge tables: drop those whose declared endpoint vertex table
-  // cannot contain any anchor (Section 6.3 "Using Source/Destination
-  // Vertex Tables").
+  // cannot contain any anchor.
+  const std::unordered_set<std::string> source_tables = SourceTables(from);
   QueryTrace* trace = CurrentTrace();
   std::vector<int> candidates;
   for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
     const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    if (options_.endpoint_table_pruning && !source_tables.empty()) {
-      auto endpoint_possible = [&](int vertex_table) {
-        if (vertex_table < 0) return true;  // endpoint table unknown
-        return source_tables.count(
-                   topology_.vertex_tables()[vertex_table].conf.table_name) >
-               0;
-      };
-      bool possible = false;
-      if (dir == Direction::kOut || dir == Direction::kBoth) {
-        possible |= endpoint_possible(t.src_vertex_table);
-      }
-      if (dir == Direction::kIn || dir == Direction::kBoth) {
-        possible |= endpoint_possible(t.dst_vertex_table);
-      }
-      if (!possible) {
-        stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-        if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
-        continue;
-      }
+    if (options_.endpoint_table_pruning &&
+        !EndpointCanHold(topology_, t, dir, source_tables)) {
+      stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
+      if (trace != nullptr) trace->AddTablePruned(t.conf.table_name);
+      continue;
     }
     candidates.push_back(static_cast<int>(ti));
   }
@@ -1104,18 +962,20 @@ Status Db2GraphProvider::AdjacentEdges(const std::vector<VertexPtr>& from,
   LookupSpec edge_spec = spec;
   if (dir == Direction::kOut) {
     edge_spec.src_ids = ids;
-    return EdgesOnTables(edge_spec, candidates, out);
+    return FetchTables(topology_.edge_tables(), edge_spec, &candidates, out);
   }
   if (dir == Direction::kIn) {
     edge_spec.dst_ids = ids;
-    return EdgesOnTables(edge_spec, candidates, out);
+    return FetchTables(topology_.edge_tables(), edge_spec, &candidates, out);
   }
   edge_spec.src_ids = ids;
-  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, candidates, out));
+  DB2G_RETURN_NOT_OK(
+      FetchTables(topology_.edge_tables(), edge_spec, &candidates, out));
   edge_spec.src_ids.clear();
   edge_spec.dst_ids = ids;
   std::vector<EdgePtr> in_edges;
-  DB2G_RETURN_NOT_OK(EdgesOnTables(edge_spec, candidates, &in_edges));
+  DB2G_RETURN_NOT_OK(
+      FetchTables(topology_.edge_tables(), edge_spec, &candidates, &in_edges));
   for (EdgePtr& e : in_edges) {
     if (!(e->src_id == e->dst_id)) out->push_back(std::move(e));
   }
@@ -1166,7 +1026,8 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
             topology_.vertex_tables()[vertex_table];
         if (EqualsIgnoreCase(vt.conf.table_name, t.conf.table_name) &&
             prov->row.size() == vt.schema->columns.size()) {
-          VertexPtr v = MaterializeVertex(vertex_table, prov->row);
+          VertexPtr v = BuildVertexFromFetched(
+              vt, vertex_table, FullRowLayout(*vt.schema), prov->row);
           if (gremlin::MatchesSpec(*v, spec)) {
             out->push_back(std::move(v));
           }
@@ -1211,50 +1072,32 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
   }
 
   // One job per pinned vertex table, in table-index order so the merge
-  // (and any trace) is deterministic under fan-out.
-  struct Job {
-    int vertex_table;
-    LookupSpec vertex_spec;
-    VertexPlan plan;
-  };
+  // (and any trace) is deterministic under fan-out; each job looks up
+  // only the endpoint ids pinned to its table.
   std::vector<std::pair<int, std::vector<Value>>> groups(pinned.begin(),
                                                          pinned.end());
   std::sort(groups.begin(), groups.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Job> jobs;
+  std::vector<TableJob> jobs;
+  std::vector<LookupSpec> job_specs;
   for (auto& [vertex_table, ids] : groups) {
     LookupSpec vertex_spec = spec;
     vertex_spec.ids = std::move(ids);
-    // Query exactly the pinned table.
-    const ResolvedVertexTable& t = topology_.vertex_tables()[vertex_table];
-    VertexPlan plan = PlanVertexTable(t, vertex_spec, options_);
-    if (plan.skip) {
-      stats_.vertex_tables_pruned.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) {
-        trace->AddTablePruned(t.conf.table_name);
-      }
-      continue;
-    }
-    stats_.vertex_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    if (QueryTrace* trace = CurrentTrace()) {
-      trace->AddTableConsulted(t.conf.table_name);
-    }
-    jobs.push_back(Job{vertex_table, std::move(vertex_spec), std::move(plan)});
+    const std::vector<int> only = {vertex_table};
+    const size_t planned = jobs.size();
+    DB2G_RETURN_NOT_OK(PlanJobs(topology_.vertex_tables(), vertex_spec, &only,
+                                /*aggregate=*/false, options_, &stats_,
+                                &jobs));
+    if (jobs.size() > planned) job_specs.push_back(std::move(vertex_spec));
   }
-
-  std::vector<std::vector<VertexPtr>> slots(jobs.size());
-  std::vector<Status> statuses(jobs.size(), Status::OK());
-  ExecuteJobs(jobs.size(), [&](size_t j) {
-    statuses[j] = FetchVertexTable(
-        dialect_, topology_.vertex_tables()[jobs[j].vertex_table],
-        jobs[j].vertex_table, jobs[j].vertex_spec, jobs[j].plan, &slots[j]);
-  });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (auto& slot : slots) {
-    for (VertexPtr& v : slot) out->push_back(std::move(v));
-  }
+  DB2G_RETURN_NOT_OK(RunInOrder<VertexPtr>(
+      jobs.size(),
+      [&](size_t j, std::vector<VertexPtr>* slot) {
+        return FetchTable(dialect_,
+                          topology_.vertex_tables()[jobs[j].table_index],
+                          jobs[j], job_specs[j], slot);
+      },
+      out));
 
   if (!unpinned.empty()) {
     LookupSpec vertex_spec = spec;
@@ -1314,7 +1157,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
                           const RuntimeOptions& options,
                           const gremlin::MultiHopSpec& spec,
                           const MultiHopProviderPlan& plan, size_t chain,
-                          const EdgePlan& first_plan, JoinChainPlan* out) {
+                          const TablePlan& first_plan, JoinChainPlan* out) {
   const size_t hops = spec.hops.size();
   if (hops == 0 || plan.later_hops.size() + 1 != hops ||
       chain >= plan.first_hop.size()) {
@@ -1351,8 +1194,8 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
     const std::string valias = "v" + std::to_string(h + 1);
 
     // Edge stage.
-    EdgePlan ep = h == 0 ? first_plan
-                         : PlanEdgeTable(et, hop.edge_spec, options);
+    TablePlan ep = h == 0 ? first_plan
+                          : PlanEdgeTable(et, hop.edge_spec, options);
     if (ep.skip || ep.client_filter) {
       return Status::Unsupported("multi-hop edge plan not pushable");
     }
@@ -1400,7 +1243,7 @@ Status BuildJoinChainPlan(const overlay::Topology& topology,
     out->patterns.push_back(ep.predicate_columns);
 
     // Vertex stage.
-    VertexPlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
+    TablePlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
     if (vp.skip || vp.client_filter) {
       return Status::Unsupported("multi-hop vertex plan not pushable");
     }
@@ -1477,19 +1320,13 @@ Row StageRow(const Row& row, const ChainStageMeta& meta) {
                                                       .size()));
 }
 
-/// The edge id FetchEdgeTable would assign for this edge row.
+/// The edge id BuildEdgeFromFetched would assign for this edge row.
 Value ComposeEdgeId(const ResolvedEdgeTable& et, const FetchLayout& layout,
                     const Row& erow) {
-  std::string label = et.conf.label.fixed
-                          ? et.conf.label.value
-                          : erow[layout.PosOf(*et.label_column)].ToString();
-  if (et.conf.implicit_edge_id) {
-    Value src = ComposeField(et.src_v, layout, erow);
-    Value dst = ComposeField(et.dst_v, layout, erow);
-    return Value(src.ToString() + kIdSeparator + label + kIdSeparator +
-                 dst.ToString());
-  }
-  return ComposeField(et.id, layout, erow);
+  if (!et.conf.implicit_edge_id) return ComposeField(et.id, layout, erow);
+  return ImplicitEdgeId(ComposeField(et.src_v, layout, erow),
+                        FetchedLabel(et, layout, erow),
+                        ComposeField(et.dst_v, layout, erow));
 }
 
 }  // namespace
@@ -1523,10 +1360,7 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
       first.direction == Direction::kOut ? espec.src_ids : espec.dst_ids;
   endpoint_ids.reserve(sources.size());
   for (const VertexPtr& v : sources) endpoint_ids.push_back(v->id);
-  std::unordered_set<std::string> source_tables;
-  for (const VertexPtr& v : sources) {
-    if (!v->source_table.empty()) source_tables.insert(v->source_table);
-  }
+  const std::unordered_set<std::string> source_tables = SourceTables(sources);
 
   QueryTrace* trace = CurrentTrace();
   const bool counting = spec.agg == AggOp::kCount;
@@ -1540,17 +1374,10 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
     }
     const ResolvedEdgeTable& et =
         topology_.edge_tables()[static_cast<size_t>(ht.edge_table)];
-    if (!source_tables.empty()) {
-      int near = first.direction == Direction::kOut ? et.src_vertex_table
-                                                    : et.dst_vertex_table;
-      if (near >= 0 &&
-          source_tables.count(
-              topology_.vertex_tables()[static_cast<size_t>(near)]
-                  .conf.table_name) == 0) {
-        continue;  // no source can live in this chain's near table
-      }
+    if (!EndpointCanHold(topology_, et, first.direction, source_tables)) {
+      continue;  // no source can live in this chain's near table
     }
-    EdgePlan ep = PlanEdgeTable(et, espec, options_);
+    TablePlan ep = PlanEdgeTable(et, espec, options_);
     if (ep.client_filter) return decline("multi-hop edge plan not pushable");
     if (ep.skip) {
       stats_.edge_tables_pruned.fetch_add(1, std::memory_order_relaxed);
@@ -1646,75 +1473,56 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
 // Compile-time plan previews (Explain)
 // ----------------------------------------------------------------------
 
-Status Db2GraphProvider::ExplainVertices(const LookupSpec& spec,
-                                         std::vector<SqlPreview>* out) const {
-  for (size_t ti = 0; ti < topology_.vertex_tables().size(); ++ti) {
-    const ResolvedVertexTable& t = topology_.vertex_tables()[ti];
-    VertexPlan plan = PlanVertexTable(t, spec, options_);
-    SqlPreview preview;
+namespace {
+
+// Previews `spec` against every table of one kind without touching data,
+// counters or the trace: each table's BuildStatement statement, its
+// predicted access path, and the table cardinality. An aggregate previews
+// its per-table aggregate statements unless some table filters
+// client-side; execution then declines the pushdown and fetches rows.
+template <typename Table>
+void PreviewTables(const sql::Database* db, const std::vector<Table>& tables,
+                   const LookupSpec& spec, const RuntimeOptions& options,
+                   std::vector<Db2GraphProvider::SqlPreview>* out) {
+  std::vector<TablePlan> plans;
+  plans.reserve(tables.size());
+  bool aggregate = spec.agg != AggOp::kNone;
+  for (const Table& t : tables) {
+    plans.push_back(TableKind<Table>::Plan(t, spec, options));
+    aggregate &= !plans.back().client_filter;
+  }
+  for (size_t ti = 0; ti < tables.size(); ++ti) {
+    const Table& t = tables[ti];
+    Db2GraphProvider::SqlPreview preview;
     preview.table = t.conf.table_name;
-    const sql::Table* base = dialect_->db()->GetTable(t.conf.table_name);
+    const sql::Table* base = db->GetTable(t.conf.table_name);
     preview.estimated_rows = base != nullptr ? base->row_count() : 0;
-    if (plan.skip) {
+    std::optional<TableStatement> q;
+    if (!plans[ti].skip) q = BuildStatement(t, spec, plans[ti], aggregate);
+    if (q) {
+      preview.sql = SqlDialect::RenderSql(q->Sql(), q->params);
+      preview.access_path =
+          PredictAccessPath(db, t.conf.table_name, *q->conds);
+    } else {
       preview.pruned = true;
       preview.access_path = "pruned";
-      out->push_back(std::move(preview));
-      continue;
     }
-    const sql::TableSchema& schema = *t.schema;
-    std::vector<size_t> cols;
-    if (plan.client_filter) {
-      for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-    } else {
-      cols = VertexFetchColumns(t, spec);
-    }
-    FetchLayout layout = MakeLayout(schema, std::move(cols));
-    std::vector<Value> params;
-    QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-    std::string sql = BuildSql(t.conf.table_name,
-                               SelectListFor(schema, layout), conds, &params,
-                               plan.client_filter ? -1 : spec.limit);
-    preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path =
-        PredictAccessPath(dialect_->db(), t.conf.table_name, conds);
     out->push_back(std::move(preview));
   }
+}
+
+}  // namespace
+
+Status Db2GraphProvider::ExplainVertices(const LookupSpec& spec,
+                                         std::vector<SqlPreview>* out) const {
+  PreviewTables(dialect_->db(), topology_.vertex_tables(), spec, options_,
+                out);
   return Status::OK();
 }
 
 Status Db2GraphProvider::ExplainEdges(const LookupSpec& spec,
                                       std::vector<SqlPreview>* out) const {
-  for (size_t ti = 0; ti < topology_.edge_tables().size(); ++ti) {
-    const ResolvedEdgeTable& t = topology_.edge_tables()[ti];
-    EdgePlan plan = PlanEdgeTable(t, spec, options_);
-    SqlPreview preview;
-    preview.table = t.conf.table_name;
-    const sql::Table* base = dialect_->db()->GetTable(t.conf.table_name);
-    preview.estimated_rows = base != nullptr ? base->row_count() : 0;
-    if (plan.skip) {
-      preview.pruned = true;
-      preview.access_path = "pruned";
-      out->push_back(std::move(preview));
-      continue;
-    }
-    const sql::TableSchema& schema = *t.schema;
-    std::vector<size_t> cols;
-    if (plan.client_filter) {
-      for (size_t i = 0; i < schema.columns.size(); ++i) cols.push_back(i);
-    } else {
-      cols = EdgeFetchColumns(t, spec);
-    }
-    FetchLayout layout = MakeLayout(schema, std::move(cols));
-    std::vector<Value> params;
-    QueryConds conds = plan.client_filter ? QueryConds{} : plan.conds;
-    std::string sql = BuildSql(t.conf.table_name,
-                               SelectListFor(schema, layout), conds, &params,
-                               plan.client_filter ? -1 : spec.limit);
-    preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path =
-        PredictAccessPath(dialect_->db(), t.conf.table_name, conds);
-    out->push_back(std::move(preview));
-  }
+  PreviewTables(dialect_->db(), topology_.edge_tables(), spec, options_, out);
   return Status::OK();
 }
 
@@ -1734,7 +1542,7 @@ Status Db2GraphProvider::ExplainMultiHop(const gremlin::MultiHopSpec& spec,
     const ResolvedEdgeTable& et =
         topology_.edge_tables()[static_cast<size_t>(ht.edge_table)];
     SqlPreview preview;
-    EdgePlan ep = PlanEdgeTable(et, first.edge_spec, options_);
+    TablePlan ep = PlanEdgeTable(et, first.edge_spec, options_);
     JoinChainPlan cp;
     if (ep.skip || ep.client_filter ||
         !BuildJoinChainPlan(topology_, options_, spec, *plan, ci, ep, &cp)

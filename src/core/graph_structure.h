@@ -200,20 +200,36 @@ class Db2GraphProvider : public gremlin::GraphProvider {
                          std::vector<SqlPreview>* out) const;
 
  private:
-  /// Edges() restricted to a subset of edge-table indexes (used by
-  /// AdjacentEdges after endpoint pruning); empty = all.
-  Status EdgesOnTables(const gremlin::LookupSpec& spec,
-                       const std::vector<int>& tables,
-                       std::vector<gremlin::EdgePtr>* out);
-  Result<Value> AggregateEdgesOnTables(const gremlin::LookupSpec& spec,
-                                       const std::vector<int>& tables);
+  // The per-table lookup pipeline (graph_structure.cc). Vertex and edge
+  // tables run the same stages; each template is instantiated for
+  // overlay::ResolvedVertexTable and overlay::ResolvedEdgeTable.
 
-  gremlin::VertexPtr MaterializeVertex(int table_index, const Row& row) const;
-
-  /// Runs fn(0..n-1): on the shared thread pool when fan-out applies
-  /// (enabled, n > 1, caller not inside a database read lock), serially
-  /// otherwise. Counts dispatched batches/tasks.
-  void ExecuteJobs(size_t n, const std::function<void(size_t)>& fn);
+  /// Element fetch over `tables` (all of them, or only `subset` when it
+  /// is non-null): plan, prune and count the tables, then fetch the
+  /// survivors in table order.
+  template <typename Table, typename ElementPtr>
+  Status FetchTables(const std::vector<Table>& tables,
+                     const gremlin::LookupSpec& spec,
+                     const std::vector<int>* subset,
+                     std::vector<ElementPtr>* out);
+  /// Aggregate pushdown over `tables`: one aggregate statement per
+  /// consulted table, partials merged in table order. Unsupported when a
+  /// table needs client-side filtering.
+  template <typename Table>
+  Result<Value> AggregateTables(const std::vector<Table>& tables,
+                                const gremlin::LookupSpec& spec);
+  /// Runs job(j, &slot) for j in [0, n) — on the shared thread pool when
+  /// BeginFanOut(n) allows, serially otherwise — and appends the slots to
+  /// `out` in job order. The first failed job (in job order) wins. A job
+  /// appends to its slot, and only when it succeeds.
+  template <typename T>
+  Status RunInOrder(size_t n,
+                    const std::function<Status(size_t, std::vector<T>*)>& job,
+                    std::vector<T>* out);
+  /// True when `n` per-table jobs fan out across the pool: enabled, n > 1,
+  /// and the caller not inside a database read lock. Counts and traces
+  /// the fan-out it allows.
+  bool BeginFanOut(size_t n);
 
   /// Cache is consulted only for pure single-id point lookups that fetch
   /// full rows (no projection, no aggregate) outside access control.

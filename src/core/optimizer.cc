@@ -361,15 +361,15 @@ ChainResult AnalyzeChain(const std::vector<CandidateHop>& hops,
       int far = -1;
       const overlay::ResolvedEdgeTable* et = nullptr;
       const overlay::ResolvedVertexTable* vt = nullptr;
-      EdgePlan eplan;
-      VertexPlan vplan;
+      TablePlan eplan;
+      TablePlan vplan;
     };
     std::vector<Cand> cands;
     std::string fail;
 
     for (size_t ti = 0; ti < etables.size() && fail.empty(); ++ti) {
       const overlay::ResolvedEdgeTable& t = etables[ti];
-      EdgePlan ep = PlanEdgeTable(t, hop.edge_spec, *ctx.runtime);
+      TablePlan ep = PlanEdgeTable(t, hop.edge_spec, *ctx.runtime);
       if (ep.skip) continue;
       if (ep.client_filter) {
         fail = "client-side edge predicate on \"" + t.conf.table_name + "\"";
@@ -389,7 +389,7 @@ ChainResult AnalyzeChain(const std::vector<CandidateHop>& hops,
       }
       const overlay::ResolvedVertexTable& vt =
           vtables[static_cast<size_t>(far)];
-      VertexPlan vp = PlanVertexTable(vt, hop.vertex_spec, *ctx.runtime);
+      TablePlan vp = PlanVertexTable(vt, hop.vertex_spec, *ctx.runtime);
       if (vp.client_filter) {
         fail =
             "client-side vertex predicate on \"" + vt.conf.table_name + "\"";

@@ -57,6 +57,7 @@ Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
     if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
   }
   QueryTrace* query_trace = CurrentTrace();
+  const int span = query_trace != nullptr ? CurrentTraceSpan() : -1;
   uint64_t start = query_trace != nullptr
                        ? query_trace->clock()->NowMicros()
                        : 0;
@@ -75,7 +76,7 @@ Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
     } else {
       record.access_path = "error: " + result.status().ToString();
     }
-    query_trace->RecordSql(std::move(record));
+    query_trace->RecordSql(std::move(record), span);
   }
   return result;
 }
@@ -133,10 +134,12 @@ Result<sql::ResultSet> SqlDialect::QueryUntraced(
 }
 
 DialectRowStream::DialectRowStream(std::unique_ptr<sql::RowStream> stream,
-                                   QueryTrace* trace, SqlTraceRecord record,
+                                   QueryTrace* trace, int span,
+                                   SqlTraceRecord record,
                                    uint64_t start_micros)
     : stream_(std::move(stream)),
       trace_(trace),
+      span_(span),
       record_(std::move(record)),
       start_micros_(start_micros) {}
 
@@ -171,7 +174,7 @@ void DialectRowStream::FileRecord() {
   } else {
     record_.access_path = "error: " + stream_->status().ToString();
   }
-  trace_->RecordSql(std::move(record_));
+  trace_->RecordSql(std::move(record_), span_);
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
@@ -183,6 +186,9 @@ Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
     if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
   }
   QueryTrace* query_trace = CurrentTrace();
+  // The issuing span is captured now, not when the record is filed: a
+  // stream closed early ends while every span is paused.
+  const int span = query_trace != nullptr ? CurrentTraceSpan() : -1;
   uint64_t start =
       query_trace != nullptr ? query_trace->clock()->NowMicros() : 0;
   Result<sql::PreparedStatement> stmt = PrepareCached(sql);
@@ -196,7 +202,7 @@ Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
       record.sql = RenderSql(sql, params);
       record.access_path = "error: " + stream.status().ToString();
       record.micros = query_trace->clock()->NowMicros() - start;
-      query_trace->RecordSql(std::move(record));
+      query_trace->RecordSql(std::move(record), span);
     }
     return stream.status();
   }
@@ -206,7 +212,7 @@ Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
     record.sql = RenderSql(sql, params);
   }
   return std::unique_ptr<DialectRowStream>(new DialectRowStream(
-      std::move(*stream), query_trace, std::move(record), start));
+      std::move(*stream), query_trace, span, std::move(record), start));
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(

@@ -28,7 +28,8 @@ class SqlDialect;
 /// the database RowStream and, when a QueryTrace is installed, files the
 /// statement's SqlTraceRecord once — when the stream is exhausted or
 /// closed — so a short-circuited query reports the rows it actually
-/// scanned, not the full materialized cost.
+/// scanned, not the full materialized cost. The record goes to the span
+/// that opened the stream, even when that span is paused by then.
 class DialectRowStream : public sql::RowSource {
  public:
   ~DialectRowStream() override;
@@ -44,11 +45,12 @@ class DialectRowStream : public sql::RowSource {
  private:
   friend class SqlDialect;
   DialectRowStream(std::unique_ptr<sql::RowStream> stream, QueryTrace* trace,
-                   SqlTraceRecord record, uint64_t start_micros);
+                   int span, SqlTraceRecord record, uint64_t start_micros);
   void FileRecord();
 
   std::unique_ptr<sql::RowStream> stream_;
   QueryTrace* trace_;  // nullptr when untraced
+  int span_;           // issuing span (CurrentTraceSpan at open)
   SqlTraceRecord record_;
   uint64_t start_micros_;
   uint64_t rows_seen_ = 0;

@@ -55,6 +55,22 @@ class SqlGenerationTest : public ::testing::Test {
     return graph_->dialect()->TakeTrace();
   }
 
+  // The SQL of Explain's non-pruned previews, in step order.
+  static std::vector<std::string> Explained(Db2Graph* graph,
+                                            const std::string& gremlin) {
+    std::vector<std::string> sql;
+    Result<Db2Graph::ExplainResult> explain = graph->Explain(gremlin);
+    EXPECT_TRUE(explain.ok()) << explain.status().ToString() << " for "
+                              << gremlin;
+    if (!explain.ok()) return sql;
+    for (const Json& step : explain->json.Find("steps")->items()) {
+      for (const Json& stmt : step.Find("statements")->items()) {
+        sql.push_back(stmt.Find("sql")->as_string());
+      }
+    }
+    return sql;
+  }
+
   sql::Database db_;
   std::unique_ptr<Db2Graph> graph_;
 };
@@ -157,6 +173,84 @@ TEST_F(SqlGenerationTest, NaiveModeQueriesEveryTable) {
   ASSERT_EQ(sql.size(), 2u);
   EXPECT_NE(sql[0].find("FROM \"Patient\""), std::string::npos);
   EXPECT_EQ(sql[1], "SELECT \"diseaseID\", \"conceptName\" FROM \"Disease\"");
+}
+
+TEST_F(SqlGenerationTest, ExplainPreviewsTheStatementsThatRun) {
+  // Each shape pinned above whose SQL the script alone determines: Explain
+  // previews exactly the statements execution runs.
+  const char* shapes[] = {
+      "g.V().has('name', 'Alice')",
+      "g.V().values('name', 'address')",
+      "g.V().hasLabel('disease').count()",
+      "g.V('patient::1').outE('hasDisease')",
+      "g.V('patient::1').outE('hasDisease').where(inV().hasId(11))"
+      ".count()",
+      "g.E('patient::1::hasDisease::11')",
+      "g.V('patient::1')",
+  };
+  for (const char* shape : shapes) {
+    std::vector<std::string> explained = Explained(graph_.get(), shape);
+    EXPECT_FALSE(explained.empty()) << shape;
+    EXPECT_EQ(explained, Trace(shape)) << shape;
+  }
+
+  // inV()'s endpoint ids come from the fetched edges, so only the edge
+  // statement is known before execution.
+  const char kEndpoint[] = "g.V('patient::1').outE('hasDisease').inV()";
+  std::vector<std::string> explained = Explained(graph_.get(), kEndpoint);
+  std::vector<std::string> traced = Trace(kEndpoint);
+  ASSERT_FALSE(explained.empty());
+  ASSERT_EQ(traced.size(), 2u);
+  EXPECT_EQ(explained[0], traced[0]);
+
+  // Naive mode: the client-filtered table previews its full-row scan.
+  Db2Graph::Options naive;
+  naive.strategies = StrategyOptions::AllOff();
+  naive.runtime = RuntimeOptions::AllOff();
+  naive.exec = ExecConfig().streaming(false).vectorized(false);
+  auto naive_graph =
+      Db2Graph::Open(&db_, graph_->topology().config(), naive);
+  ASSERT_TRUE(naive_graph.ok());
+  (*naive_graph)->dialect()->EnableTrace();
+  const char kNaive[] = "g.V('patient::1').hasLabel('patient')";
+  explained = Explained(naive_graph->get(), kNaive);
+  ASSERT_TRUE((*naive_graph)->Execute(kNaive).ok());
+  EXPECT_EQ(explained, (*naive_graph)->dialect()->TakeTrace());
+}
+
+TEST(EndpointPruningSqlTest, EveryEdgeTablePrunedIssuesNoEdgeSql) {
+  // No edge table has City as its source table, so out() from a city
+  // prunes every edge table and only the vertex fetch reaches SQL.
+  sql::Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE Person (id BIGINT PRIMARY KEY);
+    CREATE TABLE City (id BIGINT PRIMARY KEY);
+    CREATE TABLE LivesIn (src BIGINT, dst BIGINT);
+    INSERT INTO Person VALUES (1);
+    INSERT INTO City VALUES (20);
+    INSERT INTO LivesIn VALUES (1, 20);
+  )sql")
+                  .ok());
+  auto graph = Db2Graph::Open(&db, R"json({
+    "v_tables": [
+      {"table_name": "Person", "id": "id", "fix_label": true,
+       "label": "'person'", "properties": []},
+      {"table_name": "City", "id": "id", "fix_label": true,
+       "label": "'city'", "properties": []}
+    ],
+    "e_tables": [
+      {"table_name": "LivesIn", "src_v_table": "Person", "src_v": "src",
+       "dst_v_table": "City", "dst_v": "dst", "implicit_edge_id": true,
+       "fix_label": true, "label": "'livesIn'"}
+    ]
+  })json");
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  (*graph)->dialect()->EnableTrace();
+  auto out = (*graph)->Execute("g.V().hasLabel('city').out()");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out->empty());
+  EXPECT_EQ((*graph)->dialect()->TakeTrace(),
+            std::vector<std::string>{"SELECT \"id\" FROM \"City\""});
 }
 
 }  // namespace

@@ -496,6 +496,53 @@ TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedAndCacheTransitions) {
   EXPECT_TRUE(spans[0].statements.empty());
 }
 
+TEST_F(PartitionedTraceTest, StreamedStatementsFileIntoTheIssuingStep) {
+  // A streamed statement files its record when its stream ends. A limit
+  // that saturates closes the source while every span is paused, and a
+  // parallel producer may finish between the consumer's pulls; either way
+  // the record belongs to the step that opened the stream.
+  struct Case {
+    const char* query;
+    bool all_tables_run;  // false: a limit may cancel unstarted producers
+  };
+  const Case cases[] = {
+      {"g.V().hasLabel('vt1').limit(5)", true},  // serial stream
+      {"g.V()", true},                           // parallel, fully drained
+      {"g.V().limit(5)", false},                 // parallel, closed early
+      {"g.V().out().limit(3)", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    QueryTrace trace;
+    ExecOptions opts;
+    opts.trace = &trace;
+    Result<std::vector<Traverser>> out = graph_->Execute(c.query, opts);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_FALSE(out->empty());
+    size_t statements = 0;
+    for (const StepTraceSpan& span : trace.Spans()) {
+      // Every record names a table the step consulted, at most once per
+      // consultation.
+      std::vector<std::string> unmatched = span.tables_consulted;
+      for (const SqlTraceRecord& record : span.statements) {
+        auto it = std::find(unmatched.begin(), unmatched.end(), record.table);
+        ASSERT_NE(it, unmatched.end())
+            << span.step << " recorded " << record.sql;
+        unmatched.erase(it);
+      }
+      // Only a cancelled producer of the source step runs no statement.
+      if (c.all_tables_run || span.index > 0) {
+        EXPECT_TRUE(unmatched.empty())
+            << span.step << " consulted " << span.tables_consulted.size()
+            << " tables, recorded " << span.statements.size();
+      }
+      statements += span.statements.size();
+    }
+    EXPECT_GE(statements, 1u);
+    EXPECT_GT(trace.SqlRowTotals().rows_scanned, 0u);
+  }
+}
+
 TEST_F(PartitionedTraceTest, PrefixPinnedLookupTracesPrunedTables) {
   // The paper-config shape: a prefixed id pins the exact table, so the
   // trace shows one consulted table and the rest pruned.
