@@ -131,23 +131,32 @@ Status LoadIntoDatabase(sql::Database* db, const Dataset& dataset) {
     CREATE INDEX idx_link_src_type ON Link (id1, ltype);
   )sql"));
   // Bulk load through the storage layer (SQL-per-row would model client
-  // inserts; the premise here is pre-existing data).
+  // inserts; the premise here is pre-existing data). Each table is loaded
+  // in dataset order, in batches of bounded size: Link holds every edge,
+  // so one batch would put all of them in flight as Rows at once.
+  constexpr size_t kChunkRows = size_t{1} << 16;
   sql::Table* node_table = db->GetTable("Node");
   sql::Table* link_table = db->GetTable("Link");
+  std::vector<Row> rows;
+  auto flush = [&rows](sql::Table* table, bool last) -> Status {
+    if (rows.size() < kChunkRows && !last) return Status::OK();
+    Result<std::vector<sql::RowId>> rids = table->InsertBatch(std::move(rows));
+    rows.clear();
+    return rids.status();
+  };
   for (const Node& n : dataset.nodes) {
-    Result<sql::RowId> rid = node_table->Insert(
-        {Value(n.id), Value(Dataset::VertexLabel(n.type)), Value(n.version),
-         Value(n.time), Value(n.data)});
-    if (!rid.ok()) return rid.status();
+    rows.push_back({Value(n.id), Value(Dataset::VertexLabel(n.type)),
+                    Value(n.version), Value(n.time), Value(n.data)});
+    DB2G_RETURN_NOT_OK(flush(node_table, false));
   }
+  DB2G_RETURN_NOT_OK(flush(node_table, true));
   for (const Link& l : dataset.links) {
-    Result<sql::RowId> rid = link_table->Insert(
-        {Value(l.id1), Value(Dataset::EdgeLabel(l.ltype)), Value(l.id2),
-         Value(l.visibility), Value(l.data), Value(l.time),
-         Value(l.version)});
-    if (!rid.ok()) return rid.status();
+    rows.push_back({Value(l.id1), Value(Dataset::EdgeLabel(l.ltype)),
+                    Value(l.id2), Value(l.visibility), Value(l.data),
+                    Value(l.time), Value(l.version)});
+    DB2G_RETURN_NOT_OK(flush(link_table, false));
   }
-  return Status::OK();
+  return flush(link_table, true);
 }
 
 overlay::OverlayConfig MakeOverlay() {

@@ -106,19 +106,31 @@ Status LoadIntoPartitionedDatabase(sql::Database* db,
         "CREATE INDEX idx_" + name + "_src ON " + name + " (id1);"
         "CREATE INDEX idx_" + name + "_dst ON " + name + " (id2);"));
   }
-  for (const Node& n : dataset.nodes) {
-    sql::Table* table =
-        db->GetTable("Node_t" + std::to_string(NodeType(n.id)));
-    Result<sql::RowId> rid = table->Insert(
-        {Value(n.id), Value(n.version), Value(n.time), Value(n.data)});
-    if (!rid.ok()) return rid.status();
+  // One batch per table, each in dataset order, so every table's slots
+  // match a row-by-row load while only one table's rows are in flight.
+  for (int t = 0; t < 10; ++t) {
+    std::vector<Row> rows;
+    for (const Node& n : dataset.nodes) {
+      if (NodeType(n.id) != t) continue;
+      rows.push_back(
+          {Value(n.id), Value(n.version), Value(n.time), Value(n.data)});
+    }
+    Result<std::vector<sql::RowId>> rids =
+        db->GetTable("Node_t" + std::to_string(t))->InsertBatch(
+            std::move(rows));
+    if (!rids.ok()) return rids.status();
   }
-  for (const Link& l : dataset.links) {
-    sql::Table* table = db->GetTable("Link_e" + std::to_string(l.ltype));
-    Result<sql::RowId> rid = table->Insert(
-        {Value(l.id1), Value(l.id2), Value(l.visibility), Value(l.data),
-         Value(l.time), Value(l.version)});
-    if (!rid.ok()) return rid.status();
+  for (int t = 0; t < 10; ++t) {
+    std::vector<Row> rows;
+    for (const Link& l : dataset.links) {
+      if (l.ltype != t) continue;
+      rows.push_back({Value(l.id1), Value(l.id2), Value(l.visibility),
+                      Value(l.data), Value(l.time), Value(l.version)});
+    }
+    Result<std::vector<sql::RowId>> rids =
+        db->GetTable("Link_e" + std::to_string(t))->InsertBatch(
+            std::move(rows));
+    if (!rids.ok()) return rids.status();
   }
   return Status::OK();
 }

@@ -600,7 +600,10 @@ Result<ResultSet> Database::ExecuteInsert(const InsertStmt& stmt,
       positions.push_back(*idx);
     }
   }
-  ResultSet result;
+  // The statement is atomic: every row is evaluated and checked before
+  // one batch insert, which itself changes nothing when any row fails.
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
   Row empty;
   for (const auto& exprs : stmt.rows) {
     if (exprs.size() != positions.size()) {
@@ -612,13 +615,17 @@ Result<ResultSet> Database::ExecuteInsert(const InsertStmt& stmt,
       row[positions[i]] = EvalExpr(*exprs[i], empty, &params);
     }
     DB2G_RETURN_NOT_OK(CheckForeignKeysOnInsert(*table, row));
-    Result<RowId> rid = table->Insert(std::move(row));
-    if (!rid.ok()) return rid.status();
-    if (in_transaction_) {
-      LogUndo({UndoRecord::Kind::kInsert, CatalogKey(stmt.table), *rid, {}});
-    }
-    ++result.affected;
+    rows.push_back(std::move(row));
   }
+  Result<std::vector<RowId>> rids = table->InsertBatch(std::move(rows));
+  if (!rids.ok()) return rids.status();
+  if (in_transaction_) {
+    for (RowId rid : *rids) {
+      LogUndo({UndoRecord::Kind::kInsert, CatalogKey(stmt.table), rid, {}});
+    }
+  }
+  ResultSet result;
+  result.affected = static_cast<int64_t>(rids->size());
   table->PublishColumnStats();
   return result;
 }

@@ -1,6 +1,9 @@
 #include "sql/table.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
+#include <functional>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -98,37 +101,433 @@ size_t Column::ApproxBytes() const {
 // Indexes
 // ---------------------------------------------------------------------
 
-void Index::Insert(Row key, RowId rid) {
-  map_.try_emplace(std::move(key)).first->second.push_back(rid);
+namespace {
+
+constexpr uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;
+constexpr int kMinSlotsLog2 = 3;
+constexpr size_t kMinSlots = size_t{1} << kMinSlotsLog2;
+// Dead arena space below this many words or bytes is never compacted.
+constexpr size_t kCompactFloor = 64;
+// Batches this small, or small next to the slot table (whose size the
+// counting pass allocates), append row by row; others take the counting
+// pass.
+constexpr size_t kCountingBatchMin = 32;
+constexpr size_t kCountingSlotsPerRow = 4;
+
+// True when `d` equals some int64, which it stores in *out.
+bool AsInt64(double d, int64_t* out) {
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(d);
+  return static_cast<double>(*out) == d;
+}
+
+// Appends a value so that values equal under Value::Compare encode to equal
+// bytes: an integral double in int64 range encodes as that int, and every
+// part is tagged (strings length-prefixed) so multi-column keys never alias.
+void EncodeKeyValue(const Value& v, std::string* out) {
+  auto put_word = [out](char tag, uint64_t word) {
+    out->push_back(tag);
+    out->append(reinterpret_cast<const char*>(&word), sizeof(word));
+  };
+  switch (v.type()) {
+    case ValueType::kNull:
+      out->push_back('N');
+      return;
+    case ValueType::kBool:
+      out->push_back(v.as_bool() ? 'T' : 'F');
+      return;
+    case ValueType::kInt:
+      put_word('I', static_cast<uint64_t>(v.as_int()));
+      return;
+    case ValueType::kDouble: {
+      double d = v.as_double();
+      int64_t i;
+      if (AsInt64(d, &i)) {
+        put_word('I', static_cast<uint64_t>(i));
+        return;
+      }
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      put_word('D', bits);
+      return;
+    }
+    case ValueType::kString: {
+      const std::string& str = v.as_string();
+      uint32_t len = static_cast<uint32_t>(str.size());
+      out->push_back('S');
+      out->append(reinterpret_cast<const char*>(&len), sizeof(len));
+      out->append(str);
+      return;
+    }
+  }
+}
+
+// The key columns of one row: a key row (cols == nullptr) or a full table
+// row read through the index's column list.
+struct KeyView {
+  const Value* values;
+  const size_t* cols;
+  size_t n;
+  const Value& operator[](size_t i) const {
+    return values[cols != nullptr ? cols[i] : i];
+  }
+};
+
+}  // namespace
+
+// A key resolved for probing: its key word, and for hashed keys the
+// canonical encoding the stored copy must equal. Reset reuses the buffer.
+class Index::Probe {
+ public:
+  enum class Kind { kWord, kNull, kNever };
+
+  void Reset(const Index& index, const KeyView& key) {
+    if (index.int_keys_) {
+      const Value& v = key[0];
+      int64_t i = 0;
+      if (v.is_int() || (v.is_double() && AsInt64(v.as_double(), &i))) {
+        kind = Kind::kWord;
+        word = static_cast<uint64_t>(v.is_int() ? v.as_int() : i);
+      } else {
+        // No BIGINT equals a string, a bool or a fraction.
+        kind = v.is_null() ? Kind::kNull : Kind::kNever;
+      }
+      return;
+    }
+    kind = Kind::kWord;
+    bytes.clear();
+    for (size_t i = 0; i < key.n; ++i) EncodeKeyValue(key[i], &bytes);
+    word = index.hash_override_ != nullptr
+               ? index.hash_override_(bytes)
+               : std::hash<std::string_view>()(bytes);
+  }
+
+  Kind kind = Kind::kNever;
+  uint64_t word = 0;
+  std::string bytes;
+};
+
+Index::Index(std::string name, std::vector<size_t> column_indexes,
+             bool unique, const std::vector<ColumnType>& column_types)
+    : name_(std::move(name)),
+      column_indexes_(std::move(column_indexes)),
+      unique_(unique),
+      int_keys_(column_types.size() == 1 &&
+                column_types[0] == ColumnType::kInt),
+      slots_(kMinSlots),
+      shift_(64 - kMinSlotsLog2) {
+  if (!int_keys_) key_at_.resize(kMinSlots);
+}
+
+size_t Index::Home(uint64_t word) const {
+  return static_cast<size_t>((word * kFibonacci) >> shift_);
+}
+
+const Index::Slot* Index::FindSlot(const Probe& probe) const {
+  if (probe.kind == Probe::Kind::kNever) return nullptr;
+  if (probe.kind == Probe::Kind::kNull) {
+    return null_run_.cap != 0 ? &null_run_ : nullptr;
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(probe.word);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.cap == 0) return nullptr;
+    if (slot.key != probe.word) continue;
+    if (int_keys_) return &slot;
+    uint32_t len;
+    std::memcpy(&len, keys_.data() + key_at_[i], sizeof(len));
+    if (len == probe.bytes.size() &&
+        std::memcmp(keys_.data() + key_at_[i] + sizeof(len),
+                    probe.bytes.data(), len) == 0) {
+      return &slot;
+    }
+  }
+}
+
+Index::Slot* Index::FindOrAddSlot(const Probe& probe) {
+  assert(probe.kind != Probe::Kind::kNever && "key does not fit the index");
+  if (probe.kind == Probe::Kind::kNull) {
+    if (null_run_.cap == 0) null_run_.cap = 1;
+    return &null_run_;
+  }
+  if (Slot* found = FindSlot(probe)) return found;
+  if ((used_slots_ + 1) * 8 > slots_.size() * 7) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(probe.word);
+  while (slots_[i].cap != 0) i = (i + 1) & mask;
+  slots_[i] = Slot{probe.word, 0, 0, 1};
+  if (!int_keys_) {
+    key_at_[i] = keys_.size();
+    uint32_t len = static_cast<uint32_t>(probe.bytes.size());
+    keys_.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    keys_.append(probe.bytes);
+  }
+  ++used_slots_;
+  return &slots_[i];
+}
+
+void Index::Grow() {
+  std::vector<Slot> old_slots = std::move(slots_);
+  slots_.assign(old_slots.size() * 2, Slot{});
+  std::vector<uint64_t> old_key_at = std::move(key_at_);
+  if (!int_keys_) key_at_.assign(slots_.size(), 0);
+  --shift_;
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = 0; j < old_slots.size(); ++j) {
+    if (old_slots[j].cap == 0) continue;
+    size_t i = Home(old_slots[j].key);
+    while (slots_[i].cap != 0) i = (i + 1) & mask;
+    slots_[i] = old_slots[j];
+    if (!int_keys_) key_at_[i] = old_key_at[j];
+  }
+}
+
+void Index::RemoveSlot(size_t pos) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = pos;
+  for (size_t j = (hole + 1) & mask; slots_[j].cap != 0; j = (j + 1) & mask) {
+    // The entry at j may fill the hole unless its home lies cyclically in
+    // (hole, j].
+    size_t home = Home(slots_[j].key);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      if (!int_keys_) key_at_[hole] = key_at_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --used_slots_;
+}
+
+void Index::Relocate(Slot* slot, uint32_t cap) {
+  if (slot->cap > 1 && slot->off + slot->cap == arena_.size()) {
+    arena_.resize(slot->off + cap);  // the run ends the arena: grow in place
+    slot->cap = cap;
+    return;
+  }
+  const size_t off = arena_.size();
+  arena_.resize(off + cap);
+  const RowId* run = RunData(*slot);
+  std::copy(run, run + slot->len, arena_.begin() + off);
+  if (slot->cap > 1) arena_dead_ += slot->cap;
+  slot->off = off;
+  slot->cap = cap;
+}
+
+void Index::Append(Slot* slot, RowId rid) {
+  if (slot->len == slot->cap) Relocate(slot, slot->cap * 2);
+  if (slot->cap == 1) {
+    slot->off = rid;
+  } else {
+    arena_[slot->off + slot->len] = rid;
+  }
+  ++slot->len;
   ++entry_count_;
 }
 
-void Index::Erase(const Row& key, RowId rid) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  std::vector<RowId>& postings = it->second;
-  auto pos = std::find(postings.begin(), postings.end(), rid);
-  if (pos == postings.end()) return;
-  postings.erase(pos);
+void Index::EraseFrom(Slot* slot, RowId rid) {
+  RowId* run = slot->cap == 1 ? &slot->off : arena_.data() + slot->off;
+  RowId* end = run + slot->len;
+  RowId* hit = std::find(run, end, rid);
+  if (hit == end) return;
+  std::copy(hit + 1, end, hit);
+  --slot->len;
   --entry_count_;
-  if (postings.empty()) map_.erase(it);
+  if (slot->len == 0) {
+    if (slot->cap > 1) arena_dead_ += slot->cap;
+    if (slot == &null_run_) {
+      null_run_ = Slot{};
+    } else {
+      const size_t pos = static_cast<size_t>(slot - slots_.data());
+      if (!int_keys_) {
+        uint32_t len;
+        std::memcpy(&len, keys_.data() + key_at_[pos], sizeof(len));
+        keys_dead_ += sizeof(len) + len;
+      }
+      RemoveSlot(pos);
+    }
+  }
+  MaybeCompact();
+}
+
+void Index::MaybeCompact() {
+  if (arena_dead_ >= kCompactFloor && arena_dead_ * 2 > arena_.size()) {
+    std::vector<RowId> arena;
+    arena.reserve(arena_.size() - arena_dead_);
+    auto repack = [&](Slot* slot) {
+      if (slot->cap <= 1) return;
+      if (slot->len == 1) {
+        slot->off = arena_[slot->off];
+        slot->cap = 1;
+        return;
+      }
+      const RowId* run = arena_.data() + slot->off;
+      slot->off = arena.size();
+      slot->cap = slot->len;
+      arena.insert(arena.end(), run, run + slot->len);
+    };
+    for (Slot& slot : slots_) repack(&slot);
+    repack(&null_run_);
+    arena_.swap(arena);
+    arena_dead_ = 0;
+  }
+  if (keys_dead_ >= kCompactFloor && keys_dead_ * 2 > keys_.size()) {
+    std::string keys;
+    keys.reserve(keys_.size() - keys_dead_);
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].cap == 0) continue;
+      uint32_t len;
+      std::memcpy(&len, keys_.data() + key_at_[i], sizeof(len));
+      size_t at = keys.size();
+      keys.append(keys_, key_at_[i], sizeof(len) + len);
+      key_at_[i] = at;
+    }
+    keys_.swap(keys);
+    keys_dead_ = 0;
+  }
+}
+
+template <typename KeyAt>
+void Index::AppendAll(size_t n, const KeyAt& key_at, const RowId* rids) {
+  Probe probe;
+  if (n < kCountingBatchMin || n * kCountingSlotsPerRow < slots_.size()) {
+    for (size_t i = 0; i < n; ++i) {
+      probe.Reset(*this, key_at(i));
+      Append(FindOrAddSlot(probe), rids[i]);
+    }
+    MaybeCompact();
+    return;
+  }
+  // Pass 1: find or add every key's slot. Growing the table moves slots,
+  // so rows before the last growth are located again once it is final.
+  auto position = [this](const Slot* slot) {
+    return slot == &null_run_ ? slots_.size()
+                              : static_cast<size_t>(slot - slots_.data());
+  };
+  std::vector<uint32_t> where(n);
+  size_t stale = 0;
+  for (size_t i = 0; i < n; ++i) {
+    probe.Reset(*this, key_at(i));
+    size_t before = slots_.size();
+    Slot* slot = FindOrAddSlot(probe);
+    if (slots_.size() != before) stale = i;
+    where[i] = static_cast<uint32_t>(position(slot));
+  }
+  for (size_t i = 0; i < stale; ++i) {
+    probe.Reset(*this, key_at(i));
+    where[i] = static_cast<uint32_t>(position(FindSlot(probe)));
+  }
+  // Pass 2: size every touched run once (position slots_.size() is the
+  // NULL run), then fill the runs in row order.
+  std::vector<uint32_t> adds(slots_.size() + 1, 0);
+  for (uint32_t w : where) ++adds[w];
+  auto slot_at = [this](size_t w) {
+    return w == slots_.size() ? &null_run_ : &slots_[w];
+  };
+  size_t words = 0;
+  for (size_t w = 0; w < adds.size(); ++w) {
+    const Slot& slot = *slot_at(w);
+    if (adds[w] != 0 && slot.len + adds[w] > slot.cap) {
+      words += slot.len + adds[w];
+    }
+  }
+  arena_.reserve(arena_.size() + words);
+  for (size_t w = 0; w < adds.size(); ++w) {
+    Slot* slot = slot_at(w);
+    if (adds[w] != 0 && slot->len + adds[w] > slot->cap) {
+      Relocate(slot, slot->len + adds[w]);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) Append(slot_at(where[i]), rids[i]);
+  MaybeCompact();
+}
+
+void Index::Insert(const Row& key, RowId rid) {
+  AppendAll(1, [&](size_t) { return KeyView{key.data(), nullptr, key.size()}; },
+            &rid);
+}
+
+void Index::Erase(const Row& key, RowId rid) {
+  Probe probe;
+  probe.Reset(*this, KeyView{key.data(), nullptr, key.size()});
+  if (Slot* slot = FindSlot(probe)) EraseFrom(slot, rid);
 }
 
 void Index::Lookup(const Row& key, std::vector<RowId>* out) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return;
-  out->insert(out->end(), it->second.begin(), it->second.end());
+  Probe probe;
+  probe.Reset(*this, KeyView{key.data(), nullptr, key.size()});
+  if (const Slot* slot = FindSlot(probe)) {
+    const RowId* run = RunData(*slot);
+    out->insert(out->end(), run, run + slot->len);
+  }
+}
+
+bool Index::Contains(const Row& key) const {
+  Probe probe;
+  probe.Reset(*this, KeyView{key.data(), nullptr, key.size()});
+  return FindSlot(probe) != nullptr;
+}
+
+void Index::InsertRows(const Row* rows, const RowId* rids, size_t n) {
+  const KeyView base{nullptr, column_indexes_.data(), column_indexes_.size()};
+  AppendAll(
+      n,
+      [&](size_t i) {
+        KeyView key = base;
+        key.values = rows[i].data();
+        return key;
+      },
+      rids);
+}
+
+void Index::EraseRow(const Row& row, RowId rid) {
+  Probe probe;
+  probe.Reset(*this, KeyView{row.data(), column_indexes_.data(),
+                             column_indexes_.size()});
+  if (Slot* slot = FindSlot(probe)) EraseFrom(slot, rid);
+}
+
+bool Index::ContainsKeyOf(const Row& row) const {
+  Probe probe;
+  probe.Reset(*this, KeyView{row.data(), column_indexes_.data(),
+                             column_indexes_.size()});
+  return FindSlot(probe) != nullptr;
+}
+
+bool Index::AnyKeyTaken(const Row* rows, size_t n) const {
+  if (n == 1) return ContainsKeyOf(rows[0]);
+  Index seen(name_, column_indexes_, unique_,
+             int_keys_ ? std::vector<ColumnType>{ColumnType::kInt}
+                       : std::vector<ColumnType>{});
+  seen.hash_override_ = hash_override_;
+  for (size_t i = 0; i < n; ++i) {
+    if (ContainsKeyOf(rows[i]) || seen.ContainsKeyOf(rows[i])) return true;
+    RowId ordinal = i;
+    seen.InsertRows(&rows[i], &ordinal, 1);
+  }
+  return false;
+}
+
+void Index::Build(const std::vector<Column>& columns,
+                  const std::vector<RowId>& rids) {
+  Row key(column_indexes_.size());
+  AppendAll(
+      rids.size(),
+      [&](size_t i) {
+        for (size_t k = 0; k < column_indexes_.size(); ++k) {
+          key[k] = columns[column_indexes_[k]].Get(rids[i]);
+        }
+        return KeyView{key.data(), nullptr, key.size()};
+      },
+      rids.data());
 }
 
 size_t Index::ApproxBytes() const {
-  size_t bytes = 64 + map_.bucket_count() * sizeof(void*);
-  for (const auto& [key, postings] : map_) {
-    // Hash node (next pointer, cached hash, key, posting vector header)
-    // plus the key's values and the posting array.
-    bytes += 2 * sizeof(void*) + ApproxRowBytes(key) +
-             sizeof(std::vector<RowId>) + postings.capacity() * sizeof(RowId);
-  }
-  return bytes;
+  return sizeof(*this) + slots_.capacity() * sizeof(Slot) +
+         arena_.capacity() * sizeof(RowId) +
+         key_at_.capacity() * sizeof(uint64_t) + keys_.capacity();
 }
 
 size_t EncodedValueBytes(const Value& v) {
@@ -416,38 +815,63 @@ Status Table::ConformRow(Row* row) const {
   return Status::OK();
 }
 
-Status Table::CheckUnique(const Row& row, const Row* replaced) const {
+Status Table::CheckUnique(const Row& row, const Row& replaced) const {
   for (const auto& index : indexes_) {
     if (!index->unique()) continue;
-    Row key = index->KeyFor(row);
     // A row keeping its own key does not collide with its own posting.
-    if (replaced != nullptr && key == index->KeyFor(*replaced)) continue;
-    if (index->Contains(key)) {
-      return Status::ConstraintViolation("duplicate key for unique index " +
-                                         index->name() + " on " +
-                                         schema_.name);
+    if (std::all_of(index->column_indexes().begin(),
+                    index->column_indexes().end(),
+                    [&](size_t c) { return row[c] == replaced[c]; })) {
+      continue;
     }
+    if (index->ContainsKeyOf(row)) return DuplicateKey(*index);
   }
   return Status::OK();
 }
 
+Status Table::DuplicateKey(const Index& index) const {
+  return Status::ConstraintViolation("duplicate key for unique index " +
+                                     index.name() + " on " + schema_.name);
+}
+
 Result<RowId> Table::Insert(Row row) {
-  DB2G_RETURN_NOT_OK(ConformRow(&row));
-  DB2G_RETURN_NOT_OK(CheckUnique(row, nullptr));
-  RowId rid;
-  if (!free_slots_.empty()) {
-    rid = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    rid = slot_count_;
-    EnsureSlots(slot_count_ + 1);
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  Result<std::vector<RowId>> rids = InsertBatch(std::move(rows));
+  if (!rids.ok()) return rids.status();
+  return rids->front();
+}
+
+Result<std::vector<RowId>> Table::InsertBatch(std::vector<Row> rows) {
+  for (Row& row : rows) DB2G_RETURN_NOT_OK(ConformRow(&row));
+  for (const auto& index : indexes_) {
+    if (index->unique() && index->AnyKeyTaken(rows.data(), rows.size())) {
+      return DuplicateKey(*index);
+    }
   }
-  live_[rid] = true;
-  ++live_count_;
-  IndexInsert(row, rid);
-  StatsOnInsert(row);
-  StoreRow(rid, std::move(row));
-  return rid;
+  // Slots exactly as a loop of Insert takes them: free slots from the back
+  // of the free list, then fresh slots in order.
+  std::vector<RowId> rids(rows.size());
+  size_t fresh = 0;
+  for (RowId& rid : rids) {
+    if (!free_slots_.empty()) {
+      rid = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      rid = slot_count_ + fresh++;
+    }
+  }
+  EnsureSlots(slot_count_ + fresh);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    live_[rids[i]] = true;
+    StatsOnInsert(rows[i]);
+  }
+  live_count_ += rows.size();
+  IndexInsert(rows.data(), rids.data(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    StoreRow(rids[i], std::move(rows[i]));
+  }
+  return rids;
 }
 
 Result<Row> Table::Delete(RowId rid) {
@@ -472,10 +896,10 @@ Result<Row> Table::Update(RowId rid, Row new_row) {
   }
   DB2G_RETURN_NOT_OK(ConformRow(&new_row));
   Row before = GetRow(rid);
-  DB2G_RETURN_NOT_OK(CheckUnique(new_row, &before));
+  DB2G_RETURN_NOT_OK(CheckUnique(new_row, before));
   IndexErase(before, rid);
   StatsOnErase(before);
-  IndexInsert(new_row, rid);
+  IndexInsert(&new_row, &rid, 1);
   StatsOnInsert(new_row);
   StoreRow(rid, std::move(new_row));
   return before;
@@ -490,7 +914,7 @@ void Table::RestoreSlot(RowId rid, Row row) {
         std::remove(free_slots_.begin(), free_slots_.end(), rid),
         free_slots_.end());
   }
-  IndexInsert(row, rid);
+  IndexInsert(&row, &rid, 1);
   StatsOnInsert(row);
   StoreRow(rid, std::move(row));
 }
@@ -514,25 +938,27 @@ Status Table::CreateIndex(const std::string& name,
                                  schema_.name);
   }
   std::vector<size_t> column_indexes;
+  std::vector<ColumnType> column_types;
   for (const std::string& c : columns) {
     auto idx = schema_.ColumnIndex(c);
     if (!idx) {
       return Status::NotFound("no column " + c + " in table " + schema_.name);
     }
     column_indexes.push_back(*idx);
+    column_types.push_back(schema_.columns[*idx].type);
   }
-  auto index = std::make_unique<Index>(name, column_indexes, unique);
+  auto index = std::make_unique<Index>(name, column_indexes, unique,
+                                       column_types);
+  std::vector<RowId> rids;
+  rids.reserve(live_count_);
   for (RowId rid = 0; rid < slot_count_; ++rid) {
-    if (!live_[rid]) continue;
-    Row key;
-    key.reserve(column_indexes.size());
-    for (size_t c : column_indexes) key.push_back(columns_[c].Get(rid));
-    if (unique && index->Contains(key)) {
-      return Status::ConstraintViolation(
-          "cannot create unique index " + name + " on " + schema_.name +
-          ": duplicate existing keys");
-    }
-    index->Insert(std::move(key), rid);
+    if (live_[rid]) rids.push_back(rid);
+  }
+  index->Build(columns_, rids);
+  if (unique && index->key_count() != index->entry_count()) {
+    return Status::ConstraintViolation("cannot create unique index " + name +
+                                       " on " + schema_.name +
+                                       ": duplicate existing keys");
   }
   indexes_.push_back(std::move(index));
   return Status::OK();
@@ -587,15 +1013,17 @@ const OrderedIndex* Table::FindOrderedIndexOn(size_t column_index) const {
   return nullptr;
 }
 
-void Table::IndexInsert(const Row& row, RowId rid) {
-  for (const auto& index : indexes_) index->Insert(index->KeyFor(row), rid);
+void Table::IndexInsert(const Row* rows, const RowId* rids, size_t n) {
+  for (const auto& index : indexes_) index->InsertRows(rows, rids, n);
   for (const auto& index : ordered_indexes_) {
-    index->Insert(row[index->column_index()], rid);
+    for (size_t i = 0; i < n; ++i) {
+      index->Insert(rows[i][index->column_index()], rids[i]);
+    }
   }
 }
 
 void Table::IndexErase(const Row& row, RowId rid) {
-  for (const auto& index : indexes_) index->Erase(index->KeyFor(row), rid);
+  for (const auto& index : indexes_) index->EraseRow(row, rid);
   for (const auto& index : ordered_indexes_) {
     index->Erase(row[index->column_index()], rid);
   }

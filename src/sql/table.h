@@ -15,7 +15,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -95,15 +96,32 @@ class Column {
 };
 
 /// A hash index over one or more columns of a table. Each distinct key
-/// owns one posting list of row ids in insertion order, so a lookup is one
-/// hash probe plus a contiguous copy, and a key costs one hash node however
-/// many rows share it.
+/// owns one posting list of row ids in insertion order.
+///
+/// Layout: an open-addressing (linear probing) table of 24-byte slots.
+/// Each slot holds a 64-bit key word and an (offset, length, capacity)
+/// run into one contiguous RowId arena, i.e. the postings are CSR. A run
+/// of capacity 1 keeps its row id in the slot itself. For a single BIGINT
+/// column the key word is the value; NULL keys of such an index share one
+/// out-of-table run. Any other key (multi-column, string, double, bool)
+/// is stored as a 64-bit hash of its canonical encoding, and the encoding
+/// itself sits in a key arena that every probe compares against.
+///
+/// A one-row insert appends into its run in place; a full run moves to
+/// the arena's end at double capacity (or grows in place when it already
+/// ends the arena). An erase shifts the rest of its run down, so postings
+/// stay in insertion order. Both arenas compact once their dead space
+/// exceeds their live contents. A batch that is large next to the table
+/// (InsertRows, Build) takes one counting pass: every touched run is sized
+/// once, then filled in row order. Lookup and Contains never mutate, so
+/// readers holding the database's shared lock may probe concurrently.
 class Index {
  public:
-  Index(std::string name, std::vector<size_t> column_indexes, bool unique)
-      : name_(std::move(name)),
-        column_indexes_(std::move(column_indexes)),
-        unique_(unique) {}
+  /// `column_types` are the declared types of the key columns; an index
+  /// over exactly one kInt column stores its keys as plain int64 words.
+  /// Without types every key takes the hashed path.
+  Index(std::string name, std::vector<size_t> column_indexes, bool unique,
+        const std::vector<ColumnType>& column_types = {});
 
   const std::string& name() const { return name_; }
   const std::vector<size_t>& column_indexes() const {
@@ -111,37 +129,96 @@ class Index {
   }
   bool unique() const { return unique_; }
 
-  /// Extracts this index's key from a full row.
-  Row KeyFor(const Row& row) const {
-    Row key;
-    key.reserve(column_indexes_.size());
-    for (size_t c : column_indexes_) key.push_back(row[c]);
-    return key;
-  }
+  // --- Key-based access: `key` holds one value per index column. Keys
+  // match under Value equality (1.0 finds 1; NULL finds NULL).
 
   /// Appends `rid` to the posting list of `key`.
-  void Insert(Row key, RowId rid);
+  void Insert(const Row& key, RowId rid);
   /// Removes `rid` from the posting list of `key`, keeping the order of
   /// the others; the key disappears with its last posting.
   void Erase(const Row& key, RowId rid);
-
   /// Appends all row ids whose key equals `key`, in insertion order.
   void Lookup(const Row& key, std::vector<RowId>* out) const;
+  bool Contains(const Row& key) const;
 
-  bool Contains(const Row& key) const { return map_.count(key) > 0; }
+  // --- Row-based maintenance: each row is a full table row, and the key
+  // is read from this index's columns of it.
+
+  /// Appends rids[i] under the key of rows[i], for i in order. Equivalent
+  /// to n one-row inserts; large batches are built in one counting pass.
+  void InsertRows(const Row* rows, const RowId* rids, size_t n);
+  void EraseRow(const Row& row, RowId rid);
+  bool ContainsKeyOf(const Row& row) const;
+  /// True when some row's key is already indexed or repeats the key of an
+  /// earlier row in `rows` (the unique check of a batch insert).
+  bool AnyKeyTaken(const Row* rows, size_t n) const;
+  /// Adds the postings of `rids` (ascending), reading their keys from the
+  /// table's columns: CREATE INDEX over existing rows.
+  void Build(const std::vector<Column>& columns,
+             const std::vector<RowId>& rids);
 
   /// Number of (key, row id) postings.
   size_t entry_count() const { return entry_count_; }
+  /// Number of distinct keys.
+  size_t key_count() const {
+    return used_slots_ + (null_run_.cap != 0 ? 1 : 0);
+  }
 
-  /// Approximate memory footprint, for storage accounting.
+  /// Memory footprint of the slot table and both arenas.
   size_t ApproxBytes() const;
 
  private:
+  friend struct IndexTestPeer;
+
+  // One posting run. cap == 0 marks an empty slot; cap == 1 keeps the
+  // single row id in `off` instead of the arena.
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t off = 0;
+    uint32_t len = 0;
+    uint32_t cap = 0;
+  };
+  class Probe;  // a key being looked up (table row or key row)
+
+  size_t Home(uint64_t word) const;
+  /// Slot holding `probe`'s key, or nullptr.
+  const Slot* FindSlot(const Probe& probe) const;
+  Slot* FindSlot(const Probe& probe) {
+    return const_cast<Slot*>(std::as_const(*this).FindSlot(probe));
+  }
+  /// Slot for `probe`'s key, created with an empty inline run if absent.
+  Slot* FindOrAddSlot(const Probe& probe);
+  void Grow();
+  /// Backward-shift deletion of the slot at `pos` (linear probing).
+  void RemoveSlot(size_t pos);
+  void Append(Slot* slot, RowId rid);
+  /// Moves a run to the arena's end with room for `cap` postings.
+  void Relocate(Slot* slot, uint32_t cap);
+  void EraseFrom(Slot* slot, RowId rid);
+  void MaybeCompact();
+  const RowId* RunData(const Slot& slot) const {
+    return slot.cap == 1 ? &slot.off : arena_.data() + slot.off;
+  }
+  template <typename KeyAt>
+  void AppendAll(size_t n, const KeyAt& key_at, const RowId* rids);
+
   std::string name_;
   std::vector<size_t> column_indexes_;
   bool unique_;
-  std::unordered_map<Row, std::vector<RowId>, RowHash> map_;
+  bool int_keys_ = false;
+  std::vector<Slot> slots_;  // power-of-two size, at most 7/8 used
+  size_t used_slots_ = 0;
+  int shift_ = 64;           // 64 - log2(slots_.size())
+  Slot null_run_;            // NULL keys of an int-key index
+  std::vector<RowId> arena_;
+  size_t arena_dead_ = 0;    // arena words no run owns
+  // Hashed keys only: slot i's encoded key starts at key_at_[i] in keys_.
+  std::vector<uint64_t> key_at_;
+  std::string keys_;
+  size_t keys_dead_ = 0;
   size_t entry_count_ = 0;
+  // Replaces the hash of encoded keys (tests force collisions with it).
+  uint64_t (*hash_override_)(std::string_view) = nullptr;
 };
 
 /// A single-column ordered (B-tree-style) index supporting range scans.
@@ -245,11 +322,18 @@ class Table {
     return stats_version_.load(std::memory_order_relaxed);
   }
 
-  /// Appends a row (recycling a free slot when available). The row must
-  /// already match the schema arity. NOT NULL, column types (int/double
+  /// Appends a row (recycling a free slot when available): the one-row
+  /// case of InsertBatch. Arity, NOT NULL, column types (int/double
   /// coercion) and unique indexes are enforced before any mutation; index
   /// maintenance included.
   Result<RowId> Insert(Row row);
+
+  /// Appends rows as a loop of Insert would: same checks, same slots (free
+  /// slots first), same statistics and one stats_version bump per row.
+  /// All rows are checked before any mutation, unique keys also against
+  /// each other, so a failing batch changes nothing. A large batch extends
+  /// each hash index in one counting pass. Returns the slots in row order.
+  Result<std::vector<RowId>> InsertBatch(std::vector<Row> rows);
 
   /// Deletes a live row; returns the removed image for undo logs.
   Result<Row> Delete(RowId rid);
@@ -310,10 +394,12 @@ class Table {
 
   /// Arity, NOT NULL and type checks; coerces numerics in place.
   Status ConformRow(Row* row) const;
-  /// ConstraintViolation when `row` would duplicate a unique-index key.
-  /// `replaced` is the image an update overwrites (its keys are free).
-  Status CheckUnique(const Row& row, const Row* replaced) const;
-  void IndexInsert(const Row& row, RowId rid);
+  /// ConstraintViolation when an update to `row` would duplicate a
+  /// unique-index key. `replaced` is the image it overwrites (its keys
+  /// are free).
+  Status CheckUnique(const Row& row, const Row& replaced) const;
+  Status DuplicateKey(const Index& index) const;
+  void IndexInsert(const Row* rows, const RowId* rids, size_t n);
   void IndexErase(const Row& row, RowId rid);
   void StatsOnInsert(const Row& row);
   void StatsOnErase(const Row& row);

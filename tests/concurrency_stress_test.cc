@@ -5,13 +5,15 @@
 // GremlinService submits, nonzero parallel-batch/cache counters, and
 // write-epoch invalidation (a write provably flushes stale cache entries,
 // including cached negative lookups). The ConcurrentReadersAndWriter case
-// is the primary TSan target (see README "Sanitizers").
+// is the primary TSan target (see README "Sanitizers"); the hot-key case
+// runs hash-index run relocation and arena compaction under readers.
 
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -226,6 +228,69 @@ TEST_F(ConcurrencyStressTest, ConcurrentReadersAndWriter) {
           "UPDATE " + table + " SET version = " + std::to_string(1000 + i) +
           " WHERE id = " + std::to_string(id));
       if (!r.ok()) failures.fetch_add(1);
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Prepared readers probe one hot key of a hash index while a writer's
+// INSERTs and DELETEs grow that key's run past its capacity (relocation),
+// and add and drop short-lived runs of other keys until the arena compacts.
+// Hot rows come and go in (x, -x) pairs, one statement per pair, so every
+// read must see distinct values that all have their partner.
+TEST_F(ConcurrencyStressTest, HotKeyProbesDuringRunRelocation) {
+  constexpr int kReaders = 3;
+  constexpr int kReadsPerReader = 200;
+  constexpr int kWrites = 300;
+  ASSERT_TRUE(db_.ExecuteScript("CREATE TABLE hot (k BIGINT, v BIGINT);"
+                                "CREATE INDEX hot_k ON hot (k);"
+                                "INSERT INTO hot VALUES (1, 1), (1, -1);")
+                  .ok());
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([this, &failures] {
+      Result<sql::PreparedStatement> probe =
+          db_.Prepare("SELECT v FROM hot WHERE k = ?");
+      if (!probe.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        Result<sql::ResultSet> rs = probe->Execute({Value(int64_t{1})});
+        if (!rs.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        std::set<int64_t> seen;
+        for (const Row& row : rs->rows) seen.insert(row[0].as_int());
+        bool consistent = seen.size() == rs->rows.size() && !seen.empty();
+        for (int64_t v : seen) consistent = consistent && seen.count(-v) == 1;
+        if (!consistent) failures.fetch_add(1);
+      }
+    });
+  }
+  std::thread writer([this, &failures] {
+    auto exec = [&](const std::string& sql) {
+      if (!db_.Execute(sql).ok()) failures.fetch_add(1);
+    };
+    for (int i = 2; i < kWrites; ++i) {
+      const std::string x = std::to_string(i);
+      const std::string cold = std::to_string(1000 + i);
+      exec("INSERT INTO hot VALUES (1, " + x + "), (" + cold + ", 0), (1, -" +
+           x + "), (" + cold + ", 0)");
+      exec("DELETE FROM hot WHERE k = " + std::to_string(999 + i));
+      // Every third round drops an older pair from the middle of the run;
+      // the pair (1, -1) stays, so no read is empty.
+      if (i % 3 == 0) {
+        const std::string old = std::to_string(1 + i / 2);
+        exec("DELETE FROM hot WHERE k = 1 AND (v = " + old + " OR v = -" +
+             old + ")");
+      }
     }
   });
   for (std::thread& t : readers) t.join();

@@ -1,10 +1,17 @@
-// UPDATE/DELETE coverage: statements target their rows through the same
-// index access path SELECT uses (equivalence against an unindexed twin
-// table, inside and outside transactions), UPDATE enforces unique indexes
-// and column types like INSERT does, and hash-index posting lists keep
-// their order and accounting across erases.
+// DML coverage: statements target their rows through the same index
+// access path SELECT uses (equivalence against an unindexed twin table,
+// inside and outside transactions), UPDATE enforces unique indexes and
+// column types like INSERT does, multi-row INSERT is atomic, a batch
+// insert equals a loop of one-row inserts, and hash-index posting lists
+// keep their order and accounting across erases (including a seeded
+// differential run against a reference map).
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +98,207 @@ TEST(IndexTest, ApproxBytesShrinksAfterErases) {
 }
 
 // ---------------------------------------------------------------------
+// Differential index model
+// ---------------------------------------------------------------------
+
+}  // namespace
+
+// Reads and steers Index internals the public surface does not expose.
+struct IndexTestPeer {
+  static void SetHash(Index* index, uint64_t (*hash)(std::string_view)) {
+    index->hash_override_ = hash;
+  }
+  static size_t ArenaDead(const Index& index) { return index.arena_dead_; }
+  static size_t KeysDead(const Index& index) { return index.keys_dead_; }
+};
+
+namespace {
+
+// Folds every hashed key onto one of four words, so most distinct keys
+// share a 64-bit hash with others.
+uint64_t CollidingHash(std::string_view bytes) {
+  return bytes.size() % 4;
+}
+
+// The reference: each key's postings in insertion order, keys compared by
+// Value order (so 1 and 1.0 are one key, as in the index).
+using IndexModel = std::map<Row, std::vector<RowId>>;
+
+struct ModelEvents {
+  bool relocated = false;      // a run moved and left dead arena space
+  bool compacted = false;      // dead arena space was reclaimed
+  bool keys_compacted = false;  // dead key bytes were reclaimed
+  bool last_posting_removed = false;
+  size_t max_run = 0;
+};
+
+void ExpectIndexMatches(const Index& index, const IndexModel& model,
+                        const std::vector<Row>& probes) {
+  size_t entries = 0;
+  for (const auto& [key, postings] : model) {
+    entries += postings.size();
+    ASSERT_EQ(LookupAll(index, key), postings);
+    ASSERT_TRUE(index.Contains(key));
+  }
+  ASSERT_EQ(index.entry_count(), entries);
+  ASSERT_EQ(index.key_count(), model.size());
+  for (const Row& probe : probes) {
+    auto it = model.find(probe);
+    const std::vector<RowId> want =
+        it == model.end() ? std::vector<RowId>{} : it->second;
+    ASSERT_EQ(LookupAll(index, probe), want);
+    ASSERT_EQ(index.Contains(probe), it != model.end());
+  }
+}
+
+// Random inserts and erases drawn from `key_of`, then a drain of every
+// posting, checked against the model throughout.
+template <typename KeyOf>
+ModelEvents RunIndexModel(Index* index, uint64_t seed, int steps,
+                          const KeyOf& key_of,
+                          const std::vector<Row>& probes) {
+  std::mt19937_64 rng(seed);
+  IndexModel model;
+  std::vector<std::pair<Row, RowId>> live;
+  ModelEvents events;
+  RowId next = 0;
+  auto observe = [&](size_t dead_before, size_t keys_dead_before) {
+    size_t dead = IndexTestPeer::ArenaDead(*index);
+    events.relocated |= dead > dead_before;
+    events.compacted |= dead < dead_before;
+    events.keys_compacted |= IndexTestPeer::KeysDead(*index) < keys_dead_before;
+  };
+  auto erase_at = [&](size_t i) {
+    auto [key, rid] = live[i];
+    live[i] = live.back();
+    live.pop_back();
+    size_t dead = IndexTestPeer::ArenaDead(*index);
+    size_t keys_dead = IndexTestPeer::KeysDead(*index);
+    index->Erase(key, rid);
+    observe(dead, keys_dead);
+    std::vector<RowId>& postings = model[key];
+    postings.erase(std::find(postings.begin(), postings.end(), rid));
+    if (postings.empty()) {
+      model.erase(key);
+      events.last_posting_removed = true;
+      EXPECT_FALSE(index->Contains(key));
+    }
+  };
+  for (int step = 0; step < steps; ++step) {
+    uint64_t op = rng() % 10;
+    if (op < 7 || live.empty()) {
+      Row key = key_of(rng);
+      size_t dead = IndexTestPeer::ArenaDead(*index);
+      size_t keys_dead = IndexTestPeer::KeysDead(*index);
+      index->Insert(key, next);
+      observe(dead, keys_dead);
+      model[key].push_back(next);
+      events.max_run = std::max(events.max_run, model[key].size());
+      live.emplace_back(key, next++);
+    } else if (op < 9) {
+      erase_at(rng() % live.size());
+    } else {
+      // Erasing a posting that is not there changes nothing.
+      index->Erase(key_of(rng), next + 1000);
+    }
+    if (step % 251 == 0) ExpectIndexMatches(*index, model, probes);
+  }
+  ExpectIndexMatches(*index, model, probes);
+  while (!live.empty()) {
+    erase_at(rng() % live.size());
+    if (live.size() % 509 == 0) ExpectIndexMatches(*index, model, probes);
+  }
+  ExpectIndexMatches(*index, model, probes);
+  EXPECT_EQ(index->entry_count(), 0u);
+  return events;
+}
+
+TEST(IndexModelTest, BigintKeysWithHotKeyNullsAndMixedProbes) {
+  Index index("i", {0}, /*unique=*/false, {ColumnType::kInt});
+  // 35% one hot key, 10% NULL, the rest spread over 400 keys.
+  auto key_of = [](std::mt19937_64& rng) -> Row {
+    uint64_t r = rng() % 100;
+    if (r < 35) return {Value(int64_t{1})};
+    if (r < 45) return {Value::Null()};
+    return {Value(static_cast<int64_t>(rng() % 400) - 50)};
+  };
+  const std::vector<Row> probes = {
+      {Value(int64_t{1})}, {Value(1.0)},  {Value(1.5)},
+      {Value("1")},        {Value(true)}, {Value::Null()},
+      {Value(-7.0)},       {Value(int64_t{1} << 40)}, {Value(1e300)}};
+  ModelEvents events = RunIndexModel(&index, 11, 20000, key_of, probes);
+  EXPECT_GT(events.max_run, 2000u);
+  EXPECT_TRUE(events.relocated);
+  EXPECT_TRUE(events.compacted);
+  EXPECT_TRUE(events.last_posting_removed);
+}
+
+TEST(IndexModelTest, HashedKeysWithForcedCollisions) {
+  Index index("i", {0, 1}, /*unique=*/false);
+  IndexTestPeer::SetHash(&index, CollidingHash);
+  // Two-column string keys (every one shares its hash with many others),
+  // NULL parts, and int parts probed as doubles.
+  auto key_of = [](std::mt19937_64& rng) -> Row {
+    uint64_t r = rng() % 100;
+    if (r < 30) return {Value("hot"), Value("key")};
+    if (r < 40) return {Value::Null(), Value("n" + std::to_string(rng() % 5))};
+    if (r < 60) {
+      return {Value(static_cast<int64_t>(rng() % 20)), Value("i")};
+    }
+    return {Value("a" + std::to_string(rng() % 60)),
+            Value("b" + std::to_string(rng() % 7))};
+  };
+  const std::vector<Row> probes = {
+      {Value("hot"), Value("key")}, {Value("hotk"), Value("ey")},
+      {Value(3.0), Value("i")},     {Value(3.5), Value("i")},
+      {Value("3"), Value("i")},     {Value::Null(), Value("n1")},
+      {Value("hot")},               {Value("a1"), Value("b1"), Value("x")}};
+  ModelEvents events = RunIndexModel(&index, 12, 20000, key_of, probes);
+  EXPECT_GT(events.max_run, 2000u);
+  EXPECT_TRUE(events.relocated);
+  EXPECT_TRUE(events.compacted);
+  EXPECT_TRUE(events.keys_compacted);
+  EXPECT_TRUE(events.last_posting_removed);
+}
+
+TEST(IndexModelTest, BatchInsertEqualsOneRowInserts) {
+  // Full table rows (key columns 1 and 2); enough rows to take the
+  // counting pass, appended to an index that already holds postings.
+  std::mt19937_64 rng(13);
+  std::vector<Row> rows;
+  std::vector<RowId> rids;
+  for (RowId rid = 0; rid < 3000; ++rid) {
+    uint64_t r = rng() % 10;
+    Value a = r == 0 ? Value::Null() : Value(static_cast<int64_t>(r % 4));
+    rows.push_back({Value("pad"), a, Value("s" + std::to_string(rng() % 3))});
+    rids.push_back(rid * 7 % 3001);
+  }
+  for (const std::vector<size_t>& cols :
+       {std::vector<size_t>{1}, std::vector<size_t>{1, 2}}) {
+    const std::vector<ColumnType> types =
+        cols.size() == 1 ? std::vector<ColumnType>{ColumnType::kInt}
+                         : std::vector<ColumnType>{};
+    Index batch("b", cols, false, types);
+    Index single("s", cols, false, types);
+    batch.InsertRows(rows.data(), rids.data(), 100);
+    for (size_t i = 0; i < 100; ++i) {
+      single.InsertRows(&rows[i], &rids[i], 1);
+    }
+    batch.InsertRows(rows.data() + 100, rids.data() + 100, rows.size() - 100);
+    for (size_t i = 100; i < rows.size(); ++i) {
+      single.InsertRows(&rows[i], &rids[i], 1);
+    }
+    EXPECT_EQ(batch.entry_count(), single.entry_count());
+    EXPECT_EQ(batch.key_count(), single.key_count());
+    for (const Row& row : rows) {
+      Row key;
+      for (size_t c : cols) key.push_back(row[c]);
+      ASSERT_EQ(LookupAll(batch, key), LookupAll(single, key));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // UPDATE constraint checks
 // ---------------------------------------------------------------------
 
@@ -173,6 +381,204 @@ TEST_F(DmlTest, UpdateCoercesAndChecksColumnTypes) {
   EXPECT_EQ(Code("UPDATE f SET score = 'x' WHERE id = 1"),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Rows("SELECT score FROM f"), (std::vector<Row>{{Value(2.0)}}));
+}
+
+// ---------------------------------------------------------------------
+// Multi-row INSERT atomicity and the batch insert path
+// ---------------------------------------------------------------------
+
+TEST_F(DmlTest, MultiRowInsertCollidingWithTableAppliesNothing) {
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+      CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT);
+      INSERT INTO t VALUES (1, 1);
+    )sql")
+                  .ok());
+  EXPECT_EQ(Code("INSERT INTO t VALUES (2, 2), (3, 3), (1, 9)"),
+            StatusCode::kConstraintViolation);
+  const std::vector<Row> original = {{Value(int64_t{1}), Value(int64_t{1})}};
+  EXPECT_EQ(Rows("SELECT id, v FROM t ORDER BY id"), original);
+  EXPECT_TRUE(Rows("SELECT v FROM t WHERE id = 2").empty());
+  // Inside a transaction a good batch is undone row by row on ROLLBACK.
+  Run("BEGIN");
+  EXPECT_EQ(Run("INSERT INTO t VALUES (2, 2), (3, 3)").affected, 2);
+  Run("ROLLBACK");
+  EXPECT_EQ(Rows("SELECT id, v FROM t ORDER BY id"), original);
+  EXPECT_TRUE(Rows("SELECT v FROM t WHERE id = 3").empty());
+}
+
+TEST_F(DmlTest, MultiRowInsertRepeatingAKeyAppliesNothing) {
+  ASSERT_TRUE(
+      db_.ExecuteScript("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT);")
+          .ok());
+  EXPECT_EQ(Code("INSERT INTO t VALUES (5, 5), (5, 6)"),
+            StatusCode::kConstraintViolation);
+  EXPECT_TRUE(Rows("SELECT id, v FROM t").empty());
+  EXPECT_TRUE(Rows("SELECT v FROM t WHERE id = 5").empty());
+  EXPECT_EQ(Run("INSERT INTO t VALUES (5, 6)").affected, 1);
+}
+
+// Two databases with the same table, one loaded by InsertBatch and one by
+// a loop of Insert, after the same history of inserts and deletes (so the
+// free list is not empty).
+class BatchInsertTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kSchema = R"sql(
+      CREATE TABLE t (id BIGINT PRIMARY KEY, g BIGINT, s VARCHAR(8),
+                      d DOUBLE, n BIGINT NOT NULL);
+      CREATE INDEX t_g ON t (g);
+      CREATE INDEX t_gs ON t (g, s);
+    )sql";
+
+  void SetUp() override {
+    for (Database* db : {&batch_db_, &loop_db_}) {
+      ASSERT_TRUE(db->ExecuteScript(kSchema).ok());
+      std::string insert = "INSERT INTO t VALUES ";
+      for (int i = 0; i < 80; ++i) {
+        if (i > 0) insert += ", ";
+        insert += "(" + std::to_string(i) + ", " + std::to_string(i % 6) +
+                  ", 's" + std::to_string(i % 4) + "', 0.5, 1)";
+      }
+      ASSERT_TRUE(db->Execute(insert).ok());
+      ASSERT_TRUE(db->Execute("DELETE FROM t WHERE g = 2 OR id > 70").ok());
+    }
+  }
+
+  // Rows with NULL-able parts, repeated keys and int/double coercion.
+  static std::vector<Row> NewRows(int first, int count) {
+    std::vector<Row> rows;
+    for (int i = first; i < first + count; ++i) {
+      Value g = i % 9 == 0 ? Value::Null() : Value(int64_t{i % 5});
+      Value s = i % 7 == 0 ? Value::Null() : Value("s" + std::to_string(i % 3));
+      Value d = i % 4 == 0 ? Value::Null() : Value(int64_t{i});  // coerced
+      rows.push_back({Value(int64_t{i}), g, s, d, Value(int64_t{i % 2})});
+    }
+    return rows;
+  }
+
+  static Table* T(Database* db) { return db->GetTable("t"); }
+
+  // Every observable the two loads must agree on.
+  static void ExpectSameTables(Database* a, Database* b) {
+    const Table& ta = *T(a);
+    const Table& tb = *T(b);
+    EXPECT_EQ(ta.stats_version(), tb.stats_version());
+    EXPECT_EQ(ta.row_count(), tb.row_count());
+    EXPECT_EQ(ta.slot_count(), tb.slot_count());
+    for (size_t c = 0; c < ta.column_count(); ++c) {
+      Table::ColumnStats sa = ta.GetColumnStats(c);
+      Table::ColumnStats sb = tb.GetColumnStats(c);
+      EXPECT_EQ(sa.row_count, sb.row_count) << c;
+      EXPECT_EQ(sa.null_count, sb.null_count) << c;
+      EXPECT_EQ(sa.ndv, sb.ndv) << c;
+      EXPECT_EQ(sa.min, sb.min) << c;
+      EXPECT_EQ(sa.max, sb.max) << c;
+    }
+    ASSERT_EQ(ta.indexes().size(), tb.indexes().size());
+    for (size_t i = 0; i < ta.indexes().size(); ++i) {
+      ExpectSameIndex(ta, *ta.indexes()[i], *tb.indexes()[i]);
+    }
+    for (const char* sql :
+         {"SELECT * FROM t ORDER BY id", "SELECT id FROM t WHERE g = 3",
+          "SELECT id, d FROM t WHERE g = 4 AND s = 's1'",
+          "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g"}) {
+      Result<ResultSet> ra = a->Execute(sql);
+      Result<ResultSet> rb = b->Execute(sql);
+      ASSERT_TRUE(ra.ok() && rb.ok()) << sql;
+      EXPECT_EQ(ra->rows, rb->rows) << sql;
+    }
+  }
+
+  // Same postings for the key of every live row: in the same order, or
+  // as sets when `ordered` is false.
+  static void ExpectSameIndex(const Table& table, const Index& a,
+                              const Index& b, bool ordered = true) {
+    EXPECT_EQ(a.entry_count(), b.entry_count()) << a.name();
+    EXPECT_EQ(a.key_count(), b.key_count()) << a.name();
+    for (RowId rid = 0; rid < table.slot_count(); ++rid) {
+      if (!table.IsLive(rid)) continue;
+      Row key;
+      for (size_t c : a.column_indexes()) key.push_back(table.ValueAt(rid, c));
+      std::vector<RowId> pa = LookupAll(a, key);
+      std::vector<RowId> pb = LookupAll(b, key);
+      if (!ordered) {
+        std::sort(pa.begin(), pa.end());
+        std::sort(pb.begin(), pb.end());
+      }
+      ASSERT_EQ(pa, pb) << a.name();
+    }
+  }
+
+  Database batch_db_;
+  Database loop_db_;
+};
+
+TEST_F(BatchInsertTest, BatchEqualsLoopOfInserts) {
+  ASSERT_GT(T(&batch_db_)->slot_count(), T(&batch_db_)->row_count());
+  for (auto [first, count] : {std::pair{100, 5}, std::pair{200, 400}}) {
+    std::vector<Row> rows = NewRows(first, count);
+    Result<std::vector<RowId>> batch = T(&batch_db_)->InsertBatch(rows);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    std::vector<RowId> loop;
+    for (Row& row : rows) {
+      Result<RowId> rid = T(&loop_db_)->Insert(std::move(row));
+      ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+      loop.push_back(*rid);
+    }
+    EXPECT_EQ(*batch, loop);
+    ExpectSameTables(&batch_db_, &loop_db_);
+  }
+  // An index built over the loaded rows holds the maintained postings. It
+  // lists them in slot order, and the maintained one in insertion order:
+  // the two differ where a free slot was reused.
+  ASSERT_TRUE(batch_db_
+                  .ExecuteScript("CREATE INDEX t_g2 ON t (g);"
+                                 "CREATE INDEX t_gs2 ON t (g, s);"
+                                 "CREATE UNIQUE INDEX t_id2 ON t (id);")
+                  .ok());
+  const Table& table = *T(&batch_db_);
+  const auto& indexes = table.indexes();
+  ASSERT_EQ(indexes.size(), 6u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(indexes[(i + 1) % 3]->column_indexes(),
+              indexes[3 + i]->column_indexes());
+    ExpectSameIndex(table, *indexes[(i + 1) % 3], *indexes[3 + i],
+                    /*ordered=*/false);
+  }
+  EXPECT_EQ(batch_db_.Execute("CREATE UNIQUE INDEX t_g3 ON t (g)")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST_F(BatchInsertTest, FailingBatchChangesNothing) {
+  Table* table = T(&batch_db_);
+  auto snapshot = [table] {
+    std::vector<std::string> state = {
+        std::to_string(table->row_count()),
+        std::to_string(table->stats_version())};
+    for (const auto& index : table->indexes()) {
+      state.push_back(std::to_string(index->entry_count()));
+    }
+    for (size_t c = 0; c < table->column_count(); ++c) {
+      Table::ColumnStats stats = table->GetColumnStats(c);
+      state.push_back(std::to_string(stats.null_count) + "/" +
+                      std::to_string(stats.ndv) + "/" +
+                      stats.min.ToString() + "/" + stats.max.ToString());
+    }
+    return state;
+  };
+  const std::vector<std::string> before = snapshot();
+  std::vector<Row> against_table = NewRows(300, 50);
+  against_table[40][0] = Value(int64_t{5});  // id 5 is live
+  std::vector<Row> within_batch = NewRows(300, 50);
+  within_batch[45][0] = Value(int64_t{310});
+  std::vector<Row> not_null = NewRows(300, 50);
+  not_null[49][4] = Value::Null();
+  for (std::vector<Row>* rows : {&against_table, &within_batch, &not_null}) {
+    Result<std::vector<RowId>> rids = table->InsertBatch(*rows);
+    EXPECT_EQ(rids.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_EQ(snapshot(), before);
+  }
 }
 
 // ---------------------------------------------------------------------
