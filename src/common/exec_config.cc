@@ -2,6 +2,7 @@
 
 #include "common/exec_config.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -31,7 +32,14 @@ ExecConfig SeedFromEnvironment() {
   bool flag = false;
   if (env_bool("DB2G_VECTORIZED", &flag)) config = config.vectorized(flag);
   if (env_bool("DB2G_STREAMING", &flag)) config = config.streaming(flag);
-  return config;
+  // Governor limits; unset or empty leaves the field unset (0).
+  auto env_int = [](const char* name) -> int64_t {
+    const char* env = std::getenv(name);
+    return env == nullptr ? 0 : std::strtoll(env, nullptr, 10);
+  };
+  return config.timeout_ms(env_int("DB2G_QUERY_TIMEOUT_MS"))
+      .max_result_rows(env_int("DB2G_MAX_RESULT_ROWS"))
+      .max_memory_bytes(env_int("DB2G_MAX_MEMORY_BYTES"));
 }
 
 ExecConfig& ProcessDefaultLocked() {
@@ -68,17 +76,12 @@ ExecConfig ExecConfig::OverlaidBy(const ExecConfig& overrides) const {
     out.block_rows_ = overrides.block_rows_;
     out.has_block_rows_ = true;
   }
-  if (overrides.has_timeout_ms_) {
-    out.timeout_ms_ = overrides.timeout_ms_;
-    out.has_timeout_ms_ = true;
-  }
-  if (overrides.has_max_result_rows_) {
+  if (overrides.timeout_ms_ != 0) out.timeout_ms_ = overrides.timeout_ms_;
+  if (overrides.max_result_rows_ != 0) {
     out.max_result_rows_ = overrides.max_result_rows_;
-    out.has_max_result_rows_ = true;
   }
-  if (overrides.has_max_memory_bytes_) {
+  if (overrides.max_memory_bytes_ != 0) {
     out.max_memory_bytes_ = overrides.max_memory_bytes_;
-    out.has_max_memory_bytes_ = true;
   }
   return out;
 }

@@ -18,9 +18,12 @@
 // how a Gremlin execution's config reaches the SQL compiles it issues
 // deep inside the provider without signature plumbing.
 //
-// Governor limits ride along (timeout/rows/bytes follow the governor's
-// 0 = inherit, negative = unlimited convention); ResolveLimits still
-// interprets them, ExecConfig only carries them.
+// The workload governor's limits (timeout / result rows / memory) live
+// here too, and only here: a builder given 0 leaves the field unset (it
+// inherits from the layer below), a negative value means unlimited and
+// overrides every lower layer, and a positive value is the limit.
+// DB2G_QUERY_TIMEOUT_MS, DB2G_MAX_RESULT_ROWS and DB2G_MAX_MEMORY_BYTES
+// seed the process-default layer.
 
 #ifndef DB2GRAPH_COMMON_EXEC_CONFIG_H_
 #define DB2GRAPH_COMMON_EXEC_CONFIG_H_
@@ -80,23 +83,27 @@ class ExecConfig {
     c.has_block_rows_ = true;
     return c;
   }
-  /// Governor limits (0 = inherit process default, negative = unlimited).
+  // Governor limits: 0 = unset (inherit), negative = unlimited, positive
+  // = the limit. A query over its deadline fails with kTimeout, over a
+  // budget with kResourceExhausted, at the next block boundary.
+
+  /// Wall-clock deadline for the whole execution, in milliseconds.
   ExecConfig timeout_ms(int64_t ms) const {
     ExecConfig c = *this;
     c.timeout_ms_ = ms;
-    c.has_timeout_ms_ = true;
     return c;
   }
+  /// Cap on traversers materialized by any step (and rows accumulated by
+  /// a streaming segment).
   ExecConfig max_result_rows(int64_t rows) const {
     ExecConfig c = *this;
     c.max_result_rows_ = rows;
-    c.has_max_result_rows_ = true;
     return c;
   }
+  /// Approximate memory budget for intermediate state, in bytes.
   ExecConfig max_memory_bytes(int64_t bytes) const {
     ExecConfig c = *this;
     c.max_memory_bytes_ = bytes;
-    c.has_max_memory_bytes_ = true;
     return c;
   }
 
@@ -114,12 +121,13 @@ class ExecConfig {
   bool profile() const { return has_profile_ ? profile_ : kDefaultProfile; }
   /// 0 = caller should use its own engine default.
   size_t block_rows() const { return has_block_rows_ ? block_rows_ : 0; }
-  int64_t timeout_ms() const { return has_timeout_ms_ ? timeout_ms_ : 0; }
+  /// Effective governor limits; 0 = no limit (unset or unlimited).
+  int64_t timeout_ms() const { return timeout_ms_ > 0 ? timeout_ms_ : 0; }
   int64_t max_result_rows() const {
-    return has_max_result_rows_ ? max_result_rows_ : 0;
+    return max_result_rows_ > 0 ? max_result_rows_ : 0;
   }
   int64_t max_memory_bytes() const {
-    return has_max_memory_bytes_ ? max_memory_bytes_ : 0;
+    return max_memory_bytes_ > 0 ? max_memory_bytes_ : 0;
   }
 
   // ---- tri-state inspection ----
@@ -129,17 +137,14 @@ class ExecConfig {
   bool has_streaming() const { return has_streaming_; }
   bool has_profile() const { return has_profile_; }
   bool has_block_rows() const { return has_block_rows_; }
-  bool has_timeout_ms() const { return has_timeout_ms_; }
-  bool has_max_result_rows() const { return has_max_result_rows_; }
-  bool has_max_memory_bytes() const { return has_max_memory_bytes_; }
 
   /// Layered resolution: every field `overrides` set wins; unset fields
   /// keep this config's state (set or unset).
   ExecConfig OverlaidBy(const ExecConfig& overrides) const;
 
   /// The process-wide default layer, seeded once from the environment
-  /// (DB2G_PARALLELISM, DB2G_VECTORIZED, DB2G_STREAMING) and adjustable
-  /// at runtime. Thread-safe.
+  /// (DB2G_PARALLELISM, DB2G_VECTORIZED, DB2G_STREAMING and the three
+  /// limit variables above) and adjustable at runtime. Thread-safe.
   static ExecConfig ProcessDefault();
   static void SetProcessDefault(const ExecConfig& config);
 
@@ -155,6 +160,7 @@ class ExecConfig {
   bool streaming_ = kDefaultStreaming;
   bool profile_ = kDefaultProfile;
   size_t block_rows_ = 0;
+  // Limits carry their own tri-state: 0 = unset, negative = unlimited.
   int64_t timeout_ms_ = 0;
   int64_t max_result_rows_ = 0;
   int64_t max_memory_bytes_ = 0;
@@ -164,9 +170,6 @@ class ExecConfig {
   bool has_streaming_ = false;
   bool has_profile_ = false;
   bool has_block_rows_ = false;
-  bool has_timeout_ms_ = false;
-  bool has_max_result_rows_ = false;
-  bool has_max_memory_bytes_ = false;
 };
 
 /// RAII installer of the thread's per-query ExecConfig; saves and

@@ -1,9 +1,15 @@
 #include "common/query_log.h"
 
+#include <cstdlib>
+
 namespace db2graph {
 
 QueryLog::QueryLog(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {
+  if (const char* env = std::getenv("DB2G_SLOW_QUERY_MS")) {
+    threshold_ms_.store(std::atoll(env), std::memory_order_relaxed);
+  }
+}
 
 QueryLog& QueryLog::Global() {
   static QueryLog* instance = new QueryLog();
@@ -23,8 +29,8 @@ void QueryLog::SetCapacity(size_t capacity) {
 
 void QueryLog::Record(Entry entry) {
   if (!enabled()) return;
-  entry.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mutex_);
+  entry.id = next_id_++;
   while (entries_.size() >= capacity_) entries_.pop_front();
   entries_.push_back(std::move(entry));
 }

@@ -8,6 +8,11 @@
 // MON_GET_PKG_CACHE_STMT, scaled down). Recording is a mutex-guarded
 // deque push; the enabled flag is a relaxed atomic read so switching the
 // log off removes it from the hot path entirely.
+//
+// The log also holds the slow-query threshold: while the log is enabled
+// and the threshold is nonzero, Gremlin executions run traced, and an
+// entry whose wall time crossed the threshold carries its full trace
+// (trace_json). sysmon.slow_queries is the view of those entries.
 
 #ifndef DB2GRAPH_COMMON_QUERY_LOG_H_
 #define DB2GRAPH_COMMON_QUERY_LOG_H_
@@ -54,6 +59,9 @@ class QueryLog {
     std::string reason = "ok";
     /// EXPLAIN ANALYZE rendering when the statement ran profiled.
     std::string plan;
+    /// The execution's trace as JSON, set only on a Gremlin entry whose
+    /// wall time crossed the slow-query threshold.
+    std::string trace_json;
   };
 
   static constexpr size_t kDefaultCapacity = 256;
@@ -70,11 +78,21 @@ class QueryLog {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
+  /// Slow-query threshold in milliseconds; 0 = off. Seeded from the
+  /// DB2G_SLOW_QUERY_MS environment variable at construction.
+  int64_t threshold_ms() const {
+    return threshold_ms_.load(std::memory_order_relaxed);
+  }
+  void SetThresholdMs(int64_t ms) {
+    threshold_ms_.store(ms, std::memory_order_relaxed);
+  }
+
   size_t capacity() const;
   /// Resizes the ring (clamped to >= 1); shrinking drops oldest entries.
   void SetCapacity(size_t capacity);
 
-  /// Files an entry (assigning entry.id); no-op while disabled.
+  /// Files an entry (assigning entry.id under the ring lock, so ids
+  /// increase oldest-first); no-op while disabled.
   void Record(Entry entry);
   /// Oldest-first copy of the ring.
   std::vector<Entry> Entries() const;
@@ -82,8 +100,9 @@ class QueryLog {
 
  private:
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_id_{1};
+  std::atomic<int64_t> threshold_ms_{0};
   mutable std::mutex mutex_;
+  uint64_t next_id_ = 1;
   size_t capacity_;
   std::deque<Entry> entries_;
 };

@@ -1,7 +1,6 @@
 #include "common/trace.h"
 
 #include <chrono>
-#include <cstdlib>
 
 namespace db2graph {
 
@@ -441,46 +440,6 @@ ScopedTrace::ScopedTrace(QueryTrace* trace, int span)
 ScopedTrace::~ScopedTrace() {
   g_current_trace = previous_;
   g_current_span = previous_span_;
-}
-
-SlowQueryLog::SlowQueryLog(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  const char* env = std::getenv("DB2G_SLOW_QUERY_MS");
-  if (env != nullptr) {
-    threshold_ms_.store(std::atoll(env), std::memory_order_relaxed);
-  }
-}
-
-SlowQueryLog& SlowQueryLog::Global() {
-  static SlowQueryLog* instance = new SlowQueryLog();
-  return *instance;
-}
-
-size_t SlowQueryLog::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void SlowQueryLog::SetCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (entries_.size() > capacity_) entries_.pop_front();
-}
-
-void SlowQueryLog::Record(Entry entry) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  while (entries_.size() >= capacity_) entries_.pop_front();
-  entries_.push_back(std::move(entry));
-}
-
-std::vector<SlowQueryLog::Entry> SlowQueryLog::Entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {entries_.begin(), entries_.end()};
-}
-
-void SlowQueryLog::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
 }
 
 }  // namespace db2graph

@@ -182,7 +182,7 @@ class QueryTrace {
   std::vector<StrategyRewrite> Rewrites() const;
 
   /// Sums of rows_scanned / rows_emitted over every SQL statement in the
-  /// trace (used by the slow-query log's summary fields).
+  /// trace (the query log's row counts for a traced execution).
   struct RowTotals {
     uint64_t rows_scanned = 0;
     uint64_t rows_emitted = 0;
@@ -246,54 +246,6 @@ class ScopedTrace {
  private:
   QueryTrace* previous_;
   int previous_span_;
-};
-
-/// Ring buffer of queries whose wall time crossed the slow-query
-/// threshold, each captured with its full trace. The threshold comes from
-/// the DB2G_SLOW_QUERY_MS environment variable (read once at first use;
-/// 0 or unset = disabled) and can be overridden programmatically. While
-/// the threshold is nonzero, queries run traced so the offender's trace
-/// is available when the threshold trips.
-class SlowQueryLog {
- public:
-  struct Entry {
-    std::string script;
-    uint64_t elapsed_micros = 0;
-    /// Rows the query's SQL statements pulled / emitted (trace totals).
-    uint64_t rows_scanned = 0;
-    uint64_t rows_emitted = 0;
-    std::string trace_json;
-    /// Termination reason ("ok", "timeout", ...); a slow query that was
-    /// in fact killed by the governor says so right in the log.
-    std::string reason = "ok";
-  };
-
-  static constexpr size_t kDefaultCapacity = 64;
-
-  explicit SlowQueryLog(size_t capacity = kDefaultCapacity);
-
-  static SlowQueryLog& Global();
-
-  int64_t threshold_ms() const {
-    return threshold_ms_.load(std::memory_order_relaxed);
-  }
-  void SetThresholdMs(int64_t ms) {
-    threshold_ms_.store(ms, std::memory_order_relaxed);
-  }
-
-  size_t capacity() const;
-  /// Resizes the ring (clamped to >= 1); shrinking drops oldest entries.
-  void SetCapacity(size_t capacity);
-
-  void Record(Entry entry);
-  std::vector<Entry> Entries() const;
-  void Clear();
-
- private:
-  std::atomic<int64_t> threshold_ms_{0};
-  mutable std::mutex mutex_;
-  size_t capacity_;
-  std::deque<Entry> entries_;
 };
 
 }  // namespace db2graph

@@ -5,13 +5,13 @@
 // enforced at the same block boundaries that make execution incremental.
 //
 // One QueryContext exists per governed execution, created by
-// Db2Graph::Execute from ExecOptions limits (with process-wide defaults
-// from GovernorDefaults / environment variables) and installed thread-
-// locally — the same propagation model as QueryTrace: deep layers (the
-// SQL operator tree, the interpreter's pull cursor, the provider's
-// fan-out producers) call CheckCurrent() at each block boundary without
-// any signature plumbing, and fan-out pool workers inherit the context
-// through ScopedQueryContext exactly like ScopedTrace.
+// Db2Graph::Execute from the limits of its resolved ExecConfig and
+// installed thread-locally — the same propagation model as QueryTrace:
+// deep layers (the SQL operator tree, the interpreter's pull cursor, the
+// provider's fan-out producers) call CheckCurrent() at each block
+// boundary without any signature plumbing, and fan-out pool workers
+// inherit the context through ScopedQueryContext exactly like
+// ScopedTrace.
 //
 // Violations latch: the first failed check fixes the context's terminal
 // status (kTimeout / kCancelled / kResourceExhausted) and every later
@@ -80,32 +80,6 @@ struct GovernorLimits {
     return timeout_ms > 0 || max_result_rows > 0 || max_memory_bytes > 0;
   }
 };
-
-/// Process-wide default limits, applied when an execution's ExecOptions
-/// leave a field at 0 ("inherit"). Seeded once from the environment —
-/// DB2G_QUERY_TIMEOUT_MS, DB2G_MAX_RESULT_ROWS, DB2G_MAX_MEMORY_BYTES —
-/// and adjustable at runtime (Db2Graph forwards here).
-class GovernorDefaults {
- public:
-  static GovernorDefaults& Global();
-
-  GovernorLimits Get() const;
-  void SetTimeoutMs(int64_t ms);
-  void SetMaxResultRows(int64_t rows);
-  void SetMaxMemoryBytes(int64_t bytes);
-
- private:
-  GovernorDefaults();
-  std::atomic<int64_t> timeout_ms_{0};
-  std::atomic<int64_t> max_result_rows_{0};
-  std::atomic<int64_t> max_memory_bytes_{0};
-};
-
-/// Resolves per-call option fields against the process defaults:
-/// 0 = inherit the default, negative = explicitly unlimited, positive =
-/// that value.
-GovernorLimits ResolveLimits(int64_t timeout_ms, int64_t max_result_rows,
-                             int64_t max_memory_bytes);
 
 /// The per-query governance state. Thread-safe: fan-out producers,
 /// KillQuery callers, and sysmon.active_queries all touch a running

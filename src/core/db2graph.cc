@@ -313,9 +313,10 @@ const std::vector<Value>* FindBinding(const ExecOptions& options,
   return nullptr;
 }
 
-// Files one sysmon.query_log entry for a Gremlin execution. With a trace,
-// row totals come from the statements the query issued; untraced, the
-// traverser count stands in for rows_emitted.
+// Files one sysmon.query_log entry for a Gremlin execution — the only
+// place one is filed. With a trace, row totals come from the statements
+// the query issued; untraced, the traverser count stands in for
+// rows_emitted.
 void RecordGremlinQueryLog(const CompiledPlan& plan,
                            const std::string& script_text, bool plan_cached,
                            const Result<std::vector<Traverser>>& out,
@@ -342,6 +343,12 @@ void RecordGremlinQueryLog(const CompiledPlan& plan,
     entry.error_message = out.status().message();
   }
   entry.reason = governor::TerminationReason(out.status());
+  // An execution over the slow-query threshold keeps its whole trace.
+  const int64_t slow_ms = log.threshold_ms();
+  if (trace != nullptr && slow_ms > 0 &&
+      micros >= static_cast<uint64_t>(slow_ms) * 1000) {
+    entry.trace_json = trace->ToJson().Dump(2);
+  }
   log.Record(std::move(entry));
 }
 
@@ -430,20 +437,15 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
   const ExecConfig exec_cfg = ResolveExecConfig(options.config);
   ScopedExecConfig scoped_exec(exec_cfg);
 
-  // Workload governance: any effective limit (per-call or inherited
-  // process default) or a live cancel token puts the execution under a
-  // QueryContext — registered for sysmon.active_queries / KillQuery and
-  // installed thread-locally for the duration, so every layer's block-
-  // boundary checks observe it. Ungoverned queries allocate nothing and
-  // every downstream CheckCurrent() stays a thread-local null test.
-  // Legacy per-call ExecOptions limits win when nonzero; otherwise the
-  // ExecConfig limits feed the same resolution chain.
-  governor::GovernorLimits limits = governor::ResolveLimits(
-      options.timeout_ms != 0 ? options.timeout_ms : exec_cfg.timeout_ms(),
-      options.max_result_rows != 0 ? options.max_result_rows
-                                   : exec_cfg.max_result_rows(),
-      options.max_memory_bytes != 0 ? options.max_memory_bytes
-                                    : exec_cfg.max_memory_bytes());
+  // Workload governance: any effective limit of the resolved config or a
+  // live cancel token puts the execution under a QueryContext —
+  // registered for sysmon.active_queries / KillQuery and installed
+  // thread-locally for the duration, so every layer's block-boundary
+  // checks observe it. Ungoverned queries allocate nothing and every
+  // downstream CheckCurrent() stays a thread-local null test.
+  const governor::GovernorLimits limits{exec_cfg.timeout_ms(),
+                                        exec_cfg.max_result_rows(),
+                                        exec_cfg.max_memory_bytes()};
   std::shared_ptr<governor::QueryContext> query_ctx;
   if (limits.any() || options.cancel_token.valid()) {
     query_ctx = std::make_shared<governor::QueryContext>(
@@ -453,15 +455,17 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
 
   gremlin::Interpreter interpreter(provider_.get(),
                                    InterpreterOptions(exec_cfg));
-  const int64_t slow_ms = SlowQueryLog::Global().threshold_ms();
-  const bool traced =
-      options.trace != nullptr || plan->has_profile || slow_ms > 0;
+  // The slow-query threshold arms tracing only while the query log is
+  // on: a disabled log records nothing, so there is no trace to keep.
+  const bool logged = QueryLog::Global().enabled();
+  const bool traced = options.trace != nullptr || plan->has_profile ||
+                      (logged && QueryLog::Global().threshold_ms() > 0);
   if (!traced) {
     // Untraced hot path: no QueryTrace exists, so every record site below
     // is a thread-local null check and nothing more. The query log adds
-    // one relaxed atomic read, and when enabled two clock reads plus a
+    // relaxed atomic reads, and when enabled two clock reads plus a
     // guarded deque push.
-    if (!QueryLog::Global().enabled()) {
+    if (!logged) {
       Result<std::vector<Traverser>> out =
           interpreter.RunScript(plan->script, env, slot_values);
       governor::CountTermination(out.status());
@@ -498,17 +502,6 @@ Result<std::vector<Traverser>> Db2Graph::ExecutePlan(
   governor::CountTermination(out.status());
   trace->SetTermination(governor::TerminationReason(out.status()));
   trace->Finish(elapsed);
-  if (slow_ms > 0 && elapsed >= static_cast<uint64_t>(slow_ms) * 1000) {
-    SlowQueryLog::Entry entry;
-    entry.script = script_text;
-    entry.elapsed_micros = elapsed;
-    QueryTrace::RowTotals totals = trace->SqlRowTotals();
-    entry.rows_scanned = totals.rows_scanned;
-    entry.rows_emitted = totals.rows_emitted;
-    entry.reason = governor::TerminationReason(out.status());
-    entry.trace_json = trace->ToJson().Dump(2);
-    SlowQueryLog::Global().Record(std::move(entry));
-  }
   RecordGremlinQueryLog(*plan, script_text, plan_cached, out, elapsed, trace,
                         exec_cfg.parallelism());
   if (!out.ok()) return out.status();

@@ -52,7 +52,8 @@ struct ExecOptions {
   gremlin::Environment* session_env = nullptr;
   /// When set, the execution runs traced and spans/rewrites/SQL records
   /// land here (Finish() is stamped). Otherwise tracing is decided by the
-  /// script (.profile() terminal) and the slow-query threshold.
+  /// script (.profile() terminal) and the query log's slow-query
+  /// threshold.
   QueryTrace* trace = nullptr;
   /// Consult/fill the compiled-plan cache (for text, keyed on its
   /// concentrated shape). Disabled by benchmarks to measure the
@@ -64,23 +65,11 @@ struct ExecOptions {
   /// Unset fields inherit.
   /// The resolved config travels thread-locally (ScopedExecConfig) into
   /// every SQL statement the execution issues, so `.parallelism(4)` here
-  /// parallelizes the scans deep inside the provider.
+  /// parallelizes the scans deep inside the provider. The workload
+  /// governor's limits (timeout_ms / max_result_rows / max_memory_bytes)
+  /// resolve through the same chain.
   ExecConfig config;
 
-  // -- workload governor ---------------------------------------------------
-  // Each limit: 0 = inherit the process-wide default (Db2Graph::SetDefault*
-  // / DB2G_* env vars), negative = explicitly unlimited for this execution,
-  // positive = that value. A query over its deadline fails with kTimeout,
-  // over a budget with kResourceExhausted — both cooperatively, at the next
-  // block boundary in whichever layer is running.
-
-  /// Wall-clock deadline for the whole execution, in milliseconds.
-  int64_t timeout_ms = 0;
-  /// Cap on traversers materialized by any step (and rows accumulated by a
-  /// streaming segment).
-  int64_t max_result_rows = 0;
-  /// Approximate memory budget for intermediate state, in bytes.
-  int64_t max_memory_bytes = 0;
   /// Cooperative cancellation handle: Cancel() makes the execution fail
   /// with kCancelled at its next check. Default-constructed = detached
   /// (never fires). GremlinService installs its shutdown token here.
@@ -155,13 +144,14 @@ class Db2Graph {
 
   /// THE execution entry point: compiles `script` (through the plan
   /// cache), validates and applies bindings, and runs it. A .profile()
-  /// terminal, an options.trace, or a nonzero slow-query threshold runs
-  /// the query traced; profile() replaces the result with one traverser
-  /// holding the trace rendered as JSON text. The cache key is the
-  /// script's concentrated shape (gremlin::ConcentrateIdLiterals): its
-  /// id literals are read per execution, so scripts differing only in
-  /// them share one plan. Every surface (query log, trace, slow-query
-  /// log, sysmon.active_queries) still shows `script` as given.
+  /// terminal, an options.trace, or a nonzero slow-query threshold on an
+  /// enabled query log runs the query traced; profile() replaces the
+  /// result with one traverser holding the trace rendered as JSON text.
+  /// The cache key is the script's concentrated shape
+  /// (gremlin::ConcentrateIdLiterals): its id literals are read per
+  /// execution, so scripts differing only in them share one plan. Every
+  /// surface (query log, trace, sysmon.active_queries) still shows
+  /// `script` as given.
   Result<std::vector<gremlin::Traverser>> Execute(const std::string& script,
                                                   const ExecOptions& options);
 
@@ -188,20 +178,6 @@ class Db2Graph {
 
   /// Clock used for traced executions (tests inject a fake).
   void SetTraceClockForTesting(TraceClock* clock) { trace_clock_ = clock; }
-
-  // Process-wide governor defaults, applied to every execution whose
-  // ExecOptions leaves the corresponding limit at 0. Also seeded from the
-  // DB2G_QUERY_TIMEOUT_MS / DB2G_MAX_RESULT_ROWS / DB2G_MAX_MEMORY_BYTES
-  // environment variables at first use. 0 or negative disables.
-  static void SetDefaultTimeoutMs(int64_t ms) {
-    governor::GovernorDefaults::Global().SetTimeoutMs(ms);
-  }
-  static void SetDefaultMaxResultRows(int64_t rows) {
-    governor::GovernorDefaults::Global().SetMaxResultRows(rows);
-  }
-  static void SetDefaultMaxMemoryBytes(int64_t bytes) {
-    governor::GovernorDefaults::Global().SetMaxMemoryBytes(bytes);
-  }
 
   /// Cancels the running query with this id (see sysmon.active_queries);
   /// it fails with kCancelled at its next cooperative check. False = no
@@ -318,7 +294,7 @@ class AutoGraph {
   Result<Db2Graph*> Get();
 
   /// Convenience: refresh-if-needed, then execute through the unified
-  /// path (profile(), the slow-query log, and the plan cache all apply).
+  /// path (profile(), the query log, and the plan cache all apply).
   Result<std::vector<gremlin::Traverser>> Execute(const std::string& script);
   Result<std::vector<gremlin::Traverser>> Execute(const std::string& script,
                                                   const ExecOptions& options);

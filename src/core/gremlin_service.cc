@@ -186,7 +186,7 @@ void GremlinService::WorkerLoop() {
     }
 
     // Route through the unified Execute so service requests pick up the
-    // plan cache and tracing (profile() terminals, the slow-query log)
+    // plan cache and tracing (profile() terminals, slow-query traces)
     // exactly like direct calls. A sessioned request has exclusive use of
     // its session's environment — the session admits one request at a
     // time — so no lock is held during execution.
@@ -196,14 +196,11 @@ void GremlinService::WorkerLoop() {
     if (request.session != nullptr) {
       options.session_env = &request.session->env;
     }
-    // Governance: the service's default limits plus the shared shutdown
-    // token, so Shutdown() cancels this execution cooperatively.
-    options.timeout_ms = options_.timeout_ms;
-    options.max_result_rows = options_.max_result_rows;
-    options.max_memory_bytes = options_.max_memory_bytes;
+    // The shared shutdown token, so Shutdown() cancels this execution
+    // cooperatively.
     options.cancel_token = shutdown_token_;
-    // Execution tuning: the service-level ExecConfig overlays the graph's
-    // session config per request (e.g. intra-query parallelism).
+    // Execution tuning and governor limits: the service-level ExecConfig
+    // overlays the graph's session config per request.
     options.config = options_.exec;
     Status injected = Status::OK();
     DB2G_FAILPOINT_STATUS("service.before_execute", injected);

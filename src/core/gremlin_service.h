@@ -75,15 +75,11 @@ class GremlinService {
     /// kOverloaded. 0 = 4x workers; negative = unbounded (pre-governor
     /// behavior).
     int max_queue_depth = 0;
-    /// Default governor limits stamped on every request's ExecOptions
-    /// (same 0 = inherit process default / negative = unlimited contract).
-    int64_t timeout_ms = 0;
-    int64_t max_result_rows = 0;
-    int64_t max_memory_bytes = 0;
     /// Execution tuning stamped on every request's ExecOptions::config
     /// (e.g. ExecConfig().parallelism(4) gives each request intra-query
-    /// parallel scans on top of the service's inter-query worker pool).
-    /// Unset fields inherit session / process defaults as usual.
+    /// parallel scans on top of the service's inter-query worker pool;
+    /// ExecConfig().timeout_ms(500) gives each one a deadline). Unset
+    /// fields inherit session / process defaults as usual.
     ExecConfig exec;
 
     /// n workers with an unbounded queue, for callers that batch-submit

@@ -33,6 +33,34 @@ std::string TableFromSql(const std::string& sql) {
   }
 }
 
+// The trace record of one statement as issued: the table(s) it reads and
+// its text with the parameters rendered.
+SqlTraceRecord StatementRecord(const std::string& sql,
+                               const std::vector<Value>& params) {
+  SqlTraceRecord record;
+  record.table = TableFromSql(sql);
+  record.sql = SqlDialect::RenderSql(sql, params);
+  return record;
+}
+
+// Completes a statement's record with how it ran — access path, mode and
+// row counts, or the error (`exec` may be null then) — and files it.
+void FileStatementRecord(QueryTrace* trace, int span, SqlTraceRecord record,
+                         uint64_t start_micros, const Status& status,
+                         const sql::ExecInfo* exec, uint64_t rows_returned) {
+  record.micros = trace->clock()->NowMicros() - start_micros;
+  if (status.ok()) {
+    record.access_path = exec->AccessPath();
+    record.exec_mode = exec->ExecMode();
+    record.rows_scanned = exec->rows_scanned;
+    record.rows_returned = rows_returned;
+    record.rows_emitted = exec->rows_emitted;
+  } else {
+    record.access_path = "error: " + status.ToString();
+  }
+  trace->RecordSql(std::move(record), span);
+}
+
 }  // namespace
 
 std::string SqlDialect::RenderSql(const std::string& sql,
@@ -49,42 +77,44 @@ std::string SqlDialect::RenderSql(const std::string& sql,
   return out;
 }
 
-Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
-                                         const std::vector<Value>& params) {
+SqlDialect::Issued SqlDialect::Issue(const std::string& sql,
+                                     const std::vector<Value>& params) {
   queries_issued_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
   }
-  QueryTrace* query_trace = CurrentTrace();
-  const int span = query_trace != nullptr ? CurrentTraceSpan() : -1;
-  uint64_t start = query_trace != nullptr
-                       ? query_trace->clock()->NowMicros()
-                       : 0;
-  Result<sql::ResultSet> result = QueryUntraced(sql, params);
-  if (query_trace != nullptr) {
-    SqlTraceRecord record;
-    record.table = TableFromSql(sql);
-    record.sql = RenderSql(sql, params);
-    record.micros = query_trace->clock()->NowMicros() - start;
-    if (result.ok()) {
-      record.access_path = result->exec.AccessPath();
-      record.exec_mode = result->exec.ExecMode();
-      record.rows_scanned = result->exec.rows_scanned;
-      record.rows_returned = result->rows.size();
-      record.rows_emitted = result->exec.rows_emitted;
-    } else {
-      record.access_path = "error: " + result.status().ToString();
-    }
-    query_trace->RecordSql(std::move(record), span);
+  Issued issued;
+  issued.trace = CurrentTrace();
+  if (issued.trace != nullptr) {
+    // The issuing span is captured now, not when the record is filed: a
+    // stream closed early ends while every span is paused.
+    issued.span = CurrentTraceSpan();
+    issued.start_micros = issued.trace->clock()->NowMicros();
+  }
+  return issued;
+}
+
+Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
+                                         const std::vector<Value>& params) {
+  const Issued issued = Issue(sql, params);
+  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
+  // Execute outside the cache lock: statement execution takes database
+  // locks and may run long.
+  Result<sql::ResultSet> result =
+      stmt.ok() ? stmt->Execute(params) : Result<sql::ResultSet>(stmt.status());
+  if (issued.trace != nullptr) {
+    FileStatementRecord(issued.trace, issued.span,
+                        StatementRecord(sql, params), issued.start_micros,
+                        result.status(), result.ok() ? &result->exec : nullptr,
+                        result.ok() ? result->rows.size() : 0);
   }
   return result;
 }
 
-Result<sql::ResultSet> SqlDialect::QueryShaped(
+std::string SqlDialect::SkeletonSql(
     const std::string& shape_key,
-    const std::function<std::string()>& build_sql,
-    const std::vector<Value>& params) {
+    const std::function<std::string()>& build_sql) {
   std::string sql;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -101,7 +131,14 @@ Result<sql::ResultSet> SqlDialect::QueryShaped(
     skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
     registry_skeleton_hits_->fetch_add(1);
   }
-  return Query(sql, params);
+  return sql;
+}
+
+Result<sql::ResultSet> SqlDialect::QueryShaped(
+    const std::string& shape_key,
+    const std::function<std::string()>& build_sql,
+    const std::vector<Value>& params) {
+  return Query(SkeletonSql(shape_key, build_sql), params);
 }
 
 Result<sql::PreparedStatement> SqlDialect::PrepareCached(
@@ -122,15 +159,6 @@ Result<sql::PreparedStatement> SqlDialect::PrepareCached(
     templates_.emplace(sql, *prepared);
   }
   return prepared;
-}
-
-Result<sql::ResultSet> SqlDialect::QueryUntraced(
-    const std::string& sql, const std::vector<Value>& params) {
-  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
-  if (!stmt.ok()) return stmt.status();
-  // Execute outside the cache lock: statement execution takes database
-  // locks and may run long.
-  return stmt->Execute(params);
 }
 
 DialectRowStream::DialectRowStream(std::unique_ptr<sql::RowStream> stream,
@@ -163,79 +191,38 @@ void DialectRowStream::Close() {
 void DialectRowStream::FileRecord() {
   if (trace_ == nullptr || filed_) return;
   filed_ = true;
-  const sql::ExecInfo& exec = stream_->exec();
-  record_.micros = trace_->clock()->NowMicros() - start_micros_;
-  if (stream_->status().ok()) {
-    record_.access_path = exec.AccessPath();
-    record_.exec_mode = exec.ExecMode();
-    record_.rows_scanned = exec.rows_scanned;
-    record_.rows_returned = rows_seen_;
-    record_.rows_emitted = exec.rows_emitted;
-  } else {
-    record_.access_path = "error: " + stream_->status().ToString();
-  }
-  trace_->RecordSql(std::move(record_), span_);
+  FileStatementRecord(trace_, span_, std::move(record_), start_micros_,
+                      stream_->status(), &stream_->exec(), rows_seen_);
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
     const std::string& sql, const std::vector<Value>& params,
     size_t block_rows) {
-  queries_issued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
-  }
-  QueryTrace* query_trace = CurrentTrace();
-  // The issuing span is captured now, not when the record is filed: a
-  // stream closed early ends while every span is paused.
-  const int span = query_trace != nullptr ? CurrentTraceSpan() : -1;
-  uint64_t start =
-      query_trace != nullptr ? query_trace->clock()->NowMicros() : 0;
+  const Issued issued = Issue(sql, params);
   Result<sql::PreparedStatement> stmt = PrepareCached(sql);
   if (!stmt.ok()) return stmt.status();
   Result<std::unique_ptr<sql::RowStream>> stream =
       stmt->ExecuteStreaming(params, block_rows);
+  SqlTraceRecord record;
+  if (issued.trace != nullptr) record = StatementRecord(sql, params);
   if (!stream.ok()) {
-    if (query_trace != nullptr) {
-      SqlTraceRecord record;
-      record.table = TableFromSql(sql);
-      record.sql = RenderSql(sql, params);
-      record.access_path = "error: " + stream.status().ToString();
-      record.micros = query_trace->clock()->NowMicros() - start;
-      query_trace->RecordSql(std::move(record), span);
+    if (issued.trace != nullptr) {
+      FileStatementRecord(issued.trace, issued.span, std::move(record),
+                          issued.start_micros, stream.status(), nullptr, 0);
     }
     return stream.status();
   }
-  SqlTraceRecord record;
-  if (query_trace != nullptr) {
-    record.table = TableFromSql(sql);
-    record.sql = RenderSql(sql, params);
-  }
-  return std::unique_ptr<DialectRowStream>(new DialectRowStream(
-      std::move(*stream), query_trace, span, std::move(record), start));
+  return std::unique_ptr<DialectRowStream>(
+      new DialectRowStream(std::move(*stream), issued.trace, issued.span,
+                           std::move(record), issued.start_micros));
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(
     const std::string& shape_key,
     const std::function<std::string()>& build_sql,
     const std::vector<Value>& params, size_t block_rows) {
-  std::string sql;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = skeletons_.find(shape_key);
-    if (it != skeletons_.end()) sql = it->second;
-  }
-  if (sql.empty()) {
-    skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_misses_->fetch_add(1);
-    sql = build_sql();
-    std::lock_guard<std::mutex> lock(mutex_);
-    skeletons_.emplace(shape_key, sql);
-  } else {
-    skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_hits_->fetch_add(1);
-  }
-  return QueryStreaming(sql, params, block_rows);
+  return QueryStreaming(SkeletonSql(shape_key, build_sql), params,
+                        block_rows);
 }
 
 void SqlDialect::RecordPattern(const std::string& table,

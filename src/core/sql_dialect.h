@@ -24,12 +24,13 @@ namespace db2graph::core {
 
 class SqlDialect;
 
-/// A live streaming query handed out by SqlDialect::QueryStreaming: wraps
-/// the database RowStream and, when a QueryTrace is installed, files the
-/// statement's SqlTraceRecord once — when the stream is exhausted or
-/// closed — so a short-circuited query reports the rows it actually
-/// scanned, not the full materialized cost. The record goes to the span
-/// that opened the stream, even when that span is paused by then.
+/// A live streaming query handed out by SqlDialect::QueryShapedStreaming:
+/// wraps the database RowStream and, when a QueryTrace is installed,
+/// files the statement's SqlTraceRecord once — when the stream is
+/// exhausted or closed — so a short-circuited query reports the rows it
+/// actually scanned, not the full materialized cost. The record goes to
+/// the span that opened the stream, even when that span is paused by
+/// then.
 class DialectRowStream : public sql::RowSource {
  public:
   ~DialectRowStream() override;
@@ -84,32 +85,22 @@ class SqlDialect {
 
   sql::Database* db() const { return db_; }
 
-  /// Executes a parameterized SELECT, preparing it on first use and
-  /// reusing the compiled statement afterwards (the pre-compiled SQL
-  /// template cache of Section 6.1).
-  Result<sql::ResultSet> Query(const std::string& sql,
-                               const std::vector<Value>& params);
-
   /// Executes a query identified by its *shape*: `build_sql` runs only
   /// the first time `shape_key` is seen and the produced SQL text is
   /// cached, so steady-state execution of a repeated query shape skips
   /// string assembly entirely — per-execution values arrive through
-  /// `params`. The cached text then flows through Query(), reusing its
-  /// compiled statement template as well. Callers must guarantee the key
-  /// uniquely determines the text `build_sql` would produce.
+  /// `params`. The statement is prepared on first use and its compiled
+  /// template reused afterwards (the pre-compiled SQL template cache of
+  /// Section 6.1). Callers must guarantee the key uniquely determines the
+  /// text `build_sql` would produce.
   Result<sql::ResultSet> QueryShaped(
       const std::string& shape_key,
       const std::function<std::string()>& build_sql,
       const std::vector<Value>& params);
 
-  /// Streaming variant of Query(): compiles (reusing the statement
-  /// template cache) and returns a live block stream instead of a
-  /// materialized result. See sql::RowStream for lock/lifetime rules.
-  Result<std::unique_ptr<DialectRowStream>> QueryStreaming(
-      const std::string& sql, const std::vector<Value>& params,
-      size_t block_rows = sql::kDefaultBlockRows);
-
-  /// Streaming variant of QueryShaped().
+  /// Streaming variant of QueryShaped(): returns a live block stream
+  /// instead of a materialized result. See sql::RowStream for
+  /// lock/lifetime rules.
   Result<std::unique_ptr<DialectRowStream>> QueryShapedStreaming(
       const std::string& shape_key,
       const std::function<std::string()>& build_sql,
@@ -165,9 +156,29 @@ class SqlDialect {
   }
 
  private:
-  /// Query() minus the per-statement trace bookkeeping.
-  Result<sql::ResultSet> QueryUntraced(const std::string& sql,
-                                       const std::vector<Value>& params);
+  /// The SQL text cached for `shape_key`, built (and counted as a
+  /// skeleton miss) on first sight.
+  std::string SkeletonSql(const std::string& shape_key,
+                          const std::function<std::string()>& build_sql);
+
+  /// Where an issued statement's trace record goes; trace is nullptr
+  /// when no QueryTrace is installed.
+  struct Issued {
+    QueryTrace* trace = nullptr;
+    int span = -1;
+    uint64_t start_micros = 0;
+  };
+  /// Counts a statement about to run, appends it to the text trace when
+  /// enabled, and captures the issuing trace span and start time.
+  Issued Issue(const std::string& sql, const std::vector<Value>& params);
+
+  /// Executes a parameterized SELECT through the template cache.
+  Result<sql::ResultSet> Query(const std::string& sql,
+                               const std::vector<Value>& params);
+  /// Streaming variant of Query().
+  Result<std::unique_ptr<DialectRowStream>> QueryStreaming(
+      const std::string& sql, const std::vector<Value>& params,
+      size_t block_rows);
 
   /// Looks the statement up in (or inserts it into) the template cache.
   Result<sql::PreparedStatement> PrepareCached(const std::string& sql);

@@ -7,7 +7,6 @@
 
 #include "common/metrics.h"
 #include "common/query_log.h"
-#include "common/trace.h"
 #include "common/workload_governor.h"
 #include "sql/database.h"
 #include "sql/schema.h"
@@ -91,6 +90,8 @@ VirtualTableDef MetricsTable() {
   return def;
 }
 
+// The slow-query view: the query_log entries that crossed the threshold
+// and therefore carry their trace.
 VirtualTableDef SlowQueriesTable() {
   VirtualTableDef def;
   def.schema = Schema("sysmon.slow_queries",
@@ -101,8 +102,9 @@ VirtualTableDef SlowQueriesTable() {
                        Col("reason", ColumnType::kString),
                        Col("trace_json", ColumnType::kString)});
   def.fill = [](Table* out) -> Status {
-    for (const SlowQueryLog::Entry& e : SlowQueryLog::Global().Entries()) {
-      DB2G_RETURN_NOT_OK(out->Insert({e.script, U64(e.elapsed_micros),
+    for (const QueryLog::Entry& e : QueryLog::Global().Entries()) {
+      if (e.trace_json.empty()) continue;
+      DB2G_RETURN_NOT_OK(out->Insert({e.script, U64(e.micros),
                                       U64(e.rows_scanned),
                                       U64(e.rows_emitted), e.reason,
                                       e.trace_json})

@@ -8,7 +8,8 @@
 //   sysmon.query_log    recent executions from the process QueryLog ring
 //   sysmon.metrics      every counter/gauge/histogram in the global
 //                       MetricsRegistry
-//   sysmon.slow_queries the SlowQueryLog ring (threshold-crossing queries)
+//   sysmon.slow_queries the query_log entries that crossed the slow-query
+//                       threshold, each with its trace
 //   sysmon.column_stats live per-column statistics of every base table
 //
 // Because they are ordinary catalog relations, they compose with the rest

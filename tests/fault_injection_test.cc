@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_config.h"
 #include "common/fault_injection.h"
 #include "core/db2graph.h"
 #include "core/gremlin_service.h"
@@ -124,7 +125,7 @@ TEST_F(FaultInjectionTest, SlowProducerBlockTripsDeadline) {
   FailPointRegistry::Global().Enable("provider.producer_block",
                                      fault::SleepFault(20));
   ExecOptions options;
-  options.timeout_ms = 60;
+  options.config = ExecConfig().timeout_ms(60);
   auto start = std::chrono::steady_clock::now();
   Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(

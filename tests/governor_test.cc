@@ -7,10 +7,10 @@
 //    the deadline expires inside a barrier drain (order / groupCount /
 //    both());
 //  * result-row and memory budgets latch kResourceExhausted;
-//  * ExecOptions limit resolution against process defaults (0 = inherit,
-//    negative = explicitly unlimited);
-//  * observability — the reason column in sysmon.query_log and
-//    sysmon.slow_queries, the governor.* counters, sysmon.active_queries
+//  * ExecConfig limit resolution against process defaults (unset =
+//    inherit, negative = explicitly unlimited);
+//  * observability — the reason column in sysmon.query_log and its
+//    slow-query entries, the governor.* counters, sysmon.active_queries
 //    and KillQuery;
 //  * GremlinService admission control (bounded queue sheds with
 //    kOverloaded under 4x-concurrency load) and Shutdown() cancelling
@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_config.h"
 #include "common/metrics.h"
 #include "common/query_log.h"
 #include "common/trace.h"
@@ -45,6 +46,60 @@ using gremlin::Traverser;
 
 uint64_t CounterValue(const char* name) {
   return metrics::MetricsRegistry::Global().GetCounter(name)->load();
+}
+
+// ------------------------------------------------------------------
+// Limit resolution: ExecConfig is the one place a limit is set.
+// ------------------------------------------------------------------
+
+TEST(ExecConfigTest, GovernorLimitsResolveThroughTheLayers) {
+  // A builder given 0 leaves a limit unset: it overlays nothing.
+  const ExecConfig capped = ExecConfig().max_result_rows(100);
+  EXPECT_EQ(ExecConfig().max_result_rows(0).max_result_rows(), 0);
+  EXPECT_EQ(capped.OverlaidBy(ExecConfig().max_result_rows(0))
+                .max_result_rows(),
+            100);
+  // A negative limit is unlimited and reads back as no limit.
+  EXPECT_EQ(capped.OverlaidBy(ExecConfig().max_result_rows(-1))
+                .max_result_rows(),
+            0);
+
+  linkbench::Config config;
+  config.num_vertices = 2000;
+  config.edges_per_vertex = 0;
+  linkbench::Dataset dataset = linkbench::Generate(config);
+  sql::Database db;
+  ASSERT_TRUE(linkbench::LoadIntoDatabase(&db, dataset).ok());
+  auto status_of = [](Db2Graph* graph, const ExecConfig& call) {
+    ExecOptions options;
+    options.config = call;
+    return graph->Execute("g.V()", options).status().code();
+  };
+
+  // A process default set through SetProcessDefault applies.
+  Result<std::unique_ptr<Db2Graph>> plain =
+      Db2Graph::Open(&db, linkbench::MakeOverlay());
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(status_of(plain->get(), ExecConfig()), StatusCode::kOk);
+  const ExecConfig saved = ExecConfig::ProcessDefault();
+  ExecConfig::SetProcessDefault(saved.max_result_rows(100));
+  EXPECT_EQ(status_of(plain->get(), ExecConfig()),
+            StatusCode::kResourceExhausted);
+  ExecConfig::SetProcessDefault(saved);
+
+  // A graph-level Options::exec limit applies; a per-call builder given 0
+  // leaves it in force, and a per-call -1 opts this call out.
+  Db2Graph::Options options;
+  options.exec = capped;
+  Result<std::unique_ptr<Db2Graph>> governed =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), options);
+  ASSERT_TRUE(governed.ok());
+  EXPECT_EQ(status_of(governed->get(), ExecConfig()),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(status_of(governed->get(), ExecConfig().max_result_rows(0)),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(status_of(governed->get(), ExecConfig().max_result_rows(-1)),
+            StatusCode::kOk);
 }
 
 // ------------------------------------------------------------------
@@ -91,7 +146,7 @@ sql::Database* GovernorDeadlineTest::db_ = nullptr;
 TEST_F(GovernorDeadlineTest, FullTraversalTimesOutUnder100ms) {
   uint64_t timeouts_before = CounterValue(governor::kTimeoutsCounter);
   ExecOptions options;
-  options.timeout_ms = 50;
+  options.config = ExecConfig().timeout_ms(50);
   auto start = std::chrono::steady_clock::now();
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
@@ -114,7 +169,7 @@ TEST_F(GovernorDeadlineTest, TimeoutInterruptsBarrierSteps) {
         "g.V().out().values('vp1').groupCount()",
         "g.V().both().count()"}) {
     ExecOptions options;
-    options.timeout_ms = 30;
+    options.config = ExecConfig().timeout_ms(30);
     auto start = std::chrono::steady_clock::now();
     Result<std::vector<Traverser>> out = graph_->Execute(script, options);
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -128,7 +183,7 @@ TEST_F(GovernorDeadlineTest, TimeoutInterruptsBarrierSteps) {
 
 TEST_F(GovernorDeadlineTest, ResultRowBudgetLatchesResourceExhausted) {
   ExecOptions options;
-  options.max_result_rows = 1000;
+  options.config = ExecConfig().max_result_rows(1000);
   Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
@@ -138,7 +193,8 @@ TEST_F(GovernorDeadlineTest, ResultRowBudgetLatchesResourceExhausted) {
 TEST_F(GovernorDeadlineTest, MemoryBudgetLatchesResourceExhausted) {
   uint64_t before = CounterValue(governor::kResourceExhaustedCounter);
   ExecOptions options;
-  options.max_memory_bytes = 64 * 1024;  // far under 100k traversers
+  options.config =
+      ExecConfig().max_memory_bytes(64 * 1024);  // far under 100k traversers
   // Plain g.V() materializes every vertex (count() would push the
   // aggregate into SQL and retain nothing).
   Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
@@ -152,9 +208,10 @@ TEST_F(GovernorDeadlineTest, GenerousLimitsDoNotPerturbResults) {
   Result<std::vector<Traverser>> plain = graph_->Execute("g.V().count()");
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
   ExecOptions options;
-  options.timeout_ms = 60000;
-  options.max_result_rows = 10000000;
-  options.max_memory_bytes = int64_t{4} << 30;
+  options.config = ExecConfig()
+                       .timeout_ms(60000)
+                       .max_result_rows(10000000)
+                       .max_memory_bytes(int64_t{4} << 30);
   Result<std::vector<Traverser>> governed =
       graph_->Execute("g.V().count()", options);
   ASSERT_TRUE(governed.ok()) << governed.status().ToString();
@@ -162,18 +219,20 @@ TEST_F(GovernorDeadlineTest, GenerousLimitsDoNotPerturbResults) {
 }
 
 TEST_F(GovernorDeadlineTest, ProcessDefaultsApplyAndPerCallOverrides) {
-  Db2Graph::SetDefaultMaxResultRows(1000);
-  // 0 (the ExecOptions default) inherits the process default...
+  const ExecConfig saved = ExecConfig::ProcessDefault();
+  ExecConfig::SetProcessDefault(saved.max_result_rows(1000));
+  // An unset limit (the ExecOptions default) inherits the process
+  // default...
   Result<std::vector<Traverser>> inherited = graph_->Execute("g.V()");
   ASSERT_FALSE(inherited.ok());
   EXPECT_EQ(inherited.status().code(), StatusCode::kResourceExhausted);
   // ...and a negative field opts this call out of it.
   ExecOptions unlimited;
-  unlimited.max_result_rows = -1;
+  unlimited.config = ExecConfig().max_result_rows(-1);
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().count()", unlimited);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
-  Db2Graph::SetDefaultMaxResultRows(0);
+  ExecConfig::SetProcessDefault(saved);
 }
 
 TEST_F(GovernorDeadlineTest, ExternalCancelTokenStopsExecution) {
@@ -204,7 +263,7 @@ TEST_F(GovernorDeadlineTest, QueryLogRecordsTerminationReason) {
   QueryLog::Global().SetEnabled(true);
   QueryLog::Global().Clear();
   ExecOptions options;
-  options.timeout_ms = 30;
+  options.config = ExecConfig().timeout_ms(30);
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
   ASSERT_FALSE(out.ok());
@@ -220,26 +279,30 @@ TEST_F(GovernorDeadlineTest, QueryLogRecordsTerminationReason) {
   QueryLog::Global().Clear();
 }
 
-TEST_F(GovernorDeadlineTest, SlowQueryLogRecordsTerminationReason) {
-  SlowQueryLog::Global().SetThresholdMs(1);
-  SlowQueryLog::Global().Clear();
+TEST_F(GovernorDeadlineTest, SlowQueriesRecordTerminationReason) {
+  const bool was_enabled = QueryLog::Global().enabled();
+  QueryLog::Global().SetEnabled(true);
+  QueryLog::Global().SetThresholdMs(1);
+  QueryLog::Global().Clear();
   ExecOptions options;
-  options.timeout_ms = 30;
+  options.config = ExecConfig().timeout_ms(30);
   Result<std::vector<Traverser>> out =
       graph_->Execute("g.V().out().out().count()", options);
   ASSERT_FALSE(out.ok());
   bool found = false;
-  for (const SlowQueryLog::Entry& e : SlowQueryLog::Global().Entries()) {
-    if (e.reason == "timeout") found = true;
+  for (const QueryLog::Entry& e : QueryLog::Global().Entries()) {
+    if (!e.trace_json.empty() && e.reason == "timeout") found = true;
   }
   EXPECT_TRUE(found);
-  SlowQueryLog::Global().SetThresholdMs(0);
-  SlowQueryLog::Global().Clear();
+  QueryLog::Global().SetThresholdMs(0);
+  QueryLog::Global().SetEnabled(was_enabled);
+  QueryLog::Global().Clear();
 }
 
 TEST_F(GovernorDeadlineTest, ActiveQueriesVisibleAndKillable) {
   ExecOptions options;
-  options.timeout_ms = 60000;  // governed, but nowhere near expiring
+  // Governed, but nowhere near expiring.
+  options.config = ExecConfig().timeout_ms(60000);
   auto future = std::async(std::launch::async, [&] {
     return graph_->Execute("g.V().out().out().count()", options);
   });
@@ -417,7 +480,7 @@ TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
 TEST_F(GovernorCancellationStressTest, DeadlineRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     ExecOptions options;
-    options.timeout_ms = 1 + iter % 5;
+    options.config = ExecConfig().timeout_ms(1 + iter % 5);
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().both().count()", options);
     if (!out.ok()) {

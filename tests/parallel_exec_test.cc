@@ -634,8 +634,8 @@ TEST_F(ParallelGovernanceTest, MorselWorkersRaceKillQueryStress) {
     }
   });
   ExecOptions options;
-  options.config = ExecConfig().parallelism(8);
-  options.timeout_ms = 600000;  // governed: registered for KillQuery
+  // Governed: registered for KillQuery.
+  options.config = ExecConfig().parallelism(8).timeout_ms(600000);
   for (int i = 0; i < kIterations; ++i) {
     const std::string q = i % 2 == 0 ? "g.V().groupCount()"
                                      : "g.V().out().count()";
@@ -661,8 +661,7 @@ TEST_F(ParallelGovernanceTest, CancellationLandsUnder100MsMidParallelScan) {
   Status final_status = Status::OK();
   std::thread runner([&] {
     ExecOptions options;
-    options.config = ExecConfig().parallelism(8);
-    options.timeout_ms = 600000;
+    options.config = ExecConfig().parallelism(8).timeout_ms(600000);
     started.store(true, std::memory_order_release);
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().out().out().count()", options);

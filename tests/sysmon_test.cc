@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,20 +181,46 @@ TEST_F(SysmonTest, ColumnStatsReflectLiveTables) {
 }
 
 TEST_F(SysmonTest, SlowQueriesTableReadsGlobalRing) {
-  SlowQueryLog::Global().Clear();
-  SlowQueryLog::Entry entry;
+  QueryLog::Global().Clear();
+  QueryLog::Entry entry;
+  entry.layer = "gremlin";
   entry.script = "g.V().count()";
-  entry.elapsed_micros = 123456;
+  entry.micros = 123456;
   entry.rows_scanned = 10;
   entry.rows_emitted = 1;
   entry.trace_json = "{}";
-  SlowQueryLog::Global().Record(std::move(entry));
+  QueryLog::Global().Record(std::move(entry));
   ResultSet rs = Run(
       "SELECT script, elapsed_micros FROM sysmon.slow_queries");
   ASSERT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.rows[0][0], Value("g.V().count()"));
   EXPECT_EQ(rs.rows[0][1], Value(int64_t{123456}));
-  SlowQueryLog::Global().Clear();
+  QueryLog::Global().Clear();
+}
+
+// Ids are assigned under the ring lock, so however sessions interleave,
+// the oldest-first ring is in strictly increasing id order (a TSan
+// target: the suite name matches the CI stress regex).
+TEST(SysmonConcurrencyTest, QueryLogIdsIncreaseUnderConcurrentRecording) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  QueryLog log(kThreads * kPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        QueryLog::Entry e;
+        e.script = "t" + std::to_string(t);
+        log.Record(std::move(e));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<QueryLog::Entry> entries = log.Entries();
+  ASSERT_EQ(entries.size(), static_cast<size_t>(kThreads * kPerThread));
+  for (size_t i = 1; i < entries.size(); ++i) {
+    ASSERT_LT(entries[i - 1].id, entries[i].id) << "at position " << i;
+  }
 }
 
 TEST_F(SysmonTest, QueryLogDisableRemovesRecording) {

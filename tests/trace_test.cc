@@ -2,8 +2,8 @@
 //
 // Observability coverage: the metrics registry primitives, the QueryTrace
 // spans and renderings, Db2Graph::Explain() / the profile() terminal, the
-// slow-query log, stats Snapshot()/Reset(), and the GremlinService
-// queue-depth / shutdown surface.
+// query log's ring and its slow-query entries, stats Snapshot()/Reset(),
+// and the GremlinService queue-depth / shutdown surface.
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/query_log.h"
 #include "common/trace.h"
 #include "core/db2graph.h"
 #include "core/gremlin_service.h"
@@ -210,31 +211,31 @@ TEST(QueryTraceTest, ChromeTraceExportsCompleteEvents) {
   EXPECT_TRUE(reparsed.ok());
 }
 
-TEST(SlowQueryLogTest, RingWrapsAtCapacityDroppingOldest) {
-  SlowQueryLog log(3);
+TEST(QueryLogTest, RingWrapsAtCapacityDroppingOldest) {
+  QueryLog log(3);
   for (int i = 0; i < 5; ++i) {
-    SlowQueryLog::Entry e;
+    QueryLog::Entry e;
     e.script = "q" + std::to_string(i);
-    e.elapsed_micros = static_cast<uint64_t>(i);
+    e.micros = static_cast<uint64_t>(i);
     log.Record(std::move(e));
   }
-  std::vector<SlowQueryLog::Entry> entries = log.Entries();
+  std::vector<QueryLog::Entry> entries = log.Entries();
   ASSERT_EQ(entries.size(), 3u);  // oldest two (q0, q1) dropped
   EXPECT_EQ(entries[0].script, "q2");
   EXPECT_EQ(entries[2].script, "q4");
 }
 
-TEST(SlowQueryLogTest, SetCapacityShrinksAndGrows) {
-  SlowQueryLog log(4);
+TEST(QueryLogTest, SetCapacityShrinksAndGrows) {
+  QueryLog log(4);
   EXPECT_EQ(log.capacity(), 4u);
   for (int i = 0; i < 4; ++i) {
-    SlowQueryLog::Entry e;
+    QueryLog::Entry e;
     e.script = "q" + std::to_string(i);
     log.Record(std::move(e));
   }
   log.SetCapacity(2);  // shrink drops the oldest entries
   EXPECT_EQ(log.capacity(), 2u);
-  std::vector<SlowQueryLog::Entry> entries = log.Entries();
+  std::vector<QueryLog::Entry> entries = log.Entries();
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].script, "q2");
   EXPECT_EQ(entries[1].script, "q3");
@@ -244,12 +245,12 @@ TEST(SlowQueryLogTest, SetCapacityShrinksAndGrows) {
   EXPECT_EQ(log.Entries().size(), 1u);
 }
 
-TEST(SlowQueryLogTest, ThresholdAndClear) {
-  SlowQueryLog log(8);
+TEST(QueryLogTest, ThresholdAndClear) {
+  QueryLog log(8);
   EXPECT_EQ(log.threshold_ms(), 0);
   log.SetThresholdMs(25);
   EXPECT_EQ(log.threshold_ms(), 25);
-  SlowQueryLog::Entry e;
+  QueryLog::Entry e;
   e.script = "slow";
   log.Record(std::move(e));
   EXPECT_EQ(log.Entries().size(), 1u);
@@ -316,6 +317,15 @@ class ExplainProfileTest : public ::testing::Test {
 
   static constexpr char kQuery[] =
       "g.V(5).out('follows').has('age', gt(30)).values('name')";
+
+  // The query log's slow-query entries: those that carry a trace.
+  static std::vector<QueryLog::Entry> SlowEntries() {
+    std::vector<QueryLog::Entry> slow;
+    for (QueryLog::Entry& e : QueryLog::Global().Entries()) {
+      if (!e.trace_json.empty()) slow.push_back(std::move(e));
+    }
+    return slow;
+  }
 
   sql::Database db_;
   std::unique_ptr<Db2Graph> graph_;
@@ -411,29 +421,64 @@ TEST_F(ExplainProfileTest, ProfileReturnsPerStepTimingsMatchingExplain) {
   EXPECT_TRUE(saw_rows);
 }
 
-TEST_F(ExplainProfileTest, SlowQueryLogCapturesOffendersWithTraces) {
-  SlowQueryLog::Global().Clear();
-  SlowQueryLog::Global().SetThresholdMs(1);
+TEST_F(ExplainProfileTest, SlowQueriesCaptureOffendersWithTraces) {
+  QueryLog::Global().SetEnabled(true);
+  QueryLog::Global().Clear();
+  QueryLog::Global().SetThresholdMs(1);
   // 1ms-per-tick clock: any query's wall time crosses the 1ms threshold.
   FakeClock clock(1000);
   graph_->SetTraceClockForTesting(&clock);
   ASSERT_TRUE(graph_->Execute("g.V(5).values('name')").ok());
-  SlowQueryLog::Global().SetThresholdMs(0);
+  QueryLog::Global().SetThresholdMs(0);
 
-  std::vector<SlowQueryLog::Entry> entries = SlowQueryLog::Global().Entries();
+  std::vector<QueryLog::Entry> entries = SlowEntries();
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].script, "g.V(5).values('name')");
-  EXPECT_GE(entries[0].elapsed_micros, 1000u);
+  EXPECT_GE(entries[0].micros, 1000u);
   Result<Json> trace = Json::Parse(entries[0].trace_json);
   ASSERT_TRUE(trace.ok());
   EXPECT_FALSE(trace->Find("steps")->items().empty());
-  SlowQueryLog::Global().Clear();
+  QueryLog::Global().Clear();
+}
+
+// Under a threshold, both executions enter sysmon.query_log but only the
+// one whose wall time crossed it shows in sysmon.slow_queries.
+TEST_F(ExplainProfileTest, SlowQueriesTableListsOnlyThresholdCrossers) {
+  QueryLog::Global().SetEnabled(true);
+  QueryLog::Global().Clear();
+  QueryLog::Global().SetThresholdMs(1);
+  FakeClock fast_clock(1);     // a few microseconds per query
+  FakeClock slow_clock(1000);  // every query takes at least 1 ms
+  graph_->SetTraceClockForTesting(&fast_clock);
+  ASSERT_TRUE(graph_->Execute("g.V(6).values('name')").ok());
+  graph_->SetTraceClockForTesting(&slow_clock);
+  ASSERT_TRUE(graph_->Execute("g.V(7).values('name')").ok());
+  QueryLog::Global().SetThresholdMs(0);
+
+  Result<sql::ResultSet> logged = db_.Execute(
+      "SELECT script FROM sysmon.query_log WHERE layer = 'gremlin' "
+      "ORDER BY id");
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  ASSERT_EQ(logged->rows.size(), 2u);
+  EXPECT_EQ(logged->rows[0][0], Value("g.V(6).values('name')"));
+  EXPECT_EQ(logged->rows[1][0], Value("g.V(7).values('name')"));
+
+  Result<sql::ResultSet> slow = db_.Execute(
+      "SELECT script, elapsed_micros, reason, trace_json "
+      "FROM sysmon.slow_queries");
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  ASSERT_EQ(slow->rows.size(), 1u);
+  EXPECT_EQ(slow->rows[0][0], Value("g.V(7).values('name')"));
+  EXPECT_GE(slow->rows[0][1].as_int(), 1000);
+  EXPECT_EQ(slow->rows[0][2], Value("ok"));
+  EXPECT_TRUE(Json::Parse(slow->rows[0][3].as_string()).ok());
+  QueryLog::Global().Clear();
 }
 
 TEST_F(ExplainProfileTest, UntracedExecutionRecordsNothing) {
-  SlowQueryLog::Global().Clear();
+  QueryLog::Global().Clear();
   ASSERT_TRUE(graph_->Execute("g.V(5).values('name')").ok());
-  EXPECT_TRUE(SlowQueryLog::Global().Entries().empty());
+  EXPECT_TRUE(SlowEntries().empty());
 }
 
 TEST_F(ExplainProfileTest, ProfileInsideSubTraversalIsRejected) {
