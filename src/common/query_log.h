@@ -2,7 +2,7 @@
 //
 // Process-wide ring of recently executed queries, the backing store of the
 // sysmon.query_log virtual table. Every execution that flows through a
-// unified entry point — sql::Database::ExecuteStatement reads and
+// unified entry point — sql::Database's materialized statement path and
 // core::Db2Graph::ExecutePlan — files one Entry here, traced or not, so
 // the engine's recent history is queryable with plain SQL (Db2's
 // MON_GET_PKG_CACHE_STMT, scaled down). Recording is a mutex-guarded

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -362,9 +363,9 @@ Value MergeAggregate(AggOp op, const std::vector<Row>& partials) {
 template <typename Table>
 void AppendElements(const Table& t, const TableJob& job,
                     const LookupSpec& spec, const FetchLayout& layout,
-                    std::vector<Row>* rows,
+                    std::span<Row> rows,
                     std::vector<typename TableKind<Table>::ElementPtr>* out) {
-  for (Row& row : *rows) {
+  for (Row& row : rows) {
     auto element =
         TableKind<Table>::Build(t, job.table_index, layout, std::move(row));
     if (job.plan.client_filter &&
@@ -374,6 +375,10 @@ void AppendElements(const Table& t, const TableJob& job,
     out->push_back(std::move(element));
   }
 }
+
+// Rows FetchTable builds into elements between two governor checks (the
+// streaming callers check once per block they pull instead).
+constexpr size_t kGovernorCheckRows = 4096;
 
 // One per-table fetch: the unit of work the fan-out parallelizes.
 // Everything it touches is either private to the call or internally
@@ -392,7 +397,26 @@ Status FetchTable(SqlDialect* dialect, const Table& t, const TableJob& job,
   Result<sql::ResultSet> rs = dialect->QueryShaped(
       q.Key(), [&] { return q.Sql(); }, q.params);
   if (!rs.ok()) return rs.status();
-  AppendElements(t, job, spec, q.layout, &rs->rows, out);
+  // A materialized fetch can hold far more rows than a stream block, so
+  // the build checks the governor between chunks: a deadline or kill that
+  // lands here stops it and drops the half-built batch.
+  const size_t before = out->size();
+  const std::span<Row> rows(rs->rows);
+  for (size_t begin = 0; begin < rows.size(); begin += kGovernorCheckRows) {
+    if (begin > 0) {
+      Status status;
+      DB2G_FAILPOINT_STATUS("provider.build_elements", status);
+      if (status.ok()) status = governor::CheckCurrent();
+      if (!status.ok()) {
+        out->resize(before);
+        return status;
+      }
+    }
+    AppendElements(t, job, spec, q.layout,
+                   rows.subspan(begin, std::min(kGovernorCheckRows,
+                                                rows.size() - begin)),
+                   out);
+  }
   return Status::OK();
 }
 
@@ -719,7 +743,7 @@ class Db2VertexStream : public gremlin::VertexStream {
       }
       const TableJob& job = jobs_[job_pos_];
       AppendElements(topology_->vertex_tables()[job.table_index], job, spec_,
-                     layout_, &block_.rows, out);
+                     layout_, block_.rows, out);
       if (!out->empty()) return true;  // all-filtered block: keep pulling
     }
   }
@@ -792,7 +816,7 @@ class Db2VertexStream : public gremlin::VertexStream {
       }
       std::vector<VertexPtr> vertices;
       vertices.reserve(block.rows.size());
-      AppendElements(t, job, spec_, layout, &block.rows, &vertices);
+      AppendElements(t, job, spec_, layout, block.rows, &vertices);
       if (vertices.empty()) continue;
       if (qctx != nullptr) {
         // Blocks parked in the bounded queue count against the query's

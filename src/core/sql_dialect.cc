@@ -77,88 +77,77 @@ std::string SqlDialect::RenderSql(const std::string& sql,
   return out;
 }
 
-SqlDialect::Issued SqlDialect::Issue(const std::string& sql,
-                                     const std::vector<Value>& params) {
+const SqlDialect::Template& SqlDialect::Lookup(
+    const std::string& shape_key,
+    const std::function<std::string()>& build_sql,
+    const std::vector<Value>& params, Issued* issued, Status* prepared) {
   queries_issued_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (trace_enabled_) trace_.push_back(RenderSql(sql, params));
-  }
-  Issued issued;
-  issued.trace = CurrentTrace();
-  if (issued.trace != nullptr) {
+  issued->trace = CurrentTrace();
+  if (issued->trace != nullptr) {
     // The issuing span is captured now, not when the record is filed: a
     // stream closed early ends while every span is paused.
-    issued.span = CurrentTraceSpan();
-    issued.start_micros = issued.trace->clock()->NowMicros();
+    issued->span = CurrentTraceSpan();
+    issued->start_micros = issued->trace->clock()->NowMicros();
   }
-  return issued;
-}
-
-Result<sql::ResultSet> SqlDialect::Query(const std::string& sql,
-                                         const std::vector<Value>& params) {
-  const Issued issued = Issue(sql, params);
-  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
-  // Execute outside the cache lock: statement execution takes database
-  // locks and may run long.
-  Result<sql::ResultSet> result =
-      stmt.ok() ? stmt->Execute(params) : Result<sql::ResultSet>(stmt.status());
-  if (issued.trace != nullptr) {
-    FileStatementRecord(issued.trace, issued.span,
-                        StatementRecord(sql, params), issued.start_micros,
-                        result.status(), result.ok() ? &result->exec : nullptr,
-                        result.ok() ? result->rows.size() : 0);
-  }
-  return result;
-}
-
-std::string SqlDialect::SkeletonSql(
-    const std::string& shape_key,
-    const std::function<std::string()>& build_sql) {
   std::string sql;
+  bool seen = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = skeletons_.find(shape_key);
-    if (it != skeletons_.end()) sql = it->second;
+    auto it = templates_.find(shape_key);
+    seen = it != templates_.end();
+    if (seen) {
+      if (trace_enabled_) trace_.push_back(RenderSql(it->second.sql, params));
+      skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
+      registry_skeleton_hits_->fetch_add(1);
+      if (it->second.stmt.has_value()) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        return it->second;
+      }
+      sql = it->second.sql;  // its text failed to prepare: try again
+    } else {
+      skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
+      registry_skeleton_misses_->fetch_add(1);
+    }
   }
-  if (sql.empty()) {
-    skeleton_misses_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_misses_->fetch_add(1);
-    sql = build_sql();
-    std::lock_guard<std::mutex> lock(mutex_);
-    skeletons_.emplace(shape_key, sql);
-  } else {
-    skeleton_hits_.fetch_add(1, std::memory_order_relaxed);
-    registry_skeleton_hits_->fetch_add(1);
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  if (!seen) sql = build_sql();
+  Result<sql::PreparedStatement> stmt = db_->Prepare(sql);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!seen && trace_enabled_) trace_.push_back(RenderSql(sql, params));
+  // A concurrent first sight may have inserted the shape already; either
+  // text serves. The text stays cached even when it fails to prepare, as
+  // a skeleton.
+  auto [it, inserted] = templates_.try_emplace(shape_key);
+  Template& entry = it->second;
+  if (inserted) entry.sql = std::move(sql);
+  if (!stmt.ok()) {
+    *prepared = stmt.status();
+  } else if (!entry.stmt.has_value()) {
+    entry.stmt = std::move(*stmt);
   }
-  return sql;
+  return entry;
 }
 
 Result<sql::ResultSet> SqlDialect::QueryShaped(
     const std::string& shape_key,
     const std::function<std::string()>& build_sql,
     const std::vector<Value>& params) {
-  return Query(SkeletonSql(shape_key, build_sql), params);
-}
-
-Result<sql::PreparedStatement> SqlDialect::PrepareCached(
-    const std::string& sql) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = templates_.find(sql);
-    if (it != templates_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;  // copy out of the lock: cheap shared handle
-    }
+  Issued issued;
+  Status prepared;
+  const Template& tmpl =
+      Lookup(shape_key, build_sql, params, &issued, &prepared);
+  // Execute outside the cache lock: statement execution takes database
+  // locks and may run long.
+  Result<sql::ResultSet> result = prepared.ok()
+                                      ? tmpl.stmt->Execute(params)
+                                      : Result<sql::ResultSet>(prepared);
+  if (issued.trace != nullptr) {
+    FileStatementRecord(issued.trace, issued.span,
+                        StatementRecord(tmpl.sql, params), issued.start_micros,
+                        result.status(), result.ok() ? &result->exec : nullptr,
+                        result.ok() ? result->rows.size() : 0);
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  Result<sql::PreparedStatement> prepared = db_->Prepare(sql);
-  if (!prepared.ok()) return prepared.status();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    templates_.emplace(sql, *prepared);
-  }
-  return prepared;
+  return result;
 }
 
 DialectRowStream::DialectRowStream(std::unique_ptr<sql::RowStream> stream,
@@ -195,16 +184,19 @@ void DialectRowStream::FileRecord() {
                       stream_->status(), &stream_->exec(), rows_seen_);
 }
 
-Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
-    const std::string& sql, const std::vector<Value>& params,
-    size_t block_rows) {
-  const Issued issued = Issue(sql, params);
-  Result<sql::PreparedStatement> stmt = PrepareCached(sql);
-  if (!stmt.ok()) return stmt.status();
+Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(
+    const std::string& shape_key,
+    const std::function<std::string()>& build_sql,
+    const std::vector<Value>& params, size_t block_rows) {
+  Issued issued;
+  Status prepared;
+  const Template& tmpl =
+      Lookup(shape_key, build_sql, params, &issued, &prepared);
+  if (!prepared.ok()) return prepared;
   Result<std::unique_ptr<sql::RowStream>> stream =
-      stmt->ExecuteStreaming(params, block_rows);
+      tmpl.stmt->ExecuteStreaming(params, block_rows);
   SqlTraceRecord record;
-  if (issued.trace != nullptr) record = StatementRecord(sql, params);
+  if (issued.trace != nullptr) record = StatementRecord(tmpl.sql, params);
   if (!stream.ok()) {
     if (issued.trace != nullptr) {
       FileStatementRecord(issued.trace, issued.span, std::move(record),
@@ -215,14 +207,6 @@ Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryStreaming(
   return std::unique_ptr<DialectRowStream>(
       new DialectRowStream(std::move(*stream), issued.trace, issued.span,
                            std::move(record), issued.start_micros));
-}
-
-Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(
-    const std::string& shape_key,
-    const std::function<std::string()>& build_sql,
-    const std::vector<Value>& params, size_t block_rows) {
-  return QueryStreaming(SkeletonSql(shape_key, build_sql), params,
-                        block_rows);
 }
 
 void SqlDialect::RecordPattern(const std::string& table,

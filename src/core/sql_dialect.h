@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -156,10 +157,13 @@ class SqlDialect {
   }
 
  private:
-  /// The SQL text cached for `shape_key`, built (and counted as a
-  /// skeleton miss) on first sight.
-  std::string SkeletonSql(const std::string& shape_key,
-                          const std::function<std::string()>& build_sql);
+  /// One cached statement shape: the SQL text generated for it (the
+  /// skeleton) and that text's prepared statement, which keeps its
+  /// compiled section; empty while the text fails to prepare.
+  struct Template {
+    std::string sql;
+    std::optional<sql::PreparedStatement> stmt;
+  };
 
   /// Where an issued statement's trace record goes; trace is nullptr
   /// when no QueryTrace is installed.
@@ -168,28 +172,27 @@ class SqlDialect {
     int span = -1;
     uint64_t start_micros = 0;
   };
-  /// Counts a statement about to run, appends it to the text trace when
-  /// enabled, and captures the issuing trace span and start time.
-  Issued Issue(const std::string& sql, const std::vector<Value>& params);
 
-  /// Executes a parameterized SELECT through the template cache.
-  Result<sql::ResultSet> Query(const std::string& sql,
-                               const std::vector<Value>& params);
-  /// Streaming variant of Query().
-  Result<std::unique_ptr<DialectRowStream>> QueryStreaming(
-      const std::string& sql, const std::vector<Value>& params,
-      size_t block_rows);
-
-  /// Looks the statement up in (or inserts it into) the template cache.
-  Result<sql::PreparedStatement> PrepareCached(const std::string& sql);
+  /// The template for `shape_key`: one lock and one hash on a hit. On
+  /// first sight `build_sql` generates the text, which is cached and
+  /// prepared (a skeleton and template miss). A text that fails to
+  /// prepare stays cached without a statement and `*prepared` gets the
+  /// error; each later call is a skeleton hit and a template miss that
+  /// prepares it again. Counts the statement, appends it to the text
+  /// trace when enabled, and captures the issuing trace span and start
+  /// time into `issued`. Entries are never evicted, so the reference
+  /// stays valid for the dialect's lifetime.
+  const Template& Lookup(const std::string& shape_key,
+                         const std::function<std::string()>& build_sql,
+                         const std::vector<Value>& params, Issued* issued,
+                         Status* prepared);
 
   sql::Database* db_;
   Options options_;
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, sql::PreparedStatement> templates_;
-  /// shape key -> generated SQL text (the skeleton).
-  std::unordered_map<std::string, std::string> skeletons_;
+  /// shape key -> generated SQL text (the skeleton) and its statement.
+  std::unordered_map<std::string, Template> templates_;
   std::map<std::pair<std::string, std::vector<std::string>>, uint64_t>
       pattern_counts_;
 

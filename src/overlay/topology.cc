@@ -116,6 +116,18 @@ Status ResolveProperties(const sql::TableSchema& schema,
   return Status::OK();
 }
 
+// The overlay keeps its own copy of each table's schema: a DROP TABLE
+// would leave a pointer into the catalog dangling.
+Status CopySchema(const sql::Database& db, const std::string& table_name,
+                  std::shared_ptr<const sql::TableSchema>* out) {
+  const sql::TableSchema* schema = db.GetSchema(table_name);
+  if (schema == nullptr) {
+    return Status::NotFound("overlay: no table or view named " + table_name);
+  }
+  *out = std::make_shared<const sql::TableSchema>(*schema);
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Topology> Topology::Build(const sql::Database& db,
@@ -126,11 +138,7 @@ Result<Topology> Topology::Build(const sql::Database& db,
   for (const VertexTableConf& conf : config.v_tables) {
     ResolvedVertexTable table;
     table.conf = conf;
-    table.schema = db.GetSchema(conf.table_name);
-    if (table.schema == nullptr) {
-      return Status::NotFound("overlay: no table or view named " +
-                              conf.table_name);
-    }
+    DB2G_RETURN_NOT_OK(CopySchema(db, conf.table_name, &table.schema));
     DB2G_RETURN_NOT_OK(ResolveField(*table.schema, conf.id,
                                     "v_table " + conf.table_name + " id",
                                     &table.id));
@@ -153,11 +161,7 @@ Result<Topology> Topology::Build(const sql::Database& db,
   for (const EdgeTableConf& conf : config.e_tables) {
     ResolvedEdgeTable table;
     table.conf = conf;
-    table.schema = db.GetSchema(conf.table_name);
-    if (table.schema == nullptr) {
-      return Status::NotFound("overlay: no table or view named " +
-                              conf.table_name);
-    }
+    DB2G_RETURN_NOT_OK(CopySchema(db, conf.table_name, &table.schema));
     std::string context = "e_table " + conf.table_name;
     DB2G_RETURN_NOT_OK(ResolveField(*table.schema, conf.src_v,
                                     context + " src_v", &table.src_v));

@@ -9,6 +9,7 @@
 #ifndef DB2GRAPH_OVERLAY_TOPOLOGY_H_
 #define DB2GRAPH_OVERLAY_TOPOLOGY_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ struct ResolvedField {
 
 struct ResolvedVertexTable {
   VertexTableConf conf;
-  const sql::TableSchema* schema = nullptr;
+  std::shared_ptr<const sql::TableSchema> schema;  // copy taken at Build
   ResolvedField id;
   std::optional<size_t> label_column;  // set when label comes from a column
   std::vector<std::string> properties;        // final property names
@@ -49,7 +50,7 @@ struct ResolvedVertexTable {
 
 struct ResolvedEdgeTable {
   EdgeTableConf conf;
-  const sql::TableSchema* schema = nullptr;
+  std::shared_ptr<const sql::TableSchema> schema;  // copy taken at Build
   ResolvedField src_v;
   ResolvedField dst_v;
   ResolvedField id;  // explicit ids only (empty def when implicit)

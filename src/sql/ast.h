@@ -64,16 +64,10 @@ struct OrderItem {
   bool descending = false;
 };
 
+/// A parsed SELECT. The AST is never mutated after parsing: execution
+/// binds clones of its expressions into a SelectSection (executor.h),
+/// which a prepared statement keeps and rebuilds after DDL.
 struct SelectStmt {
-  /// Set by Database::Prepare after a successful bind pass: every
-  /// expression's column references are resolved against the statement's
-  /// own FROM scope, so execution can skip per-call cloning and binding.
-  /// Invalidated (not tracked) by DDL on the referenced tables.
-  bool prebound = false;
-  /// Set with `prebound`: per offset of the flat FROM-clause row, whether
-  /// any expression of the statement reads that column. Join stages fill
-  /// the columns nothing reads with NULL instead of copying them.
-  std::vector<bool> read_columns;
   /// EXPLAIN SELECT ...: compile (and for analyze, run) the statement but
   /// return the operator tree as a one-column "plan" result instead of
   /// the query's rows.

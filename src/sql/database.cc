@@ -57,8 +57,8 @@ bool IsReadOnly(const Statement& stmt) {
   return stmt.kind == StatementKind::kSelect;
 }
 
-// Compact script label for sysmon.query_log entries. ExecuteStatement only
-// sees the parsed AST (prepared statements never carry their text), so the
+// Compact script label for sysmon.query_log entries. Run only sees the
+// parsed AST (prepared statements never carry their text), so the
 // label is synthesized: statement kind plus the relations it touches.
 std::string DescribeStatement(const Statement& stmt) {
   switch (stmt.kind) {
@@ -147,19 +147,31 @@ Database::~Database() = default;
 // Streaming execution
 // ---------------------------------------------------------------------
 
+struct PreparedStatement::Handle {
+  std::shared_ptr<const Statement> stmt;
+  // SELECT only: the section executions open and the ddl_version it was
+  // built under. Both change only under build_mutex, after a DDL statement
+  // moved ddl_version. Every execution holds the read lock that DDL had to
+  // wait for, so by the time any thread sees the new version no execution
+  // is still running the section being replaced, and it can be freed.
+  std::atomic<const SelectSection*> section{nullptr};
+  std::atomic<uint64_t> section_version{0};
+  std::shared_ptr<const SelectSection> owned;  // guarded by build_mutex
+  std::mutex build_mutex;
+};
+
 // Member order matters: the read lock is declared first so it is destroyed
-// last, after the plan (which touches table storage) is gone.
+// last, after the plan (which touches table storage) and the section it
+// borrows from are gone.
 struct RowStream::Impl {
   ReadLock lock;
-  std::shared_ptr<Statement> stmt;  // keeps bound expressions alive
-  std::vector<Value> params;        // the plan points at this copy
+  std::shared_ptr<const void> owner;  // the prepared handle
+  std::vector<Value> params;          // the plan points at this copy
   std::unique_ptr<SelectPlan> plan;
 
   Impl(const Database* db, std::shared_mutex* mutex,
-       std::shared_ptr<Statement> stmt_in, std::vector<Value> params_in)
-      : lock(db, mutex),
-        stmt(std::move(stmt_in)),
-        params(std::move(params_in)) {}
+       std::vector<Value> params_in)
+      : lock(db, mutex), params(std::move(params_in)) {}
 };
 
 RowStream::RowStream(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {
@@ -181,30 +193,30 @@ void RowStream::Close() {
   impl_->plan->Close();
   status_ = impl_->plan->status();
   exec_ = impl_->plan->exec();
-  impl_.reset();  // releases the plan, the AST, and the read lock
+  impl_.reset();  // releases the plan, the section, and the read lock
 }
 
 Result<std::unique_ptr<RowStream>> Database::ExecuteStreaming(
     const std::string& sql, size_t block_rows) {
-  Result<std::unique_ptr<Statement>> stmt = ParseSql(sql);
-  if (!stmt.ok()) return stmt.status();
-  return ExecuteStatementStreaming(
-      std::shared_ptr<Statement>(std::move(*stmt)), {}, block_rows);
+  Result<PreparedStatement> prepared = Prepare(sql);
+  if (!prepared.ok()) return prepared.status();
+  return OpenStream(prepared->handle_, {}, block_rows);
 }
 
-Result<std::unique_ptr<RowStream>> Database::ExecuteStatementStreaming(
-    std::shared_ptr<Statement> stmt, const std::vector<Value>& params,
-    size_t block_rows) {
-  if (stmt == nullptr || stmt->kind != StatementKind::kSelect) {
+Result<std::unique_ptr<RowStream>> Database::OpenStream(
+    std::shared_ptr<PreparedStatement::Handle> handle,
+    const std::vector<Value>& params, size_t block_rows) {
+  if (handle->stmt->kind != StatementKind::kSelect) {
     return Status::InvalidArgument(
         "streaming execution supports SELECT statements only");
   }
-  auto impl = std::make_unique<RowStream::Impl>(this, &mutex_,
-                                                std::move(stmt), params);
-  Executor executor(this, &impl->params);
+  auto impl = std::make_unique<RowStream::Impl>(this, &mutex_, params);
+  Result<const SelectSection*> section = SectionFor(*handle);
+  if (!section.ok()) return section.status();  // Impl dtor releases the lock
+  impl->owner = std::move(handle);
   Result<std::unique_ptr<SelectPlan>> plan =
-      executor.Compile(*impl->stmt->select, block_rows);
-  if (!plan.ok()) return plan.status();  // Impl dtor releases the lock
+      (*section)->Open(&impl->params, block_rows);
+  if (!plan.ok()) return plan.status();
   impl->plan = std::move(*plan);
   return std::unique_ptr<RowStream>(new RowStream(std::move(impl)));
 }
@@ -216,7 +228,7 @@ Result<ResultSet> PreparedStatement::Execute(
         "prepared statement expects " + std::to_string(param_count_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
-  return db_->ExecuteStatement(*stmt_, params);
+  return db_->Run(*handle_, params);
 }
 
 Result<std::unique_ptr<RowStream>> PreparedStatement::ExecuteStreaming(
@@ -226,13 +238,13 @@ Result<std::unique_ptr<RowStream>> PreparedStatement::ExecuteStreaming(
         "prepared statement expects " + std::to_string(param_count_) +
         " parameter(s), got " + std::to_string(params.size()));
   }
-  return db_->ExecuteStatementStreaming(stmt_, params, block_rows);
+  return db_->OpenStream(handle_, params, block_rows);
 }
 
 Result<ResultSet> Database::Execute(const std::string& sql) {
-  Result<std::unique_ptr<Statement>> stmt = ParseSql(sql);
-  if (!stmt.ok()) return stmt.status();
-  return ExecuteStatement(**stmt, {});
+  Result<PreparedStatement> prepared = Prepare(sql);
+  if (!prepared.ok()) return prepared.status();
+  return Run(*prepared->handle_, {});
 }
 
 Status Database::ExecuteScript(const std::string& script) {
@@ -267,39 +279,58 @@ Result<PreparedStatement> Database::Prepare(const std::string& sql) {
   int param_count = 0;
   Result<std::unique_ptr<Statement>> stmt = ParseSql(sql, &param_count);
   if (!stmt.ok()) return stmt.status();
-  if ((*stmt)->kind == StatementKind::kSelect) {
-    // Resolve column references once; repeated executions then skip the
-    // per-call clone-and-bind pass. Falls back silently when the shape
-    // cannot be prebound.
-    ReadLock lock(this, &mutex_);
-    (void)PrebindSelect(this, (*stmt)->select.get());
-  }
-  return PreparedStatement(this, std::shared_ptr<Statement>(std::move(*stmt)),
-                           param_count);
+  // A SELECT compiles on its first execution, under that execution's
+  // read lock, so the section's ddl_version is exact.
+  auto handle = std::make_shared<PreparedStatement::Handle>();
+  handle->stmt = std::move(*stmt);
+  return PreparedStatement(this, std::move(handle), param_count);
 }
 
-Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
-                                             const std::vector<Value>& params) {
-  const bool log = QueryLog::Global().enabled();
-  if (IsReadOnly(stmt)) {
-    ReadLock lock(this, &mutex_);
-    Executor executor(this, &params);
-    if (!log) return executor.Select(*stmt.select);
-    uint64_t start = TraceClock::Default()->NowMicros();
-    Result<ResultSet> result = executor.Select(*stmt.select);
-    RecordQueryLog(stmt, result, TraceClock::Default()->NowMicros() - start);
-    return result;
-  }
-  WriteLock lock(&mutex_);
-  // Bumped under the exclusive lock: readers that observe the new epoch are
-  // serialized after this write, so data they fetch and tag with it cannot
-  // be stale. (Bumping outside the lock would let a reader tag pre-write
-  // data with the post-write epoch.)
-  write_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  stats_.writes.fetch_add(1, std::memory_order_relaxed);
-  if (!log) return ExecuteLocked(stmt, params);
+Result<const SelectSection*> Database::SectionFor(
+    PreparedStatement::Handle& handle) {
+  // DDL takes the exclusive lock, so under the caller's read lock the
+  // version cannot move between this check and the plan's last row.
+  const uint64_t version = ddl_version();
+  auto current = [&]() -> const SelectSection* {
+    return handle.section_version.load(std::memory_order_acquire) == version
+               ? handle.section.load(std::memory_order_acquire)
+               : nullptr;
+  };
+  if (const SelectSection* section = current()) return section;
+  std::lock_guard<std::mutex> guard(handle.build_mutex);
+  if (const SelectSection* section = current()) return section;
+  Result<std::shared_ptr<const SelectSection>> built =
+      SelectSection::Build(this, handle.stmt->select);
+  if (!built.ok()) return built.status();
+  handle.owned = std::move(*built);  // frees the replaced section
+  handle.section.store(handle.owned.get(), std::memory_order_release);
+  handle.section_version.store(handle.owned->ddl_version(),
+                               std::memory_order_release);
+  return handle.owned.get();
+}
+
+Result<ResultSet> Database::Run(PreparedStatement::Handle& handle,
+                                const std::vector<Value>& params) {
+  const Statement& stmt = *handle.stmt;
+  auto execute = [&]() -> Result<ResultSet> {
+    if (IsReadOnly(stmt)) {
+      ReadLock lock(this, &mutex_);
+      Result<const SelectSection*> section = SectionFor(handle);
+      if (!section.ok()) return section.status();
+      return (*section)->Run(&params);
+    }
+    WriteLock lock(&mutex_);
+    // Bumped under the exclusive lock: readers that observe the new epoch
+    // are serialized after this write, so data they fetch and tag with it
+    // cannot be stale. (Bumping outside the lock would let a reader tag
+    // pre-write data with the post-write epoch.)
+    write_epoch_.fetch_add(1, std::memory_order_acq_rel);
+    stats_.writes.fetch_add(1, std::memory_order_relaxed);
+    return ExecuteLocked(stmt, params);
+  };
+  if (!QueryLog::Global().enabled()) return execute();
   uint64_t start = TraceClock::Default()->NowMicros();
-  Result<ResultSet> result = ExecuteLocked(stmt, params);
+  Result<ResultSet> result = execute();
   RecordQueryLog(stmt, result, TraceClock::Default()->NowMicros() - start);
   return result;
 }

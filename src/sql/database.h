@@ -83,10 +83,12 @@ struct ExecStats {
 };
 
 class Database;
+class SelectSection;
 
 /// A live streaming SELECT: pull blocks with Next() until exhaustion, then
 /// check status(). The stream holds the database's shared (read) lock and
-/// the compiled plan for its whole lifetime, so:
+/// the plan (and the section it was opened from) for its whole lifetime,
+/// so:
 ///  - consume and Close() it on the thread that created it;
 ///  - do not issue write statements on that thread while it is open (the
 ///    reentrant read lock would self-deadlock behind the writer);
@@ -121,13 +123,13 @@ class RowStream : public RowSource {
 
 /// A parsed statement bound to a database, executable repeatedly with
 /// different '?' parameter vectors. This is what the SQL Dialect module's
-/// pre-compiled template cache hands out.
+/// pre-compiled template cache hands out. Copies share one handle. For a
+/// SELECT the handle keeps the compiled SelectSection: built by the first
+/// execution, shared by every later one (concurrent ones included), and
+/// rebuilt once when a DDL statement has moved Database::ddl_version()
+/// since. Only the operator tree and its cursors are made per call.
 class PreparedStatement {
  public:
-  PreparedStatement(Database* db, std::shared_ptr<Statement> stmt,
-                    int param_count)
-      : db_(db), stmt_(std::move(stmt)), param_count_(param_count) {}
-
   int param_count() const { return param_count_; }
 
   Result<ResultSet> Execute(const std::vector<Value>& params) const;
@@ -138,8 +140,14 @@ class PreparedStatement {
       size_t block_rows = kDefaultBlockRows) const;
 
  private:
+  friend class Database;
+  struct Handle;
+  PreparedStatement(Database* db, std::shared_ptr<Handle> handle,
+                    int param_count)
+      : db_(db), handle_(std::move(handle)), param_count_(param_count) {}
+
   Database* db_;
-  std::shared_ptr<Statement> stmt_;
+  std::shared_ptr<Handle> handle_;
   int param_count_;
 };
 
@@ -152,7 +160,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Parses and executes one statement.
+  /// Prepares and executes one statement: a SELECT builds its section,
+  /// runs it once and drops it.
   Result<ResultSet> Execute(const std::string& sql);
 
   /// Executes a ';'-separated script of statements, discarding results.
@@ -161,20 +170,10 @@ class Database {
   /// Parses once; execute many times with parameters.
   Result<PreparedStatement> Prepare(const std::string& sql);
 
-  /// Executes an already-parsed statement with parameters.
-  Result<ResultSet> ExecuteStatement(const Statement& stmt,
-                                     const std::vector<Value>& params);
-
   /// Parses and compiles one SELECT into a pull-based block stream instead
   /// of materializing the result. See RowStream for lifetime rules.
   Result<std::unique_ptr<RowStream>> ExecuteStreaming(
       const std::string& sql, size_t block_rows = kDefaultBlockRows);
-
-  /// Streaming execution of an already-parsed SELECT. The shared_ptr keeps
-  /// the AST alive for the stream's lifetime; params are copied in.
-  Result<std::unique_ptr<RowStream>> ExecuteStatementStreaming(
-      std::shared_ptr<Statement> stmt, const std::vector<Value>& params,
-      size_t block_rows = kDefaultBlockRows);
 
   // -- catalog ----------------------------------------------------------
   /// Names of base tables (not views).
@@ -237,7 +236,8 @@ class Database {
   /// Monotonic counter bumped by every DDL statement (CREATE/DROP of
   /// tables, views, and indexes). Lets overlay holders detect that their
   /// mapping may be stale — the paper's planned AutoOverlay-catalog
-  /// integration (Section 5.1).
+  /// integration (Section 5.1) — and prepared SELECTs that their compiled
+  /// section may point at dropped or reshaped tables.
   uint64_t ddl_version() const {
     return ddl_version_.load(std::memory_order_acquire);
   }
@@ -298,7 +298,7 @@ class Database {
   Status CheckAccess(const std::string& relation, bool write) const;
 
  private:
-  friend class Executor;
+  friend class SelectSection;
   friend class PreparedStatement;
 
   struct ViewDef {
@@ -315,6 +315,20 @@ class Database {
     RowId rid;
     Row before;  // kDelete / kUpdate
   };
+
+  /// The section `handle`'s SELECT runs, rebuilt first when a DDL
+  /// statement has moved ddl_version since it was built; valid while the
+  /// caller holds the read lock and the handle. Caller holds the read
+  /// lock.
+  Result<const SelectSection*> SectionFor(PreparedStatement::Handle& handle);
+  /// The one execution path: every statement runs through a prepared
+  /// handle (Execute(text) prepares one for the call), SELECT and write
+  /// alike.
+  Result<ResultSet> Run(PreparedStatement::Handle& handle,
+                        const std::vector<Value>& params);
+  Result<std::unique_ptr<RowStream>> OpenStream(
+      std::shared_ptr<PreparedStatement::Handle> handle,
+      const std::vector<Value>& params, size_t block_rows);
 
   Result<ResultSet> ExecuteLocked(const Statement& stmt,
                                   const std::vector<Value>& params);

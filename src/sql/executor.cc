@@ -222,89 +222,6 @@ std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
 }
 
 // ---------------------------------------------------------------------
-// Relation resolution
-// ---------------------------------------------------------------------
-
-Result<Executor::Relation> Executor::ResolveRef(const TableRef& ref) {
-  Relation rel;
-  rel.alias = ref.alias;
-  switch (ref.kind) {
-    case TableRef::Kind::kTable: {
-      if (!skip_access_checks_) {
-        DB2G_RETURN_NOT_OK(db_->CheckAccess(ref.table, /*write=*/false));
-      }
-      if (Table* table = db_->GetTable(ref.table)) {
-        rel.table = table;
-        rel.columns = table->schema().ColumnNames();
-        return rel;
-      }
-      if (const VirtualTableDef* vt = db_->FindVirtualTable(ref.table)) {
-        // Materialize a point-in-time snapshot. The relation owns it, so
-        // downstream operators treat it exactly like a base table (index-
-        // free, so scans — including the vectorized path — apply).
-        Result<std::shared_ptr<Table>> snapshot = MaterializeVirtualTable(*vt);
-        if (!snapshot.ok()) return snapshot.status();
-        rel.owned = std::move(*snapshot);
-        rel.table = rel.owned.get();
-        rel.columns = rel.owned->schema().ColumnNames();
-        return rel;
-      }
-      if (db_->IsView(ref.table)) {
-        // Expand the non-materialized view by executing its definition.
-        const TableSchema* schema = db_->GetSchema(ref.table);
-        SelectStmt* view_select = nullptr;
-        {
-          auto it = db_->views_.find(CatalogKey(ref.table));
-          view_select = it->second.select.get();
-        }
-        Executor sub(db_, nullptr);
-        sub.set_skip_access_checks(true);  // definer's rights
-        Result<ResultSet> rs = sub.Select(*view_select);
-        if (!rs.ok()) return rs.status();
-        rel.columns = schema->ColumnNames();
-        rel.rows = std::move(rs->rows);
-        return rel;
-      }
-      return Status::NotFound("unknown table or view: " + ref.table);
-    }
-    case TableRef::Kind::kSubquery: {
-      Executor sub(db_, params_);
-      Result<ResultSet> rs = sub.Select(*ref.subquery);
-      if (!rs.ok()) return rs.status();
-      rel.columns = rs->columns;
-      rel.rows = std::move(rs->rows);
-      return rel;
-    }
-    case TableRef::Kind::kTableFunction: {
-      const Database::TableFunction* fn =
-          db_->FindTableFunction(ref.function_name);
-      if (fn == nullptr) {
-        return Status::NotFound("unknown table function: " +
-                                ref.function_name);
-      }
-      std::vector<Value> args;
-      Row empty;
-      for (const auto& arg : ref.function_args) {
-        args.push_back(EvalExpr(*arg, empty, params_));
-      }
-      Result<ResultSet> rs = (*fn)(args);
-      if (!rs.ok()) return rs.status();
-      // The declared column list names (and truncates/pads) the output.
-      for (const ColumnDef& c : ref.function_columns) {
-        rel.columns.push_back(c.name);
-      }
-      rel.rows.reserve(rs->rows.size());
-      for (Row& row : rs->rows) {
-        row.resize(ref.function_columns.size());
-        rel.rows.push_back(std::move(row));
-      }
-      return rel;
-    }
-  }
-  return Status::Internal("unreachable table ref kind");
-}
-
-// ---------------------------------------------------------------------
 // Aggregation machinery
 // ---------------------------------------------------------------------
 
@@ -498,18 +415,30 @@ class SeedOp : public Op {
   bool done_ = false;
 };
 
-// The relation a join stage reads (mirror of Executor::Relation, moved in
-// so the operator owns materialized rows).
+// How a stage's relation is obtained. Base tables are resolved once, at
+// build; everything else is materialized per execution.
+struct RelationSource {
+  enum class Kind { kBaseTable, kVirtualTable, kView, kSubquery, kFunction };
+  Kind kind = Kind::kBaseTable;
+  const TableRef* ref = nullptr;  // names, function args, declared columns
+  bool check_access = false;      // kTable refs outside a view body
+  const Table* table = nullptr;   // kBaseTable
+  std::shared_ptr<const SelectSection> body;  // kView / kSubquery
+};
+
+// One execution's data for a join stage: a table (base or virtual
+// snapshot) or materialized rows.
 struct PlanRelation {
-  std::string alias;
-  std::vector<std::string> columns;
   const Table* table = nullptr;
   std::vector<Row> rows;
   bool materialized() const { return table == nullptr; }
 };
 
+// A join stage's compiled access path: part of the immutable section.
 struct StageConfig {
-  PlanRelation relation;
+  std::string alias;
+  std::vector<std::string> columns;
+  RelationSource source;
   std::vector<const Expr*> preds;  // ON + eligible WHERE conjuncts
   bool left = false;
   /// Per relation column: read by some expression of the statement.
@@ -530,12 +459,21 @@ struct StageConfig {
   const Expr* range_hi = nullptr;
   bool range_lo_excl = false;
   bool range_hi_excl = false;
+
+  /// Profile label: alias plus the access path.
+  std::string detail;
+
+  bool table_backed() const {
+    return source.kind == RelationSource::Kind::kBaseTable ||
+           source.kind == RelationSource::Kind::kVirtualTable;
+  }
 };
 
 class JoinStageOp : public Op {
  public:
-  JoinStageOp(PlanContext* ctx, std::unique_ptr<Op> child, StageConfig cfg)
-      : Op(ctx), child_(std::move(child)), cfg_(std::move(cfg)) {
+  JoinStageOp(PlanContext* ctx, std::unique_ptr<Op> child,
+              const StageConfig& cfg, PlanRelation rel)
+      : Op(ctx), child_(std::move(child)), cfg_(cfg), rel_(std::move(rel)) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -562,7 +500,7 @@ class JoinStageOp : public Op {
         EmitIfMatch(out);
       } else {  // kPendingLeft: null-extend the unmatched outer row
         Row joined = outer_;
-        joined.resize(joined.size() + cfg_.relation.columns.size());
+        joined.resize(joined.size() + cfg_.columns.size());
         out->rows.push_back(std::move(joined));
         phase_ = Phase::kNeedOuter;
       }
@@ -603,7 +541,7 @@ class JoinStageOp : public Op {
     while (outer_buffer_.size() < 2 && !child_eof_) PullChild();
     if (outer_buffer_.size() < 2) return;
     hash_mode_ = true;
-    const PlanRelation& rel = cfg_.relation;
+    const PlanRelation& rel = rel_;
     size_t build_slots =
         rel.materialized() ? rel.rows.size() : rel.table->slot_count();
     if (ctx_->dop > 1 && build_slots >= kParallelBuildMinSlots) {
@@ -632,7 +570,7 @@ class JoinStageOp : public Op {
   // serial loop produces, so probes see identical match order. Probes are
   // lock-free reads: shard = ValueHash(probe key) % shard_count.
   void BuildSharded(size_t build_slots) {
-    const PlanRelation& rel = cfg_.relation;
+    const PlanRelation& rel = rel_;
     const size_t shard_count = static_cast<size_t>(ctx_->dop);
     const size_t morsel_slots = kBuildMorselSlots;
     const size_t morsel_count = (build_slots + morsel_slots - 1) / morsel_slots;
@@ -708,7 +646,7 @@ class JoinStageOp : public Op {
   }
 
   void StartCursor() {
-    const PlanRelation& rel = cfg_.relation;
+    const PlanRelation& rel = rel_;
     rids_.clear();
     rid_pos_ = 0;
     if (cfg_.probe.index != nullptr) {
@@ -761,8 +699,8 @@ class JoinStageOp : public Op {
   // materialized rows) appended with no intermediate Row. Columns nothing
   // reads are appended as NULL rather than copied.
   void BuildJoined(size_t slot) {
-    const PlanRelation& rel = cfg_.relation;
-    const size_t width = rel.columns.size();
+    const PlanRelation& rel = rel_;
+    const size_t width = cfg_.columns.size();
     joined_.clear();
     joined_.reserve(outer_.size() + width);
     joined_.insert(joined_.end(), outer_.begin(), outer_.end());
@@ -780,7 +718,7 @@ class JoinStageOp : public Op {
   // Builds the next joined (outer + inner) row of the current cursor into
   // joined_; false at cursor end. Counts each visited row.
   bool NextJoined() {
-    const PlanRelation& rel = cfg_.relation;
+    const PlanRelation& rel = rel_;
     size_t slot = 0;
     switch (cursor_) {
       case CursorKind::kRids:
@@ -820,7 +758,8 @@ class JoinStageOp : public Op {
   }
 
   std::unique_ptr<Op> child_;
-  StageConfig cfg_;
+  const StageConfig& cfg_;
+  PlanRelation rel_;
 
   // Build sides below this many slots build serially: the scatter/build
   // round-trips through the pool would dominate.
@@ -912,8 +851,9 @@ struct Projection {
 // Streaming projection (no ORDER BY).
 class ProjectOp : public Op {
  public:
-  ProjectOp(PlanContext* ctx, std::unique_ptr<Op> child, Projection proj)
-      : Op(ctx), child_(std::move(child)), proj_(std::move(proj)) {
+  ProjectOp(PlanContext* ctx, std::unique_ptr<Op> child,
+            const Projection& proj)
+      : Op(ctx), child_(std::move(child)), proj_(proj) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -935,7 +875,7 @@ class ProjectOp : public Op {
 
  private:
   std::unique_ptr<Op> child_;
-  Projection proj_;
+  const Projection& proj_;
   RowBlock in_;
   bool closed_ = false;
 };
@@ -944,14 +884,15 @@ class ProjectOp : public Op {
 // emits blocks.
 class SortProjectOp : public Op {
  public:
-  SortProjectOp(PlanContext* ctx, std::unique_ptr<Op> child, Projection proj,
-                std::vector<const Expr*> order_exprs,
-                std::vector<bool> descending)
+  SortProjectOp(PlanContext* ctx, std::unique_ptr<Op> child,
+                const Projection& proj,
+                const std::vector<const Expr*>& order_exprs,
+                const std::vector<bool>& descending)
       : Op(ctx),
         child_(std::move(child)),
-        proj_(std::move(proj)),
-        order_exprs_(std::move(order_exprs)),
-        descending_(std::move(descending)) {
+        proj_(proj),
+        order_exprs_(order_exprs),
+        descending_(descending) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -1061,9 +1002,9 @@ class SortProjectOp : public Op {
   static constexpr size_t kParallelSortMinRows = 1024;
 
   std::unique_ptr<Op> child_;
-  Projection proj_;
-  std::vector<const Expr*> order_exprs_;
-  std::vector<bool> descending_;
+  const Projection& proj_;
+  const std::vector<const Expr*>& order_exprs_;
+  const std::vector<bool>& descending_;
   std::vector<Projected> sorted_;
   uint64_t charged_bytes_ = 0;
   bool drained_ = false;
@@ -1078,7 +1019,6 @@ class SortProjectOp : public Op {
 class AggregateOp : public Op {
  public:
   struct Config {
-    Projection proj;
     bool simple = false;
     // Simple path ("SELECT AGG(..), AGG(..)" with no grouping):
     std::vector<std::string> ops;
@@ -1092,8 +1032,9 @@ class AggregateOp : public Op {
     const std::vector<std::string>* columns = nullptr;  // output names
   };
 
-  AggregateOp(PlanContext* ctx, std::unique_ptr<Op> child, Config cfg)
-      : Op(ctx), child_(std::move(child)), cfg_(std::move(cfg)) {
+  AggregateOp(PlanContext* ctx, std::unique_ptr<Op> child,
+              const Projection& proj, const Config& cfg)
+      : Op(ctx), child_(std::move(child)), proj_(proj), cfg_(cfg) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -1194,7 +1135,7 @@ class AggregateOp : public Op {
         if (keep.is_null() || !keep.Truthy()) continue;
       }
       Row out;
-      for (const Expr* expr : cfg_.proj.item_exprs) {
+      for (const Expr* expr : proj_.item_exprs) {
         if (expr->kind == ExprKind::kStar) {
           return Status::Unsupported("SELECT * with aggregation");
         }
@@ -1242,7 +1183,8 @@ class AggregateOp : public Op {
   }
 
   std::unique_ptr<Op> child_;
-  Config cfg_;
+  const Projection& proj_;
+  const Config& cfg_;
   std::map<Row, Group> groups_;  // ordered for deterministic output
   std::vector<Row> output_;
   bool finished_ = false;
@@ -1452,36 +1394,39 @@ inline FilterKernel CompileFilterKernel(const Expr* conjunct) {
   return k;
 }
 
-// Compiled WHERE conjuncts, shared by the morsel workers of the column
-// scan and the column aggregate. Compile() orders kernelized conjuncts before
+// Compiles WHERE conjuncts into kernels, kernelized conjuncts before
 // scalar fallbacks (AND conjuncts are side-effect free, so reordering
-// preserves the result set); MaterializeConstants() evaluates compare
-// constants once on the coordinating thread, after which the set is
-// read-only and Apply() is safe to call from concurrent workers — each
+// preserves the result set). Part of the immutable section.
+std::vector<FilterKernel> CompileKernels(
+    const std::vector<const Expr*>& conjuncts) {
+  std::vector<FilterKernel> kernels;
+  std::vector<FilterKernel> fallbacks;
+  for (const Expr* conjunct : conjuncts) {
+    FilterKernel k = CompileFilterKernel(conjunct);
+    if (k.kind == FilterKernel::Kind::kFallback) {
+      fallbacks.push_back(k);
+    } else {
+      kernels.push_back(k);
+    }
+  }
+  kernels.insert(kernels.end(), fallbacks.begin(), fallbacks.end());
+  return kernels;
+}
+
+// One execution's compiled WHERE conjuncts, shared by the morsel workers
+// of the column scan and the column aggregate. The constructor evaluates
+// compare constants once on the coordinating thread, after which the set
+// is read-only and Apply() is safe to call from concurrent workers — each
 // brings its own scratch row for the fallback path.
 class KernelSet {
  public:
-  void Compile(const std::vector<const Expr*>& conjuncts) {
-    std::vector<FilterKernel> fallbacks;
-    for (const Expr* conjunct : conjuncts) {
-      FilterKernel k = CompileFilterKernel(conjunct);
-      if (k.kind == FilterKernel::Kind::kFallback) {
-        fallbacks.push_back(k);
-      } else {
-        kernels_.push_back(k);
-      }
-    }
-    kernels_.insert(kernels_.end(), fallbacks.begin(), fallbacks.end());
-  }
-
-  bool empty() const { return kernels_.empty(); }
-
-  void MaterializeConstants(const std::vector<Value>* params) {
+  KernelSet(const std::vector<FilterKernel>& kernels,
+            const std::vector<Value>* params)
+      : kernels_(kernels), constants_(kernels.size()) {
     Row empty;
-    for (const FilterKernel& k : kernels_) {
-      if (k.kind == FilterKernel::Kind::kCompare) {
-        constants_.emplace(k.const_expr,
-                           EvalExpr(*k.const_expr, empty, params));
+    for (size_t i = 0; i < kernels_.size(); ++i) {
+      if (kernels_[i].kind == FilterKernel::Kind::kCompare) {
+        constants_[i] = EvalExpr(*kernels_[i].const_expr, empty, params);
       }
     }
   }
@@ -1491,11 +1436,12 @@ class KernelSet {
   uint64_t Apply(const Table* table, std::vector<uint64_t>* sel,
                  const std::vector<Value>* params, Row* scratch) const {
     uint64_t fallback_rows = 0;
-    for (const FilterKernel& k : kernels_) {
+    for (size_t i = 0; i < kernels_.size(); ++i) {
+      const FilterKernel& k = kernels_[i];
       if (sel->empty()) break;
       switch (k.kind) {
         case FilterKernel::Kind::kCompare:
-          ApplyCompare(k, table, sel);
+          ApplyCompare(k, constants_[i], table, sel);
           break;
         case FilterKernel::Kind::kIsNull:
           ApplyIsNull(k, table, sel);
@@ -1524,9 +1470,8 @@ class KernelSet {
   // Fused compare + select. NULL cells never match (the scalar evaluator
   // returns NULL for comparisons with a NULL operand, and filters treat
   // NULL as false); a NULL constant rejects the whole block.
-  void ApplyCompare(const FilterKernel& k, const Table* table,
-                    std::vector<uint64_t>* sel_in) const {
-    const Value& constant = constants_.at(k.const_expr);
+  static void ApplyCompare(const FilterKernel& k, const Value& constant,
+                           const Table* table, std::vector<uint64_t>* sel_in) {
     auto& sel = *sel_in;
     if (constant.is_null()) {
       sel.clear();
@@ -1626,8 +1571,8 @@ class KernelSet {
     sel.resize(w);
   }
 
-  std::vector<FilterKernel> kernels_;
-  std::unordered_map<const Expr*, Value> constants_;
+  const std::vector<FilterKernel>& kernels_;
+  std::vector<Value> constants_;  // per kernel; set for kCompare only
 };
 
 // Morsel sizing for dop > 1: aim for ~4 morsels per worker (work
@@ -1655,15 +1600,14 @@ uint64_t MorselSlots(uint64_t slots, int dop) {
 class ColumnScanOp : public ColOp {
  public:
   ColumnScanOp(PlanContext* ctx, const Table* table,
-               const std::vector<const Expr*>& conjuncts, int dop,
+               const std::vector<FilterKernel>& kernels, int dop,
                OpProfile* profile)
       : ColOp(ctx),
         table_(table),
         dop_(dop < 1 ? 1 : dop),
-        profile_(profile) {
+        profile_(profile),
+        kernels_(kernels, ctx->params) {
     ctx_->exec.vectorized_ops += 1;
-    kernels_.Compile(conjuncts);
-    kernels_.MaterializeConstants(ctx->params);
   }
 
   bool Next(ColumnBlock* out) override {
@@ -1790,8 +1734,8 @@ class ColumnScanOp : public ColOp {
 class ColumnProjectOp : public Op {
  public:
   ColumnProjectOp(PlanContext* ctx, std::unique_ptr<ColOp> child,
-                  std::vector<size_t> out_cols)
-      : Op(ctx), child_(std::move(child)), out_cols_(std::move(out_cols)) {
+                  const std::vector<size_t>& out_cols)
+      : Op(ctx), child_(std::move(child)), out_cols_(out_cols) {
     ctx_->exec.vectorized_ops += 1;
   }
 
@@ -1818,7 +1762,7 @@ class ColumnProjectOp : public Op {
 
  private:
   std::unique_ptr<ColOp> child_;
-  std::vector<size_t> out_cols_;
+  const std::vector<size_t>& out_cols_;
   ColumnBlock in_;
   bool closed_ = false;
 };
@@ -1981,16 +1925,15 @@ Row FinishGroup(const ColumnAggConfig& cfg, const Row& key,
 class ColumnAggregateOp : public Op {
  public:
   ColumnAggregateOp(PlanContext* ctx, const Table* table,
-                    const std::vector<const Expr*>& conjuncts,
-                    ColumnAggConfig cfg, int dop, OpProfile* profile)
+                    const std::vector<FilterKernel>& kernels,
+                    const ColumnAggConfig& cfg, int dop, OpProfile* profile)
       : Op(ctx),
         table_(table),
-        cfg_(std::move(cfg)),
+        cfg_(cfg),
         dop_(dop < 1 ? 1 : dop),
-        profile_(profile) {
+        profile_(profile),
+        kernels_(kernels, ctx->params) {
     ctx_->exec.vectorized_ops += 1;
-    kernels_.Compile(conjuncts);
-    kernels_.MaterializeConstants(ctx->params);
   }
 
   bool Next(RowBlock* out) override {
@@ -2116,7 +2059,7 @@ class ColumnAggregateOp : public Op {
   }
 
   const Table* table_;
-  ColumnAggConfig cfg_;
+  const ColumnAggConfig& cfg_;
   int dop_;
   OpProfile* profile_;
   KernelSet kernels_;
@@ -2285,8 +2228,7 @@ bool LowerVectorizedProjection(const exec_ops::Projection& proj,
 
 struct SelectPlan::State {
   exec_ops::PlanContext ctx;
-  std::vector<std::unique_ptr<Expr>> owned;  // bound expression clones
-  std::vector<std::string> columns;
+  const std::vector<std::string>* columns = nullptr;  // the section's
   std::unique_ptr<exec_ops::Op> root;
   // Virtual-table snapshots: operators keep raw `const Table*` pointers
   // (same as base tables), so the plan owns the backing storage.
@@ -2327,7 +2269,7 @@ SelectPlan::SelectPlan(std::unique_ptr<State> state)
 SelectPlan::~SelectPlan() { Close(); }
 
 const std::vector<std::string>& SelectPlan::columns() const {
-  return state_->columns;
+  return *state_->columns;
 }
 
 const Status& SelectPlan::status() const { return state_->ctx.error; }
@@ -2367,7 +2309,7 @@ void SelectPlan::Close() {
 
 Result<ResultSet> SelectPlan::Drain() {
   ResultSet result;
-  result.columns = state_->columns;
+  result.columns = *state_->columns;
   RowBlock block;
   block.capacity = state_->ctx.block_rows;
   while (Next(&block)) {
@@ -2380,67 +2322,148 @@ Result<ResultSet> SelectPlan::Drain() {
 }
 
 // ---------------------------------------------------------------------
-// SELECT compilation
+// SelectSection: built once, opened per call
 // ---------------------------------------------------------------------
+//
+// Build() turns a SELECT into the configs of this chain of pull
+// operators:
+//
+//   Seed -> JoinStage* -> Filter? -> (Aggregate | SortProject | Project)
+//        -> Distinct? -> Limit?
+//
+// JoinStage covers both the scan of the first FROM relation (its
+// upstream is the one-empty-row Seed) and each subsequent join. Its
+// access path, in order of preference: index probe, then (for
+// materialized or unindexed relations with >1 outer row) a transient
+// hash join, then an ordered-index range scan, then a full scan. A
+// single-stage full scan over a table-backed relation may instead become
+// the column section (ColumnScan below ColumnProject / ColumnToRow, or a
+// fused ColumnAggregate) when the ExecConfig at Open() is vectorized.
+// Open() instantiates the operators over those configs; counters are
+// incremented per row actually visited, so early termination is visible
+// in ExecInfo.
 
-Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
-                                                      size_t block_rows) {
-  using exec_ops::JoinStageOp;
-  using exec_ops::Op;
-  using exec_ops::PlanRelation;
-  using exec_ops::Projection;
+// Everything Build() decides. Operators borrow these configs by
+// reference, so the layout outlives every plan opened from it.
+struct SelectSection::Layout {
+  std::vector<std::unique_ptr<Expr>> owned;  // bound expression clones
+  std::vector<std::string> columns;
+  std::vector<exec_ops::StageConfig> stages;
+  /// Residual WHERE, run as an operator with LEFT JOINs or without FROM.
+  const Expr* residual = nullptr;
+
+  exec_ops::Projection proj;
+  bool has_aggregate = false;
+  exec_ops::AggregateOp::Config agg;
+  std::vector<const Expr*> order_exprs;  // ORDER BY of a plain projection
+  std::vector<bool> order_desc;
+
+  // Column section, taken when the open-time ExecConfig is vectorized.
+  bool columnar = false;
+  std::vector<exec_ops::FilterKernel> kernels;  // the stage's predicates
+  bool agg_lowered = false;   // ColumnAggregate replaces scan + aggregate
+  exec_ops::ColumnAggConfig vagg;
+  bool proj_lowered = false;  // ColumnProject replaces the projection
+  std::vector<size_t> out_cols;
+
+  // Profile labels of the operators above the join stages.
+  std::string residual_label;
+  std::string conjunct_label;  // ColumnScan / ColumnAggregate suffix
+  std::string top_label;   // Aggregate / SortProject / Project
+  std::string column_project_label;
+  std::string limit_label;
+};
+
+SelectSection::SelectSection(Database* db,
+                             std::shared_ptr<const SelectStmt> stmt,
+                             uint64_t ddl_version,
+                             std::unique_ptr<Layout> layout)
+    : db_(db),
+      stmt_(std::move(stmt)),
+      ddl_version_(ddl_version),
+      layout_(std::move(layout)) {}
+
+SelectSection::~SelectSection() = default;
+
+const std::vector<std::string>& SelectSection::columns() const {
+  return layout_->columns;
+}
+
+Result<std::shared_ptr<const SelectSection>> SelectSection::Build(
+    Database* db, std::shared_ptr<const SelectStmt> stmt) {
+  return BuildWithAccess(db, std::move(stmt), /*check_access=*/true);
+}
+
+Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
+    Database* db, std::shared_ptr<const SelectStmt> stmt_ptr,
+    bool check_access) {
+  using exec_ops::RelationSource;
   using exec_ops::StageConfig;
+  static metrics::Counter* const compiles =
+      metrics::MetricsRegistry::Global().GetCounter(kCompilesCounter);
+  compiles->fetch_add(1);
+  const uint64_t ddl_version = db->ddl_version();
+  const SelectStmt& stmt = *stmt_ptr;
+  auto layout = std::make_unique<Layout>();
+  std::vector<StageConfig>& stages = layout->stages;
 
-  db_->stats().selects.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_unique<SelectPlan::State>();
-  state->ctx.db = db_;
-  state->ctx.params = params_;
-  state->ctx.block_rows = std::max<size_t>(block_rows, 1);
-
-  // Resolve the statement's effective ExecConfig: process defaults <-
-  // session config <- thread-local per-query override (ScopedExecConfig).
-  const ExecConfig exec_cfg = db_->ResolveExecConfig();
-  const int dop = exec_cfg.parallelism();
-  state->ctx.dop = dop;
-  if (exec_cfg.block_rows() > 0 && block_rows == kDefaultBlockRows) {
-    // A config block size applies only when the caller did not ask for a
-    // specific one (streaming pulls pass their own).
-    state->ctx.block_rows = std::max<size_t>(exec_cfg.block_rows(), 1);
-  }
-
-  // EXPLAIN needs the operator chain recorded even without execution;
-  // ANALYZE and the config's profile flag additionally time each Next().
-  const bool profiled =
-      stmt.explain || stmt.analyze || exec_cfg.profile();
-  state->ctx.profiled = profiled;
-  auto prof = [&](std::unique_ptr<exec_ops::Op> op, const char* name,
-                  std::string detail) -> std::unique_ptr<exec_ops::Op> {
-    if (!profiled) return op;
-    OpProfile node;
-    node.name = name;
-    node.detail = std::move(detail);
-    state->ctx.profiles.push_back(std::move(node));
-    return std::make_unique<exec_ops::ProfiledOp>(
-        &state->ctx, std::move(op), &state->ctx.profiles.back());
-  };
-  // 1. Resolve all FROM-clause relations, in order.
-  struct StageInput {
-    PlanRelation relation;
-    const Expr* on = nullptr;  // join condition (nullptr for FROM list)
-    bool left = false;
-  };
-  std::vector<StageInput> stages;
+  // 1. Resolve every FROM-clause relation, in order, to its source and
+  // column names. View bodies and subqueries compile into sections of
+  // their own; their rows are produced per execution.
+  std::vector<const Expr*> stage_on_source;  // unbound ON conditions
   auto add_stage = [&](const TableRef& ref, const Expr* on,
                        bool left) -> Status {
-    Result<Relation> rel = ResolveRef(ref);
-    if (!rel.ok()) return rel.status();
-    PlanRelation plan_rel;
-    plan_rel.alias = std::move(rel->alias);
-    plan_rel.columns = std::move(rel->columns);
-    plan_rel.table = rel->table;
-    plan_rel.rows = std::move(rel->rows);
-    if (rel->owned) state->pinned.push_back(std::move(rel->owned));
-    stages.push_back({std::move(plan_rel), on, left});
+    StageConfig stage;
+    stage.alias = ref.alias;
+    stage.left = left;
+    RelationSource& source = stage.source;
+    source.ref = &ref;
+    switch (ref.kind) {
+      case TableRef::Kind::kTable:
+        source.check_access = check_access;
+        if (const Table* table = db->GetTable(ref.table)) {
+          source.kind = RelationSource::Kind::kBaseTable;
+          source.table = table;
+          stage.columns = table->schema().ColumnNames();
+        } else if (const VirtualTableDef* vt =
+                       db->FindVirtualTable(ref.table)) {
+          source.kind = RelationSource::Kind::kVirtualTable;
+          stage.columns = vt->schema.ColumnNames();
+        } else if (db->IsView(ref.table)) {
+          const Database::ViewDef& view = db->views_.at(CatalogKey(ref.table));
+          Result<std::shared_ptr<const SelectSection>> body =
+              BuildWithAccess(db, view.select, /*check_access=*/false);
+          if (!body.ok()) return body.status();
+          source.kind = RelationSource::Kind::kView;
+          source.body = std::move(*body);
+          stage.columns = view.derived_schema.ColumnNames();
+        } else {
+          return Status::NotFound("unknown table or view: " + ref.table);
+        }
+        break;
+      case TableRef::Kind::kSubquery: {
+        Result<std::shared_ptr<const SelectSection>> body =
+            BuildWithAccess(db, ref.subquery, /*check_access=*/true);
+        if (!body.ok()) return body.status();
+        source.kind = RelationSource::Kind::kSubquery;
+        source.body = std::move(*body);
+        stage.columns = source.body->columns();
+        break;
+      }
+      case TableRef::Kind::kTableFunction:
+        if (db->FindTableFunction(ref.function_name) == nullptr) {
+          return Status::NotFound("unknown table function: " +
+                                  ref.function_name);
+        }
+        source.kind = RelationSource::Kind::kFunction;
+        // The declared column list names (and truncates/pads) the output.
+        for (const ColumnDef& c : ref.function_columns) {
+          stage.columns.push_back(c.name);
+        }
+        break;
+    }
+    stages.push_back(std::move(stage));
+    stage_on_source.push_back(on);
     return Status::OK();
   };
   for (const TableRef& ref : stmt.from) {
@@ -2451,113 +2474,50 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
                                  join.kind == JoinClause::Kind::kLeft));
   }
 
-  // 2. Build the full scope. Prebound statements carry resolved column
-  // offsets already; otherwise clone + bind against this scope. Join
-  // conditions and WHERE conjuncts are bound against the FULL scope — a
+  // 2. Bind clones of the statement's expressions against the full scope.
+  // Join conditions and WHERE conjuncts bind against the FULL scope too: a
   // prefix-stage row shares the offsets of its prefix, so evaluating a
   // conjunct early is safe whenever its columns resolve in the prefix.
   Scope scope;
-  for (const StageInput& stage : stages) {
-    scope.AddTable(stage.relation.alias, stage.relation.columns);
-  }
   bool any_left = false;
-  for (const StageInput& stage : stages) any_left |= stage.left;
-
-  // Columns some expression reads; join stages NULL-fill the rest.
-  // Prepared statements computed this once, in PrebindSelect.
-  std::vector<bool> computed_read;
-  const std::vector<bool>* read = &stmt.read_columns;
-  if (!stmt.prebound || read->size() != scope.width()) {
-    computed_read = ReadColumns(stmt, scope);
-    read = &computed_read;
+  for (const StageConfig& stage : stages) {
+    scope.AddTable(stage.alias, stage.columns);
+    any_left |= stage.left;
   }
-
-  std::vector<std::unique_ptr<Expr>>& owned = state->owned;
-  auto borrow = [&](const std::unique_ptr<Expr>& source)
-      -> Result<const Expr*> {
-    if (stmt.prebound) return source.get();
-    std::unique_ptr<Expr> copy = source->Clone();
-    Status st = BindExpr(copy.get(), scope);
-    if (!st.ok()) return st;
-    owned.push_back(std::move(copy));
-    return static_cast<const Expr*>(owned.back().get());
+  // Columns some expression reads; join stages NULL-fill the rest.
+  const std::vector<bool> read = ReadColumns(stmt, scope);
+  auto bind = [&](const Expr& source) -> Result<const Expr*> {
+    std::unique_ptr<Expr> copy = source.Clone();
+    DB2G_RETURN_NOT_OK(BindExpr(copy.get(), scope));
+    layout->owned.push_back(std::move(copy));
+    return static_cast<const Expr*>(layout->owned.back().get());
   };
 
   const Expr* where = nullptr;
   if (stmt.where) {
-    Result<const Expr*> bound = borrow(stmt.where);
+    Result<const Expr*> bound = bind(*stmt.where);
     if (!bound.ok()) return bound.status();
     where = *bound;
   }
   std::vector<const Expr*> where_conjuncts;
   SplitConjuncts(where, &where_conjuncts);
 
-  // Join ON conditions, parallel to stages.
-  std::vector<const Expr*> stage_on(stages.size(), nullptr);
-  for (size_t k = 0; k < stages.size(); ++k) {
-    if (stages[k].on == nullptr) continue;
-    if (stmt.prebound) {
-      stage_on[k] = stages[k].on;
-    } else {
-      std::unique_ptr<Expr> copy = stages[k].on->Clone();
-      DB2G_RETURN_NOT_OK(BindExpr(copy.get(), scope));
-      owned.push_back(std::move(copy));
-      stage_on[k] = owned.back().get();
-    }
-  }
-
-  // 3. Chain join-stage operators, probing indexes where possible. A
-  // single-stage base-table full scan may instead become the column
-  // section of the tree, lowered in step 5 into one fused operator: a
-  // ColumnScan (scan + WHERE kernels) below ColumnProject / ColumnToRow,
-  // or a ColumnAggregate (scan + kernels + aggregate). Both run their
-  // morsels at the resolved dop; the gate below records the pieces.
-  std::unique_ptr<Op> source =
-      std::make_unique<exec_ops::SeedOp>(&state->ctx);
-  const Table* col_table = nullptr;
-  std::vector<const Expr*> col_preds;
-  std::string col_alias;
-  // Profile node of a fused column operator, registered before the
-  // operator exists so it can append its morsel count (nullptr when the
-  // plan is not profiled).
-  auto col_node = [&](const char* name, std::string detail) -> OpProfile* {
-    if (!profiled) return nullptr;
-    detail += " dop=" + std::to_string(dop);
-    if (!col_preds.empty()) {
-      detail += " " + std::to_string(col_preds.size()) + " conjunct(s)";
-    }
-    OpProfile node;
-    node.name = name;
-    node.detail = std::move(detail);
-    state->ctx.profiles.push_back(std::move(node));
-    return &state->ctx.profiles.back();
-  };
-  auto build_col_source = [&]() -> std::unique_ptr<exec_ops::ColOp> {
-    OpProfile* node = col_node("ColumnScan", col_alias);
-    std::unique_ptr<exec_ops::ColOp> op =
-        std::make_unique<exec_ops::ColumnScanOp>(&state->ctx, col_table,
-                                                 col_preds, dop, node);
-    if (node == nullptr) return op;
-    return std::make_unique<exec_ops::ProfiledColOp>(&state->ctx,
-                                                     std::move(op), node);
-  };
+  // 3. Plan each join stage's access path.
   Scope partial_scope;
-  bool no_from = stages.empty();
-
   for (size_t k = 0; k < stages.size(); ++k) {
-    StageInput& stage = stages[k];
+    StageConfig& cfg = stages[k];
     Scope before = partial_scope;
-    partial_scope.AddTable(stage.relation.alias, stage.relation.columns);
+    partial_scope.AddTable(cfg.alias, cfg.columns);
+    cfg.read.assign(read.begin() + static_cast<ptrdiff_t>(before.width()),
+                    read.begin() + static_cast<ptrdiff_t>(
+                                       partial_scope.width()));
 
-    StageConfig cfg;
-    cfg.left = stage.left;
-    cfg.read.assign(read->begin() + static_cast<ptrdiff_t>(before.width()),
-                    read->begin() + static_cast<ptrdiff_t>(
-                                        partial_scope.width()));
-
-    // Collect predicates applicable at this stage (borrowed pointers into
-    // the already-bound where / on expressions).
-    if (stage_on[k] != nullptr) cfg.preds.push_back(stage_on[k]);
+    // Predicates applicable at this stage.
+    if (stage_on_source[k] != nullptr) {
+      Result<const Expr*> on = bind(*stage_on_source[k]);
+      if (!on.ok()) return on.status();
+      cfg.preds.push_back(*on);
+    }
     if (!any_left) {
       for (const Expr* conjunct : where_conjuncts) {
         if (BindsIn(*conjunct, partial_scope) &&
@@ -2566,43 +2526,41 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
         }
       }
     }
+    std::vector<const Expr*> conjuncts;
+    for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
 
-    // Index probe against the inner relation's base table.
-    const Table* table = stage.relation.table;
+    // Index probe against a base table (a virtual-table snapshot has no
+    // indexes).
+    const Table* table = cfg.source.table;
     if (table != nullptr) {
-      std::vector<const Expr*> conjuncts;
-      for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
-      cfg.probe =
-          PlanIndexProbe(*table, stage.relation.alias, conjuncts, before);
+      cfg.probe = PlanIndexProbe(*table, cfg.alias, conjuncts, before);
     }
 
     // Hash-join candidate: an equality term with no backing index
     // (materialized relations — subqueries, views, table functions — or
-    // unindexed base tables). Whether the hash table is actually built is
+    // unindexed tables). Whether the hash table is actually built is
     // decided at runtime, once the stage has seen more than one outer row.
     if (cfg.probe.index == nullptr) {
-      std::vector<const Expr*> conjuncts;
-      for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
+      auto inner_col = [&](const Expr* e) -> int {
+        if (e->kind != ExprKind::kColumnRef) return -1;
+        if (!e->table_alias.empty() &&
+            !EqualsIgnoreCase(e->table_alias, cfg.alias)) {
+          return -1;
+        }
+        if (BindsIn(*e, before)) return -1;
+        for (size_t c = 0; c < cfg.columns.size(); ++c) {
+          if (EqualsIgnoreCase(cfg.columns[c], e->column)) {
+            return static_cast<int>(c);
+          }
+        }
+        return -1;
+      };
       for (const Expr* conjunct : conjuncts) {
         if (conjunct->kind != ExprKind::kBinary || conjunct->op != "=") {
           continue;
         }
         const Expr* lhs = conjunct->children[0].get();
         const Expr* rhs = conjunct->children[1].get();
-        auto inner_col = [&](const Expr* e) -> int {
-          if (e->kind != ExprKind::kColumnRef) return -1;
-          if (!e->table_alias.empty() &&
-              !EqualsIgnoreCase(e->table_alias, stage.relation.alias)) {
-            return -1;
-          }
-          if (BindsIn(*e, before)) return -1;
-          for (size_t c = 0; c < stage.relation.columns.size(); ++c) {
-            if (EqualsIgnoreCase(stage.relation.columns[c], e->column)) {
-              return static_cast<int>(c);
-            }
-          }
-          return -1;
-        };
         int col = inner_col(lhs);
         if (col >= 0 && BindsIn(*rhs, before)) {
           cfg.has_hash = true;
@@ -2625,21 +2583,19 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
     // Used at runtime only when neither the index probe nor the hash join
     // applies.
     if (cfg.probe.index == nullptr && table != nullptr) {
-      std::vector<const Expr*> conjuncts;
-      for (const Expr* pred : cfg.preds) SplitConjuncts(pred, &conjuncts);
       const TableSchema& schema = table->schema();
+      auto inner_col = [&](const Expr* e) {
+        return e->kind == ExprKind::kColumnRef &&
+               (e->table_alias.empty() ||
+                EqualsIgnoreCase(e->table_alias, cfg.alias)) &&
+               schema.HasColumn(e->column) && !BindsIn(*e, before);
+      };
       for (const Expr* conjunct : conjuncts) {
         if (conjunct->kind != ExprKind::kBinary) continue;
         const std::string& op = conjunct->op;
         if (op != "<" && op != "<=" && op != ">" && op != ">=") continue;
         const Expr* lhs = conjunct->children[0].get();
         const Expr* rhs = conjunct->children[1].get();
-        auto inner_col = [&](const Expr* e) {
-          return e->kind == ExprKind::kColumnRef &&
-                 (e->table_alias.empty() ||
-                  EqualsIgnoreCase(e->table_alias, stage.relation.alias)) &&
-                 schema.HasColumn(e->column) && !BindsIn(*e, before);
-        };
         const Expr* column_side = nullptr;
         const Expr* value_side = nullptr;
         bool upper = false;  // column < value?
@@ -2675,43 +2631,40 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
       }
     }
 
-    // Vectorized path: a single-stage full scan over a base table — no
-    // index probe, no range scan (the transient hash join never builds
-    // against the one-row seed, so it would full-scan too) — runs
-    // column-at-a-time, with the WHERE conjuncts compiled to kernels.
-    if (k == 0 && stages.size() == 1 && !cfg.left &&
-        stage.relation.table != nullptr && cfg.probe.index == nullptr &&
-        cfg.range_index == nullptr && exec_cfg.vectorized()) {
-      col_table = stage.relation.table;
-      col_preds = cfg.preds;
-      col_alias = stage.relation.alias;
-      continue;
-    }
-
-    std::string stage_detail = stage.relation.alias;
+    cfg.detail = cfg.alias;
     if (cfg.probe.index != nullptr) {
-      stage_detail += " index probe";
+      cfg.detail += " index probe";
     } else if (cfg.range_index != nullptr) {
-      stage_detail += " range scan";
+      cfg.detail += " range scan";
     } else if (cfg.has_hash) {
-      stage_detail += " hash candidate";
-    } else if (stage.relation.table != nullptr) {
-      stage_detail += " scan";
+      cfg.detail += " hash candidate";
+    } else if (cfg.table_backed()) {
+      cfg.detail += " scan";
     } else {
-      stage_detail += " materialized";
+      cfg.detail += " materialized";
     }
-    cfg.relation = std::move(stage.relation);
-    source = prof(std::make_unique<JoinStageOp>(&state->ctx,
-                                                std::move(source),
-                                                std::move(cfg)),
-                  k == 0 ? "Scan" : "Join", std::move(stage_detail));
+  }
+
+  // Column section: a single-stage full scan over a table-backed relation
+  // — no index probe, no range scan (the transient hash join never builds
+  // against the one-row seed, so it would full-scan too) — with the
+  // stage's predicates compiled to kernels.
+  layout->columnar = stages.size() == 1 && !stages[0].left &&
+                     stages[0].table_backed() &&
+                     stages[0].probe.index == nullptr &&
+                     stages[0].range_index == nullptr;
+  if (layout->columnar) {
+    layout->kernels = exec_ops::CompileKernels(stages[0].preds);
+    if (!stages[0].preds.empty()) {
+      layout->conjunct_label =
+          " " + std::to_string(stages[0].preds.size()) + " conjunct(s)";
+    }
   }
 
   // 4. Residual WHERE (needed with LEFT JOINs; idempotent otherwise).
-  if (where != nullptr && (any_left || no_from)) {
-    source = prof(std::make_unique<exec_ops::FilterOp>(
-                      &state->ctx, std::move(source), where),
-                  "Filter", where->ToString());
+  if (where != nullptr && (any_left || stages.empty())) {
+    layout->residual = where;
+    layout->residual_label = where->ToString();
   }
 
   // 5. Projection / aggregation.
@@ -2719,8 +2672,9 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
   for (const SelectItem& item : stmt.items) {
     has_aggregate |= ContainsAggregate(*item.expr);
   }
+  layout->has_aggregate = has_aggregate;
 
-  Projection proj;
+  exec_ops::Projection& proj = layout->proj;
   for (const SelectItem& item : stmt.items) {
     if (item.expr->kind == ExprKind::kStar) {
       std::vector<size_t> offsets =
@@ -2730,21 +2684,21 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
                                 item.expr->table_alias + ".*");
       }
       for (size_t offset : offsets) {
-        state->columns.push_back(scope.NameAt(offset));
+        layout->columns.push_back(scope.NameAt(offset));
       }
       proj.star_expansion.push_back(std::move(offsets));
       proj.item_exprs.push_back(item.expr.get());
       continue;
     }
-    Result<const Expr*> bound = borrow(item.expr);
+    Result<const Expr*> bound = bind(*item.expr);
     if (!bound.ok()) return bound.status();
-    state->columns.push_back(OutputName(item));
+    layout->columns.push_back(OutputName(item));
     proj.star_expansion.emplace_back();
     proj.item_exprs.push_back(*bound);
   }
 
   if (has_aggregate) {
-    exec_ops::AggregateOp::Config agg;
+    exec_ops::AggregateOp::Config& agg = layout->agg;
     // Fast path for the pushdown shape "SELECT AGG(..), AGG(..) FROM ..."
     // with no grouping: single pass, no hash map, no tree rewriting.
     bool simple = stmt.group_by.empty() && !stmt.distinct &&
@@ -2766,13 +2720,13 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
       }
     } else {
       for (const auto& g : stmt.group_by) {
-        Result<const Expr*> bound = borrow(g);
+        Result<const Expr*> bound = bind(*g);
         if (!bound.ok()) return bound.status();
         agg.group_exprs.push_back(*bound);
       }
       agg.has_group_by = !stmt.group_by.empty();
       if (stmt.having) {
-        Result<const Expr*> bound = borrow(stmt.having);
+        Result<const Expr*> bound = bind(*stmt.having);
         if (!bound.ok()) return bound.status();
         agg.having = *bound;
       }
@@ -2782,128 +2736,272 @@ Result<std::unique_ptr<SelectPlan>> Executor::Compile(const SelectStmt& stmt,
       if (agg.having != nullptr) {
         CollectAggregates(agg.having, &agg.agg_specs);
       }
+      // With aggregation, ORDER BY names output columns (by name or
+      // position) and is resolved after grouping.
       agg.order_by = &stmt.order_by;
-      agg.columns = &state->columns;
+      agg.columns = &layout->columns;
     }
-    bool lowered = false;
-    if (col_table != nullptr) {
-      exec_ops::ColumnAggConfig vagg;
-      if (LowerVectorizedAggregate(agg, proj, stmt, &vagg)) {
-        OpProfile* node =
-            col_node("ColumnAggregate", vagg.simple ? "simple" : "grouped");
-        source = std::make_unique<exec_ops::ColumnAggregateOp>(
-            &state->ctx, col_table, col_preds, std::move(vagg), dop, node);
-        if (node != nullptr) {
-          source = std::make_unique<exec_ops::ProfiledOp>(
-              &state->ctx, std::move(source), node);
-        }
-        lowered = true;
-      } else {
-        // Aggregate shape without a vectorized lowering: materialize rows
-        // and keep the scalar barrier ("mixed" mode in profile()).
-        source = prof(std::make_unique<exec_ops::ColumnToRowOp>(
-                          &state->ctx, build_col_source()),
-                      "ColumnToRow", "");
-      }
-    }
-    if (!lowered) {
-      const char* adetail = agg.simple ? "simple" : "grouped";
-      agg.proj = std::move(proj);
-      source = prof(std::make_unique<exec_ops::AggregateOp>(
-                        &state->ctx, std::move(source), std::move(agg)),
-                    "Aggregate", adetail);
-    }
+    layout->agg_lowered =
+        layout->columnar &&
+        LowerVectorizedAggregate(agg, proj, stmt, &layout->vagg);
+    layout->top_label = agg.simple ? "simple" : "grouped";
   } else {
     // Plain projection, with optional ORDER BY over source rows.
-    std::vector<const Expr*> order_exprs;
-    std::vector<bool> order_desc;
     for (const OrderItem& item : stmt.order_by) {
-      order_desc.push_back(item.descending);
-      if (stmt.prebound) {
-        order_exprs.push_back(item.expr.get());
-        continue;
-      }
-      std::unique_ptr<Expr> expr = item.expr->Clone();
+      layout->order_desc.push_back(item.descending);
       // ORDER BY may reference a select alias.
-      bool rebound = false;
-      if (expr->kind == ExprKind::kColumnRef && expr->table_alias.empty()) {
+      const Expr* aliased = nullptr;
+      if (item.expr->kind == ExprKind::kColumnRef &&
+          item.expr->table_alias.empty()) {
         for (size_t i = 0; i < stmt.items.size(); ++i) {
-          if (EqualsIgnoreCase(stmt.items[i].alias, expr->column)) {
-            order_exprs.push_back(proj.item_exprs[i]);
-            rebound = true;
+          if (EqualsIgnoreCase(stmt.items[i].alias, item.expr->column)) {
+            aliased = proj.item_exprs[i];
             break;
           }
         }
       }
-      if (rebound) continue;
-      DB2G_RETURN_NOT_OK(BindExpr(expr.get(), scope));
-      owned.push_back(std::move(expr));
-      order_exprs.push_back(owned.back().get());
+      if (aliased == nullptr) {
+        Result<const Expr*> bound = bind(*item.expr);
+        if (!bound.ok()) return bound.status();
+        aliased = *bound;
+      }
+      layout->order_exprs.push_back(aliased);
     }
-    bool lowered = false;
-    std::vector<size_t> out_cols;
-    std::unique_ptr<exec_ops::ColOp> col_source =
-        col_table != nullptr ? build_col_source() : nullptr;
-    if (col_source != nullptr && order_exprs.empty() &&
-        LowerVectorizedProjection(proj, &out_cols)) {
-      size_t ncols = out_cols.size();
-      source = prof(std::make_unique<exec_ops::ColumnProjectOp>(
-                        &state->ctx, std::move(col_source),
-                        std::move(out_cols)),
-                    "ColumnProject", "cols=" + std::to_string(ncols));
-      lowered = true;
-    } else if (col_source != nullptr) {
-      // Computed select items or ORDER BY: materialize rows and keep the
-      // scalar projection/sort ("mixed" mode in profile()).
-      source = prof(std::make_unique<exec_ops::ColumnToRowOp>(
-                        &state->ctx, std::move(col_source)),
-                    "ColumnToRow", "");
+    layout->proj_lowered =
+        layout->columnar && layout->order_exprs.empty() &&
+        LowerVectorizedProjection(proj, &layout->out_cols);
+    layout->column_project_label =
+        "cols=" + std::to_string(layout->out_cols.size());
+    layout->top_label =
+        layout->order_exprs.empty()
+            ? "cols=" + std::to_string(proj.item_exprs.size())
+            : "keys=" + std::to_string(layout->order_exprs.size());
+  }
+  layout->limit_label = std::to_string(stmt.limit);
+
+  return std::shared_ptr<const SelectSection>(new SelectSection(
+      db, std::move(stmt_ptr), ddl_version, std::move(layout)));
+}
+
+Result<std::unique_ptr<SelectPlan>> SelectSection::Open(
+    const std::vector<Value>* params, size_t block_rows) const {
+  using exec_ops::Op;
+  using exec_ops::PlanRelation;
+  using exec_ops::RelationSource;
+  using exec_ops::StageConfig;
+  const Layout& layout = *layout_;
+  const SelectStmt& stmt = *stmt_;
+
+  db_->stats().selects.fetch_add(1, std::memory_order_relaxed);
+  auto state = std::make_unique<SelectPlan::State>();
+  state->columns = &layout.columns;
+  exec_ops::PlanContext& ctx = state->ctx;
+  ctx.db = db_;
+  ctx.params = params;
+  ctx.block_rows = std::max<size_t>(block_rows, 1);
+
+  // The call's effective ExecConfig: process defaults <- session config
+  // <- thread-local per-query override (ScopedExecConfig).
+  const ExecConfig exec_cfg = db_->ResolveExecConfig();
+  const int dop = exec_cfg.parallelism();
+  ctx.dop = dop;
+  if (exec_cfg.block_rows() > 0 && block_rows == kDefaultBlockRows) {
+    // A config block size applies only when the caller did not ask for a
+    // specific one (streaming pulls pass their own).
+    ctx.block_rows = std::max<size_t>(exec_cfg.block_rows(), 1);
+  }
+
+  // EXPLAIN needs the operator chain recorded even without execution;
+  // ANALYZE and the config's profile flag additionally time each Next().
+  const bool profiled = stmt.explain || stmt.analyze || exec_cfg.profile();
+  ctx.profiled = profiled;
+  auto node = [&](const char* name, const std::string& detail) {
+    OpProfile profile;
+    profile.name = name;
+    profile.detail = detail;
+    ctx.profiles.push_back(std::move(profile));
+    return &ctx.profiles.back();
+  };
+  auto prof = [&](std::unique_ptr<Op> op, const char* name,
+                  const std::string& detail) -> std::unique_ptr<Op> {
+    if (!profiled) return op;
+    return std::make_unique<exec_ops::ProfiledOp>(&ctx, std::move(op),
+                                                  node(name, detail));
+  };
+
+  // 1. This execution's relation data, in stage order: access checks
+  // (grants may change without DDL), virtual-table snapshots, and the
+  // rows of views, subqueries and table functions.
+  std::vector<PlanRelation> relations(layout.stages.size());
+  for (size_t k = 0; k < layout.stages.size(); ++k) {
+    const StageConfig& stage = layout.stages[k];
+    const RelationSource& source = stage.source;
+    PlanRelation& rel = relations[k];
+    if (source.check_access) {
+      DB2G_RETURN_NOT_OK(db_->CheckAccess(source.ref->table, /*write=*/false));
     }
-    if (!lowered) {
-      size_t nitems = proj.item_exprs.size();
-      if (!order_exprs.empty()) {
-        size_t nkeys = order_exprs.size();
-        source = prof(std::make_unique<exec_ops::SortProjectOp>(
-                          &state->ctx, std::move(source), std::move(proj),
-                          std::move(order_exprs), std::move(order_desc)),
-                      "SortProject", "keys=" + std::to_string(nkeys));
-      } else {
-        source = prof(std::make_unique<exec_ops::ProjectOp>(
-                          &state->ctx, std::move(source), std::move(proj)),
-                      "Project", "cols=" + std::to_string(nitems));
+    switch (source.kind) {
+      case RelationSource::Kind::kBaseTable:
+        rel.table = source.table;
+        break;
+      case RelationSource::Kind::kVirtualTable: {
+        const VirtualTableDef* def = db_->FindVirtualTable(source.ref->table);
+        if (def == nullptr) {
+          return Status::NotFound("unknown table or view: " +
+                                  source.ref->table);
+        }
+        Result<std::shared_ptr<Table>> snapshot = MaterializeVirtualTable(*def);
+        if (!snapshot.ok()) return snapshot.status();
+        if ((*snapshot)->column_count() != stage.columns.size()) {
+          return Status::InvalidArgument("virtual table " + source.ref->table +
+                                         " changed shape");
+        }
+        rel.table = snapshot->get();
+        state->pinned.push_back(std::move(*snapshot));
+        break;
+      }
+      case RelationSource::Kind::kView:
+      case RelationSource::Kind::kSubquery: {
+        // A view body sees no parameters; a subquery sees the statement's.
+        Result<std::unique_ptr<SelectPlan>> body = source.body->Open(
+            source.kind == RelationSource::Kind::kView ? nullptr : params);
+        if (!body.ok()) return body.status();
+        Result<ResultSet> rs = (*body)->Drain();
+        if (!rs.ok()) return rs.status();
+        rel.rows = std::move(rs->rows);
+        break;
+      }
+      case RelationSource::Kind::kFunction: {
+        const TableRef& ref = *source.ref;
+        const Database::TableFunction* fn =
+            db_->FindTableFunction(ref.function_name);
+        if (fn == nullptr) {
+          return Status::NotFound("unknown table function: " +
+                                  ref.function_name);
+        }
+        std::vector<Value> args;
+        Row empty;
+        for (const auto& arg : ref.function_args) {
+          args.push_back(EvalExpr(*arg, empty, params));
+        }
+        Result<ResultSet> rs = (*fn)(args);
+        if (!rs.ok()) return rs.status();
+        rel.rows.reserve(rs->rows.size());
+        for (Row& row : rs->rows) {
+          row.resize(stage.columns.size());
+          rel.rows.push_back(std::move(row));
+        }
+        break;
       }
     }
   }
 
-  // 6. DISTINCT, LIMIT.
+  // 2. The operator tree over the section's configs.
+  const bool columnar = layout.columnar && exec_cfg.vectorized();
+  std::unique_ptr<Op> source = std::make_unique<exec_ops::SeedOp>(&ctx);
+  if (!columnar) {
+    for (size_t k = 0; k < layout.stages.size(); ++k) {
+      const StageConfig& stage = layout.stages[k];
+      source = prof(std::make_unique<exec_ops::JoinStageOp>(
+                        &ctx, std::move(source), stage,
+                        std::move(relations[k])),
+                    k == 0 ? "Scan" : "Join", stage.detail);
+    }
+  }
+  if (layout.residual != nullptr) {
+    source = prof(std::make_unique<exec_ops::FilterOp>(
+                      &ctx, std::move(source), layout.residual),
+                  "Filter", layout.residual_label);
+  }
+
+  // The column section's fused leaf: its profile node is registered
+  // before the operator exists so it can append its morsel count.
+  const Table* col_table = columnar ? relations[0].table : nullptr;
+  auto col_node = [&](const char* name, const std::string& detail) {
+    return profiled ? node(name, detail + " dop=" + std::to_string(dop) +
+                                     layout.conjunct_label)
+                    : nullptr;
+  };
+  auto col_scan = [&]() -> std::unique_ptr<exec_ops::ColOp> {
+    OpProfile* scan_node = col_node("ColumnScan", layout.stages[0].alias);
+    std::unique_ptr<exec_ops::ColOp> op =
+        std::make_unique<exec_ops::ColumnScanOp>(&ctx, col_table,
+                                                 layout.kernels, dop,
+                                                 scan_node);
+    if (scan_node == nullptr) return op;
+    return std::make_unique<exec_ops::ProfiledColOp>(&ctx, std::move(op),
+                                                     scan_node);
+  };
+  // Shapes without a column lowering materialize rows and keep the
+  // scalar operators above ("mixed" mode in profile()).
+  auto col_rows = [&]() {
+    return prof(std::make_unique<exec_ops::ColumnToRowOp>(&ctx, col_scan()),
+                "ColumnToRow", "");
+  };
+
+  if (layout.has_aggregate) {
+    if (columnar && layout.agg_lowered) {
+      OpProfile* agg_node = col_node(
+          "ColumnAggregate", layout.vagg.simple ? "simple" : "grouped");
+      source = std::make_unique<exec_ops::ColumnAggregateOp>(
+          &ctx, col_table, layout.kernels, layout.vagg, dop, agg_node);
+      if (agg_node != nullptr) {
+        source = std::make_unique<exec_ops::ProfiledOp>(
+            &ctx, std::move(source), agg_node);
+      }
+    } else {
+      if (columnar) source = col_rows();
+      source = prof(std::make_unique<exec_ops::AggregateOp>(
+                        &ctx, std::move(source), layout.proj, layout.agg),
+                    "Aggregate", layout.top_label);
+    }
+  } else if (columnar && layout.proj_lowered) {
+    source = prof(std::make_unique<exec_ops::ColumnProjectOp>(
+                      &ctx, col_scan(), layout.out_cols),
+                  "ColumnProject", layout.column_project_label);
+  } else {
+    if (columnar) source = col_rows();
+    if (!layout.order_exprs.empty()) {
+      source = prof(std::make_unique<exec_ops::SortProjectOp>(
+                        &ctx, std::move(source), layout.proj,
+                        layout.order_exprs, layout.order_desc),
+                    "SortProject", layout.top_label);
+    } else {
+      source = prof(std::make_unique<exec_ops::ProjectOp>(
+                        &ctx, std::move(source), layout.proj),
+                    "Project", layout.top_label);
+    }
+  }
+
+  // 3. DISTINCT, LIMIT.
   if (stmt.distinct) {
-    source = prof(std::make_unique<exec_ops::DistinctOp>(&state->ctx,
+    source = prof(std::make_unique<exec_ops::DistinctOp>(&ctx,
                                                          std::move(source)),
                   "Distinct", "");
   }
   if (stmt.limit >= 0) {
     source = prof(std::make_unique<exec_ops::LimitOp>(
-                      &state->ctx, std::move(source),
+                      &ctx, std::move(source),
                       static_cast<uint64_t>(stmt.limit)),
-                  "Limit", std::to_string(stmt.limit));
+                  "Limit", layout.limit_label);
   }
 
   state->root = std::move(source);
   return std::unique_ptr<SelectPlan>(new SelectPlan(std::move(state)));
 }
 
-Result<ResultSet> Executor::Select(const SelectStmt& stmt) {
-  Result<std::unique_ptr<SelectPlan>> plan = Compile(stmt);
+Result<ResultSet> SelectSection::Run(const std::vector<Value>* params) const {
+  Result<std::unique_ptr<SelectPlan>> plan = Open(params);
   if (!plan.ok()) return plan.status();
-  if (!stmt.explain) return (*plan)->Drain();
+  if (!stmt_->explain) return (*plan)->Drain();
 
   // EXPLAIN [ANALYZE]: return the rendered operator tree, one row per
   // line, instead of the query's rows. ANALYZE runs the query first so
   // the nodes carry actual blocks/rows/micros; plain EXPLAIN only
-  // compiles, leaving the counters zero (and unrendered).
+  // opens, leaving the counters zero (and unrendered).
   ResultSet out;
   out.columns = {"plan"};
-  if (stmt.analyze) {
+  if (stmt_->analyze) {
     Result<ResultSet> executed = (*plan)->Drain();
     if (!executed.ok()) return executed.status();
     out.exec = executed->exec;
@@ -2911,7 +3009,7 @@ Result<ResultSet> Executor::Select(const SelectStmt& stmt) {
     (*plan)->Close();
     out.exec = (*plan)->exec();
   }
-  std::string tree = RenderPlanTree(out.exec.op_profiles, stmt.analyze);
+  std::string tree = RenderPlanTree(out.exec.op_profiles, stmt_->analyze);
   size_t start = 0;
   while (start < tree.size()) {
     size_t end = tree.find('\n', start);
@@ -2920,72 +3018,6 @@ Result<ResultSet> Executor::Select(const SelectStmt& stmt) {
     start = end + 1;
   }
   return out;
-}
-
-// ---------------------------------------------------------------------
-// Prebinding (Database::Prepare fast path)
-// ---------------------------------------------------------------------
-
-bool PrebindSelect(Database* db, SelectStmt* stmt) {
-  // Build the scope from catalog metadata only.
-  Scope scope;
-  auto add_ref = [&](const TableRef& ref) -> bool {
-    Result<std::vector<ColumnDef>> cols = RelationColumns(db, ref);
-    if (!cols.ok()) return false;
-    std::vector<std::string> names;
-    for (const ColumnDef& c : *cols) names.push_back(c.name);
-    scope.AddTable(ref.alias, names);
-    return true;
-  };
-  for (const TableRef& ref : stmt->from) {
-    if (!add_ref(ref)) return false;
-  }
-  for (const JoinClause& join : stmt->joins) {
-    if (!add_ref(join.table)) return false;
-  }
-
-  if (stmt->where && !BindExpr(stmt->where.get(), scope).ok()) return false;
-  for (JoinClause& join : stmt->joins) {
-    if (join.on && !BindExpr(join.on.get(), scope).ok()) return false;
-  }
-  for (SelectItem& item : stmt->items) {
-    if (item.expr->kind == ExprKind::kStar) continue;
-    if (!BindExpr(item.expr.get(), scope).ok()) return false;
-  }
-  for (auto& g : stmt->group_by) {
-    if (!BindExpr(g.get(), scope).ok()) return false;
-  }
-  if (stmt->having && !BindExpr(stmt->having.get(), scope).ok()) {
-    return false;
-  }
-  // With aggregation, ORDER BY names output columns (by name or position)
-  // and is resolved after grouping: leave it as written.
-  bool has_aggregate = !stmt->group_by.empty();
-  for (const SelectItem& item : stmt->items) {
-    has_aggregate |= ContainsAggregate(*item.expr);
-  }
-  for (OrderItem& item : stmt->order_by) {
-    if (has_aggregate) break;
-    // Rewrite select-alias references to the underlying expression so
-    // execution needs no alias logic.
-    if (item.expr->kind == ExprKind::kColumnRef &&
-        item.expr->table_alias.empty()) {
-      bool rewritten = false;
-      for (SelectItem& sel : stmt->items) {
-        if (EqualsIgnoreCase(sel.alias, item.expr->column) &&
-            sel.expr->kind != ExprKind::kStar) {
-          item.expr = sel.expr->Clone();
-          rewritten = true;
-          break;
-        }
-      }
-      if (rewritten) continue;  // already bound via the item
-    }
-    if (!BindExpr(item.expr.get(), scope).ok()) return false;
-  }
-  stmt->read_columns = ReadColumns(*stmt, scope);
-  stmt->prebound = true;
-  return true;
 }
 
 // ---------------------------------------------------------------------

@@ -6,13 +6,22 @@
 // behaviours the paper's optimizations rely on: equality and IN predicates
 // on indexed columns become index probes instead of scans.
 //
-// Execution is organized as a pull-based operator tree over RowBlocks
-// (scan -> filter -> join -> project -> aggregate/sort -> limit). Compile()
-// builds the tree; Next() streams blocks from the root, with LIMIT
-// shrinking upstream block capacities so scans stop at the row budget;
-// Select() is the materializing Compile()+Drain() convenience that existing
-// callers use.
-
+// A SELECT runs in two halves, the plan-node/executor split of a classic
+// RDBMS:
+//  - A SelectSection is the compiled statement: resolved relations, bound
+//    expressions, each join stage's access path (index probe, hash or
+//    range candidate, read mask), the projection and aggregate layout and
+//    the profile node labels. It is immutable once built, so any number
+//    of concurrent executions share one. It records the catalog's
+//    ddl_version and is valid only while that version stands.
+//  - A SelectPlan is one execution of a section: the pull-based operator
+//    tree over RowBlocks (scan -> filter -> join -> project ->
+//    aggregate/sort -> limit) with its cursors, buffers, parameters and
+//    counters. Open() builds it and reads dop, block size, vectorization
+//    and profiling from the resolved ExecConfig; views, subqueries, table
+//    functions and virtual-table snapshots are materialized per execution.
+//    Next() streams blocks from the root, with LIMIT shrinking upstream
+//    block capacities so scans stop at the row budget.
 #ifndef DB2GRAPH_SQL_EXECUTOR_H_
 #define DB2GRAPH_SQL_EXECUTOR_H_
 
@@ -75,11 +84,10 @@ std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
                                   const std::vector<Value>* params,
                                   ExecInfo* exec);
 
-/// A compiled SELECT: the operator tree plus everything it borrows
-/// (bound expression clones, materialized FROM relations). Pull blocks
-/// with Next() or materialize everything with Drain(). The caller must
-/// hold the database read lock for the plan's whole lifetime and keep the
-/// source SelectStmt alive (bound expressions point into it).
+/// One execution of a SelectSection: the operator tree plus its per-call
+/// state. Pull blocks with Next() or materialize everything with Drain().
+/// The caller must hold the database read lock for the plan's whole
+/// lifetime and keep the section and the parameter vector alive.
 class SelectPlan : public RowSource {
  public:
   ~SelectPlan() override;
@@ -101,62 +109,68 @@ class SelectPlan : public RowSource {
   /// Access-path counters accumulated so far (complete after exhaustion).
   const ExecInfo& exec() const;
 
-  /// Pulls everything and returns the materialized result — the
-  /// compatibility adapter Database::Execute sits on.
+  /// Pulls everything and returns the materialized result.
   Result<ResultSet> Drain();
 
  private:
-  friend class Executor;
+  friend class SelectSection;
   struct State;
   explicit SelectPlan(std::unique_ptr<State> state);
   std::unique_ptr<State> state_;
 };
 
-/// Executes one SELECT against a database. The caller must already hold the
-/// database lock (Database::Execute does).
-class Executor {
+/// The compiled, immutable half of one SELECT. Build() does everything
+/// that depends only on the statement and the catalog; Open() does
+/// everything that depends on the call. A section is never modified after
+/// Build(), so concurrent executions share it without locks.
+class SelectSection {
  public:
-  Executor(Database* db, const std::vector<Value>* params)
-      : db_(db), params_(params) {}
+  /// Registry counter bumped once per section built (nested sections of
+  /// views and subqueries included).
+  static constexpr const char* kCompilesCounter = "sql.compiles";
 
-  /// View expansion runs with definer's rights: a grant on the view is
-  /// enough, so the inner executor skips per-table checks.
-  void set_skip_access_checks(bool skip) { skip_access_checks_ = skip; }
+  ~SelectSection();
+  SelectSection(const SelectSection&) = delete;
+  SelectSection& operator=(const SelectSection&) = delete;
 
-  /// Builds the streaming operator tree for `stmt`. The returned plan
-  /// captures db and params pointers; both must outlive it.
-  Result<std::unique_ptr<SelectPlan>> Compile(const SelectStmt& stmt,
-                                              size_t block_rows =
-                                                  kDefaultBlockRows);
+  /// Compiles `stmt` against the catalog as it stands. The caller holds
+  /// the database read lock, which keeps the recorded ddl_version exact.
+  static Result<std::shared_ptr<const SelectSection>> Build(
+      Database* db, std::shared_ptr<const SelectStmt> stmt);
 
-  Result<ResultSet> Select(const SelectStmt& stmt);
+  /// Database::ddl_version() when the section was built. Any DDL since
+  /// then may have dropped or reshaped what the section points at, so the
+  /// owner rebuilds instead of opening a section whose version is stale.
+  uint64_t ddl_version() const { return ddl_version_; }
+
+  const std::vector<std::string>& columns() const;
+
+  /// Opens one execution. The caller holds the database read lock and
+  /// keeps this section and `params` alive for the plan's lifetime.
+  /// `block_rows` other than the default overrides ExecConfig's.
+  Result<std::unique_ptr<SelectPlan>> Open(
+      const std::vector<Value>* params,
+      size_t block_rows = kDefaultBlockRows) const;
+
+  /// Opens and drains one execution; for EXPLAIN [ANALYZE] returns the
+  /// rendered operator tree, one row per line, instead.
+  Result<ResultSet> Run(const std::vector<Value>* params) const;
 
  private:
-  struct Relation {
-    std::string alias;
-    std::vector<std::string> columns;
-    const class Table* table = nullptr;  // base table access path
-    std::vector<Row> rows;               // materialized otherwise
-    /// Set for virtual tables: the snapshot Table `table` points into.
-    /// The plan pins it so scans (row or vectorized) can keep raw
-    /// pointers; base tables are owned by the catalog and leave it null.
-    std::shared_ptr<class Table> owned;
-    bool materialized() const { return table == nullptr; }
-  };
-
-  Result<Relation> ResolveRef(const TableRef& ref);
+  struct Layout;
+  SelectSection(Database* db, std::shared_ptr<const SelectStmt> stmt,
+                uint64_t ddl_version, std::unique_ptr<Layout> layout);
+  /// Build() with access checks on or off: a view's body runs with its
+  /// definer's rights, so its section skips them.
+  static Result<std::shared_ptr<const SelectSection>> BuildWithAccess(
+      Database* db, std::shared_ptr<const SelectStmt> stmt,
+      bool check_access);
 
   Database* db_;
-  const std::vector<Value>* params_;
-  bool skip_access_checks_ = false;
+  std::shared_ptr<const SelectStmt> stmt_;  // bound clones point into it
+  uint64_t ddl_version_;
+  std::unique_ptr<const Layout> layout_;
 };
-
-/// Binds every expression of `stmt` against its own FROM scope and sets
-/// stmt->prebound on success (used by Database::Prepare so repeated
-/// executions skip per-call clone+bind). Returns false when the statement
-/// shape cannot be prebound (e.g. ORDER BY aliases); execution then falls
-/// back to per-call binding.
-bool PrebindSelect(Database* db, SelectStmt* stmt);
 
 /// Derives the output column shape of a SELECT without executing it
 /// (used for CREATE VIEW schemas). Best-effort types.

@@ -7,6 +7,8 @@
 // including cached negative lookups). The ConcurrentReadersAndWriter case
 // is the primary TSan target (see README "Sanitizers"); the hot-key case
 // runs hash-index run relocation and arena compaction under readers.
+// SharedSectionStressTest races executions of one prepared SELECT, whose
+// compiled section all of them share, against DDL that forces rebuilds.
 
 #include <atomic>
 #include <cstdint>
@@ -295,6 +297,86 @@ TEST_F(ConcurrencyStressTest, HotKeyProbesDuringRunRelocation) {
   });
   for (std::thread& t : readers) t.join();
   writer.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Four threads share one prepared handle, and so its compiled section:
+// two execute it materialized, two streaming. A fifth thread creates,
+// indexes and drops other tables meanwhile; every DDL moves ddl_version,
+// so after each one the readers race to rebuild and publish the shared
+// section while the others look it up.
+TEST(SharedSectionStressTest, SharedHandleAcrossConcurrentDdl) {
+  constexpr int kReaders = 4;
+  constexpr int kReadsPerReader = 300;
+  constexpr int kDdlRounds = 40;
+  constexpr int64_t kRows = 64;
+  sql::Database db;
+  std::string load = "CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT);"
+                     "INSERT INTO kv VALUES (0, 0)";
+  for (int64_t k = 1; k < kRows; ++k) {
+    load += ", (" + std::to_string(k) + ", " + std::to_string(k * 10) + ")";
+  }
+  ASSERT_TRUE(db.ExecuteScript(load).ok());
+  Result<sql::PreparedStatement> probe =
+      db.Prepare("SELECT v FROM kv WHERE k = ?");
+  Result<sql::PreparedStatement> count =
+      db.Prepare("SELECT COUNT(*) FROM kv WHERE v >= ?");
+  ASSERT_TRUE(probe.ok() && count.ok());
+  std::atomic<int> failures{0};
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const bool streaming = r % 2 == 1;
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        const int64_t k = (r * 7 + i) % kRows;
+        const std::vector<Value> key = {Value(k)};
+        std::vector<Row> rows;
+        if (streaming) {
+          Result<std::unique_ptr<sql::RowStream>> stream =
+              probe->ExecuteStreaming(key);
+          if (!stream.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          sql::RowBlock block;
+          while ((*stream)->Next(&block)) {
+            for (Row& row : block.rows) rows.push_back(std::move(row));
+          }
+          if (!(*stream)->status().ok()) failures.fetch_add(1);
+        } else {
+          Result<sql::ResultSet> rs = probe->Execute(key);
+          if (!rs.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          rows = std::move(rs->rows);
+        }
+        if (rows.size() != 1 || rows[0][0] != Value(k * 10)) {
+          failures.fetch_add(1);
+        }
+        Result<sql::ResultSet> counted = count->Execute({Value(k * 10)});
+        if (!counted.ok() || counted->rows.size() != 1 ||
+            counted->rows[0][0] != Value(kRows - k)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::thread ddl([&] {
+    for (int i = 0; i < kDdlRounds; ++i) {
+      const std::string name = "other" + std::to_string(i);
+      Status st = db.ExecuteScript(
+          "CREATE TABLE " + name + " (a BIGINT, b BIGINT);"
+          "INSERT INTO " + name + " VALUES (1, 2);"
+          "CREATE INDEX " + name + "_a ON " + name + " (a);"
+          "DROP TABLE " + name);
+      if (!st.ok()) failures.fetch_add(1);
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  ddl.join();
   EXPECT_EQ(failures.load(), 0);
 }
 

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/db2graph.h"
+#include "core/sql_dialect.h"
 #include "overlay/auto_overlay.h"
+#include "sql/executor.h"
 
 namespace db2graph::core {
 namespace {
@@ -518,6 +521,112 @@ TEST_F(Db2GraphTest, TemplateCacheHitsOnRepeatedQueries) {
   }
   EXPECT_GT((*graph)->dialect()->template_cache_hits(), 0u);
   EXPECT_GE((*graph)->dialect()->queries_issued(), 5u);
+}
+
+// The provider's cached template for a vertex-table lookup stays correct
+// when the table is recreated with its columns in another order: the
+// template's compiled section is rebuilt, not read at stale offsets.
+TEST_F(Db2GraphTest, CachedTemplateFollowsRecreatedVertexTable) {
+  EXPECT_EQ(Single("g.V(11).values('conceptName')"),
+            Value("type 2 diabetes"));
+  EXPECT_EQ(Single("g.V(12).values('conceptCode')"), Value("D12"));
+  ASSERT_TRUE(db_.ExecuteScript(R"sql(
+    DROP TABLE Disease;
+    CREATE TABLE Disease (
+      conceptName VARCHAR(100),
+      diseaseID BIGINT PRIMARY KEY,
+      conceptCode VARCHAR(20)
+    );
+    INSERT INTO Disease VALUES
+      ('diabetes', 10, 'D10'),
+      ('type 2 diabetes (revised)', 11, 'D11'),
+      ('hypertension', 12, 'D12'),
+      ('metabolic disorder', 13, 'D13');
+  )sql")
+                  .ok());
+  EXPECT_EQ(Single("g.V(11).values('conceptName')"),
+            Value("type 2 diabetes (revised)"));
+  EXPECT_EQ(Single("g.V(12).values('conceptCode')"), Value("D12"));
+}
+
+// One handle executed 1,000 times materialized and 1,000 times streaming,
+// through PreparedStatement and through the dialect's template cache,
+// compiles its section exactly once, and once more after a CREATE INDEX.
+TEST_F(Db2GraphTest, CompileOncePerHandleAndOncePerDdl) {
+  metrics::Counter* compiles = metrics::MetricsRegistry::Global().GetCounter(
+      sql::SelectSection::kCompilesCounter);
+  const std::string text =
+      "SELECT conceptName FROM Disease WHERE diseaseID = ?";
+  Result<sql::PreparedStatement> prepared = db_.Prepare(text);
+  ASSERT_TRUE(prepared.ok());
+  SqlDialect dialect(&db_);
+  auto replay = [&]() {
+    for (int i = 0; i < 1000; ++i) {
+      const std::vector<Value> params = {Value(int64_t{10 + i % 4})};
+      Result<sql::ResultSet> rs = prepared->Execute(params);
+      ASSERT_TRUE(rs.ok());
+      ASSERT_EQ(rs->rows.size(), 1u);
+      Result<std::unique_ptr<sql::RowStream>> stream =
+          prepared->ExecuteStreaming(params);
+      ASSERT_TRUE(stream.ok());
+      sql::RowBlock block;
+      ASSERT_TRUE((*stream)->Next(&block));
+      (*stream)->Close();
+      rs = dialect.QueryShaped("disease-by-id", [&] { return text; }, params);
+      ASSERT_TRUE(rs.ok());
+      ASSERT_EQ(rs->rows.size(), 1u);
+      Result<std::unique_ptr<DialectRowStream>> shaped =
+          dialect.QueryShapedStreaming("disease-by-id",
+                                       [&] { return text; }, params);
+      ASSERT_TRUE(shaped.ok());
+      ASSERT_TRUE((*shaped)->Next(&block));
+      (*shaped)->Close();
+    }
+  };
+  const uint64_t before = compiles->load();
+  replay();
+  // One section per handle: the PreparedStatement's and the dialect's.
+  EXPECT_EQ(compiles->load() - before, 2u);
+  ASSERT_TRUE(
+      db_.Execute("CREATE INDEX idx_disease_code ON Disease (conceptCode)")
+          .ok());
+  replay();
+  EXPECT_EQ(compiles->load() - before, 4u);
+  EXPECT_EQ(dialect.skeleton_cache_misses(), 1u);
+  EXPECT_EQ(dialect.template_cache_misses(), 1u);
+  EXPECT_EQ(dialect.skeleton_cache_hits(), 3999u);
+  EXPECT_EQ(dialect.template_cache_hits(), 3999u);
+  // The counter is a registry metric, so sysmon.metrics shows it.
+  Result<sql::ResultSet> metric = db_.Execute(
+      "SELECT value FROM sysmon.metrics WHERE name = 'sql.compiles'");
+  ASSERT_TRUE(metric.ok()) << metric.status().ToString();
+  ASSERT_EQ(metric->rows.size(), 1u);
+  EXPECT_GE(metric->rows[0][0].as_int(),
+            static_cast<int64_t>(before + 4));
+}
+
+// A shape whose text fails to prepare keeps that text cached, as the
+// skeleton: each later call, materialized or streaming, is a skeleton hit
+// and a template miss that fails again without generating the SQL anew.
+TEST_F(Db2GraphTest, FailingShapeKeepsItsSkeleton) {
+  SqlDialect dialect(&db_);
+  dialect.EnableTrace();
+  int built = 0;
+  auto build = [&] {
+    ++built;
+    return std::string("SELEC conceptName FROM Disease");
+  };
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(dialect.QueryShaped("broken", build, {}).ok());
+  }
+  EXPECT_FALSE(dialect.QueryShapedStreaming("broken", build, {}).ok());
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(dialect.skeleton_cache_misses(), 1u);
+  EXPECT_EQ(dialect.skeleton_cache_hits(), 2u);
+  EXPECT_EQ(dialect.template_cache_misses(), 3u);
+  EXPECT_EQ(dialect.template_cache_hits(), 0u);
+  EXPECT_EQ(dialect.TakeTrace(),
+            std::vector<std::string>(3, "SELEC conceptName FROM Disease"));
 }
 
 TEST_F(Db2GraphTest, IndexAdvisorSuggestsFrequentPatterns) {

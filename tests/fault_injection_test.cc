@@ -20,6 +20,7 @@
 #include "core/gremlin_service.h"
 #include "linkbench/linkbench.h"
 #include "linkbench/partitioned.h"
+#include "overlay/auto_overlay.h"
 
 namespace db2graph::core {
 namespace {
@@ -137,6 +138,64 @@ TEST_F(FaultInjectionTest, SlowProducerBlockTripsDeadline) {
   // near the ~10s a full injected-slow scan would take.
   EXPECT_LT(elapsed.count(), 2000);
   ExpectHealthy();
+}
+
+TEST_F(FaultInjectionTest, DeadlineStopsElementBuildOfMaterializedFetch) {
+  // g.E() fetches its one edge table in a single materialized statement,
+  // then builds 10,000 elements from the rows in 4,096-row chunks. The
+  // first chunk boundary stalls past the deadline, so the SQL has long
+  // finished and only the governor check between chunks can stop the
+  // build: it must report kTimeout there instead of building the rest.
+  sql::Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"(
+      CREATE TABLE Person (personID BIGINT PRIMARY KEY);
+      CREATE TABLE Knows (
+        srcID BIGINT,
+        dstID BIGINT,
+        FOREIGN KEY (srcID) REFERENCES Person (personID),
+        FOREIGN KEY (dstID) REFERENCES Person (personID)
+      ))")
+                  .ok());
+  constexpr int64_t kPeople = 100;
+  constexpr int64_t kEdges = 10000;
+  Result<sql::PreparedStatement> person =
+      db.Prepare("INSERT INTO Person VALUES (?)");
+  Result<sql::PreparedStatement> knows =
+      db.Prepare("INSERT INTO Knows VALUES (?, ?)");
+  ASSERT_TRUE(person.ok() && knows.ok());
+  for (int64_t i = 0; i < kPeople; ++i) {
+    ASSERT_TRUE(person->Execute({Value(i)}).ok());
+  }
+  for (int64_t i = 0; i < kEdges; ++i) {
+    ASSERT_TRUE(
+        knows->Execute({Value(i % kPeople), Value((i * 7 + 1) % kPeople)})
+            .ok());
+  }
+  Result<overlay::OverlayConfig> config = overlay::AutoOverlay(db);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(&db, *config);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  Result<std::vector<Traverser>> all = (*graph)->Execute("g.E().count()");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ((*all)[0].value, Value(kEdges));
+
+  fault::FailPointConfig stall = fault::SleepFault(300);
+  stall.hits_remaining = 1;
+  FailPointRegistry::Global().Enable("provider.build_elements", stall);
+  ExecOptions options;
+  options.config = ExecConfig().timeout_ms(150);
+  Result<std::vector<Traverser>> out = (*graph)->Execute("g.E()", options);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kTimeout)
+      << out.status().ToString();
+  // The build stopped at the first of its two chunk boundaries.
+  EXPECT_EQ(FailPointRegistry::Global().HitCount("provider.build_elements"),
+            1u);
+
+  FailPointRegistry::Global().DisableAll();
+  out = (*graph)->Execute("g.E()", options);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), static_cast<size_t>(kEdges));
 }
 
 TEST_F(FaultInjectionTest, ServiceExecuteFaultFailsRequestOnly) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/exec_config.h"
 #include "common/metrics.h"
 #include "sql/database.h"
+#include "sql/executor.h"
 #include "sql/table.h"
 
 namespace db2graph::sql {
@@ -750,6 +752,188 @@ TEST_F(JoinColumnPruningTest, RangeStageWithLaterStringPredicate) {
       "WHERE c.extra <> b.note ORDER BY b.val, c.k";
   ExpectAccessPath(sql, "c range scan");
   Expect(sql, "one,100,150;three,300,300;");
+}
+
+// ------------------------------------------------- compiled sections
+
+// A prepared SELECT compiles once into a section that every execution
+// shares; DDL between two executions of the same handle makes the next
+// one rebuild it against the new catalog.
+class PreparedSectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.ExecuteScript(
+                       "CREATE TABLE t (a BIGINT PRIMARY KEY, b VARCHAR(20));"
+                       "INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+                    .ok());
+    Result<PreparedStatement> select =
+        db_.Prepare("SELECT b FROM t WHERE a = ?");
+    Result<PreparedStatement> count =
+        db_.Prepare("SELECT COUNT(b) FROM t WHERE a = ?");
+    ASSERT_TRUE(select.ok() && count.ok());
+    select_ = std::make_unique<PreparedStatement>(std::move(*select));
+    count_ = std::make_unique<PreparedStatement>(std::move(*count));
+  }
+
+  static uint64_t Compiles() {
+    return metrics::MetricsRegistry::Global()
+        .GetCounter(SelectSection::kCompilesCounter)
+        ->load();
+  }
+
+  // Both handles for a = 1 must return what the same SQL run unprepared
+  // returns.
+  void ExpectMatchesAdHoc() {
+    const std::vector<Value> one = {Value(int64_t{1})};
+    Result<ResultSet> adhoc = db_.Execute("SELECT b FROM t WHERE a = 1");
+    Result<ResultSet> prepared = select_->Execute(one);
+    ASSERT_TRUE(adhoc.ok() && prepared.ok()) << prepared.status().ToString();
+    EXPECT_EQ(prepared->rows, adhoc->rows);
+    Result<ResultSet> adhoc_count =
+        db_.Execute("SELECT COUNT(b) FROM t WHERE a = 1");
+    Result<ResultSet> prepared_count = count_->Execute(one);
+    ASSERT_TRUE(adhoc_count.ok() && prepared_count.ok());
+    EXPECT_EQ(prepared_count->rows, adhoc_count->rows);
+  }
+
+  Database db_;
+  std::unique_ptr<PreparedStatement> select_;
+  std::unique_ptr<PreparedStatement> count_;
+};
+
+TEST_F(PreparedSectionTest, RecreatedTableWithReorderedColumns) {
+  ExpectMatchesAdHoc();
+  ASSERT_TRUE(db_.ExecuteScript(
+                     "DROP TABLE t;"
+                     "CREATE TABLE t (b VARCHAR(20), a BIGINT PRIMARY KEY);"
+                     "INSERT INTO t VALUES ('uno', 1)")
+                  .ok());
+  ExpectMatchesAdHoc();
+  Result<ResultSet> rs = select_->Execute({Value(int64_t{1})});
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Value("uno"));
+  // Streaming opens the same rebuilt section.
+  Result<std::unique_ptr<RowStream>> stream =
+      select_->ExecuteStreaming({Value(int64_t{1})});
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  RowBlock block;
+  ASSERT_TRUE((*stream)->Next(&block));
+  ASSERT_EQ(block.rows.size(), 1u);
+  EXPECT_EQ(block.rows[0][0], Value("uno"));
+}
+
+TEST_F(PreparedSectionTest, RecreatedNarrowerTableFailsWithStatus) {
+  ExpectMatchesAdHoc();
+  ASSERT_TRUE(db_.ExecuteScript("DROP TABLE t;"
+                                "CREATE TABLE t (a BIGINT PRIMARY KEY);"
+                                "INSERT INTO t VALUES (1)")
+                  .ok());
+  for (PreparedStatement* handle : {select_.get(), count_.get()}) {
+    Result<ResultSet> rs = handle->Execute({Value(int64_t{1})});
+    ASSERT_FALSE(rs.ok());
+    EXPECT_TRUE(rs.status().code() == StatusCode::kNotFound ||
+                rs.status().code() == StatusCode::kInvalidArgument)
+        << rs.status().ToString();
+    Result<std::unique_ptr<RowStream>> stream =
+        handle->ExecuteStreaming({Value(int64_t{1})});
+    EXPECT_FALSE(stream.ok());
+  }
+}
+
+TEST_F(PreparedSectionTest, DroppedTableIsNotFoundUntilRecreated) {
+  ExpectMatchesAdHoc();
+  ASSERT_TRUE(db_.Execute("DROP TABLE t").ok());
+  for (PreparedStatement* handle : {select_.get(), count_.get()}) {
+    Result<ResultSet> rs = handle->Execute({Value(int64_t{1})});
+    ASSERT_FALSE(rs.ok());
+    EXPECT_EQ(rs.status().code(), StatusCode::kNotFound)
+        << rs.status().ToString();
+  }
+  ASSERT_TRUE(db_.ExecuteScript(
+                     "CREATE TABLE t (a BIGINT PRIMARY KEY, b VARCHAR(20));"
+                     "INSERT INTO t VALUES (1, 'again')")
+                  .ok());
+  ExpectMatchesAdHoc();
+}
+
+TEST_F(PreparedSectionTest, CreateIndexSwitchesTheNextExecutionToAProbe) {
+  ASSERT_TRUE(db_.ExecuteScript(
+                     "CREATE TABLE u (a BIGINT, b VARCHAR(20));"
+                     "INSERT INTO u VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+                  .ok());
+  Result<PreparedStatement> select =
+      db_.Prepare("SELECT b FROM u WHERE a = ?");
+  Result<PreparedStatement> count =
+      db_.Prepare("SELECT COUNT(b) FROM u WHERE a = ?");
+  Result<PreparedStatement> explain =
+      db_.Prepare("EXPLAIN ANALYZE SELECT b FROM u WHERE a = ?");
+  ASSERT_TRUE(select.ok() && count.ok() && explain.ok());
+  const std::vector<Value> two = {Value(int64_t{2})};
+  auto plan_text = [&]() {
+    Result<ResultSet> rs = explain->Execute(two);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    std::string text;
+    if (rs.ok()) {
+      for (const Row& row : rs->rows) text += row[0].ToString() + "\n";
+    }
+    return text;
+  };
+  for (PreparedStatement* handle : {&*select, &*count}) {
+    Result<ResultSet> rs = handle->Execute(two);
+    ASSERT_TRUE(rs.ok());
+    EXPECT_EQ(rs->exec.index_probes, 0u);
+  }
+  EXPECT_EQ(plan_text().find("index probe"), std::string::npos);
+
+  ASSERT_TRUE(db_.Execute("CREATE INDEX idx_u_a ON u (a)").ok());
+  Result<ResultSet> rs = select->Execute(two);
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->exec.index_probes, 1u);
+  EXPECT_EQ(rs->exec.full_scans, 0u);
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Value("y"));
+  Result<ResultSet> counted = count->Execute(two);
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(counted->exec.index_probes, 1u);
+  EXPECT_EQ(counted->rows[0][0], Value(int64_t{1}));
+  EXPECT_NE(plan_text().find("index probe"), std::string::npos);
+}
+
+TEST_F(PreparedSectionTest, DataChangesAndConfigBitsReuseTheSection) {
+  ASSERT_TRUE(select_->Execute({Value(int64_t{1})}).ok());
+  ASSERT_TRUE(count_->Execute({Value(int64_t{1})}).ok());
+  const uint64_t before = Compiles();
+  // Statistics drift: many more rows than at build time.
+  std::string insert = "INSERT INTO t VALUES (3, 'x')";
+  for (int i = 4; i < 500; ++i) {
+    insert += ", (" + std::to_string(i) + ", 'x')";
+  }
+  ASSERT_TRUE(db_.Execute(insert).ok());
+  Result<ResultSet> rs = select_->Execute({Value(int64_t{321})});
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0], Value("x"));
+  // Vectorization, dop and block size are read at open, not baked in: the
+  // scan shape below runs column-wise or row-wise off one section.
+  Result<PreparedStatement> scan =
+      db_.Prepare("SELECT COUNT(*) FROM t WHERE b = ?");
+  ASSERT_TRUE(scan.ok());
+  auto run_with = [&](const ExecConfig& config) {
+    ScopedExecConfig scoped(config);
+    return scan->Execute({Value("x")});
+  };
+  Result<ResultSet> vectorized =
+      run_with(ExecConfig().vectorized(true).parallelism(4));
+  Result<ResultSet> scalar =
+      run_with(ExecConfig().vectorized(false).block_rows(7));
+  ASSERT_TRUE(vectorized.ok() && scalar.ok());
+  EXPECT_EQ(vectorized->rows, scalar->rows);
+  EXPECT_EQ(vectorized->rows[0][0], Value(int64_t{497}));
+  EXPECT_STREQ(vectorized->exec.ExecMode(), "vectorized");
+  EXPECT_STREQ(scalar->exec.ExecMode(), "scalar");
+  // One build for the new handle; none for the data change.
+  EXPECT_EQ(Compiles() - before, 1u);
 }
 
 }  // namespace
