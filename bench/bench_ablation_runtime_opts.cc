@@ -129,10 +129,10 @@ int main() {
   std::printf("\nLinkBench mixed workload (100 queries/type):\n");
   std::printf("%-24s %18s %18s %9s\n", "Variant", "mean us", "tables/query",
               "");
-  // All-off also runs the pre-streaming, row-at-a-time executor.
+  // All-off also runs the scalar, row-at-a-time SQL operators.
   Db2Graph::Options all_off;
   all_off.runtime = RuntimeOptions::AllOff();
-  all_off.exec = db2graph::ExecConfig().streaming(false).vectorized(false);
+  all_off.exec = db2graph::ExecConfig().vectorized(false);
   for (const auto& [name, graph_options] :
        {std::pair<const char*, Db2Graph::Options>{"all-on", {}},
         std::pair<const char*, Db2Graph::Options>{"all-off", all_off}}) {

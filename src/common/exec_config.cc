@@ -31,7 +31,6 @@ ExecConfig SeedFromEnvironment() {
   };
   bool flag = false;
   if (env_bool("DB2G_VECTORIZED", &flag)) config = config.vectorized(flag);
-  if (env_bool("DB2G_STREAMING", &flag)) config = config.streaming(flag);
   // Governor limits; unset or empty leaves the field unset (0).
   auto env_int = [](const char* name) -> int64_t {
     const char* env = std::getenv(name);
@@ -63,10 +62,6 @@ ExecConfig ExecConfig::OverlaidBy(const ExecConfig& overrides) const {
   if (overrides.has_vectorized_) {
     out.vectorized_ = overrides.vectorized_;
     out.has_vectorized_ = true;
-  }
-  if (overrides.has_streaming_) {
-    out.streaming_ = overrides.streaming_;
-    out.has_streaming_ = true;
   }
   if (overrides.has_profile_) {
     out.profile_ = overrides.profile_;

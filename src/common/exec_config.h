@@ -38,7 +38,6 @@ class ExecConfig {
   /// Engine defaults, applied when every layer leaves a field unset.
   static constexpr int kDefaultParallelism = 1;
   static constexpr bool kDefaultVectorized = true;
-  static constexpr bool kDefaultStreaming = true;
   static constexpr bool kDefaultProfile = false;
 
   ExecConfig() = default;
@@ -61,13 +60,6 @@ class ExecConfig {
     c.has_vectorized_ = true;
     return c;
   }
-  /// Streaming (block-at-a-time) Gremlin execution.
-  ExecConfig streaming(bool on) const {
-    ExecConfig c = *this;
-    c.streaming_ = on;
-    c.has_streaming_ = true;
-    return c;
-  }
   /// Collect per-operator profiles for every statement (EXPLAIN ANALYZE
   /// collects them per-statement regardless).
   ExecConfig profile(bool on) const {
@@ -76,7 +68,8 @@ class ExecConfig {
     c.has_profile_ = true;
     return c;
   }
-  /// Rows (or traversers) per execution block; 0 = engine default.
+  /// Rows (or traversers) per execution block; 0 = engine default. A
+  /// size above a query's input runs each Gremlin segment as one block.
   ExecConfig block_rows(size_t rows) const {
     ExecConfig c = *this;
     c.block_rows_ = rows;
@@ -115,9 +108,6 @@ class ExecConfig {
   bool vectorized() const {
     return has_vectorized_ ? vectorized_ : kDefaultVectorized;
   }
-  bool streaming() const {
-    return has_streaming_ ? streaming_ : kDefaultStreaming;
-  }
   bool profile() const { return has_profile_ ? profile_ : kDefaultProfile; }
   /// 0 = caller should use its own engine default.
   size_t block_rows() const { return has_block_rows_ ? block_rows_ : 0; }
@@ -134,7 +124,6 @@ class ExecConfig {
 
   bool has_parallelism() const { return has_parallelism_; }
   bool has_vectorized() const { return has_vectorized_; }
-  bool has_streaming() const { return has_streaming_; }
   bool has_profile() const { return has_profile_; }
   bool has_block_rows() const { return has_block_rows_; }
 
@@ -143,8 +132,8 @@ class ExecConfig {
   ExecConfig OverlaidBy(const ExecConfig& overrides) const;
 
   /// The process-wide default layer, seeded once from the environment
-  /// (DB2G_PARALLELISM, DB2G_VECTORIZED, DB2G_STREAMING and the three
-  /// limit variables above) and adjustable at runtime. Thread-safe.
+  /// (DB2G_PARALLELISM, DB2G_VECTORIZED and the three limit variables
+  /// above) and adjustable at runtime. Thread-safe.
   static ExecConfig ProcessDefault();
   static void SetProcessDefault(const ExecConfig& config);
 
@@ -157,7 +146,6 @@ class ExecConfig {
 
   int parallelism_ = kDefaultParallelism;
   bool vectorized_ = kDefaultVectorized;
-  bool streaming_ = kDefaultStreaming;
   bool profile_ = kDefaultProfile;
   size_t block_rows_ = 0;
   // Limits carry their own tri-state: 0 = unset, negative = unlimited.
@@ -167,7 +155,6 @@ class ExecConfig {
 
   bool has_parallelism_ = false;
   bool has_vectorized_ = false;
-  bool has_streaming_ = false;
   bool has_profile_ = false;
   bool has_block_rows_ = false;
 };

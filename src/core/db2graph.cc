@@ -112,7 +112,6 @@ namespace {
 // shape. Unset block_rows keeps the interpreter's own default.
 gremlin::Interpreter::Options InterpreterOptions(const ExecConfig& cfg) {
   gremlin::Interpreter::Options o;
-  o.streaming = cfg.streaming();
   if (cfg.block_rows() > 0) o.block_size = cfg.block_rows();
   o.parallelism = cfg.parallelism();
   return o;

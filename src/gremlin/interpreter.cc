@@ -92,10 +92,11 @@ std::string SpanText(const Step& step, const std::vector<Value>* slots) {
 }
 
 // True for steps a streaming segment can apply one block at a time with
-// results identical to a materialized pass: per-traverser transforms and
-// filters, plus the cumulative-counter steps (limit/range, handled inline
-// by the segment runner) and the steps whose cross-block state already
-// lives in ExecState (dedup's seen-set, store's side-effect list).
+// results identical to one pass over the whole stream: per-traverser
+// transforms and filters, plus the cumulative-counter steps (limit/range,
+// handled inline by the segment runner) and the steps whose cross-block
+// state already lives in ExecState (dedup's seen-set, store's side-effect
+// list).
 bool IsStreamableStep(const Step& step) {
   switch (step.kind) {
     case StepKind::kVertex:
@@ -146,7 +147,7 @@ bool IsStreamableStep(const Step& step) {
 // saturated limit may only cancel the upstream pull when no such step
 // sits between the source and the limit — otherwise traversers that were
 // never pulled would silently vanish from those side effects, diverging
-// from materialized execution.
+// from a run that saw the whole stream.
 bool HasCrossPassEffects(const Step& step) {
   if (step.kind == StepKind::kStore || step.kind == StepKind::kDedup) {
     return true;
@@ -200,9 +201,10 @@ class VectorBlockSource : public TraverserBlockSource {
   size_t pos_ = 0;
 };
 
-// Adapts a provider VertexStream: applies the non-pushdown recheck and
-// seeds each traverser's path with the element id — the block-at-a-time
-// equivalent of ApplyGraphStep's emission loop.
+// Adapts a provider VertexStream: re-filters for a provider without
+// pushdown (its plan carries no folded predicates, but the recheck keeps
+// correctness independent of provider quality) and seeds each traverser's
+// path with the element id.
 class VertexStreamSource : public TraverserBlockSource {
  public:
   VertexStreamSource(std::unique_ptr<VertexStream> stream, LookupSpec spec,
@@ -380,9 +382,6 @@ Result<std::vector<Traverser>> Interpreter::RunScript(
 Status Interpreter::Execute(const std::vector<Step>& steps,
                             std::vector<Traverser> input, ExecState* state,
                             std::vector<Traverser>* out) {
-  if (!options_.streaming) {
-    return ExecuteMaterialized(steps, std::move(input), state, out);
-  }
   // Carve the plan into maximal streaming segments: a GraphStep (no folded
   // aggregate) opens a provider element stream; any run of streamable
   // steps pulls from it — or from the previous barrier's materialized
@@ -424,34 +423,6 @@ Status Interpreter::Execute(const std::vector<Step>& steps,
     stream = std::move(next);
     DB2G_RETURN_NOT_OK(charge.Update(stream.size()));
     ++pos;
-  }
-  *out = std::move(stream);
-  return Status::OK();
-}
-
-Status Interpreter::ExecuteMaterialized(const std::vector<Step>& steps,
-                                        std::vector<Traverser> input,
-                                        ExecState* state,
-                                        std::vector<Traverser>* out) {
-  std::vector<Traverser> stream = std::move(input);
-  QueryTrace* trace = CurrentTrace();
-  StreamMemoryCharge charge;
-  for (const Step& step : steps) {
-    // Cooperative boundary between materialized steps: a deadline or
-    // cancellation observed here stops the plan before the next pass.
-    DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-    std::vector<Traverser> next;
-    if (trace != nullptr) {
-      int span = trace->BeginStep(StepKindName(step.kind),
-                                  SpanText(step, state->slots), stream.size());
-      Status st = ApplyStep(step, std::move(stream), state, &next);
-      trace->EndStep(span, next.size());
-      DB2G_RETURN_NOT_OK(st);
-    } else {
-      DB2G_RETURN_NOT_OK(ApplyStep(step, std::move(stream), state, &next));
-    }
-    stream = std::move(next);
-    DB2G_RETURN_NOT_OK(charge.Update(stream.size()));
   }
   *out = std::move(stream);
   return Status::OK();
@@ -757,80 +728,50 @@ Result<LookupSpec> Interpreter::BuildGraphSpec(const Step& step,
   return spec;
 }
 
-Status Interpreter::ApplyGraphStep(const Step& step,
-                                   std::vector<Traverser> input,
-                                   ExecState* state,
-                                   std::vector<Traverser>* out) {
-  (void)input;  // GraphStep restarts the stream
+Status Interpreter::ApplyGraphAggregate(const Step& step, ExecState* state,
+                                        std::vector<Traverser>* out) {
   Result<LookupSpec> built = BuildGraphSpec(step, *state);
   if (!built.ok()) return built.status();
   LookupSpec spec = std::move(*built);
 
   // Aggregate pushdown: ask the provider first; fall back to client-side.
-  if (spec.agg != AggOp::kNone) {
-    Result<Value> agg = step.graph_emits_edges
-                            ? provider_->AggregateEdges(spec)
-                            : provider_->AggregateVertices(spec);
-    if (agg.ok()) {
-      out->push_back(Traverser::OfValue(*agg));
-      return Status::OK();
-    }
-    if (agg.status().code() != StatusCode::kUnsupported) {
-      return agg.status();
-    }
-    spec.agg = AggOp::kNone;  // fetch elements, aggregate below
-    std::vector<Traverser> fetched;
-    if (step.graph_emits_edges) {
-      std::vector<EdgePtr> edges;
-      DB2G_RETURN_NOT_OK(provider_->Edges(spec, &edges));
-      for (EdgePtr& e : edges) fetched.push_back(Traverser::OfEdge(e));
-    } else {
-      std::vector<VertexPtr> vertices;
-      DB2G_RETURN_NOT_OK(provider_->Vertices(spec, &vertices));
-      for (VertexPtr& v : vertices) {
-        fetched.push_back(Traverser::OfVertex(v));
-      }
-    }
-    // When the aggregate was folded over values(key), aggregate the
-    // property values, not the elements.
-    if (!step.spec.agg_key.empty()) {
-      std::vector<Traverser> values;
-      for (const Traverser& t : fetched) {
-        const Element* e = t.element();
-        if (e == nullptr) continue;
-        if (const Value* v = e->FindProperty(step.spec.agg_key)) {
-          values.push_back(Traverser::OfValue(*v));
-        }
-      }
-      fetched = std::move(values);
-    }
-    out->push_back(Traverser::OfValue(AggregateStream(fetched, step.spec.agg)));
+  Result<Value> agg = step.graph_emits_edges
+                          ? provider_->AggregateEdges(spec)
+                          : provider_->AggregateVertices(spec);
+  if (agg.ok()) {
+    out->push_back(Traverser::OfValue(*agg));
     return Status::OK();
   }
-
-  // A pushdown provider fully applies the spec; otherwise re-filter here
-  // (a non-pushdown provider's plan carries no folded predicates, but the
-  // recheck keeps correctness independent of provider quality).
-  const bool recheck = !provider_->SupportsPushdown();
+  if (agg.status().code() != StatusCode::kUnsupported) {
+    return agg.status();
+  }
+  spec.agg = AggOp::kNone;  // fetch elements, aggregate below
+  std::vector<Traverser> fetched;
   if (step.graph_emits_edges) {
     std::vector<EdgePtr> edges;
     DB2G_RETURN_NOT_OK(provider_->Edges(spec, &edges));
-    for (EdgePtr& e : edges) {
-      if (recheck && !MatchesSpec(*e, spec)) continue;
-      Traverser t = Traverser::OfEdge(std::move(e));
-      t.path.push_back(t.edge->id);
-      out->push_back(std::move(t));
-    }
+    for (EdgePtr& e : edges) fetched.push_back(Traverser::OfEdge(e));
   } else {
     std::vector<VertexPtr> vertices;
     DB2G_RETURN_NOT_OK(provider_->Vertices(spec, &vertices));
     for (VertexPtr& v : vertices) {
-      if (recheck && !MatchesSpec(*v, spec)) continue;
-      Traverser t = Traverser::OfVertex(std::move(v));
-      t.path.push_back(t.vertex->id);
-      out->push_back(std::move(t));
+      fetched.push_back(Traverser::OfVertex(v));
     }
   }
+  // When the aggregate was folded over values(key), aggregate the
+  // property values, not the elements.
+  if (!step.spec.agg_key.empty()) {
+    std::vector<Traverser> values;
+    for (const Traverser& t : fetched) {
+      const Element* e = t.element();
+      if (e == nullptr) continue;
+      if (const Value* v = e->FindProperty(step.spec.agg_key)) {
+        values.push_back(Traverser::OfValue(*v));
+      }
+    }
+    fetched = std::move(values);
+  }
+  out->push_back(Traverser::OfValue(AggregateStream(fetched, step.spec.agg)));
   return Status::OK();
 }
 
@@ -1025,11 +966,12 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
     }
     if (st.code() != StatusCode::kUnsupported) return st;
   }
-  // The provider declined: run the preserved step-at-a-time plan. The
-  // collapsed steps are all block-safe transforms with no cross-pass
-  // state, so a per-block materialized pass matches exactly (a folded
-  // count() is the body's last step and sees the whole input).
-  return ExecuteMaterialized(step.body, std::move(input), state, out);
+  // The provider declined: run the preserved step-at-a-time plan over
+  // this input, carved like any other plan. The collapsed steps are all
+  // block-safe transforms with no cross-pass state, so the result matches
+  // the collapsed walk exactly (a folded count() is the body's last step
+  // and, as a barrier, sees the whole input).
+  return Execute(step.body, std::move(input), state, out);
 }
 
 Status Interpreter::ApplyEdgeVertexStep(const Step& step,
@@ -1076,7 +1018,7 @@ Status Interpreter::ApplyStep(const Step& step, std::vector<Traverser> input,
                               std::vector<Traverser>* out) {
   switch (step.kind) {
     case StepKind::kGraph:
-      return ApplyGraphStep(step, std::move(input), state, out);
+      return ApplyGraphAggregate(step, state, out);
     case StepKind::kVertex:
       return ApplyVertexStep(step, std::move(input), out);
     case StepKind::kEdgeVertex:

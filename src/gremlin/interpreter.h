@@ -57,17 +57,17 @@ using Environment = std::unordered_map<std::string, std::vector<Value>>;
 /// Executes traversals and scripts against a provider.
 class Interpreter {
  public:
-  /// Execution tuning. With streaming on, linear step chains run one
-  /// traverser block at a time under a pull cursor: a downstream limit()
-  /// or range() that saturates stops pulling, so upstream graph lookups
-  /// stop issuing SQL. Barrier steps — order(), tail(), groupCount(),
-  /// cap(), repeat(), fold-style aggregates — drain their input first.
-  /// Results and ordering are identical in both modes; only the access
-  /// pattern (and the per-step trace block counts) differ.
+  /// Execution tuning. Linear step chains run one traverser block at a
+  /// time under a pull cursor: a downstream limit() or range() that
+  /// saturates stops pulling, so upstream graph lookups stop issuing SQL.
+  /// Barrier steps — order(), tail(), groupCount(), cap(), repeat(),
+  /// fold-style aggregates — drain their input first. Results and
+  /// ordering are identical at every block size; only the access pattern
+  /// (and the per-step trace block counts) differ.
   struct Options {
-    bool streaming = true;
     /// Traversers per block in streaming segments; also the block size
-    /// requested from provider element streams.
+    /// requested from provider element streams. A size above the input
+    /// runs each segment as one block.
     size_t block_size = 256;
     /// Degree of intra-query parallelism for barrier drains: order() and
     /// groupCount() over large inputs split into per-worker chunks whose
@@ -108,15 +108,11 @@ class Interpreter {
         dedup_seen;
   };
 
+  /// Carves `steps` into streaming segments and barrier passes and runs
+  /// them over `input`.
   Status Execute(const std::vector<Step>& steps,
                  std::vector<Traverser> input, ExecState* state,
                  std::vector<Traverser>* out);
-  /// The pre-streaming execution model: one fully-materialized pass per
-  /// step. Used when options_.streaming is off, and by the streaming path
-  /// for barrier steps.
-  Status ExecuteMaterialized(const std::vector<Step>& steps,
-                             std::vector<Traverser> input, ExecState* state,
-                             std::vector<Traverser>* out);
   /// Streaming execution of one segment: steps [begin, end) applied block
   /// by block over either a provider element stream (graph_source — the
   /// step at `begin` is the GraphStep source) or the carried materialized
@@ -127,8 +123,11 @@ class Interpreter {
   Status ApplyStep(const Step& step, std::vector<Traverser> input,
                    ExecState* state, std::vector<Traverser>* out);
 
-  Status ApplyGraphStep(const Step& step, std::vector<Traverser> input,
-                        ExecState* state, std::vector<Traverser>* out);
+  /// A GraphStep with a folded aggregate: one value, pushed down to the
+  /// provider or computed client-side. Every other GraphStep is a
+  /// segment source (RunSegment).
+  Status ApplyGraphAggregate(const Step& step, ExecState* state,
+                             std::vector<Traverser>* out);
   Status ApplyVertexStep(const Step& step, std::vector<Traverser> input,
                          std::vector<Traverser>* out);
   Status ApplyEdgeVertexStep(const Step& step, std::vector<Traverser> input,

@@ -1670,8 +1670,12 @@ class ColumnScanOp : public ColOp {
   // One round: up to dop_ morsels from next_slot_ on, outputs merged in
   // morsel order into ready_. `cap` sizes the dop-1 morsel.
   void RunRound(size_t cap) {
-    const uint64_t width = dop_ == 1 ? cap : morsel_slots_;
     const uint64_t base = next_slot_;
+    // Capped at the slots left, so a block capacity near SIZE_MAX (one
+    // block for the whole query) cannot overflow the round arithmetic.
+    const uint64_t width =
+        dop_ == 1 ? std::min<uint64_t>(cap, slot_count_ - base)
+                  : morsel_slots_;
     const size_t n = static_cast<size_t>(std::min<uint64_t>(
         dop_, (slot_count_ - base + width - 1) / width));
     next_slot_ = std::min<uint64_t>(slot_count_, base + n * width);

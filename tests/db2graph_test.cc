@@ -3,6 +3,8 @@
 // optimizations (asserted through provider/engine counters), the
 // graphQuery table function inside SQL, and freshness under updates.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
@@ -377,7 +379,10 @@ TEST_F(Db2GraphTest, SrcIdDecompositionUsesIndexProbes) {
 TEST_F(Db2GraphTest, RuntimeOptimizationsPreserveResults) {
   Db2Graph::Options naive;
   naive.runtime = RuntimeOptions::AllOff();
-  naive.exec = ExecConfig().streaming(false).vectorized(false);
+  // One block: no block boundaries, scalar SQL.
+  naive.exec = ExecConfig()
+                   .block_rows(std::numeric_limits<size_t>::max())
+                   .vectorized(false);
   Result<std::unique_ptr<Db2Graph>> unoptimized =
       Db2Graph::Open(&db_, kPaperConfig, naive);
   ASSERT_TRUE(unoptimized.ok());

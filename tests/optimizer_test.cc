@@ -342,9 +342,11 @@ TEST_F(MultiHopCollapseTest, CountFoldCompilesIntoTheStep) {
 }
 
 TEST_F(MultiHopCollapseTest, CountFoldFallbackBodyCounts) {
-  // A plan compiled with the fold, run on a provider without endpoint
+  // A plan compiled with the collapse, run on a provider without endpoint
   // pinning: the provider declines at runtime and the preserved body —
-  // the hops and the count() — must produce the same number.
+  // the hops, and the count() when one was folded — runs through segment
+  // carving nested inside the outer plan's blocks. It must produce what
+  // the collapse-off graph produces at the same block size.
   Db2Graph::Options unpinned;
   unpinned.runtime.endpoint_table_pruning = false;
   std::unique_ptr<Db2Graph> declining = OpenGraph(unpinned);
@@ -352,19 +354,37 @@ TEST_F(MultiHopCollapseTest, CountFoldFallbackBodyCounts) {
       "g.V(1, 1, 2).out('knows').out('knows').out('knows').count()",
       "g.V(3).out('knows').outE('knows').inV().out('follows').count()",
       "g.V().has('age', gt(100)).out('knows').out('knows').count()",
+      // Non-counted chains: the multi-hop step streams, so the body runs
+      // once per block of sources.
+      "g.V(1, 1, 2).out('knows').out('knows').out('knows')",
+      "g.V().has('age', gte(24)).out('knows').out('follows').id()",
+      // Chains ending in path(): the body must extend each traverser's
+      // path exactly as the collapsed walk would.
+      "g.V(1, 7, 13).outE('knows').inV().outE('knows').inV().path()",
+      "g.V(3).out('knows').out('follows').path()",
   };
   for (const std::string& text : scripts) {
     Result<gremlin::Script> script = graph_on_->Compile(text);
     ASSERT_TRUE(script.ok());
-    uint64_t fallbacks = graph_on_->optimizer_log()->counters().fallbacks;
-    gremlin::Interpreter interpreter(declining->provider());
-    Result<std::vector<Traverser>> out = interpreter.RunScript(*script);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(RenderAll(*out), Run(graph_off_.get(), text, 256, 1)) << text;
-    if (text.find("gt(100)") == std::string::npos) {
-      EXPECT_EQ(graph_on_->optimizer_log()->counters().fallbacks,
-                fallbacks + 1)
-          << text;
+    const bool counted = text.find(".count()") != std::string::npos;
+    for (size_t block : {size_t{1}, size_t{7}, size_t{1024}}) {
+      uint64_t fallbacks = graph_on_->optimizer_log()->counters().fallbacks;
+      gremlin::Interpreter::Options options;
+      options.block_size = block;
+      gremlin::Interpreter interpreter(declining->provider(), options);
+      Result<std::vector<Traverser>> out = interpreter.RunScript(*script);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(RenderAll(*out), Run(graph_off_.get(), text, block, 1))
+          << text << " at block size " << block;
+      if (text.find("gt(100)") != std::string::npos) continue;
+      // A folded count() is a barrier: one provider call, one fallback.
+      // A streamed chain falls back once per block of sources.
+      uint64_t now = graph_on_->optimizer_log()->counters().fallbacks;
+      if (counted) {
+        EXPECT_EQ(now, fallbacks + 1) << text << " at block size " << block;
+      } else {
+        EXPECT_GT(now, fallbacks) << text << " at block size " << block;
+      }
     }
   }
 }

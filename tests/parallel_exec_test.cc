@@ -13,8 +13,8 @@
 //    match exactly at dop 1 and within an epsilon above it: per-worker
 //    partial sums reassociate);
 //  * Gremlin parallel-vs-serial equivalence — the streaming shape suite
-//    at every (dop, block size, vectorized) combination matches the
-//    serial materialized baseline exactly, ordering included;
+//    at every (dop, block size, vectorized) combination matches a serial
+//    one-block run (no block boundaries) exactly, ordering included;
 //  * observability — EXPLAIN ANALYZE, ExecInfo, and sysmon.query_log
 //    surface the per-query dop and morsel counts, and a serial plan
 //    keeps reporting dop 1 / morsels 0 even when the config asks for
@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,11 +57,11 @@ TEST(ExecConfigTest, UnsetFieldsResolveToEngineDefaults) {
   ExecConfig cfg;
   EXPECT_EQ(cfg.parallelism(), 1);
   EXPECT_TRUE(cfg.vectorized());
-  EXPECT_TRUE(cfg.streaming());
   EXPECT_FALSE(cfg.profile());
   EXPECT_EQ(cfg.block_rows(), 0u);
   EXPECT_FALSE(cfg.has_parallelism());
   EXPECT_FALSE(cfg.has_vectorized());
+  EXPECT_FALSE(cfg.has_block_rows());
 }
 
 TEST(ExecConfigTest, BuildersReturnModifiedCopies) {
@@ -71,7 +72,9 @@ TEST(ExecConfigTest, BuildersReturnModifiedCopies) {
   EXPECT_EQ(tuned.parallelism(), 4);
   EXPECT_FALSE(tuned.vectorized());
   EXPECT_EQ(tuned.block_rows(), 64u);
-  EXPECT_FALSE(tuned.has_streaming());  // never set: still inherits
+  EXPECT_TRUE(tuned.has_block_rows());
+  EXPECT_FALSE(base.has_block_rows());  // never set on base: inherits
+  EXPECT_FALSE(tuned.has_profile());    // never set: still inherits
 }
 
 TEST(ExecConfigTest, ParallelismClampsToSupportedRange) {
@@ -86,7 +89,7 @@ TEST(ExecConfigTest, OverlayLetsSetFieldsWinAndUnsetFallThrough) {
   ExecConfig merged = lower.OverlaidBy(upper);
   EXPECT_EQ(merged.parallelism(), 8);     // upper wins
   EXPECT_FALSE(merged.vectorized());      // falls through to lower
-  EXPECT_FALSE(merged.has_streaming());   // unset at both layers
+  EXPECT_FALSE(merged.has_block_rows());  // unset at both layers
   // Overlaying an all-unset config changes nothing.
   ExecConfig same = lower.OverlaidBy(ExecConfig());
   EXPECT_EQ(same.parallelism(), 2);
@@ -141,34 +144,37 @@ TEST(ExecConfigTest, GraphConfigDoesNotLeakIntoOtherGraphs) {
   linkbench::Dataset dataset = linkbench::Generate(config);
   sql::Database db;
   ASSERT_TRUE(linkbench::LoadIntoDatabase(&db, dataset).ok());
-  // Without LIMIT pushdown only the streaming interpreter bounds the
-  // scan, so rows_scanned shows which execution mode a graph ran.
-  Db2Graph::Options streaming_options;
-  streaming_options.strategies.limit_pushdown = false;
-  Result<std::unique_ptr<Db2Graph>> streaming =
-      Db2Graph::Open(&db, linkbench::MakeOverlay(), streaming_options);
-  ASSERT_TRUE(streaming.ok());
+  // Without LIMIT pushdown, and with id() between the source and the
+  // limit (so the pull hint does not shrink the first pull), the graph's
+  // block size bounds the scan: rows_scanned shows which block size a
+  // graph ran.
+  Db2Graph::Options blocked_options;
+  blocked_options.strategies.limit_pushdown = false;
+  Result<std::unique_ptr<Db2Graph>> blocked =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), blocked_options);
+  ASSERT_TRUE(blocked.ok());
   auto rows_scanned = [&](Db2Graph* graph) -> uint64_t {
     const uint64_t before = db.stats().Snapshot().rows_scanned;
     Result<std::vector<Traverser>> out =
-        graph->Execute("g.V().hasLabel('vt3').limit(10)");
+        graph->Execute("g.V().id().limit(10)");
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     if (out.ok()) {
       EXPECT_EQ(out->size(), 10u);
     }
     return db.stats().Snapshot().rows_scanned - before;
   };
-  const uint64_t streamed = rows_scanned(streaming->get());
-  EXPECT_LT(streamed, 1000u);
+  const uint64_t blocked_rows = rows_scanned(blocked->get());
+  EXPECT_LT(blocked_rows, 1000u);
 
-  Db2Graph::Options materialized_options = streaming_options;
-  materialized_options.exec = ExecConfig().streaming(false);
-  Result<std::unique_ptr<Db2Graph>> materialized =
-      Db2Graph::Open(&db, linkbench::MakeOverlay(), materialized_options);
-  ASSERT_TRUE(materialized.ok());
-  EXPECT_GE(rows_scanned(materialized->get()), 100000u);
-  EXPECT_EQ(rows_scanned(streaming->get()), streamed);
-  EXPECT_FALSE(db.exec_config().has_streaming());
+  Db2Graph::Options one_block_options = blocked_options;
+  one_block_options.exec =
+      ExecConfig().block_rows(std::numeric_limits<size_t>::max());
+  Result<std::unique_ptr<Db2Graph>> one_block =
+      Db2Graph::Open(&db, linkbench::MakeOverlay(), one_block_options);
+  ASSERT_TRUE(one_block.ok());
+  EXPECT_GE(rows_scanned(one_block->get()), 100000u);
+  EXPECT_EQ(rows_scanned(blocked->get()), blocked_rows);
+  EXPECT_FALSE(db.exec_config().has_block_rows());
 }
 
 TEST(ExecConfigTest, ReachesFanOutWorkers) {
@@ -546,8 +552,10 @@ TEST_F(ParallelGremlinEquivalenceTest, StreamingShapesMatchAcrossTheMatrix) {
       "g.V().out().simplePath().limit(5)",
   };
 
-  // Serial materialized baseline — the pre-parallel, pre-streaming model.
-  std::unique_ptr<Db2Graph> baseline = Open(ExecConfig().streaming(false));
+  // Serial one-block baseline: no block boundaries, so the cross-block
+  // counters of limit, range, dedup and store are exact by construction.
+  std::unique_ptr<Db2Graph> baseline =
+      Open(ExecConfig().block_rows(std::numeric_limits<size_t>::max()));
   ASSERT_NE(baseline, nullptr);
   std::vector<std::vector<std::string>> expected;
   for (const char* q : kQueries) {

@@ -157,7 +157,7 @@ TEST_F(SqlGenerationTest, NaiveModeQueriesEveryTable) {
   Db2Graph::Options naive;
   naive.strategies = StrategyOptions::AllOff();
   naive.runtime = RuntimeOptions::AllOff();
-  naive.exec = ExecConfig().streaming(false).vectorized(false);
+  naive.exec = ExecConfig().vectorized(false);
   auto graph = Db2Graph::Open(&db_, graph_->topology().config());
   // Reuse the same overlay config through the existing graph's topology.
   ASSERT_TRUE(graph.ok());
@@ -207,7 +207,7 @@ TEST_F(SqlGenerationTest, ExplainPreviewsTheStatementsThatRun) {
   Db2Graph::Options naive;
   naive.strategies = StrategyOptions::AllOff();
   naive.runtime = RuntimeOptions::AllOff();
-  naive.exec = ExecConfig().streaming(false).vectorized(false);
+  naive.exec = ExecConfig().vectorized(false);
   auto naive_graph =
       Db2Graph::Open(&db_, graph_->topology().config(), naive);
   ASSERT_TRUE(naive_graph.ok());
