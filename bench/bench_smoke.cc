@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// Smoke benchmark guarding performance contracts, failing with a nonzero
-// exit (so ctest reports it) when one is breached:
+// Smoke benchmark guarding performance contracts. Every section runs and
+// reports its gates; the exit is nonzero (so ctest reports it) when any
+// contract was breached:
 //
 //  1. Tracing is "zero cost when disabled": the same point-lookup workload
 //     runs untraced and traced (by arming the query log's slow-query
@@ -28,8 +29,10 @@
 //     partitioned dataset, with SQL LIMIT pushdown and the parallel
 //     fan-out off so only the interpreter's pull cursor bounds the scan,
 //     each query must scan strictly fewer rows than the same query with
-//     limit() stripped, and one whose limit directly follows a vertex
-//     source no more rows than its limit. On a full-scan mix (where
+//     limit() stripped, one whose limit directly follows a vertex source
+//     no more rows than its limit, and the edge-sourced g.V().out(l)
+//     shape no more than the one block of edges its streamed edge source
+//     pulls plus one endpoint probe per edge. On a full-scan mix (where
 //     blocks can only add bookkeeping) the default block size must stay
 //     within a loose throughput floor of a one-block run of the same
 //     graph. Results land in BENCH_streaming.json.
@@ -68,6 +71,7 @@
 // mode's best round to damp scheduler noise on small CI machines.
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -260,17 +264,36 @@ double RunSqlMixSlice(db2graph::sql::Database* db, int queries, int base) {
   return elapsed.count();
 }
 
+// Gate verdicts. A failing gate prints its FAIL line and the run goes on,
+// so one failure hides no later section; main returns 1 at the end when
+// any gate failed.
+int g_failed_gates = 0;
+
+__attribute__((format(printf, 1, 2))) void FailGate(const char* format,
+                                                     ...) {
+  std::va_list args;
+  va_start(args, format);
+  std::fputs("FAIL: ", stderr);
+  std::vfprintf(stderr, format, args);
+  va_end(args);
+  ++g_failed_gates;
+}
+
 // ---- Streaming workloads. ----
 
-// One query of the limit mix. `direct`: the limit directly follows a
-// streamed vertex source, so the pull hint asks it for exactly `limit`
-// rows. The out() shape is not direct: the strategies turn g.V().out(l)
-// into an edge-table source, which the provider fetches whole (it has no
-// streaming edge lookup), so only its inV() endpoint fetch stops early.
+// The interpreter's default block: the first pull of a source whose
+// limit does not directly follow it.
+constexpr uint64_t kPullBlock = 256;
+
+// One query of the limit mix, with the most rows it may scan. A limit
+// that directly follows a streamed vertex source makes the pull hint ask
+// for exactly `limit` rows. The strategies turn g.V().out(l) into a
+// streamed edge-table source followed by its inV() endpoint fetch: the
+// first pull takes one block of edges, each of which probes at most one
+// endpoint row, and the limit saturates on that block.
 struct LimitQuery {
-  std::string text;  // ends in .limit(limit)
-  int64_t limit = 0;
-  bool direct = false;
+  std::string text;  // ends in .limit(n)
+  uint64_t max_scanned = 0;
 };
 
 // Limit-heavy: every query carries a limit that streaming can saturate —
@@ -281,12 +304,12 @@ LimitQuery LimitMixShape(int i) {
   switch (i % 3) {
     case 0:
       return {"g.V().hasLabel('vt" + std::to_string(i % 10) + "').limit(5)",
-              5, true};
+              5};
     case 1:
-      return {"g.V().limit(8)", 8, true};
+      return {"g.V().limit(8)", 8};
     default:
-      return {"g.V().out('et" + std::to_string(i % 10) + "').limit(5)", 5,
-              false};
+      return {"g.V().out('et" + std::to_string(i % 10) + "').limit(5)",
+              2 * kPullBlock};
   }
 }
 
@@ -413,15 +436,13 @@ int main() {
   const size_t armed_slow = CountSlowEntries(query_log);
   query_log.SetCapacity(query_log_capacity);
   if (armed_slow != 0) {
-    std::fprintf(stderr, "FAIL: armed-but-under-threshold queries were "
-                         "logged as slow\n");
-    return 1;
+    FailGate("armed-but-under-threshold queries were "
+             "logged as slow\n");
   }
   if (ratio < kRatioFloor) {
-    std::fprintf(stderr, "FAIL: traced/untraced throughput ratio %.2f below "
-                         "floor %.2f\n",
-                 ratio, kRatioFloor);
-    return 1;
+    FailGate("traced/untraced throughput ratio %.2f below "
+             "floor %.2f\n",
+             ratio, kRatioFloor);
   }
 
   // ---- Prepared-vs-text: compile-once must beat parse-per-call. ----
@@ -453,10 +474,9 @@ int main() {
   }
   uint64_t warm_parse_delta = ParseCalls() - parses_before;
   if (warm_parse_delta != 0) {
-    std::fprintf(stderr, "FAIL: %llu ParseGremlin calls during pure prepared "
-                         "execution (expected 0)\n",
-                 static_cast<unsigned long long>(warm_parse_delta));
-    return 1;
+    FailGate("%llu ParseGremlin calls during pure prepared "
+             "execution (expected 0)\n",
+             static_cast<unsigned long long>(warm_parse_delta));
   }
 
   // Alternate short slices of the two modes within each round so ambient
@@ -484,11 +504,10 @@ int main() {
     // Within the mix, only the ad-hoc (unique-text) queries may parse;
     // the 95% prepared portion must contribute zero.
     if (p.parse_calls > p.adhoc) {
-      std::fprintf(stderr, "FAIL: prepared mix made %llu parse calls for "
-                           "%llu ad-hoc queries\n",
-                   static_cast<unsigned long long>(p.parse_calls),
-                   static_cast<unsigned long long>(p.adhoc));
-      return 1;
+      FailGate("prepared mix made %llu parse calls for "
+               "%llu ad-hoc queries\n",
+               static_cast<unsigned long long>(p.parse_calls),
+               static_cast<unsigned long long>(p.adhoc));
     }
     if (p.qps > prepared_best.qps) prepared_best = p;
     if (t.qps > text_best.qps) text_best = t;
@@ -522,10 +541,9 @@ int main() {
   // path. In practice it wins comfortably (no parse, no strategy pass,
   // cached SQL skeletons); equality is the regression tripwire.
   if (prepared_best.qps < text_best.qps) {
-    std::fprintf(stderr, "FAIL: prepared throughput %.0f q/s below "
-                         "re-parsing text path %.0f q/s\n",
-                 prepared_best.qps, text_best.qps);
-    return 1;
+    FailGate("prepared throughput %.0f q/s below "
+             "re-parsing text path %.0f q/s\n",
+             prepared_best.qps, text_best.qps);
   }
 
   // ---- Vectorized-vs-scalar: typed kernels must beat Row tree-walks. ----
@@ -608,10 +626,9 @@ int main() {
   // its home workload. In practice it wins by multiples; equality is the
   // regression tripwire.
   if (vectorized_best < scalar_best) {
-    std::fprintf(stderr, "FAIL: vectorized throughput %.0f q/s below "
-                         "scalar %.0f q/s\n",
-                 vectorized_best, scalar_best);
-    return 1;
+    FailGate("vectorized throughput %.0f q/s below "
+             "scalar %.0f q/s\n",
+             vectorized_best, scalar_best);
   }
 
   // ---- Monitoring overhead: armed instrumentation must stay cheap. ----
@@ -672,10 +689,9 @@ int main() {
   }
 
   if (obs_ratio < kObsFloor) {
-    std::fprintf(stderr, "FAIL: instrumented/plain throughput ratio %.2f "
-                         "below floor %.2f\n",
-                 obs_ratio, kObsFloor);
-    return 1;
+    FailGate("instrumented/plain throughput ratio %.2f "
+             "below floor %.2f\n",
+             obs_ratio, kObsFloor);
   }
 
   // ---- Streaming: early termination must save work. ----
@@ -732,7 +748,8 @@ int main() {
   // One pass over every shape and label of the limit mix. A saturated
   // limit that kept pulling would scan what the stripped query scans; a
   // pull hint that stopped shrinking the first pull would scan a whole
-  // block where a direct limit needs only its limit.
+  // block where a direct limit needs only its limit; an edge source that
+  // did not stream would scan its whole table.
   constexpr int kGateQueries = 30;
   uint64_t limit_rows = 0;
   uint64_t stripped_rows = 0;
@@ -752,10 +769,11 @@ int main() {
                     q.text.c_str(), static_cast<unsigned long long>(limited),
                     static_cast<unsigned long long>(drained));
       work_failure = buf;
-    } else if (q.direct && limited > static_cast<uint64_t>(q.limit)) {
+    } else if (limited > q.max_scanned) {
       std::snprintf(buf, sizeof(buf),
-                    "%s scanned %llu rows, more than its limit",
-                    q.text.c_str(), static_cast<unsigned long long>(limited));
+                    "%s scanned %llu rows, more than its bound %llu",
+                    q.text.c_str(), static_cast<unsigned long long>(limited),
+                    static_cast<unsigned long long>(q.max_scanned));
       work_failure = buf;
     }
   }
@@ -806,14 +824,12 @@ int main() {
   // per-block overhead turned pathological.
   constexpr double kFullScanFloor = 0.50;
   if (!work_failure.empty()) {
-    std::fprintf(stderr, "FAIL: limit mix: %s\n", work_failure.c_str());
-    return 1;
+    FailGate("limit mix: %s\n", work_failure.c_str());
   }
   if (scan_ratio < kFullScanFloor) {
-    std::fprintf(stderr, "FAIL: blocked/one-block full-scan throughput "
-                         "ratio %.2f below floor %.2f\n",
-                 scan_ratio, kFullScanFloor);
-    return 1;
+    FailGate("blocked/one-block full-scan throughput "
+             "ratio %.2f below floor %.2f\n",
+             scan_ratio, kFullScanFloor);
   }
 
   // ---- Governor overhead: governed-but-not-tripping must be free. ----
@@ -865,10 +881,9 @@ int main() {
 
   constexpr double kGovernorFloor = 0.95;
   if (governor_ratio < kGovernorFloor) {
-    std::fprintf(stderr, "FAIL: governed throughput ratio %.2f below "
-                         "floor %.2f\n",
-                 governor_ratio, kGovernorFloor);
-    return 1;
+    FailGate("governed throughput ratio %.2f below "
+             "floor %.2f\n",
+             governor_ratio, kGovernorFloor);
   }
 
   // ---- Parallelism: dop-4 statements must run morsel-driven. ----
@@ -1003,12 +1018,11 @@ int main() {
   }
 
   if (!morsel_failure.empty()) {
-    std::fprintf(stderr, "FAIL: dop-4 SQL mix not morsel-driven: %s "
-                         "(gate: dop %llu, at least %llu morsels)\n",
-                 morsel_failure.c_str(),
-                 static_cast<unsigned long long>(kGateDop),
-                 static_cast<unsigned long long>(kMinMorsels));
-    return 1;
+    FailGate("dop-4 SQL mix not morsel-driven: %s "
+             "(gate: dop %llu, at least %llu morsels)\n",
+             morsel_failure.c_str(),
+             static_cast<unsigned long long>(kGateDop),
+             static_cast<unsigned long long>(kMinMorsels));
   }
 
   // ---- Multi-hop collapse: one N-way join must beat three round trips. --
@@ -1085,14 +1099,12 @@ int main() {
       stepwise->get()->optimizer_log()->counters();
   if (collapse_counters.chosen == 0 || collapse_counters.executions == 0 ||
       collapse_counters.fallbacks != 0 || stepwise_counters.attempted != 0) {
-    std::fprintf(stderr,
-                 "FAIL: multihop ablation not engaged (chosen=%llu "
-                 "executions=%llu fallbacks=%llu stepwise_attempted=%llu)\n",
-                 static_cast<unsigned long long>(collapse_counters.chosen),
-                 static_cast<unsigned long long>(collapse_counters.executions),
-                 static_cast<unsigned long long>(collapse_counters.fallbacks),
-                 static_cast<unsigned long long>(stepwise_counters.attempted));
-    return 1;
+    FailGate("multihop ablation not engaged (chosen=%llu executions=%llu "
+             "fallbacks=%llu stepwise_attempted=%llu)\n",
+             static_cast<unsigned long long>(collapse_counters.chosen),
+             static_cast<unsigned long long>(collapse_counters.executions),
+             static_cast<unsigned long long>(collapse_counters.fallbacks),
+             static_cast<unsigned long long>(stepwise_counters.attempted));
   }
 
   double collapsed_best = 0;
@@ -1145,9 +1157,12 @@ int main() {
   // home traversal. In practice it wins (one SQL statement instead of one
   // per hop); equality is the regression tripwire.
   if (collapsed_best < stepwise_best) {
-    std::fprintf(stderr, "FAIL: collapsed multi-hop throughput %.0f q/s "
-                         "below step-at-a-time %.0f q/s\n",
-                 collapsed_best, stepwise_best);
+    FailGate("collapsed multi-hop throughput %.0f q/s "
+             "below step-at-a-time %.0f q/s\n",
+             collapsed_best, stepwise_best);
+  }
+  if (g_failed_gates > 0) {
+    std::fprintf(stderr, "bench_smoke: %d gate(s) failed\n", g_failed_gates);
     return 1;
   }
   return 0;

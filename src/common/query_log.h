@@ -1,9 +1,9 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
 // Process-wide ring of recently executed queries, the backing store of the
-// sysmon.query_log virtual table. Every execution that flows through a
-// unified entry point — sql::Database's materialized statement path and
-// core::Db2Graph::ExecutePlan — files one Entry here, traced or not, so
+// sysmon.query_log virtual table. Every top-level SQL statement (a SELECT
+// when its plan closes, drained or streamed) and every
+// core::Db2Graph::ExecutePlan call files one Entry here, traced or not, so
 // the engine's recent history is queryable with plain SQL (Db2's
 // MON_GET_PKG_CACHE_STMT, scaled down). Recording is a mutex-guarded
 // deque push; the enabled flag is a relaxed atomic read so switching the

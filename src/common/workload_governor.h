@@ -218,11 +218,11 @@ const char* TerminationReason(const Status& status);
 /// and plain errors (shed is counted at the admission gate, not here).
 void CountTermination(const Status& status);
 
-/// Approximate retained bytes per buffered traverser / vertex, used by
+/// Approximate retained bytes per buffered traverser / element, used by
 /// the block-boundary memory accounting. Deliberately coarse: the budget
 /// bounds order-of-magnitude blowups, not exact allocations.
 inline constexpr uint64_t kApproxTraverserBytes = 192;
-inline constexpr uint64_t kApproxVertexBytes = 256;
+inline constexpr uint64_t kApproxElementBytes = 256;
 
 }  // namespace db2graph::governor
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -112,9 +113,10 @@ FetchLayout FullRowLayout(const sql::TableSchema& schema) {
 //
 // Every lookup runs the same stages over either kind of table: plan each
 // table, prune and count it (PlanJobs); build its statement
-// (BuildStatement); fan the per-table jobs out and merge their results in
-// table order (Db2GraphProvider::RunInOrder); build elements from the
-// rows (AppendElements). TableKind holds what differs between the kinds.
+// (BuildStatement); read it as a stream of element blocks (TableReader);
+// then either drain the readers and merge their results in table order
+// (Db2GraphProvider::RunInOrder) or hand them to a pulled stream
+// (Db2ElementStream). TableKind holds what differs between the kinds.
 
 template <typename Table>
 struct TableKind;
@@ -228,10 +230,10 @@ Status PlanJobs(const std::vector<Table>& tables, const LookupSpec& spec,
   return Status::OK();
 }
 
-// One table's statement. The materialized fetch, the stream, the
-// aggregates and Explain all run BuildStatement, so a preview shows
-// exactly the SQL that executes. `table` and `conds` point into the
-// overlay table and the plan, which outlive the statement.
+// One table's statement. The element reads, the aggregates and Explain
+// all run BuildStatement, so a preview shows exactly the SQL that
+// executes. `table` and `conds` point into the overlay table and the
+// plan, which outlive the statement.
 struct TableStatement {
   const std::string* table = nullptr;
   std::string select;
@@ -376,63 +378,106 @@ void AppendElements(const Table& t, const TableJob& job,
   }
 }
 
-// Rows FetchTable builds into elements between two governor checks (the
-// streaming callers check once per block they pull instead).
-constexpr size_t kGovernorCheckRows = 4096;
-
-// One per-table fetch: the unit of work the fan-out parallelizes.
-// Everything it touches is either private to the call or internally
-// synchronized (dialect template cache, database shared lock, atomics).
+// One table's element read, the unit of work of every lookup: serial
+// streams, parallel producers and the materialized drains all read tables
+// through it. It touches only its own state or internally synchronized
+// state, so the readers of one lookup run on any thread. `t`, `job` and
+// `spec` must outlive the reader.
 template <typename Table>
-Status FetchTable(SqlDialect* dialect, const Table& t, const TableJob& job,
+class TableReader {
+ public:
+  using ElementPtr = typename TableKind<Table>::ElementPtr;
+
+  TableReader(SqlDialect* dialect, const Table& t, const TableJob& job,
+              const LookupSpec& spec)
+      : dialect_(dialect), t_(t), job_(job), spec_(spec) {}
+
+  // Checks the governor, opens the table's SQL stream on the first call,
+  // pulls up to `max` rows (0 = the execution's block size) and appends
+  // their elements to `out`. False once the table is exhausted or the
+  // read failed; status() tells which.
+  bool Next(size_t max, std::vector<ElementPtr>* out) {
+    if (!status_.ok()) return false;
+    DB2G_FAILPOINT_STATUS("provider.read_block", status_);
+    if (status_.ok()) status_ = governor::CheckCurrent();
+    if (status_.ok() && rows_ == nullptr) status_ = Open();
+    if (!status_.ok()) return false;
+    block_.capacity = max;
+    if (!rows_->Next(&block_)) {
+      status_ = rows_->status();
+      return false;
+    }
+    if (out->empty()) out->reserve(block_.rows.size());
+    AppendElements(t_, job_, spec_, layout_, block_.rows, out);
+    return true;
+  }
+
+  const Status& status() const { return status_; }
+
+  // Closes the SQL stream, filing its trace and query-log records and
+  // releasing its read lock (also run by the destructor).
+  void Close() { rows_.reset(); }
+
+ private:
+  Status Open() {
+    DB2G_FAILPOINT(TableKind<Table>::kFetchFailpoint);
+    TableStatement q =
+        *BuildStatement(t_, spec_, job_.plan, /*aggregate=*/false);
+    dialect_->RecordPattern(t_.conf.table_name, job_.plan.predicate_columns);
+    Result<std::unique_ptr<DialectRowStream>> rows =
+        dialect_->QueryShapedStreaming(q.Key(), [&] { return q.Sql(); },
+                                       q.params);
+    if (!rows.ok()) return rows.status();
+    layout_ = std::move(q.layout);
+    rows_ = std::move(*rows);
+    return Status::OK();
+  }
+
+  SqlDialect* dialect_;
+  const Table& t_;
+  const TableJob& job_;
+  const LookupSpec& spec_;
+  FetchLayout layout_;
+  std::unique_ptr<DialectRowStream> rows_;
+  sql::RowBlock block_;
+  Status status_ = Status::OK();
+};
+
+// A materialized lookup's per-table job: drains `job`'s reader into
+// `out`. A failed read appends nothing.
+template <typename Table>
+Status DrainTable(SqlDialect* dialect, const Table& t, const TableJob& job,
                   const LookupSpec& spec,
                   std::vector<typename TableKind<Table>::ElementPtr>* out) {
-  // A cancelled / timed-out query skips the tables it has not fetched
-  // yet; with fan-out, workers past this check finish their one statement
-  // and the batch unwinds at the merge.
-  DB2G_RETURN_NOT_OK(governor::CheckCurrent());
-  DB2G_FAILPOINT(TableKind<Table>::kFetchFailpoint);
-  TableStatement q = *BuildStatement(t, spec, job.plan, /*aggregate=*/false);
-  dialect->RecordPattern(t.conf.table_name, job.plan.predicate_columns);
-  Result<sql::ResultSet> rs = dialect->QueryShaped(
-      q.Key(), [&] { return q.Sql(); }, q.params);
-  if (!rs.ok()) return rs.status();
-  // A materialized fetch can hold far more rows than a stream block, so
-  // the build checks the governor between chunks: a deadline or kill that
-  // lands here stops it and drops the half-built batch.
+  TableReader<Table> reader(dialect, t, job, spec);
   const size_t before = out->size();
-  const std::span<Row> rows(rs->rows);
-  for (size_t begin = 0; begin < rows.size(); begin += kGovernorCheckRows) {
-    if (begin > 0) {
-      Status status;
-      DB2G_FAILPOINT_STATUS("provider.build_elements", status);
-      if (status.ok()) status = governor::CheckCurrent();
-      if (!status.ok()) {
-        out->resize(before);
-        return status;
-      }
-    }
-    AppendElements(t, job, spec, q.layout,
-                   rows.subspan(begin, std::min(kGovernorCheckRows,
-                                                rows.size() - begin)),
-                   out);
+  while (reader.Next(/*max=*/0, out)) {
   }
-  return Status::OK();
+  if (!reader.status().ok()) out->resize(before);
+  return reader.status();
 }
 
-// Opens the per-table SQL stream FetchTable would have executed
-// materialized. `layout` receives the fetched-column layout the caller
-// needs to build vertices from the stream's rows.
-Result<std::unique_ptr<DialectRowStream>> OpenVertexTableStream(
-    SqlDialect* dialect, const ResolvedVertexTable& t, const TableJob& job,
-    const LookupSpec& spec, FetchLayout* layout) {
-  DB2G_FAILPOINT("provider.open_vertex_stream");
-  TableStatement q = *BuildStatement(t, spec, job.plan, /*aggregate=*/false);
-  dialect->RecordPattern(t.conf.table_name, job.plan.predicate_columns);
-  *layout = std::move(q.layout);
-  return dialect->QueryShapedStreaming(
-      q.Key(), [&] { return q.Sql(); }, q.params);
-}
+// The calling query's trace span, governor context and exec config,
+// captured where a fan-out starts. Pool workers have none of their own;
+// RunBatch installs them for each job, so its SQL lands in the step that
+// started the fan-out, observes the query's budgets and compiles under
+// its config.
+struct QueryScope {
+  QueryTrace* trace = CurrentTrace();
+  int span = CurrentTraceSpan();
+  governor::QueryContext* qctx = governor::CurrentQueryContext();
+  ExecConfig exec = ExecConfig::Current();
+
+  // Runs job(j) for j in [0, n) on the shared pool; returns when all ran.
+  void RunBatch(size_t n, const std::function<void(size_t)>& job) const {
+    ThreadPool::Shared().RunBatch(n, [&](size_t j) {
+      ScopedTrace scoped(trace, span);
+      governor::ScopedQueryContext governed(qctx);
+      ScopedExecConfig configured(exec);
+      job(j);
+    });
+  }
+};
 
 // Endpoint-table pruning (Section 6.3 "Using Source/Destination Vertex
 // Tables"): whether edge table `t`'s endpoint on the `dir` side (either
@@ -505,21 +550,8 @@ Status Db2GraphProvider::RunInOrder(
   std::vector<std::vector<T>> slots(n);
   std::vector<Status> statuses(n, Status::OK());
   if (BeginFanOut(n)) {
-    // Pool workers have no thread-local trace, governor context, or exec
-    // config; install this query's for the duration of each job so
-    // per-table SQL lands in the right trace and step (never a concurrent
-    // query's), deadline / cancellation checks inside the job observe the
-    // right budgets, and the SQL compiles under the execution's config.
-    QueryTrace* trace = CurrentTrace();
-    const int span = CurrentTraceSpan();
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    const ExecConfig exec = ExecConfig::Current();
-    ThreadPool::Shared().RunBatch(n, [&](size_t j) {
-      ScopedTrace scoped(trace, span);
-      governor::ScopedQueryContext governed(qctx);
-      ScopedExecConfig configured(exec);
-      statuses[j] = job(j, &slots[j]);
-    });
+    QueryScope().RunBatch(n,
+                          [&](size_t j) { statuses[j] = job(j, &slots[j]); });
   } else {
     for (size_t j = 0; j < n; ++j) statuses[j] = job(j, &slots[j]);
   }
@@ -543,7 +575,7 @@ Status Db2GraphProvider::FetchTables(const std::vector<Table>& tables,
   return RunInOrder<ElementPtr>(
       jobs.size(),
       [&](size_t j, std::vector<ElementPtr>* slot) {
-        return FetchTable(dialect_, tables[jobs[j].table_index], jobs[j],
+        return DrainTable(dialect_, tables[jobs[j].table_index], jobs[j],
                           spec, slot);
       },
       out);
@@ -598,21 +630,22 @@ bool Db2GraphProvider::CacheFillEligible(const LookupSpec& spec) const {
 }
 
 // ----------------------------------------------------------------------
-// Vertices
+// Element streams
 // ----------------------------------------------------------------------
 
 namespace {
 
-// Bounded handoff of vertex blocks from one per-table producer to the
+// Bounded handoff of element blocks from one per-table producer to the
 // consuming stream: producers block when their queue is full (backpressure
 // instead of materializing the table), the consumer blocks until the
 // producer delivers or finishes, and cancellation wakes both sides.
-class VertexBlockQueue {
+template <typename ElementPtr>
+class BlockQueue {
  public:
-  explicit VertexBlockQueue(size_t capacity) : capacity_(capacity) {}
+  explicit BlockQueue(size_t capacity) : capacity_(capacity) {}
 
   // Producer side. False = the consumer cancelled; stop fetching.
-  bool Push(std::vector<VertexPtr> block) {
+  bool Push(std::vector<ElementPtr> block) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_full_.wait(lock, [&] {
       return cancelled_ || blocks_.size() < capacity_;
@@ -630,7 +663,7 @@ class VertexBlockQueue {
   }
 
   // Consumer side. False = producer finished; check TakeStatus().
-  bool Pop(std::vector<VertexPtr>* block) {
+  bool Pop(std::vector<ElementPtr>* block) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [&] { return done_ || !blocks_.empty(); });
     if (blocks_.empty()) return false;
@@ -655,39 +688,42 @@ class VertexBlockQueue {
   std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<std::vector<VertexPtr>> blocks_;
+  std::deque<std::vector<ElementPtr>> blocks_;
   bool done_ = false;
   bool cancelled_ = false;
   Status status_ = Status::OK();
 };
 
-// Live streaming vertex lookup over the surviving tables.
+// Live streaming lookup over the surviving tables of one kind.
 //
-// Serial mode keeps at most one per-table SQL stream open and pulls
-// exactly the vertices the consumer asks for. Parallel mode (fan-out
-// eligible) starts a coordinator thread that fans the per-table producers
-// out on the shared pool; each producer streams its table into a bounded
-// VertexBlockQueue and the consumer drains the queues in table order, so
+// Serial mode keeps at most one TableReader open and pulls exactly the
+// elements the consumer asks for. Parallel mode (fan-out eligible) starts
+// a coordinator thread that fans the per-table producers out on the
+// shared pool; each producer drains its table's reader into a bounded
+// BlockQueue and the consumer drains the queues in table order, so
 // results match the materialized table-major merge exactly. Close()
 // cancels: producers stop at their next push, and ones that have not
-// started observe the flag and never open their SQL stream.
-class Db2VertexStream : public gremlin::VertexStream {
+// started observe the flag and never open their table.
+template <typename Table>
+class Db2ElementStream
+    : public gremlin::ElementStream<typename TableKind<Table>::ElementPtr> {
  public:
+  using ElementPtr = typename TableKind<Table>::ElementPtr;
   static constexpr size_t kQueueBlocks = 4;  // per-table backpressure bound
 
   // `parallel`: the caller counted a fan-out over `jobs` (BeginFanOut).
-  Db2VertexStream(SqlDialect* dialect, const overlay::Topology* topology,
-                  LookupSpec spec, std::vector<TableJob> jobs, bool parallel)
+  Db2ElementStream(SqlDialect* dialect, const std::vector<Table>* tables,
+                   LookupSpec spec, std::vector<TableJob> jobs, bool parallel)
       : dialect_(dialect),
-        topology_(topology),
+        tables_(tables),
         spec_(std::move(spec)),
         jobs_(std::move(jobs)) {
     if (parallel) StartParallel();
   }
 
-  ~Db2VertexStream() override { Close(); }
+  ~Db2ElementStream() override { Close(); }
 
-  bool Next(std::vector<VertexPtr>* out, size_t max) override {
+  bool Next(std::vector<ElementPtr>* out, size_t max) override {
     out->clear();
     if (closed_ || !status_.ok()) return false;
     if (max == 0) max = 1;
@@ -697,10 +733,7 @@ class Db2VertexStream : public gremlin::VertexStream {
   void Close() override {
     if (closed_) return;
     closed_ = true;
-    if (serial_stream_ != nullptr) {
-      serial_stream_->Close();
-      serial_stream_.reset();
-    }
+    reader_.reset();
     if (parallel_mode_) {
       cancel_.store(true, std::memory_order_release);
       for (auto& q : queues_) q->Cancel();
@@ -711,40 +744,22 @@ class Db2VertexStream : public gremlin::VertexStream {
   const Status& status() const override { return status_; }
 
  private:
-  // -- serial: lazy per-table SQL streams, opened in table order ----------
-  bool NextSerial(std::vector<VertexPtr>* out, size_t max) {
+  // -- serial: one reader at a time, opened in table order ----------------
+  bool NextSerial(std::vector<ElementPtr>* out, size_t max) {
     while (true) {
-      Status gst = governor::CheckCurrent();
-      if (!gst.ok()) {
-        status_ = std::move(gst);
-        return false;
-      }
-      if (serial_stream_ == nullptr) {
+      if (!reader_.has_value()) {
         if (job_pos_ >= jobs_.size()) return false;
-        const TableJob& job = jobs_[job_pos_];
-        Result<std::unique_ptr<DialectRowStream>> stream =
-            OpenVertexTableStream(
-                dialect_, topology_->vertex_tables()[job.table_index], job,
-                spec_, &layout_);
-        if (!stream.ok()) {
-          status_ = stream.status();
-          return false;
-        }
-        serial_stream_ = std::move(*stream);
+        reader_.emplace(dialect_, (*tables_)[jobs_[job_pos_].table_index],
+                        jobs_[job_pos_], spec_);
       }
-      block_.capacity = max;
-      if (!serial_stream_->Next(&block_)) {
-        status_ = serial_stream_->status();
-        serial_stream_->Close();
-        serial_stream_.reset();
-        if (!status_.ok()) return false;
-        ++job_pos_;
-        continue;
+      if (reader_->Next(max, out)) {
+        if (!out->empty()) return true;
+        continue;  // all-filtered block: keep pulling
       }
-      const TableJob& job = jobs_[job_pos_];
-      AppendElements(topology_->vertex_tables()[job.table_index], job, spec_,
-                     layout_, block_.rows, out);
-      if (!out->empty()) return true;  // all-filtered block: keep pulling
+      status_ = reader_->status();
+      reader_.reset();
+      if (!status_.ok()) return false;
+      ++job_pos_;
     }
   }
 
@@ -753,86 +768,52 @@ class Db2VertexStream : public gremlin::VertexStream {
     parallel_mode_ = true;
     queues_.reserve(jobs_.size());
     for (size_t i = 0; i < jobs_.size(); ++i) {
-      queues_.push_back(std::make_unique<VertexBlockQueue>(kQueueBlocks));
+      queues_.push_back(
+          std::make_unique<BlockQueue<ElementPtr>>(kQueueBlocks));
     }
-    // Producers record SQL into the consumer's trace, filed under the step
-    // that opened this stream: the consumer's spans may all be paused
-    // while a producer runs.
-    QueryTrace* trace = CurrentTrace();
-    const int span = CurrentTraceSpan();
-    // Producers inherit the consumer's governor context so a deadline or
+    // Producers run under the consumer's query scope, so a deadline or
     // kill observed mid-table stops the fetch from inside the producer,
-    // not only when the consumer gets around to calling Close().
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    // ...and the consumer's exec config, so their SQL compiles under it.
-    const ExecConfig exec = ExecConfig::Current();
-    // RunBatch blocks its caller until every task finished, which must not
-    // be the consumer: a dedicated coordinator submits the batch and is
-    // joined on Close(). The consumer only ever waits on queue pops.
-    coordinator_ = std::thread([this, trace, span, qctx, exec] {
-      ThreadPool::Shared().RunBatch(jobs_.size(), [&](size_t j) {
-        ScopedTrace scoped(trace, span);
-        governor::ScopedQueryContext governed(qctx);
-        ScopedExecConfig configured(exec);
-        ProduceTable(j);
-      });
+    // not only when the consumer gets around to calling Close(). RunBatch
+    // blocks its caller until every task finished, which must not be the
+    // consumer: a dedicated coordinator submits the batch and is joined
+    // on Close(). The consumer only ever waits on queue pops.
+    coordinator_ = std::thread([this, scope = QueryScope()] {
+      scope.RunBatch(jobs_.size(), [this](size_t j) { ProduceTable(j); });
     });
   }
 
   void ProduceTable(size_t j) {
-    VertexBlockQueue& queue = *queues_[j];
-    // Early termination: a task that has not opened its SQL stream when
-    // the consumer closes never runs it at all.
-    if (cancel_.load(std::memory_order_acquire)) {
-      queue.MarkDone(Status::OK());
-      return;
-    }
-    const TableJob& job = jobs_[j];
-    const ResolvedVertexTable& t = topology_->vertex_tables()[job.table_index];
-    FetchLayout layout;
-    Result<std::unique_ptr<DialectRowStream>> stream =
-        OpenVertexTableStream(dialect_, t, job, spec_, &layout);
-    if (!stream.ok()) {
-      queue.MarkDone(stream.status());
-      return;
-    }
+    BlockQueue<ElementPtr>& queue = *queues_[j];
+    TableReader<Table> reader(dialect_, (*tables_)[jobs_[j].table_index],
+                              jobs_[j], spec_);
     governor::QueryContext* qctx = governor::CurrentQueryContext();
     Status final_status = Status::OK();
-    sql::RowBlock block;
+    // Early termination: a task the consumer cancelled before it started
+    // never opens its table. The reader checks the governor before each
+    // block, so an expired deadline stops the fetch from inside the
+    // producer; the consumer's unwind (Close) still runs.
     while (!cancel_.load(std::memory_order_acquire)) {
-      // The governor check makes an expired deadline stop the fetch from
-      // inside the producer; the consumer's unwind (Close) still runs, but
-      // the SQL stream stops pulling rows immediately.
-      if (qctx != nullptr) {
-        final_status = qctx->Check();
-        if (!final_status.ok()) break;
-      }
-      DB2G_FAILPOINT_STATUS("provider.producer_block", final_status);
-      if (!final_status.ok()) break;
-      block.capacity = sql::kDefaultBlockRows;
-      if (!(*stream)->Next(&block)) {
-        final_status = (*stream)->status();
+      std::vector<ElementPtr> elements;
+      if (!reader.Next(sql::kDefaultBlockRows, &elements)) {
+        final_status = reader.status();
         break;
       }
-      std::vector<VertexPtr> vertices;
-      vertices.reserve(block.rows.size());
-      AppendElements(t, job, spec_, layout, block.rows, &vertices);
-      if (vertices.empty()) continue;
+      if (elements.empty()) continue;
       if (qctx != nullptr) {
         // Blocks parked in the bounded queue count against the query's
         // memory budget; the consumer releases the charge on pop. Charges
         // stranded by cancellation die with the query context.
-        final_status = qctx->ChargeMemory(vertices.size() *
-                                          governor::kApproxVertexBytes);
+        final_status = qctx->ChargeMemory(elements.size() *
+                                          governor::kApproxElementBytes);
         if (!final_status.ok()) break;
       }
-      if (!queue.Push(std::move(vertices))) break;
+      if (!queue.Push(std::move(elements))) break;
     }
-    (*stream)->Close();
+    reader.Close();
     queue.MarkDone(std::move(final_status));
   }
 
-  bool NextParallel(std::vector<VertexPtr>* out, size_t max) {
+  bool NextParallel(std::vector<ElementPtr>* out, size_t max) {
     while (true) {
       if (pending_pos_ < pending_.size()) {
         size_t n = std::min(max, pending_.size() - pending_pos_);
@@ -847,7 +828,7 @@ class Db2VertexStream : public gremlin::VertexStream {
         return true;
       }
       if (queue_pos_ >= queues_.size()) return false;
-      std::vector<VertexPtr> block;
+      std::vector<ElementPtr> block;
       if (!queues_[queue_pos_]->Pop(&block)) {
         Status st = queues_[queue_pos_]->TakeStatus();
         if (!st.ok()) {
@@ -858,7 +839,7 @@ class Db2VertexStream : public gremlin::VertexStream {
         continue;
       }
       if (governor::QueryContext* qctx = governor::CurrentQueryContext()) {
-        qctx->ReleaseMemory(block.size() * governor::kApproxVertexBytes);
+        qctx->ReleaseMemory(block.size() * governor::kApproxElementBytes);
       }
       pending_ = std::move(block);
       pending_pos_ = 0;
@@ -866,7 +847,7 @@ class Db2VertexStream : public gremlin::VertexStream {
   }
 
   SqlDialect* dialect_;
-  const overlay::Topology* topology_;
+  const std::vector<Table>* tables_;
   LookupSpec spec_;
   std::vector<TableJob> jobs_;
   Status status_ = Status::OK();
@@ -874,21 +855,34 @@ class Db2VertexStream : public gremlin::VertexStream {
 
   // Serial state.
   size_t job_pos_ = 0;
-  std::unique_ptr<DialectRowStream> serial_stream_;
-  FetchLayout layout_;
-  sql::RowBlock block_;
+  std::optional<TableReader<Table>> reader_;
 
   // Parallel state.
   bool parallel_mode_ = false;
   std::atomic<bool> cancel_{false};
-  std::vector<std::unique_ptr<VertexBlockQueue>> queues_;
+  std::vector<std::unique_ptr<BlockQueue<ElementPtr>>> queues_;
   std::thread coordinator_;
   size_t queue_pos_ = 0;
-  std::vector<VertexPtr> pending_;
+  std::vector<ElementPtr> pending_;
   size_t pending_pos_ = 0;
 };
 
 }  // namespace
+
+template <typename Table, typename Stream>
+Result<std::unique_ptr<Stream>> Db2GraphProvider::StreamTables(
+    const std::vector<Table>& tables, const LookupSpec& spec) {
+  std::vector<TableJob> jobs;
+  DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, /*subset=*/nullptr,
+                              /*aggregate=*/false, options_, &stats_, &jobs));
+  const bool parallel = BeginFanOut(jobs.size());
+  return std::unique_ptr<Stream>(new Db2ElementStream<Table>(
+      dialect_, &tables, spec, std::move(jobs), parallel));
+}
+
+// ----------------------------------------------------------------------
+// Vertices
+// ----------------------------------------------------------------------
 
 Status Db2GraphProvider::Vertices(const LookupSpec& spec,
                                   std::vector<VertexPtr>* out) {
@@ -926,18 +920,11 @@ Status Db2GraphProvider::Vertices(const LookupSpec& spec,
 
 Result<std::unique_ptr<gremlin::VertexStream>>
 Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
-  // Aggregates produce no element stream, and cache-eligible point
-  // lookups answer from (and fill) the vertex cache only on the
-  // materialized path — both fall back to materialize-and-chunk.
-  if (spec.agg != AggOp::kNone || CacheUsable(spec)) {
-    return GraphProvider::VerticesStreaming(spec);
-  }
-  std::vector<TableJob> jobs;
-  DB2G_RETURN_NOT_OK(PlanJobs(topology_.vertex_tables(), spec, nullptr,
-                              /*aggregate=*/false, options_, &stats_, &jobs));
-  const bool parallel = BeginFanOut(jobs.size());
-  return std::unique_ptr<gremlin::VertexStream>(new Db2VertexStream(
-      dialect_, &topology_, spec, std::move(jobs), parallel));
+  // Cache-eligible point lookups answer from (and fill) the vertex cache
+  // in Vertices(); the base class chunks that result.
+  if (CacheUsable(spec)) return GraphProvider::VerticesStreaming(spec);
+  return StreamTables<ResolvedVertexTable, gremlin::VertexStream>(
+      topology_.vertex_tables(), spec);
 }
 
 Result<Value> Db2GraphProvider::AggregateVertices(const LookupSpec& spec) {
@@ -951,6 +938,12 @@ Result<Value> Db2GraphProvider::AggregateVertices(const LookupSpec& spec) {
 Status Db2GraphProvider::Edges(const LookupSpec& spec,
                                std::vector<EdgePtr>* out) {
   return FetchTables(topology_.edge_tables(), spec, nullptr, out);
+}
+
+Result<std::unique_ptr<gremlin::EdgeStream>> Db2GraphProvider::EdgesStreaming(
+    const LookupSpec& spec) {
+  return StreamTables<ResolvedEdgeTable, gremlin::EdgeStream>(
+      topology_.edge_tables(), spec);
 }
 
 Result<Value> Db2GraphProvider::AggregateEdges(const LookupSpec& spec) {
@@ -984,19 +977,15 @@ Status Db2GraphProvider::AdjacentEdges(const std::vector<VertexPtr>& from,
   }
 
   LookupSpec edge_spec = spec;
-  if (dir == Direction::kOut) {
-    edge_spec.src_ids = ids;
-    return FetchTables(topology_.edge_tables(), edge_spec, &candidates, out);
-  }
-  if (dir == Direction::kIn) {
-    edge_spec.dst_ids = ids;
-    return FetchTables(topology_.edge_tables(), edge_spec, &candidates, out);
-  }
-  edge_spec.src_ids = ids;
+  (dir == Direction::kIn ? edge_spec.dst_ids : edge_spec.src_ids) =
+      std::move(ids);
   DB2G_RETURN_NOT_OK(
       FetchTables(topology_.edge_tables(), edge_spec, &candidates, out));
+  if (dir != Direction::kBoth) return Status::OK();
+  // Both directions: the in-edges follow, minus the self-loops the
+  // out-edges already hold.
+  edge_spec.dst_ids = std::move(edge_spec.src_ids);
   edge_spec.src_ids.clear();
-  edge_spec.dst_ids = ids;
   std::vector<EdgePtr> in_edges;
   DB2G_RETURN_NOT_OK(
       FetchTables(topology_.edge_tables(), edge_spec, &candidates, &in_edges));
@@ -1025,7 +1014,7 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
   cached_check.ids.clear();
 
   // Partition endpoint ids by the vertex table they are pinned to.
-  std::unordered_map<int, std::vector<Value>> pinned;  // vertex table -> ids
+  std::map<int, std::vector<Value>> pinned;  // vertex table -> ids
   std::vector<Value> unpinned;
   std::unordered_set<Value, ValueHash> seen;
 
@@ -1098,13 +1087,9 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
   // One job per pinned vertex table, in table-index order so the merge
   // (and any trace) is deterministic under fan-out; each job looks up
   // only the endpoint ids pinned to its table.
-  std::vector<std::pair<int, std::vector<Value>>> groups(pinned.begin(),
-                                                         pinned.end());
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<TableJob> jobs;
   std::vector<LookupSpec> job_specs;
-  for (auto& [vertex_table, ids] : groups) {
+  for (auto& [vertex_table, ids] : pinned) {
     LookupSpec vertex_spec = spec;
     vertex_spec.ids = std::move(ids);
     const std::vector<int> only = {vertex_table};
@@ -1117,7 +1102,7 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
   DB2G_RETURN_NOT_OK(RunInOrder<VertexPtr>(
       jobs.size(),
       [&](size_t j, std::vector<VertexPtr>* slot) {
-        return FetchTable(dialect_,
+        return DrainTable(dialect_,
                           topology_.vertex_tables()[jobs[j].table_index],
                           jobs[j], job_specs[j], slot);
       },

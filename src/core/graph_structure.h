@@ -77,15 +77,16 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   Status Edges(const gremlin::LookupSpec& spec,
                std::vector<gremlin::EdgePtr>* out) override;
 
-  /// True streaming vertex lookup: per-table SQL runs block-at-a-time, so
-  /// a consumer that stops pulling (a downstream limit) never pays for the
-  /// tables — or table suffixes — it did not reach. Single-table lookups
-  /// stream lazily in table order; when the parallel fan-out applies, the
-  /// per-table producers feed bounded block queues that the stream drains
-  /// in deterministic table order, and Close() cancels producers that have
-  /// not started yet. Point lookups eligible for the vertex cache fall
-  /// back to the materialized path so cache semantics are preserved.
+  /// Streaming lookups read each table through the per-table reader the
+  /// materialized calls drain, so a consumer that stops pulling never pays
+  /// for the tables it did not reach. Without fan-out the tables stream
+  /// lazily in table order; with it, per-table producers feed bounded
+  /// queues drained in table order, and Close() cancels the ones not yet
+  /// started. A vertex point lookup the cache can answer goes through
+  /// Vertices() and the base class's chunking adapter.
   Result<std::unique_ptr<gremlin::VertexStream>> VerticesStreaming(
+      const gremlin::LookupSpec& spec) override;
+  Result<std::unique_ptr<gremlin::EdgeStream>> EdgesStreaming(
       const gremlin::LookupSpec& spec) override;
   Status AdjacentEdges(const std::vector<gremlin::VertexPtr>& from,
                        gremlin::Direction dir,
@@ -204,14 +205,18 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   // tables run the same stages; each template is instantiated for
   // overlay::ResolvedVertexTable and overlay::ResolvedEdgeTable.
 
-  /// Element fetch over `tables` (all of them, or only `subset` when it
-  /// is non-null): plan, prune and count the tables, then fetch the
-  /// survivors in table order.
+  /// Materialized element fetch over `tables` (all of them, or only
+  /// `subset` when it is non-null): plan, prune and count the tables, then
+  /// drain each survivor's reader through RunInOrder, in table order.
   template <typename Table, typename ElementPtr>
   Status FetchTables(const std::vector<Table>& tables,
                      const gremlin::LookupSpec& spec,
                      const std::vector<int>* subset,
                      std::vector<ElementPtr>* out);
+  /// Streaming counterpart of FetchTables over all of `tables`.
+  template <typename Table, typename Stream>
+  Result<std::unique_ptr<Stream>> StreamTables(
+      const std::vector<Table>& tables, const gremlin::LookupSpec& spec);
   /// Aggregate pushdown over `tables`: one aggregate statement per
   /// consulted table, partials merged in table order. Unsupported when a
   /// table needs client-side filtering.

@@ -164,11 +164,7 @@ DialectRowStream::~DialectRowStream() { Close(); }
 
 bool DialectRowStream::Next(sql::RowBlock* out) {
   bool ok = stream_->Next(out);
-  if (ok) {
-    rows_seen_ += out->rows.size();
-  } else {
-    FileRecord();  // exhausted (or failed): final counters are in
-  }
+  if (!ok) FileRecord();  // exhausted (or failed): final counters are in
   return ok;
 }
 
@@ -181,7 +177,8 @@ void DialectRowStream::FileRecord() {
   if (trace_ == nullptr || filed_) return;
   filed_ = true;
   FileStatementRecord(trace_, span_, std::move(record_), start_micros_,
-                      stream_->status(), &stream_->exec(), rows_seen_);
+                      stream_->status(), &stream_->exec(),
+                      stream_->exec().rows_emitted);
 }
 
 Result<std::unique_ptr<DialectRowStream>> SqlDialect::QueryShapedStreaming(

@@ -38,11 +38,7 @@ class DialectRowStream : public sql::RowSource {
   bool Next(sql::RowBlock* out) override;
   void Close() override;
 
-  const std::vector<std::string>& columns() const {
-    return stream_->columns();
-  }
   const Status& status() const { return stream_->status(); }
-  const sql::ExecInfo& exec() const { return stream_->exec(); }
 
  private:
   friend class SqlDialect;
@@ -55,7 +51,6 @@ class DialectRowStream : public sql::RowSource {
   int span_;           // issuing span (CurrentTraceSpan at open)
   SqlTraceRecord record_;
   uint64_t start_micros_;
-  uint64_t rows_seen_ = 0;
   bool filed_ = false;
 };
 

@@ -108,8 +108,8 @@ namespace {
 
 // Materialize-and-chunk adapter behind the default streaming lookups:
 // serves a pre-fetched element vector block by block.
-template <typename Ptr, typename Base>
-class ChunkedStream : public Base {
+template <typename Ptr>
+class ChunkedStream : public ElementStream<Ptr> {
  public:
   explicit ChunkedStream(std::vector<Ptr> items) : items_(std::move(items)) {}
 
@@ -146,7 +146,7 @@ Result<std::unique_ptr<VertexStream>> GraphProvider::VerticesStreaming(
   Status s = Vertices(spec, &all);
   if (!s.ok()) return s;
   return std::unique_ptr<VertexStream>(
-      new ChunkedStream<VertexPtr, VertexStream>(std::move(all)));
+      new ChunkedStream<VertexPtr>(std::move(all)));
 }
 
 Result<std::unique_ptr<EdgeStream>> GraphProvider::EdgesStreaming(
@@ -155,7 +155,7 @@ Result<std::unique_ptr<EdgeStream>> GraphProvider::EdgesStreaming(
   Status s = Edges(spec, &all);
   if (!s.ok()) return s;
   return std::unique_ptr<EdgeStream>(
-      new ChunkedStream<EdgePtr, EdgeStream>(std::move(all)));
+      new ChunkedStream<EdgePtr>(std::move(all)));
 }
 
 Result<Value> GraphProvider::AggregateVertices(const LookupSpec&) {

@@ -182,18 +182,19 @@ struct MultiHopResult {
   std::unordered_map<Value, int64_t, ValueHash> counts;  // agg == kCount
 };
 
-/// Pull cursor over a vertex lookup: the streaming counterpart of
-/// GraphProvider::Vertices. Blocks arrive in the same deterministic order
-/// the materialized call would produce, so a consumer that stops pulling
-/// early sees a prefix of the materialized result.
-class VertexStream {
+/// Pull cursor over an element lookup: the streaming counterpart of
+/// GraphProvider::Vertices / Edges. Blocks arrive in the same
+/// deterministic order the materialized call would produce, so a consumer
+/// that stops pulling early sees a prefix of the materialized result.
+template <typename Ptr>
+class ElementStream {
  public:
-  virtual ~VertexStream() = default;
+  virtual ~ElementStream() = default;
 
-  /// Clears `out` and appends up to `max` vertices (at least 1 when any
-  /// remain). Returns true iff vertices were delivered; false means the
+  /// Clears `out` and appends up to `max` elements (at least 1 when any
+  /// remain). Returns true iff elements were delivered; false means the
   /// stream is exhausted — or failed, which status() distinguishes.
-  virtual bool Next(std::vector<VertexPtr>* out, size_t max) = 0;
+  virtual bool Next(std::vector<Ptr>* out, size_t max) = 0;
 
   /// Stops the stream and releases its resources (idempotent; also run by
   /// the destructor). A provider backed by parallel per-table fetches
@@ -203,15 +204,8 @@ class VertexStream {
   virtual const Status& status() const = 0;
 };
 
-/// Pull cursor over an edge lookup (streaming Edges()); same contract as
-/// VertexStream.
-class EdgeStream {
- public:
-  virtual ~EdgeStream() = default;
-  virtual bool Next(std::vector<EdgePtr>* out, size_t max) = 0;
-  virtual void Close() = 0;
-  virtual const Status& status() const = 0;
-};
+using VertexStream = ElementStream<VertexPtr>;
+using EdgeStream = ElementStream<EdgePtr>;
 
 /// Abstract graph back end. All methods are thread-safe for concurrent
 /// readers.
@@ -247,7 +241,8 @@ class GraphProvider {
   /// calls, delivered block-at-a-time so a downstream limit can stop the
   /// lookup before every table is drained. Defaults materialize through
   /// Vertices()/Edges() and chunk the result — correct for any provider;
-  /// ones that can stream natively override.
+  /// ones that can stream natively override (Db2 Graph streams both, and
+  /// its materialized calls drain the same per-table read).
   virtual Result<std::unique_ptr<VertexStream>> VerticesStreaming(
       const LookupSpec& spec);
   virtual Result<std::unique_ptr<EdgeStream>> EdgesStreaming(

@@ -201,14 +201,19 @@ class VectorBlockSource : public TraverserBlockSource {
   size_t pos_ = 0;
 };
 
-// Adapts a provider VertexStream: re-filters for a provider without
-// pushdown (its plan carries no folded predicates, but the recheck keeps
-// correctness independent of provider quality) and seeds each traverser's
-// path with the element id.
-class VertexStreamSource : public TraverserBlockSource {
+Traverser OfElement(VertexPtr v) { return Traverser::OfVertex(std::move(v)); }
+Traverser OfElement(EdgePtr e) { return Traverser::OfEdge(std::move(e)); }
+
+// Adapts a provider element stream (g.V(), g.E() and the strategy-mutated
+// g.V(ids).outE() shape): re-filters for a provider without pushdown (its
+// plan carries no folded predicates, but the recheck keeps correctness
+// independent of provider quality) and seeds each traverser's path with
+// the element id.
+template <typename Ptr>
+class ElementStreamSource : public TraverserBlockSource {
  public:
-  VertexStreamSource(std::unique_ptr<VertexStream> stream, LookupSpec spec,
-                     bool recheck)
+  ElementStreamSource(std::unique_ptr<ElementStream<Ptr>> stream,
+                      LookupSpec spec, bool recheck)
       : stream_(std::move(stream)),
         spec_(std::move(spec)),
         recheck_(recheck) {}
@@ -216,40 +221,10 @@ class VertexStreamSource : public TraverserBlockSource {
   bool Next(std::vector<Traverser>* out, size_t max) override {
     out->clear();
     if (!stream_->Next(&buffer_, max)) return false;
-    for (VertexPtr& v : buffer_) {
-      if (recheck_ && !MatchesSpec(*v, spec_)) continue;
-      Traverser t = Traverser::OfVertex(std::move(v));
-      t.path.push_back(t.vertex->id);
-      out->push_back(std::move(t));
-    }
-    return true;
-  }
-  void Close() override { stream_->Close(); }
-  Status status() const override { return stream_->status(); }
-
- private:
-  std::unique_ptr<VertexStream> stream_;
-  LookupSpec spec_;
-  bool recheck_;
-  std::vector<VertexPtr> buffer_;
-};
-
-// Same for edges (g.E() and the strategy-mutated g.V(ids).outE() shape).
-class EdgeStreamSource : public TraverserBlockSource {
- public:
-  EdgeStreamSource(std::unique_ptr<EdgeStream> stream, LookupSpec spec,
-                   bool recheck)
-      : stream_(std::move(stream)),
-        spec_(std::move(spec)),
-        recheck_(recheck) {}
-
-  bool Next(std::vector<Traverser>* out, size_t max) override {
-    out->clear();
-    if (!stream_->Next(&buffer_, max)) return false;
-    for (EdgePtr& e : buffer_) {
+    for (Ptr& e : buffer_) {
       if (recheck_ && !MatchesSpec(*e, spec_)) continue;
-      Traverser t = Traverser::OfEdge(std::move(e));
-      t.path.push_back(t.edge->id);
+      Traverser t = OfElement(std::move(e));
+      t.path.push_back(t.element()->id);
       out->push_back(std::move(t));
     }
     return true;
@@ -258,11 +233,22 @@ class EdgeStreamSource : public TraverserBlockSource {
   Status status() const override { return stream_->status(); }
 
  private:
-  std::unique_ptr<EdgeStream> stream_;
+  std::unique_ptr<ElementStream<Ptr>> stream_;
   LookupSpec spec_;
   bool recheck_;
-  std::vector<EdgePtr> buffer_;
+  std::vector<Ptr> buffer_;
 };
+
+// The source over an opened provider stream, or the error it opened with;
+// takes `spec` over.
+template <typename Ptr>
+Result<std::unique_ptr<TraverserBlockSource>> StreamSource(
+    Result<std::unique_ptr<ElementStream<Ptr>>> stream, LookupSpec* spec,
+    bool recheck) {
+  if (!stream.ok()) return stream.status();
+  return std::unique_ptr<TraverserBlockSource>(new ElementStreamSource<Ptr>(
+      std::move(*stream), std::move(*spec), recheck));
+}
 
 }  // namespace
 
@@ -454,24 +440,15 @@ Status Interpreter::RunSegment(const std::vector<Step>& steps, size_t begin,
     Status open_status = spec.ok() ? Status::OK() : spec.status();
     if (open_status.ok()) {
       const bool recheck = !provider_->SupportsPushdown();
-      if (g.graph_emits_edges) {
-        Result<std::unique_ptr<EdgeStream>> stream =
-            provider_->EdgesStreaming(*spec);
-        if (stream.ok()) {
-          source = std::make_unique<EdgeStreamSource>(
-              std::move(*stream), std::move(*spec), recheck);
-        } else {
-          open_status = stream.status();
-        }
+      Result<std::unique_ptr<TraverserBlockSource>> opened =
+          g.graph_emits_edges
+              ? StreamSource(provider_->EdgesStreaming(*spec), &*spec, recheck)
+              : StreamSource(provider_->VerticesStreaming(*spec), &*spec,
+                             recheck);
+      if (opened.ok()) {
+        source = std::move(*opened);
       } else {
-        Result<std::unique_ptr<VertexStream>> stream =
-            provider_->VerticesStreaming(*spec);
-        if (stream.ok()) {
-          source = std::make_unique<VertexStreamSource>(
-              std::move(*stream), std::move(*spec), recheck);
-        } else {
-          open_status = stream.status();
-        }
+        open_status = opened.status();
       }
     }
     if (!open_status.ok()) {
@@ -746,18 +723,14 @@ Status Interpreter::ApplyGraphAggregate(const Step& step, ExecState* state,
     return agg.status();
   }
   spec.agg = AggOp::kNone;  // fetch elements, aggregate below
+  std::vector<EdgePtr> edges;
+  std::vector<VertexPtr> vertices;
+  DB2G_RETURN_NOT_OK(step.graph_emits_edges
+                         ? provider_->Edges(spec, &edges)
+                         : provider_->Vertices(spec, &vertices));
   std::vector<Traverser> fetched;
-  if (step.graph_emits_edges) {
-    std::vector<EdgePtr> edges;
-    DB2G_RETURN_NOT_OK(provider_->Edges(spec, &edges));
-    for (EdgePtr& e : edges) fetched.push_back(Traverser::OfEdge(e));
-  } else {
-    std::vector<VertexPtr> vertices;
-    DB2G_RETURN_NOT_OK(provider_->Vertices(spec, &vertices));
-    for (VertexPtr& v : vertices) {
-      fetched.push_back(Traverser::OfVertex(v));
-    }
-  }
+  for (EdgePtr& e : edges) fetched.push_back(OfElement(std::move(e)));
+  for (VertexPtr& v : vertices) fetched.push_back(OfElement(std::move(v)));
   // When the aggregate was folded over values(key), aggregate the
   // property values, not the elements.
   if (!step.spec.agg_key.empty()) {

@@ -5,7 +5,6 @@
 #include "common/query_log.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "common/workload_governor.h"
 #include "sql/executor.h"
 #include "sql/expr.h"
 #include "sql/parser.h"
@@ -53,37 +52,13 @@ class WriteLock {
   std::shared_mutex* mutex_;
 };
 
-bool IsReadOnly(const Statement& stmt) {
-  return stmt.kind == StatementKind::kSelect;
-}
-
 // Compact script label for sysmon.query_log entries. Run only sees the
 // parsed AST (prepared statements never carry their text), so the
 // label is synthesized: statement kind plus the relations it touches.
 std::string DescribeStatement(const Statement& stmt) {
   switch (stmt.kind) {
-    case StatementKind::kSelect: {
-      std::string s = stmt.select->explain
-                          ? (stmt.select->analyze ? "EXPLAIN ANALYZE SELECT"
-                                                  : "EXPLAIN SELECT")
-                          : "SELECT";
-      for (size_t i = 0; i < stmt.select->from.size(); ++i) {
-        const TableRef& ref = stmt.select->from[i];
-        s += i == 0 ? " FROM " : ", ";
-        switch (ref.kind) {
-          case TableRef::Kind::kTable:
-            s += ref.table;
-            break;
-          case TableRef::Kind::kTableFunction:
-            s += "TABLE(" + ref.function_name + ")";
-            break;
-          case TableRef::Kind::kSubquery:
-            s += "(subquery)";
-            break;
-        }
-      }
-      return s;
-    }
+    case StatementKind::kSelect:
+      return DescribeSelect(*stmt.select);
     case StatementKind::kInsert:
       return "INSERT INTO " + stmt.insert->table;
     case StatementKind::kUpdate:
@@ -109,33 +84,6 @@ std::string DescribeStatement(const Statement& stmt) {
       return "ROLLBACK";
   }
   return "UNKNOWN";
-}
-
-// Files one sysmon.query_log entry for a finished statement.
-void RecordQueryLog(const Statement& stmt, const Result<ResultSet>& result,
-                    uint64_t micros) {
-  QueryLog::Entry entry;
-  entry.layer = "sql";
-  entry.script = DescribeStatement(stmt);
-  entry.micros = micros;
-  if (result.ok()) {
-    entry.exec_mode = result->exec.ExecMode();
-    entry.access_path = result->exec.AccessPath();
-    entry.dop = result->exec.dop;
-    entry.morsels = result->exec.morsels;
-    entry.rows_scanned = result->exec.rows_scanned;
-    entry.rows_emitted = result->rows.empty() && result->affected > 0
-                             ? static_cast<uint64_t>(result->affected)
-                             : result->exec.rows_emitted;
-    if (!result->exec.op_profiles.empty()) {
-      entry.plan = RenderPlanTree(result->exec.op_profiles, /*analyzed=*/true);
-    }
-  } else {
-    entry.error = true;
-    entry.error_message = result.status().message();
-  }
-  entry.reason = governor::TerminationReason(result.status());
-  QueryLog::Global().Record(std::move(entry));
 }
 
 }  // namespace
@@ -181,11 +129,15 @@ RowStream::RowStream(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {
 RowStream::~RowStream() { Close(); }
 
 bool RowStream::Next(RowBlock* out) {
-  if (impl_ == nullptr) return false;
-  bool ok = impl_->plan->Next(out);
-  status_ = impl_->plan->status();
-  exec_ = impl_->plan->exec();
-  return ok;
+  return impl_ != nullptr && impl_->plan->Next(out);
+}
+
+const Status& RowStream::status() const {
+  return impl_ != nullptr ? impl_->plan->status() : status_;
+}
+
+const ExecInfo& RowStream::exec() const {
+  return impl_ != nullptr ? impl_->plan->exec() : exec_;
 }
 
 void RowStream::Close() {
@@ -299,9 +251,15 @@ Result<const SelectSection*> Database::SectionFor(
   if (const SelectSection* section = current()) return section;
   std::lock_guard<std::mutex> guard(handle.build_mutex);
   if (const SelectSection* section = current()) return section;
+  const uint64_t start = TraceClock::Default()->NowMicros();
   Result<std::shared_ptr<const SelectSection>> built =
       SelectSection::Build(this, handle.stmt->select);
-  if (!built.ok()) return built.status();
+  if (!built.ok()) {
+    // No plan opens, so the failed compile is the statement's log entry.
+    RecordQueryLog(DescribeSelect(*handle.stmt->select), nullptr, 0,
+                   built.status(), TraceClock::Default()->NowMicros() - start);
+    return built.status();
+  }
   handle.owned = std::move(*built);  // frees the replaced section
   handle.section.store(handle.owned.get(), std::memory_order_release);
   handle.section_version.store(handle.owned->ddl_version(),
@@ -312,13 +270,14 @@ Result<const SelectSection*> Database::SectionFor(
 Result<ResultSet> Database::Run(PreparedStatement::Handle& handle,
                                 const std::vector<Value>& params) {
   const Statement& stmt = *handle.stmt;
+  if (stmt.kind == StatementKind::kSelect) {
+    // A SELECT files its query-log entry itself, when its plan closes.
+    ReadLock lock(this, &mutex_);
+    Result<const SelectSection*> section = SectionFor(handle);
+    if (!section.ok()) return section.status();
+    return (*section)->Run(&params);
+  }
   auto execute = [&]() -> Result<ResultSet> {
-    if (IsReadOnly(stmt)) {
-      ReadLock lock(this, &mutex_);
-      Result<const SelectSection*> section = SectionFor(handle);
-      if (!section.ok()) return section.status();
-      return (*section)->Run(&params);
-    }
     WriteLock lock(&mutex_);
     // Bumped under the exclusive lock: readers that observe the new epoch
     // are serialized after this write, so data they fetch and tag with it
@@ -331,7 +290,10 @@ Result<ResultSet> Database::Run(PreparedStatement::Handle& handle,
   if (!QueryLog::Global().enabled()) return execute();
   uint64_t start = TraceClock::Default()->NowMicros();
   Result<ResultSet> result = execute();
-  RecordQueryLog(stmt, result, TraceClock::Default()->NowMicros() - start);
+  // A write reports the rows it affected.
+  RecordQueryLog(DescribeStatement(stmt), result.ok() ? &result->exec : nullptr,
+                 result.ok() ? static_cast<uint64_t>(result->affected) : 0,
+                 result.status(), TraceClock::Default()->NowMicros() - start);
   return result;
 }
 

@@ -106,19 +106,19 @@ class RowStream : public RowSource {
   void Close() override;
 
   /// OK unless execution failed mid-stream.
-  const Status& status() const { return status_; }
+  const Status& status() const;
   /// Access-path counters so far (complete after exhaustion or Close()).
-  const ExecInfo& exec() const { return exec_; }
+  const ExecInfo& exec() const;
 
  private:
   friend class Database;
   struct Impl;
   explicit RowStream(std::unique_ptr<Impl> impl);
 
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<Impl> impl_;  // null once closed
   std::vector<std::string> columns_;
-  Status status_ = Status::OK();
-  ExecInfo exec_;
+  Status status_ = Status::OK();  // the plan's, kept by Close()
+  ExecInfo exec_;                 // the plan's, kept by Close()
 };
 
 /// A parsed statement bound to a database, executable repeatedly with

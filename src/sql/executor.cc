@@ -8,6 +8,7 @@
 
 #include "common/exec_config.h"
 #include "common/fault_injection.h"
+#include "common/query_log.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -2239,6 +2240,9 @@ struct SelectPlan::State {
   std::vector<std::shared_ptr<Table>> pinned;
   ExecInfo flushed;  // portion already mirrored into Database::stats()
   bool closed = false;
+  // A top-level execution's statement and open time, logged on Close().
+  const SelectStmt* logged = nullptr;
+  uint64_t opened_micros = 0;
 
   // Copies the live profile nodes into ExecInfo, deriving rows_in from
   // the linear chain (each operator consumes the previous one's output).
@@ -2309,6 +2313,11 @@ void SelectPlan::Close() {
   s->root->Close();
   s->FinalizeProfiles();
   s->FlushStats();
+  if (s->logged != nullptr) {
+    RecordQueryLog(DescribeSelect(*s->logged), &s->ctx.exec,
+                   s->ctx.exec.rows_emitted, s->ctx.error,
+                   TraceClock::Default()->NowMicros() - s->opened_micros);
+  }
 }
 
 Result<ResultSet> SelectPlan::Drain() {
@@ -2789,6 +2798,21 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
 
 Result<std::unique_ptr<SelectPlan>> SelectSection::Open(
     const std::vector<Value>* params, size_t block_rows) const {
+  if (!QueryLog::Global().enabled()) return OpenPlan(params, block_rows);
+  const uint64_t start = TraceClock::Default()->NowMicros();
+  Result<std::unique_ptr<SelectPlan>> plan = OpenPlan(params, block_rows);
+  if (!plan.ok()) {
+    RecordQueryLog(DescribeSelect(*stmt_), nullptr, 0, plan.status(),
+                   TraceClock::Default()->NowMicros() - start);
+    return plan;
+  }
+  (*plan)->state_->logged = stmt_.get();
+  (*plan)->state_->opened_micros = start;
+  return plan;
+}
+
+Result<std::unique_ptr<SelectPlan>> SelectSection::OpenPlan(
+    const std::vector<Value>* params, size_t block_rows) const {
   using exec_ops::Op;
   using exec_ops::PlanRelation;
   using exec_ops::RelationSource;
@@ -2867,8 +2891,9 @@ Result<std::unique_ptr<SelectPlan>> SelectSection::Open(
       case RelationSource::Kind::kView:
       case RelationSource::Kind::kSubquery: {
         // A view body sees no parameters; a subquery sees the statement's.
-        Result<std::unique_ptr<SelectPlan>> body = source.body->Open(
-            source.kind == RelationSource::Kind::kView ? nullptr : params);
+        Result<std::unique_ptr<SelectPlan>> body = source.body->OpenPlan(
+            source.kind == RelationSource::Kind::kView ? nullptr : params,
+            kDefaultBlockRows);
         if (!body.ok()) return body.status();
         Result<ResultSet> rs = (*body)->Drain();
         if (!rs.ok()) return rs.status();
@@ -3022,6 +3047,54 @@ Result<ResultSet> SelectSection::Run(const std::vector<Value>* params) const {
     start = end + 1;
   }
   return out;
+}
+
+std::string DescribeSelect(const SelectStmt& stmt) {
+  std::string s = stmt.explain ? (stmt.analyze ? "EXPLAIN ANALYZE SELECT"
+                                               : "EXPLAIN SELECT")
+                               : "SELECT";
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    const TableRef& ref = stmt.from[i];
+    s += i == 0 ? " FROM " : ", ";
+    switch (ref.kind) {
+      case TableRef::Kind::kTable:
+        s += ref.table;
+        break;
+      case TableRef::Kind::kTableFunction:
+        s += "TABLE(" + ref.function_name + ")";
+        break;
+      case TableRef::Kind::kSubquery:
+        s += "(subquery)";
+        break;
+    }
+  }
+  return s;
+}
+
+void RecordQueryLog(std::string script, const ExecInfo* exec,
+                    uint64_t rows_emitted, const Status& status,
+                    uint64_t micros) {
+  QueryLog::Entry entry;
+  entry.layer = "sql";
+  entry.script = std::move(script);
+  entry.micros = micros;
+  if (exec != nullptr) {
+    entry.exec_mode = exec->ExecMode();
+    entry.access_path = exec->AccessPath();
+    entry.dop = exec->dop;
+    entry.morsels = exec->morsels;
+    entry.rows_scanned = exec->rows_scanned;
+    entry.rows_emitted = rows_emitted;
+    if (!exec->op_profiles.empty()) {
+      entry.plan = RenderPlanTree(exec->op_profiles, /*analyzed=*/true);
+    }
+  }
+  if (!status.ok()) {
+    entry.error = true;
+    entry.error_message = status.message();
+  }
+  entry.reason = governor::TerminationReason(status);
+  QueryLog::Global().Record(std::move(entry));
 }
 
 // ---------------------------------------------------------------------

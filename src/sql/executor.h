@@ -145,9 +145,11 @@ class SelectSection {
 
   const std::vector<std::string>& columns() const;
 
-  /// Opens one execution. The caller holds the database read lock and
-  /// keeps this section and `params` alive for the plan's lifetime.
-  /// `block_rows` other than the default overrides ExecConfig's.
+  /// Opens one top-level execution. The caller holds the database read
+  /// lock and keeps this section and `params` alive for the plan's
+  /// lifetime. `block_rows` other than the default overrides ExecConfig's.
+  /// It files one sysmon.query_log entry when its plan closes (reporting
+  /// the rows it delivered), or here when it fails to open.
   Result<std::unique_ptr<SelectPlan>> Open(
       const std::vector<Value>* params,
       size_t block_rows = kDefaultBlockRows) const;
@@ -158,6 +160,9 @@ class SelectSection {
 
  private:
   struct Layout;
+  /// Open() without the query-log entry: a view or subquery body.
+  Result<std::unique_ptr<SelectPlan>> OpenPlan(
+      const std::vector<Value>* params, size_t block_rows) const;
   SelectSection(Database* db, std::shared_ptr<const SelectStmt> stmt,
                 uint64_t ddl_version, std::unique_ptr<Layout> layout);
   /// Build() with access checks on or off: a view's body runs with its
@@ -171,6 +176,15 @@ class SelectSection {
   uint64_t ddl_version_;
   std::unique_ptr<const Layout> layout_;
 };
+
+/// sysmon.query_log script label of a SELECT: kind plus relations read.
+std::string DescribeSelect(const SelectStmt& stmt);
+
+/// Files a layer "sql" sysmon.query_log entry for a finished statement;
+/// `exec` is null when it failed before executing.
+void RecordQueryLog(std::string script, const ExecInfo* exec,
+                    uint64_t rows_emitted, const Status& status,
+                    uint64_t micros);
 
 /// Derives the output column shape of a SELECT without executing it
 /// (used for CREATE VIEW schemas). Best-effort types.

@@ -16,6 +16,7 @@
 
 #include "common/exec_config.h"
 #include "common/fault_injection.h"
+#include "common/workload_governor.h"
 #include "core/db2graph.h"
 #include "core/gremlin_service.h"
 #include "linkbench/linkbench.h"
@@ -96,7 +97,7 @@ TEST_F(FaultInjectionTest, ProviderFetchErrorFailsGremlinQuery) {
 
 TEST_F(FaultInjectionTest, ProviderStreamOpenErrorFailsScan) {
   FailPointRegistry::Global().Enable(
-      "provider.open_vertex_stream",
+      "provider.fetch_vertex_table",
       fault::ErrorFault(StatusCode::kInternal, "cursor open failed"));
   // A plain scan opens per-table streams (count() would push the
   // aggregate into SQL and bypass them).
@@ -107,11 +108,22 @@ TEST_F(FaultInjectionTest, ProviderStreamOpenErrorFailsScan) {
   ExpectHealthy();
 }
 
+TEST_F(FaultInjectionTest, ProviderEdgeStreamOpenErrorFailsScan) {
+  FailPointRegistry::Global().Enable(
+      "provider.fetch_edge_table",
+      fault::ErrorFault(StatusCode::kInternal, "cursor open failed"));
+  Result<std::vector<Traverser>> out = graph_->Execute("g.E()");
+  ASSERT_FALSE(out.ok());
+  EXPECT_NE(out.status().message().find("cursor open failed"),
+            std::string::npos);
+  ExpectHealthy();
+}
+
 TEST_F(FaultInjectionTest, FirstHitsOnlyThenRecovers) {
   fault::FailPointConfig config =
       fault::ErrorFault(StatusCode::kInternal, "transient");
   config.hits_remaining = 1;  // fail exactly once
-  FailPointRegistry::Global().Enable("provider.open_vertex_stream", config);
+  FailPointRegistry::Global().Enable("provider.fetch_vertex_table", config);
   Result<std::vector<Traverser>> first = graph_->Execute("g.V()");
   ASSERT_FALSE(first.ok());
   // The failpoint is spent: the retry succeeds with it still enabled.
@@ -120,32 +132,41 @@ TEST_F(FaultInjectionTest, FirstHitsOnlyThenRecovers) {
   ExpectHealthy();
 }
 
-TEST_F(FaultInjectionTest, SlowProducerBlockTripsDeadline) {
-  // Slow-block injection: each producer block stalls 20 ms, so a 60 ms
-  // deadline expires mid-stream and the governor cancels the fan-out.
-  FailPointRegistry::Global().Enable("provider.producer_block",
+// Slow-block injection: each block a producer reads stalls 20 ms, so a
+// 60 ms deadline expires mid-stream and the governor cancels the fan-out.
+// Unwind is prompt: one in-flight sleep per producer at most, nowhere near
+// the ~10s a full injected-slow scan would take.
+void ExpectSlowProducerTripsDeadline(Db2Graph* graph, const char* query) {
+  FailPointRegistry::Global().Enable("provider.read_block",
                                      fault::SleepFault(20));
   ExecOptions options;
   options.config = ExecConfig().timeout_ms(60);
   auto start = std::chrono::steady_clock::now();
-  Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
+  Result<std::vector<Traverser>> out = graph->Execute(query, options);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
-  ASSERT_FALSE(out.ok());
+  ASSERT_FALSE(out.ok()) << query;
   EXPECT_EQ(out.status().code(), StatusCode::kTimeout)
-      << out.status().ToString();
-  // Unwind is prompt: one in-flight sleep per producer at most, nowhere
-  // near the ~10s a full injected-slow scan would take.
-  EXPECT_LT(elapsed.count(), 2000);
+      << query << ": " << out.status().ToString();
+  EXPECT_LT(elapsed.count(), 2000) << query;
+}
+
+TEST_F(FaultInjectionTest, SlowProducerBlockTripsDeadline) {
+  ExpectSlowProducerTripsDeadline(graph_.get(), "g.V()");
+  ExpectHealthy();
+}
+
+TEST_F(FaultInjectionTest, SlowEdgeProducerBlockTripsDeadline) {
+  ExpectSlowProducerTripsDeadline(graph_.get(), "g.E()");
   ExpectHealthy();
 }
 
 TEST_F(FaultInjectionTest, DeadlineStopsElementBuildOfMaterializedFetch) {
-  // g.E() fetches its one edge table in a single materialized statement,
-  // then builds 10,000 elements from the rows in 4,096-row chunks. The
-  // first chunk boundary stalls past the deadline, so the SQL has long
-  // finished and only the governor check between chunks can stop the
-  // build: it must report kTimeout there instead of building the rest.
+  // A materialized Edges() drains its one edge table's reader block by
+  // block, checking the governor before each block. The first block
+  // passes; the boundary after it stalls past the deadline, so the
+  // check there must stop the drain with kTimeout and drop the block it
+  // already built instead of reading the other 9,000 edges.
   sql::Database db;
   ASSERT_TRUE(db.ExecuteScript(R"(
       CREATE TABLE Person (personID BIGINT PRIMARY KEY);
@@ -175,27 +196,30 @@ TEST_F(FaultInjectionTest, DeadlineStopsElementBuildOfMaterializedFetch) {
   ASSERT_TRUE(config.ok()) << config.status().ToString();
   Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(&db, *config);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  Result<std::vector<Traverser>> all = (*graph)->Execute("g.E().count()");
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ((*all)[0].value, Value(kEdges));
+  Db2GraphProvider* provider = (*graph)->provider();
 
+  auto fetch_all = [&](std::vector<gremlin::EdgePtr>* edges) {
+    governor::GovernorLimits limits;
+    limits.timeout_ms = 150;
+    governor::QueryContext query("g.E()", limits, governor::CancelToken());
+    governor::ScopedQueryContext governed(&query);
+    return provider->Edges(gremlin::LookupSpec(), edges);
+  };
   fault::FailPointConfig stall = fault::SleepFault(300);
+  stall.skip = 1;
   stall.hits_remaining = 1;
-  FailPointRegistry::Global().Enable("provider.build_elements", stall);
-  ExecOptions options;
-  options.config = ExecConfig().timeout_ms(150);
-  Result<std::vector<Traverser>> out = (*graph)->Execute("g.E()", options);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kTimeout)
-      << out.status().ToString();
-  // The build stopped at the first of its two chunk boundaries.
-  EXPECT_EQ(FailPointRegistry::Global().HitCount("provider.build_elements"),
-            1u);
+  FailPointRegistry::Global().Enable("provider.read_block", stall);
+  std::vector<gremlin::EdgePtr> edges;
+  Status status = fetch_all(&edges);
+  EXPECT_EQ(status.code(), StatusCode::kTimeout) << status.ToString();
+  EXPECT_TRUE(edges.empty());
+  // The drain stopped at its first block boundary.
+  EXPECT_EQ(FailPointRegistry::Global().HitCount("provider.read_block"), 2u);
 
   FailPointRegistry::Global().DisableAll();
-  out = (*graph)->Execute("g.E()", options);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->size(), static_cast<size_t>(kEdges));
+  status = fetch_all(&edges);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(edges.size(), static_cast<size_t>(kEdges));
 }
 
 TEST_F(FaultInjectionTest, ServiceExecuteFaultFailsRequestOnly) {

@@ -13,9 +13,13 @@
 //    table, while the same traversal without limit() scans everything);
 //  * barrier-step drain equivalence (order/tail/groupCount/cap/aggregates
 //    over a streamed upstream);
+//  * edge-sourced plans (g.E(), g.V(ids).outE(l), g.V().out(l), limited
+//    or not) against the same one-block run, with the parallel fan-out on
+//    and off, since the provider streams edge tables natively;
 //  * early-termination cancellation racing the parallel multi-table
-//    fan-out (a TSan target: Close() mid-stream must cleanly cancel
-//    producers that have not started and join the ones that have).
+//    fan-out of vertex and edge streams (a TSan target: Close()
+//    mid-stream must cleanly cancel producers that have not started and
+//    join the ones that have).
 
 #include <cstdint>
 #include <limits>
@@ -66,10 +70,12 @@ class StreamingEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(linkbench::LoadIntoPartitionedDatabase(&db_, dataset_).ok());
   }
 
-  std::unique_ptr<Db2Graph> Open(size_t block_rows, bool vectorized = true) {
+  std::unique_ptr<Db2Graph> Open(size_t block_rows, bool vectorized = true,
+                                 bool fanout = true) {
     Db2Graph::Options options;
     options.exec =
         ExecConfig().block_rows(block_rows).vectorized(vectorized);
+    options.runtime.parallel_fanout = fanout;
     Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(
         &db_, linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false),
         options);
@@ -135,6 +141,39 @@ TEST_F(StreamingEquivalenceTest, AllBlockSizesMatchOneBlock) {
       ASSERT_NE(blocked, nullptr);
       EXPECT_EQ(expected, RunOrdered(blocked.get(), q))
           << q << " at block size " << block;
+    }
+  }
+}
+
+// Edge-sourced plans stream from the provider's edge stream: serially in
+// table order without the fan-out, through per-table producers with it.
+// Both must deliver exactly what a one-block run does, limited or not.
+TEST_F(StreamingEquivalenceTest, EdgeSourcedPlansMatchOneBlock) {
+  const char* const kQueries[] = {
+      "g.E()",
+      "g.E().limit(5)",
+      "g.E().range(40, 47)",
+      "g.V(1, 2, 3, 50, 120, 299).outE('et1')",
+      "g.V(1, 2, 3, 50, 120, 299).outE('et1').limit(2)",
+      "g.V(1, 2, 3, 50, 120, 299).outE('et1').range(1, 3)",
+      "g.V().out('et2')",
+      "g.V().out('et2').limit(5)",
+      "g.V().out('et2').range(10, 14)",
+  };
+  const size_t kBlockSizes[] = {1, 7, 1024};
+  for (bool fanout : {true, false}) {
+    std::unique_ptr<Db2Graph> one_block = Open(kOneBlock, true, fanout);
+    ASSERT_NE(one_block, nullptr);
+    for (const char* q : kQueries) {
+      std::vector<std::string> expected = RunOrdered(one_block.get(), q);
+      ASSERT_FALSE(expected.empty()) << q;
+      for (size_t block : kBlockSizes) {
+        std::unique_ptr<Db2Graph> blocked = Open(block, true, fanout);
+        ASSERT_NE(blocked, nullptr);
+        EXPECT_EQ(expected, RunOrdered(blocked.get(), q))
+            << q << " at block size " << block
+            << (fanout ? " (fan-out)" : " (serial)");
+      }
     }
   }
 }
@@ -300,6 +339,23 @@ TEST_F(StreamingCancellationTest, CloseMidStreamRacesProducers) {
         graph_->provider()->VerticesStreaming(spec);
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
     std::vector<gremlin::VertexPtr> block;
+    for (int pulls = 0; pulls < iter % 4; ++pulls) {
+      if (!(*stream)->Next(&block, 8)) break;
+      EXPECT_TRUE((*stream)->status().ok());
+    }
+    (*stream)->Close();
+    (*stream)->Close();  // idempotent
+  }
+}
+
+TEST_F(StreamingCancellationTest, CloseMidEdgeStreamRacesProducers) {
+  // The same race on the edge stream: all ten edge tables fan out.
+  for (int iter = 0; iter < 50; ++iter) {
+    gremlin::LookupSpec spec;
+    Result<std::unique_ptr<gremlin::EdgeStream>> stream =
+        graph_->provider()->EdgesStreaming(spec);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    std::vector<gremlin::EdgePtr> block;
     for (int pulls = 0; pulls < iter % 4; ++pulls) {
       if (!(*stream)->Next(&block, 8)) break;
       EXPECT_TRUE((*stream)->status().ok());

@@ -223,6 +223,29 @@ TEST(SysmonConcurrencyTest, QueryLogIdsIncreaseUnderConcurrentRecording) {
   }
 }
 
+// A streamed SELECT files its one entry when it closes, reporting the rows
+// the caller pulled rather than what a full drain would have produced.
+TEST_F(SysmonTest, StreamedSelectFilesOneEntryWithRowsPulled) {
+  QueryLog::Global().Clear();
+  Result<std::unique_ptr<RowStream>> stream =
+      db_.ExecuteStreaming("SELECT id FROM items");
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  RowBlock block;
+  block.capacity = 2;  // half of the table
+  ASSERT_TRUE((*stream)->Next(&block));
+  ASSERT_EQ(block.rows.size(), 2u);
+  EXPECT_TRUE(QueryLog::Global().Entries().empty());  // filed on close
+  (*stream)->Close();
+  stream->reset();
+
+  std::vector<QueryLog::Entry> entries = QueryLog::Global().Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].layer, "sql");
+  EXPECT_EQ(entries[0].script, "SELECT FROM items");
+  EXPECT_EQ(entries[0].rows_emitted, 2u);
+  EXPECT_FALSE(entries[0].error);
+}
+
 TEST_F(SysmonTest, QueryLogDisableRemovesRecording) {
   QueryLog::Global().SetEnabled(false);
   Run("SELECT * FROM items");
@@ -365,6 +388,59 @@ TEST_F(SysmonTest, GremlinExecutionsAndPlanCacheAreQueryable) {
   graph->reset();
   ResultSet gone = Run("SELECT * FROM sysmon.plan_cache");
   EXPECT_TRUE(gone.rows.empty());
+}
+
+// Provider SQL files one layer=sql entry per per-table statement, whether
+// the provider drains the statement (point and adjacency lookups) or
+// streams it (a vertex scan).
+TEST(SysmonProviderTest, ProviderStatementsFileOneEntryEach) {
+  Database db;
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE person (id BIGINT PRIMARY KEY, name VARCHAR(20));
+    CREATE TABLE city (id BIGINT PRIMARY KEY, name VARCHAR(20));
+    CREATE TABLE lives (src BIGINT, dst BIGINT);
+    INSERT INTO person VALUES (1, 'ann'), (2, 'bob');
+    INSERT INTO city VALUES (10, 'oslo'), (11, 'rome');
+    INSERT INTO lives VALUES (1, 10), (2, 11);
+  )sql")
+                  .ok());
+  constexpr char kTwoTables[] = R"json({
+    "v_tables": [
+      {"table_name": "person", "id": "id", "fix_label": true,
+       "label": "'person'", "properties": ["name"]},
+      {"table_name": "city", "id": "id", "fix_label": true,
+       "label": "'city'", "properties": ["name"]}
+    ],
+    "e_tables": [
+      {"table_name": "lives", "src_v_table": "person", "src_v": "src",
+       "dst_v_table": "city", "dst_v": "dst", "implicit_edge_id": true,
+       "fix_label": true, "label": "'livesIn'"}
+    ]
+  })json";
+  QueryLog::Global().SetEnabled(true);
+  auto sql_entries = [&](const std::string& q) -> size_t {
+    // A fresh graph per query: no vertex-cache hit answers without SQL.
+    Result<std::unique_ptr<core::Db2Graph>> graph =
+        core::Db2Graph::Open(&db, kTwoTables);
+    EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+    if (!graph.ok()) return 0;
+    QueryLog::Global().Clear();
+    Result<std::vector<gremlin::Traverser>> out = (*graph)->Execute(q);
+    EXPECT_TRUE(out.ok()) << q << ": " << out.status().ToString();
+    size_t n = 0;
+    for (const QueryLog::Entry& e : QueryLog::Global().Entries()) {
+      if (e.layer == "sql") ++n;
+    }
+    return n;
+  };
+  // Point lookup: one statement per vertex table the plain id can be in.
+  EXPECT_EQ(sql_entries("g.V(1)"), 2u);
+  // Adjacency: the edge table; out() adds the pinned endpoint table.
+  EXPECT_EQ(sql_entries("g.V(1).outE('livesIn')"), 1u);
+  EXPECT_EQ(sql_entries("g.V(1).out('livesIn')"), 2u);
+  // A scan streams each vertex table.
+  EXPECT_EQ(sql_entries("g.V()"), 2u);
+  QueryLog::Global().Clear();
 }
 
 TEST_F(SysmonTest, QueryLogShowsEachCallersTextForASharedShapePlan) {
