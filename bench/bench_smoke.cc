@@ -64,7 +64,11 @@
 //     join must be at least as fast. The collapsed graph is additionally
 //     required to have actually chosen and executed collapsed plans with
 //     zero runtime fallbacks, so the comparison can never silently
-//     degenerate into measuring the same path twice. Results land in
+//     degenerate into measuring the same path twice. A work gate the host
+//     cannot move: the join's last vertex stage is counted from posting
+//     runs, so the counted mix must scan at least one row per walk fewer
+//     than the same chains returning their final vertices (rows from the
+//     database's ExecStats, walks from the summed counts). Results land in
 //     BENCH_multihop.json.
 //
 // All comparisons interleave their modes across rounds and take each
@@ -1107,6 +1111,52 @@ int main() {
              static_cast<unsigned long long>(stepwise_counters.attempted));
   }
 
+  // Work gate: the counted last stage visits no rows. Without it every
+  // walk visits its final vertex row, exactly as the chain does when it
+  // returns those vertices (count() stripped), so counting must save at
+  // least one scanned row per walk counted.
+  uint64_t counted_rows = 0;
+  uint64_t returned_rows = 0;
+  uint64_t walks = 0;
+  for (int k = 0; k < 10; ++k) {
+    const std::string counted_query = HopMixQuery(k);
+    const std::string returned_query =
+        counted_query.substr(0, counted_query.rfind(".count()"));
+    uint64_t before = hop_db.stats().Snapshot().rows_scanned;
+    Result<std::vector<Traverser>> counted =
+        collapsed->get()->Execute(counted_query);
+    counted_rows += hop_db.stats().Snapshot().rows_scanned - before;
+    before = hop_db.stats().Snapshot().rows_scanned;
+    Result<std::vector<Traverser>> returned =
+        collapsed->get()->Execute(returned_query);
+    returned_rows += hop_db.stats().Snapshot().rows_scanned - before;
+    if (!counted.ok() || !returned.ok() || counted->size() != 1) {
+      std::fprintf(stderr, "multihop work-gate query failed\n");
+      return 2;
+    }
+    const uint64_t count = static_cast<uint64_t>((*counted)[0].value.as_int());
+    if (count != returned->size()) {
+      FailGate("counted walks %llu differ from the %zu vertices returned "
+               "for %s\n",
+               static_cast<unsigned long long>(count), returned->size(),
+               counted_query.c_str());
+    }
+    walks += count;
+  }
+  std::printf("bench_multihop: walks=%llu rows_scanned counted=%llu "
+              "returned=%llu\n",
+              static_cast<unsigned long long>(walks),
+              static_cast<unsigned long long>(counted_rows),
+              static_cast<unsigned long long>(returned_rows));
+  if (walks == 0 || counted_rows + walks > returned_rows) {
+    FailGate("counted multi-hop mix scanned %llu rows for %llu walks; the "
+             "same chains returning their vertices scanned %llu (counting "
+             "must save a row per walk)\n",
+             static_cast<unsigned long long>(counted_rows),
+             static_cast<unsigned long long>(walks),
+             static_cast<unsigned long long>(returned_rows));
+  }
+
   double collapsed_best = 0;
   double stepwise_best = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -1149,7 +1199,10 @@ int main() {
          << "  \"collapse_chosen\": " << collapse_counters.chosen << ",\n"
          << "  \"collapse_executions\": " << collapse_counters.executions
          << ",\n"
-         << "  \"collapse_fallbacks\": " << collapse_counters.fallbacks << "\n"
+         << "  \"collapse_fallbacks\": " << collapse_counters.fallbacks << ",\n"
+         << "  \"work_gate_walks\": " << walks << ",\n"
+         << "  \"work_gate_rows_scanned_counted\": " << counted_rows << ",\n"
+         << "  \"work_gate_rows_scanned_returned\": " << returned_rows << "\n"
          << "}\n";
   }
 

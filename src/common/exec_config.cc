@@ -2,6 +2,7 @@
 
 #include "common/exec_config.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
@@ -16,6 +17,7 @@ namespace {
 // block), and written only by configuration calls.
 std::mutex g_default_mutex;
 ExecConfig* g_process_default = nullptr;
+std::atomic<uint64_t> g_generation{0};
 
 ExecConfig SeedFromEnvironment() {
   ExecConfig config;
@@ -87,8 +89,21 @@ ExecConfig ExecConfig::ProcessDefault() {
 }
 
 void ExecConfig::SetProcessDefault(const ExecConfig& config) {
-  std::lock_guard<std::mutex> lock(g_default_mutex);
-  ProcessDefaultLocked() = config;
+  {
+    std::lock_guard<std::mutex> lock(g_default_mutex);
+    ProcessDefaultLocked() = config;
+  }
+  BumpGeneration();
+}
+
+// The bump follows the write it announces: a reader that loads the new
+// generation then takes the writer's lock and sees the write.
+uint64_t ExecConfig::Generation() {
+  return g_generation.load(std::memory_order_acquire);
+}
+
+void ExecConfig::BumpGeneration() {
+  g_generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
 ExecConfig ExecConfig::Current() {

@@ -137,6 +137,13 @@ class ExecConfig {
   static ExecConfig ProcessDefault();
   static void SetProcessDefault(const ExecConfig& config);
 
+  /// Process-wide count of configuration writes: SetProcessDefault, a
+  /// database's SetExecConfig, and constructing a database (so a new one
+  /// at a freed one's address is never taken for it). A resolution
+  /// computed at one generation is exact until the generation moves.
+  static uint64_t Generation();
+  static void BumpGeneration();
+
   /// The per-query config installed on this thread (fully resolved by the
   /// installer); defaults-everything when no scope is active.
   static ExecConfig Current();

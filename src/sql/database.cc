@@ -88,7 +88,10 @@ std::string DescribeStatement(const Statement& stmt) {
 
 }  // namespace
 
-Database::Database() { RegisterSysmonTables(this); }
+Database::Database() {
+  ExecConfig::BumpGeneration();
+  RegisterSysmonTables(this);
+}
 Database::~Database() = default;
 
 // ---------------------------------------------------------------------
@@ -328,8 +331,11 @@ bool Database::ReadLockHeldByThisThread() const {
 }
 
 void Database::SetExecConfig(const ExecConfig& config) {
-  std::lock_guard<std::mutex> lock(exec_config_mutex_);
-  session_exec_config_ = config;
+  {
+    std::lock_guard<std::mutex> lock(exec_config_mutex_);
+    session_exec_config_ = config;
+  }
+  ExecConfig::BumpGeneration();
 }
 
 ExecConfig Database::exec_config() const {
@@ -338,9 +344,24 @@ ExecConfig Database::exec_config() const {
 }
 
 ExecConfig Database::ResolveExecConfig() const {
-  return ExecConfig::ProcessDefault()
-      .OverlaidBy(exec_config())
-      .OverlaidBy(ExecConfig::Current());
+  // The process and session layers change only through calls that move
+  // ExecConfig::Generation(), so each thread keeps them resolved and
+  // re-reads them under their locks only when the generation moved or it
+  // last resolved for another database. The generation is read before
+  // the layers, so a write racing the re-read is caught by the next call.
+  struct Resolved {
+    const Database* db = nullptr;
+    uint64_t generation = 0;
+    ExecConfig layers;
+  };
+  thread_local Resolved resolved;
+  const uint64_t generation = ExecConfig::Generation();
+  if (resolved.db != this || resolved.generation != generation) {
+    resolved.layers = ExecConfig::ProcessDefault().OverlaidBy(exec_config());
+    resolved.db = this;
+    resolved.generation = generation;
+  }
+  return resolved.layers.OverlaidBy(ExecConfig::Current());
 }
 
 void Database::SetCurrentUser(std::string user) {

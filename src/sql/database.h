@@ -227,7 +227,9 @@ class Database {
   void SetExecConfig(const ExecConfig& config);
   ExecConfig exec_config() const;
   /// The effective config for a statement starting now on this thread:
-  /// process defaults <- session config <- ExecConfig::Current().
+  /// process defaults <- session config <- ExecConfig::Current(). Takes no
+  /// lock unless a configuration write moved ExecConfig::Generation()
+  /// since this thread's last resolution for this database.
   ExecConfig ResolveExecConfig() const;
 
   /// True while a BEGIN..COMMIT/ROLLBACK transaction is open.

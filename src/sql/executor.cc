@@ -48,56 +48,27 @@ bool BindsIn(const Expr& expr, const Scope& scope) {
   return true;
 }
 
-// Marks in `read` the flat offsets `expr` reads. Column references
-// resolve through the scope by name, as binding does; a select-alias
-// reference (ORDER BY) reads what its item reads, and anything else
-// unresolvable marks every column. A '*' inside an expression (COUNT(*))
-// evaluates to NULL and reads nothing.
-void MarkReads(const Expr& expr, const Scope& scope, const SelectStmt& stmt,
-               std::vector<bool>* read) {
-  if (expr.kind == ExprKind::kColumnRef) {
-    Result<size_t> offset = scope.Resolve(expr.table_alias, expr.column);
-    if (offset.ok()) {
-      (*read)[*offset] = true;
-      return;
-    }
-    if (expr.table_alias.empty()) {
-      for (const SelectItem& item : stmt.items) {
-        if (EqualsIgnoreCase(item.alias, expr.column)) return;
-      }
-    }
-    read->assign(read->size(), true);
-    return;
+// Marks in `read` the flat offsets a bound expression reads.
+void MarkBoundReads(const Expr& expr, std::vector<bool>* read) {
+  if (expr.kind == ExprKind::kColumnRef && expr.bound_index >= 0) {
+    (*read)[static_cast<size_t>(expr.bound_index)] = true;
   }
-  for (const auto& child : expr.children) {
-    MarkReads(*child, scope, stmt, read);
-  }
+  for (const auto& child : expr.children) MarkBoundReads(*child, read);
 }
 
-// Which columns of the statement's flat FROM-clause row any part of it
-// reads: the select list (with '*' / 'alias.*' expansions), WHERE, the
-// join ON conditions, GROUP BY, HAVING and ORDER BY.
-std::vector<bool> ReadColumns(const SelectStmt& stmt, const Scope& scope) {
-  std::vector<bool> read(scope.width(), false);
-  auto mark = [&](const std::unique_ptr<Expr>& expr) {
-    if (expr != nullptr) MarkReads(*expr, scope, stmt, &read);
-  };
-  for (const SelectItem& item : stmt.items) {
-    if (item.expr->kind == ExprKind::kStar) {
-      for (size_t offset : scope.StarOffsets(item.expr->table_alias)) {
-        read[offset] = true;
-      }
-    } else {
-      mark(item.expr);
-    }
+// Reads one row of a table in place: a flat offset is a column index.
+class TableRowReader final : public ColumnReader {
+ public:
+  explicit TableRowReader(const Table& table) : table_(table) {}
+  void Bind(RowId rid) { rid_ = rid; }
+  Value Read(size_t offset) const override {
+    return table_.ValueAt(rid_, offset);
   }
-  mark(stmt.where);
-  for (const JoinClause& join : stmt.joins) mark(join.on);
-  for (const auto& g : stmt.group_by) mark(g);
-  mark(stmt.having);
-  for (const OrderItem& item : stmt.order_by) mark(item.expr);
-  return read;
-}
+
+ private:
+  const Table& table_;
+  RowId rid_ = 0;
+};
 
 }  // namespace
 
@@ -145,7 +116,8 @@ IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
     }
     if (column_side != nullptr) {
       candidates.push_back(
-          {*schema.ColumnIndex(column_side->column), std::move(values)});
+          {*schema.ColumnIndex(column_side->column), std::move(values),
+           conjunct});
     }
   }
   // Index preference (multi-column exact cover, then first single-column
@@ -165,25 +137,31 @@ IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
   return probe;
 }
 
-std::vector<Row> ProbeKeys(const IndexProbe& probe, const Row& outer,
-                           const std::vector<Value>* params) {
-  std::vector<Row> keys;
-  keys.emplace_back();
-  for (const ProbeTerm& term : probe.terms) {
-    std::vector<Row> expanded;
-    expanded.reserve(keys.size() * term.values.size());
-    for (const Row& partial : keys) {
-      for (const Expr* value_expr : term.values) {
-        Row key = partial;
-        key.push_back(EvalExpr(*value_expr, outer, params));
-        expanded.push_back(std::move(key));
+size_t ProbeKeys(const IndexProbe& probe, const ColumnReader& outer,
+                 const std::vector<Value>* params, std::vector<Value>* keys) {
+  keys->clear();
+  // ChooseProbeIndex covers a multi-column index with single-value terms
+  // only: a probe is one key of one value per term, or one IN term.
+  if (probe.terms.size() > 1 || probe.terms[0].values.size() == 1) {
+    for (const ProbeTerm& term : probe.terms) {
+      keys->push_back(EvalExpr(*term.values[0], outer, params));
+      if (keys->back().is_null()) {
+        keys->clear();
+        break;
       }
     }
-    keys = std::move(expanded);
+    return 1;
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+  for (const Expr* value : probe.terms[0].values) {
+    keys->push_back(EvalExpr(*value, outer, params));
+  }
+  std::sort(keys->begin(), keys->end());
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+  const size_t distinct = keys->size();
+  if (!keys->empty() && keys->front().is_null()) {
+    keys->erase(keys->begin());  // NULL sorts first
+  }
+  return distinct;
 }
 
 std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
@@ -191,11 +169,11 @@ std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
                                   const std::vector<Value>* params,
                                   ExecInfo* exec) {
   std::vector<RowId> targets;
-  Row row;
+  TableRowReader row(table);
   auto consider = [&](RowId rid) {
     exec->rows_scanned += 1;
     if (where != nullptr) {
-      table.MaterializeRow(rid, &row);
+      row.Bind(rid);
       Value v = EvalExpr(*where, row, params);
       if (v.is_null() || !v.Truthy()) return;
     }
@@ -211,10 +189,15 @@ std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,
     }
     return targets;
   }
-  std::vector<Row> keys = ProbeKeys(probe, Row(), params);
+  // The probe values bind in the empty scope: they read no column.
+  std::vector<Value> keys;
+  exec->index_probes += ProbeKeys(probe, row, params, &keys);
+  const size_t width = probe.terms.size();
   std::vector<RowId> candidates;
-  for (const Row& key : keys) probe.index->Lookup(key, &candidates);
-  exec->index_probes += keys.size();
+  for (size_t k = 0; k < keys.size(); k += width) {
+    Index::Run run = probe.index->Find(keys.data() + k, width);
+    candidates.insert(candidates.end(), run.data, run.data + run.size);
+  }
   // Distinct keys of one index never share a row, so sorting alone puts
   // the candidates in the slot order a scan would visit them.
   std::sort(candidates.begin(), candidates.end());
@@ -307,7 +290,8 @@ struct AggState {
 
 // Evaluates an expression in which aggregate nodes have precomputed values.
 Value EvalWithAggregates(
-    const Expr& expr, const Row& row, const std::vector<Value>* params,
+    const Expr& expr, const ColumnReader& row,
+    const std::vector<Value>* params,
     const std::unordered_map<const Expr*, Value>& agg_values) {
   auto it = agg_values.find(&expr);
   if (it != agg_values.end()) return it->second;
@@ -339,20 +323,60 @@ std::string OutputName(const SelectItem& item) {
 // Operator tree
 // ---------------------------------------------------------------------
 //
-// Compile() turns a SELECT into a chain of pull operators:
+// A SELECT runs as a chain of pull operators:
 //
 //   Seed -> JoinStage* -> Filter? -> (Aggregate | SortProject | Project)
 //        -> Distinct? -> Limit?
 //
-// Every operator obeys the RowSource block contract. JoinStage covers both
-// the scan of the first FROM relation (its upstream is the one-empty-row
-// Seed) and each subsequent join, with the same access-path selection as
-// the materialized executor had: index probe, then (for materialized or
-// unindexed relations with >1 outer row) a transient hash join, then an
-// ordered-index range scan, then a full scan. Counters are incremented per
-// row actually visited, so early termination is visible in ExecInfo.
+// Below the top operator the chain passes tuples of slot ids, not rows:
+// a tuple holds one RowId per stage so far (a table slot, or a row index
+// of a materialized relation). Join stages read probe keys, hash keys and
+// predicates in place through a TupleReader, and the top operator is the
+// single point where values are materialized: each output row (or group
+// key, or sort key) reads just the columns its expressions name. Slot ids
+// stay valid because every execution holds the database read lock for
+// its whole life.
+//
+// JoinStage covers both the scan of the first FROM relation (its upstream
+// is the Seed's one empty tuple) and each subsequent join: index probe,
+// then (for materialized or unindexed relations with >1 outer tuple) a
+// transient hash join, then an ordered-index range scan, then a full
+// scan. A counted stage visits no rows at all: under an aggregate that
+// only counts, it multiplies each tuple by the length of its posting
+// runs. Counters are incremented per row actually visited, so early
+// termination is visible in ExecInfo.
 
 namespace exec_ops {
+
+/// Slot of a stage whose row is absent: a LEFT JOIN's null extension, or
+/// a counted stage, which stands for its rows without naming one. Reads
+/// as NULL.
+constexpr RowId kNullSlot = ~RowId{0};
+
+// How a stage's relation is obtained. Base tables are resolved once, at
+// build; everything else is materialized per execution.
+struct RelationSource {
+  enum class Kind { kBaseTable, kVirtualTable, kView, kSubquery, kFunction };
+  Kind kind = Kind::kBaseTable;
+  const TableRef* ref = nullptr;  // names, function args, declared columns
+  bool check_access = false;      // kTable refs outside a view body
+  const Table* table = nullptr;   // kBaseTable
+  std::shared_ptr<const SelectSection> body;  // kView / kSubquery
+};
+
+// One execution's data for a join stage: a table (base or virtual
+// snapshot) or materialized rows.
+struct PlanRelation {
+  const Table* table = nullptr;
+  std::vector<Row> rows;
+  bool materialized() const { return table == nullptr; }
+};
+
+// Where a flat scope offset lives: a stage, and a column of its relation.
+struct StageCell {
+  uint32_t stage = 0;
+  uint32_t column = 0;
+};
 
 struct PlanContext {
   Database* db = nullptr;
@@ -362,6 +386,10 @@ struct PlanContext {
   /// operators (parallel scan/aggregate, sharded hash-join build,
   /// parallel sort) dispatch morsels to the shared pool.
   int dop = 1;
+  /// This execution's stage relations, in stage order, and the section's
+  /// map from flat offsets to their cells: what tuple readers read.
+  std::vector<PlanRelation> relations;
+  const std::vector<StageCell>* cells = nullptr;
   ExecInfo exec;
   Status error = Status::OK();
   /// EXPLAIN [ANALYZE] / ExecConfig::profile: each operator gets a
@@ -388,8 +416,60 @@ bool GovernorOk(PlanContext* ctx) {
   return true;
 }
 
+// A block of slot tuples: tuple i is slots[i * width, (i + 1) * width),
+// one RowId per stage. `mult` is empty unless a counted stage produced
+// the block; then tuple i stands for mult[i] joined rows.
+struct TupleBlock {
+  size_t width = 0;
+  size_t count = 0;
+  size_t capacity = kDefaultBlockRows;
+  std::vector<RowId> slots;
+  std::vector<uint64_t> mult;
+
+  void Reset(size_t w) {
+    width = w;
+    count = 0;
+    slots.clear();
+    mult.clear();
+  }
+  const RowId* tuple(size_t i) const { return slots.data() + i * width; }
+  uint64_t multiplicity(size_t i) const { return mult.empty() ? 1 : mult[i]; }
+  void Append(const TupleBlock& from, size_t i) {
+    const RowId* t = from.tuple(i);
+    slots.insert(slots.end(), t, t + width);
+    if (!from.mult.empty()) mult.push_back(from.mult[i]);
+    ++count;
+  }
+};
+
+// Reads the cells of one slot tuple in place: a bound column's flat
+// offset names a stage and a column, and the tuple's slot for that stage
+// names the row. kNullSlot reads as NULL.
+class TupleReader final : public ColumnReader {
+ public:
+  explicit TupleReader(const PlanContext* ctx)
+      : relations_(ctx->relations), cells_(*ctx->cells) {}
+  void Bind(const RowId* tuple) { tuple_ = tuple; }
+  Value Read(size_t offset) const override {
+    const StageCell cell = cells_[offset];
+    const RowId slot = tuple_[cell.stage];
+    if (slot == kNullSlot) return Value::Null();
+    const PlanRelation& rel = relations_[cell.stage];
+    if (rel.table != nullptr) return rel.table->ValueAt(slot, cell.column);
+    return rel.rows[slot][cell.column];
+  }
+
+ private:
+  const std::vector<PlanRelation>& relations_;
+  const std::vector<StageCell>& cells_;
+  const RowId* tuple_ = nullptr;
+};
+
+// Operators that emit output rows.
 class Op {
  public:
+  using Interface = Op;
+  using Block = RowBlock;
   explicit Op(PlanContext* ctx) : ctx_(ctx) {}
   virtual ~Op() = default;
   virtual bool Next(RowBlock* out) = 0;
@@ -399,15 +479,29 @@ class Op {
   PlanContext* ctx_;
 };
 
-// Emits a single empty row: the seed the first join stage crosses with.
-class SeedOp : public Op {
+// Operators below the top of the chain: they emit slot tuples.
+class TupleOp {
  public:
-  using Op::Op;
-  bool Next(RowBlock* out) override {
-    out->Clear();
+  using Interface = TupleOp;
+  using Block = TupleBlock;
+  explicit TupleOp(PlanContext* ctx) : ctx_(ctx) {}
+  virtual ~TupleOp() = default;
+  virtual bool Next(TupleBlock* out) = 0;
+  virtual void Close() = 0;
+
+ protected:
+  PlanContext* ctx_;
+};
+
+// Emits a single empty tuple: the seed the first join stage crosses with.
+class SeedOp : public TupleOp {
+ public:
+  using TupleOp::TupleOp;
+  bool Next(TupleBlock* out) override {
+    out->Reset(0);
     if (done_) return false;
     done_ = true;
-    out->rows.emplace_back();
+    out->count = 1;
     return true;
   }
   void Close() override { done_ = true; }
@@ -416,38 +510,22 @@ class SeedOp : public Op {
   bool done_ = false;
 };
 
-// How a stage's relation is obtained. Base tables are resolved once, at
-// build; everything else is materialized per execution.
-struct RelationSource {
-  enum class Kind { kBaseTable, kVirtualTable, kView, kSubquery, kFunction };
-  Kind kind = Kind::kBaseTable;
-  const TableRef* ref = nullptr;  // names, function args, declared columns
-  bool check_access = false;      // kTable refs outside a view body
-  const Table* table = nullptr;   // kBaseTable
-  std::shared_ptr<const SelectSection> body;  // kView / kSubquery
-};
-
-// One execution's data for a join stage: a table (base or virtual
-// snapshot) or materialized rows.
-struct PlanRelation {
-  const Table* table = nullptr;
-  std::vector<Row> rows;
-  bool materialized() const { return table == nullptr; }
-};
-
 // A join stage's compiled access path: part of the immutable section.
 struct StageConfig {
   std::string alias;
   std::vector<std::string> columns;
   RelationSource source;
   std::vector<const Expr*> preds;  // ON + eligible WHERE conjuncts
+  /// The conjuncts of `preds` each candidate row must still pass: all of
+  /// them but the ones the index probe answers exactly.
+  std::vector<const Expr*> residual;
   bool left = false;
-  /// Per relation column: read by some expression of the statement.
-  /// Unread columns are appended as NULL (offsets stay unchanged).
-  std::vector<bool> read;
 
   // Index-probe access path.
   IndexProbe probe;
+  /// Counted: the rows are never visited; each outer tuple is multiplied
+  /// by the length of its posting runs (see SelectSection::Build).
+  bool counted = false;
 
   // Hash-join candidate (used when no index and >1 outer row).
   bool has_hash = false;
@@ -470,43 +548,52 @@ struct StageConfig {
   }
 };
 
-class JoinStageOp : public Op {
+class JoinStageOp : public TupleOp {
  public:
-  JoinStageOp(PlanContext* ctx, std::unique_ptr<Op> child,
-              const StageConfig& cfg, PlanRelation rel)
-      : Op(ctx), child_(std::move(child)), cfg_(cfg), rel_(std::move(rel)) {
+  JoinStageOp(PlanContext* ctx, std::unique_ptr<TupleOp> child,
+              const StageConfig& cfg, size_t stage)
+      : TupleOp(ctx),
+        child_(std::move(child)),
+        cfg_(cfg),
+        stage_(stage),
+        rel_(ctx->relations[stage]),
+        reader_(ctx) {
     ctx_->exec.scalar_ops += 1;
   }
 
-  bool Next(RowBlock* out) override {
-    out->Clear();
+  bool Next(TupleBlock* out) override {
+    out->Reset(stage_ + 1);
     if (closed_) return false;
     if (!GovernorOk(ctx_)) return false;
     DB2G_FAILPOINT_STATUS("sql.executor.block", ctx_->error);
     if (!ctx_->error.ok()) return false;
     pull_cap_ = std::min(ctx_->block_rows, std::max<size_t>(out->capacity, 1));
     EnsureDecided();
-    while (out->rows.size() < out->capacity) {
+    while (out->count < out->capacity) {
       if (phase_ == Phase::kNeedOuter) {
         if (!FetchNextOuter()) break;
+        if (cfg_.counted) {
+          EmitCounted(out);
+          continue;
+        }
         StartCursor();
         matched_ = false;
         phase_ = Phase::kDraining;
       } else if (phase_ == Phase::kDraining) {
-        if (!NextJoined()) {
+        RowId slot;
+        if (!NextSlot(&slot)) {
           phase_ = (!matched_ && cfg_.left) ? Phase::kPendingLeft
                                             : Phase::kNeedOuter;
           continue;
         }
-        EmitIfMatch(out);
-      } else {  // kPendingLeft: null-extend the unmatched outer row
-        Row joined = outer_;
-        joined.resize(joined.size() + cfg_.columns.size());
-        out->rows.push_back(std::move(joined));
+        ctx_->exec.rows_scanned += 1;
+        EmitIfMatch(out, slot);
+      } else {  // kPendingLeft: null-extend the unmatched outer tuple
+        Emit(out, kNullSlot);
         phase_ = Phase::kNeedOuter;
       }
     }
-    return !out->rows.empty();
+    return out->count > 0;
   }
 
   void Close() override {
@@ -515,32 +602,39 @@ class JoinStageOp : public Op {
     child_->Close();
     hash_table_.clear();
     shards_.clear();
-    outer_buffer_.clear();
+    in_.Reset(0);
     rids_.clear();
   }
 
  private:
   enum class Phase { kNeedOuter, kDraining, kPendingLeft };
-  enum class CursorKind { kRids, kHash, kScan, kRows };
+  enum class CursorKind { kRuns, kRids, kHash, kScan, kRows };
 
+  // Pulls the child's next block. Outer tuples not yet consumed stay
+  // buffered ahead of it (only the hash decision reads ahead).
   void PullChild() {
-    child_block_.capacity = pull_cap_;
-    if (child_->Next(&child_block_)) {
-      for (Row& r : child_block_.rows) outer_buffer_.push_back(std::move(r));
-    } else {
+    pulled_.capacity = pull_cap_;
+    if (!child_->Next(&pulled_)) {
       child_eof_ = true;
+      return;
     }
+    if (in_pos_ >= in_.count) {
+      std::swap(in_, pulled_);
+      in_pos_ = 0;
+      return;
+    }
+    for (size_t i = 0; i < pulled_.count; ++i) in_.Append(pulled_, i);
   }
 
   // Decides nested-loop vs hash once, mirroring the materialized rule
-  // "hash only with more than one outer row": buffer outer rows until two
-  // arrive (or upstream ends), then build the table if they did.
+  // "hash only with more than one outer row": buffer outer tuples until
+  // two arrive (or upstream ends), then build the table if they did.
   void EnsureDecided() {
     if (decided_) return;
     decided_ = true;
     if (cfg_.probe.index != nullptr || !cfg_.has_hash) return;
-    while (outer_buffer_.size() < 2 && !child_eof_) PullChild();
-    if (outer_buffer_.size() < 2) return;
+    while (in_.count - in_pos_ < 2 && !child_eof_) PullChild();
+    if (in_.count - in_pos_ < 2) return;
     hash_mode_ = true;
     const PlanRelation& rel = rel_;
     size_t build_slots =
@@ -639,27 +733,37 @@ class JoinStageOp : public Op {
   }
 
   bool FetchNextOuter() {
-    while (outer_buffer_.empty() && !child_eof_) PullChild();
-    if (outer_buffer_.empty()) return false;
-    outer_ = std::move(outer_buffer_.front());
-    outer_buffer_.pop_front();
+    while (in_pos_ >= in_.count && !child_eof_) PullChild();
+    if (in_pos_ >= in_.count) return false;
+    outer_ = in_pos_++;
+    reader_.Bind(in_.tuple(outer_));
     return true;
+  }
+
+  // The current outer tuple's probe keys, into keys_.
+  void OuterKeys() {
+    ctx_->exec.index_probes +=
+        ProbeKeys(cfg_.probe, reader_, ctx_->params, &keys_);
   }
 
   void StartCursor() {
     const PlanRelation& rel = rel_;
-    rids_.clear();
-    rid_pos_ = 0;
     if (cfg_.probe.index != nullptr) {
-      cursor_ = CursorKind::kRids;
-      std::vector<Row> keys = ProbeKeys(cfg_.probe, outer_, ctx_->params);
-      for (const Row& key : keys) cfg_.probe.index->Lookup(key, &rids_);
-      ctx_->exec.index_probes += keys.size();
+      cursor_ = CursorKind::kRuns;
+      runs_.clear();
+      run_index_ = 0;
+      run_pos_ = 0;
+      const size_t width = cfg_.probe.terms.size();
+      OuterKeys();
+      for (size_t k = 0; k < keys_.size(); k += width) {
+        Index::Run run = cfg_.probe.index->Find(keys_.data() + k, width);
+        if (run.size > 0) runs_.push_back(run);
+      }
       return;
     }
     if (hash_mode_) {
       cursor_ = CursorKind::kHash;
-      Value key = EvalExpr(*cfg_.hash_key, outer_, ctx_->params);
+      Value key = EvalExpr(*cfg_.hash_key, reader_, ctx_->params);
       const auto& table =
           sharded_ ? shards_[ValueHash{}(key) % shards_.size()] : hash_table_;
       auto range = table.equal_range(key);
@@ -670,13 +774,15 @@ class JoinStageOp : public Op {
     }
     if (cfg_.range_index != nullptr) {
       cursor_ = CursorKind::kRids;
+      rids_.clear();
+      rid_pos_ = 0;
       Value lo_value;
       Value hi_value;
       if (cfg_.range_lo != nullptr) {
-        lo_value = EvalExpr(*cfg_.range_lo, outer_, ctx_->params);
+        lo_value = EvalExpr(*cfg_.range_lo, reader_, ctx_->params);
       }
       if (cfg_.range_hi != nullptr) {
-        hi_value = EvalExpr(*cfg_.range_hi, outer_, ctx_->params);
+        hi_value = EvalExpr(*cfg_.range_hi, reader_, ctx_->params);
       }
       cfg_.range_index->RangeLookup(
           cfg_.range_lo != nullptr ? &lo_value : nullptr, cfg_.range_lo_excl,
@@ -695,72 +801,99 @@ class JoinStageOp : public Op {
     rows_pos_ = 0;
   }
 
-  // Builds the joined scratch row: a copy of the outer row, then the
-  // inner row at `slot` (a row id of the base table, or an index into the
-  // materialized rows) appended with no intermediate Row. Columns nothing
-  // reads are appended as NULL rather than copied.
-  void BuildJoined(size_t slot) {
+  // The current cursor's next slot (a row id of the base table, or an
+  // index into the materialized rows); false at cursor end.
+  bool NextSlot(RowId* slot) {
     const PlanRelation& rel = rel_;
-    const size_t width = cfg_.columns.size();
-    joined_.clear();
-    joined_.reserve(outer_.size() + width);
-    joined_.insert(joined_.end(), outer_.begin(), outer_.end());
-    for (size_t c = 0; c < width; ++c) {
-      if (!cfg_.read[c]) {
-        joined_.emplace_back();
-      } else if (rel.materialized()) {
-        joined_.push_back(rel.rows[slot][c]);
-      } else {
-        joined_.push_back(rel.table->ValueAt(slot, c));
-      }
-    }
-  }
-
-  // Builds the next joined (outer + inner) row of the current cursor into
-  // joined_; false at cursor end. Counts each visited row.
-  bool NextJoined() {
-    const PlanRelation& rel = rel_;
-    size_t slot = 0;
     switch (cursor_) {
+      case CursorKind::kRuns:
+        while (run_index_ < runs_.size()) {
+          const Index::Run& run = runs_[run_index_];
+          if (run_pos_ < run.size) {
+            *slot = run.data[run_pos_++];
+            return true;
+          }
+          ++run_index_;
+          run_pos_ = 0;
+        }
+        return false;
       case CursorKind::kRids:
         if (rid_pos_ >= rids_.size()) return false;
-        slot = rids_[rid_pos_++];
-        break;
+        *slot = rids_[rid_pos_++];
+        return true;
       case CursorKind::kHash:
         if (hash_it_ == hash_end_) return false;
-        slot = hash_it_->second;
+        *slot = hash_it_->second;
         ++hash_it_;
-        break;
+        return true;
       case CursorKind::kScan:
         while (scan_rid_ < rel.table->slot_count() &&
                !rel.table->IsLive(scan_rid_)) {
           ++scan_rid_;
         }
         if (scan_rid_ >= rel.table->slot_count()) return false;
-        slot = scan_rid_++;
-        break;
+        *slot = scan_rid_++;
+        return true;
       case CursorKind::kRows:
         if (rows_pos_ >= rel.rows.size()) return false;
-        slot = rows_pos_++;
-        break;
+        *slot = rows_pos_++;
+        return true;
     }
-    ctx_->exec.rows_scanned += 1;
-    BuildJoined(slot);
-    return true;
+    return false;
   }
 
-  void EmitIfMatch(RowBlock* out) {
-    for (const Expr* pred : cfg_.preds) {
-      Value v = EvalExpr(*pred, joined_, ctx_->params);
-      if (v.is_null() || !v.Truthy()) return;
+  // Appends the current outer tuple extended by `slot`.
+  void Emit(TupleBlock* out, RowId slot) {
+    const RowId* outer = in_.tuple(outer_);
+    out->slots.insert(out->slots.end(), outer, outer + stage_);
+    out->slots.push_back(slot);
+    if (!in_.mult.empty()) out->mult.push_back(in_.mult[outer_]);
+    ++out->count;
+  }
+
+  // Emits the outer tuple extended by `slot` if the row passes the
+  // stage's residual conjuncts, read in place from the emitted tuple.
+  void EmitIfMatch(TupleBlock* out, RowId slot) {
+    Emit(out, slot);
+    if (!cfg_.residual.empty()) {
+      // The emitted tuple extends the outer one, so the reader may move
+      // to it: the outer tuple's keys were read when its cursor started.
+      reader_.Bind(out->tuple(out->count - 1));
+      for (const Expr* pred : cfg_.residual) {
+        Value v = EvalExpr(*pred, reader_, ctx_->params);
+        if (v.is_null() || !v.Truthy()) {
+          out->slots.resize(out->slots.size() - out->width);
+          if (!in_.mult.empty()) out->mult.pop_back();
+          --out->count;
+          return;
+        }
+      }
     }
-    out->rows.push_back(std::move(joined_));
     matched_ = true;
   }
 
-  std::unique_ptr<Op> child_;
+  // A counted stage: the outer tuple, once, standing for as many joined
+  // rows as its keys' posting runs hold; nothing when they hold none.
+  void EmitCounted(TupleBlock* out) {
+    const size_t width = cfg_.probe.terms.size();
+    OuterKeys();
+    uint64_t rows = 0;
+    for (size_t k = 0; k < keys_.size(); k += width) {
+      rows += cfg_.probe.index->Find(keys_.data() + k, width).size;
+    }
+    if (rows == 0) return;
+    const RowId* outer = in_.tuple(outer_);
+    out->slots.insert(out->slots.end(), outer, outer + stage_);
+    out->slots.push_back(kNullSlot);
+    out->mult.push_back(in_.multiplicity(outer_) * rows);
+    ++out->count;
+  }
+
+  std::unique_ptr<TupleOp> child_;
   const StageConfig& cfg_;
-  PlanRelation rel_;
+  const size_t stage_;  // this stage's index == the width of its input
+  const PlanRelation& rel_;
+  TupleReader reader_;  // the current outer tuple, or one extending it
 
   // Build sides below this many slots build serially: the scatter/build
   // round-trips through the pool would dominate.
@@ -775,18 +908,22 @@ class JoinStageOp : public Op {
   std::vector<std::unordered_multimap<Value, size_t, ValueHash>> shards_;
   bool sharded_ = false;
 
-  RowBlock child_block_;
-  std::deque<Row> outer_buffer_;
+  TupleBlock in_;      // outer tuples; in_pos_ is the next unconsumed one
+  TupleBlock pulled_;  // the child's latest block
+  size_t in_pos_ = 0;
   bool child_eof_ = false;
   bool closed_ = false;
   size_t pull_cap_ = kDefaultBlockRows;
 
   Phase phase_ = Phase::kNeedOuter;
-  Row outer_;
-  Row joined_;  // scratch outer+inner row built by NextJoined()
+  size_t outer_ = 0;  // the current outer tuple, in in_
   bool matched_ = false;
 
   CursorKind cursor_ = CursorKind::kRows;
+  std::vector<Value> keys_;
+  std::vector<Index::Run> runs_;
+  size_t run_index_ = 0;
+  size_t run_pos_ = 0;
   std::vector<RowId> rids_;
   size_t rid_pos_ = 0;
   std::unordered_multimap<Value, size_t, ValueHash>::const_iterator hash_it_;
@@ -795,24 +932,27 @@ class JoinStageOp : public Op {
   size_t rows_pos_ = 0;
 };
 
-// Residual WHERE (needed with LEFT JOINs; idempotent otherwise).
-class FilterOp : public Op {
+// Residual WHERE (needed with LEFT JOINs; idempotent otherwise), read in
+// place from each tuple.
+class FilterOp : public TupleOp {
  public:
-  FilterOp(PlanContext* ctx, std::unique_ptr<Op> child, const Expr* where)
-      : Op(ctx), child_(std::move(child)), where_(where) {
+  FilterOp(PlanContext* ctx, std::unique_ptr<TupleOp> child, const Expr* where)
+      : TupleOp(ctx), child_(std::move(child)), where_(where), reader_(ctx) {
     ctx_->exec.scalar_ops += 1;
   }
 
-  bool Next(RowBlock* out) override {
-    out->Clear();
+  bool Next(TupleBlock* out) override {
+    out->Reset(out->width);
     if (closed_) return false;
     in_.capacity = std::max<size_t>(out->capacity, 1);
     while (child_->Next(&in_)) {
-      for (Row& row : in_.rows) {
-        Value v = EvalExpr(*where_, row, ctx_->params);
-        if (!v.is_null() && v.Truthy()) out->rows.push_back(std::move(row));
+      out->Reset(in_.width);
+      for (size_t i = 0; i < in_.count; ++i) {
+        reader_.Bind(in_.tuple(i));
+        Value v = EvalExpr(*where_, reader_, ctx_->params);
+        if (!v.is_null() && v.Truthy()) out->Append(in_, i);
       }
-      if (!out->rows.empty()) return true;
+      if (out->count > 0) return true;
     }
     return false;
   }
@@ -823,9 +963,10 @@ class FilterOp : public Op {
   }
 
  private:
-  std::unique_ptr<Op> child_;
+  std::unique_ptr<TupleOp> child_;
   const Expr* where_;
-  RowBlock in_;
+  TupleReader reader_;
+  TupleBlock in_;
   bool closed_ = false;
 };
 
@@ -833,13 +974,15 @@ class FilterOp : public Op {
 struct Projection {
   std::vector<const Expr*> item_exprs;
   std::vector<std::vector<size_t>> star_expansion;  // per item (kStar only)
+  size_t width = 0;  // output columns
 
-  Row Apply(const Row& row, const std::vector<Value>* params) const {
+  Row Apply(const ColumnReader& row, const std::vector<Value>* params) const {
     Row out;
+    out.reserve(width);
     for (size_t i = 0; i < item_exprs.size(); ++i) {
       if (item_exprs[i]->kind == ExprKind::kStar) {
         for (size_t offset : star_expansion[i]) {
-          out.push_back(row[offset]);
+          out.push_back(row.Read(offset));
         }
       } else {
         out.push_back(EvalExpr(*item_exprs[i], row, params));
@@ -852,9 +995,9 @@ struct Projection {
 // Streaming projection (no ORDER BY).
 class ProjectOp : public Op {
  public:
-  ProjectOp(PlanContext* ctx, std::unique_ptr<Op> child,
+  ProjectOp(PlanContext* ctx, std::unique_ptr<TupleOp> child,
             const Projection& proj)
-      : Op(ctx), child_(std::move(child)), proj_(proj) {
+      : Op(ctx), child_(std::move(child)), proj_(proj), reader_(ctx) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -863,8 +1006,10 @@ class ProjectOp : public Op {
     if (closed_) return false;
     in_.capacity = std::max<size_t>(out->capacity, 1);
     if (!child_->Next(&in_)) return false;
-    for (const Row& row : in_.rows) {
-      out->rows.push_back(proj_.Apply(row, ctx_->params));
+    out->rows.reserve(in_.count);
+    for (size_t i = 0; i < in_.count; ++i) {
+      reader_.Bind(in_.tuple(i));
+      out->rows.push_back(proj_.Apply(reader_, ctx_->params));
     }
     return true;
   }
@@ -875,9 +1020,10 @@ class ProjectOp : public Op {
   }
 
  private:
-  std::unique_ptr<Op> child_;
+  std::unique_ptr<TupleOp> child_;
   const Projection& proj_;
-  RowBlock in_;
+  TupleReader reader_;
+  TupleBlock in_;
   bool closed_ = false;
 };
 
@@ -885,7 +1031,7 @@ class ProjectOp : public Op {
 // emits blocks.
 class SortProjectOp : public Op {
  public:
-  SortProjectOp(PlanContext* ctx, std::unique_ptr<Op> child,
+  SortProjectOp(PlanContext* ctx, std::unique_ptr<TupleOp> child,
                 const Projection& proj,
                 const std::vector<const Expr*>& order_exprs,
                 const std::vector<bool>& descending)
@@ -893,7 +1039,8 @@ class SortProjectOp : public Op {
         child_(std::move(child)),
         proj_(proj),
         order_exprs_(order_exprs),
-        descending_(descending) {
+        descending_(descending),
+        reader_(ctx) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -932,7 +1079,7 @@ class SortProjectOp : public Op {
   void Drain() {
     drained_ = true;
     governor::QueryContext* qc = governor::CurrentQueryContext();
-    RowBlock block;
+    TupleBlock block;
     block.capacity = ctx_->block_rows;
     while (child_->Next(&block)) {
       if (qc != nullptr) {
@@ -940,7 +1087,7 @@ class SortProjectOp : public Op {
         // unbounded input; charge it against the query's memory budget
         // block by block so a runaway ORDER BY trips before the buffer
         // does the damage the budget exists to prevent.
-        uint64_t bytes = block.rows.size() * kApproxSortedRowBytes;
+        uint64_t bytes = block.count * kApproxSortedRowBytes;
         charged_bytes_ += bytes;
         Status st = qc->ChargeMemory(bytes);
         if (!st.ok()) {
@@ -948,11 +1095,13 @@ class SortProjectOp : public Op {
           return;
         }
       }
-      for (const Row& row : block.rows) {
+      for (size_t i = 0; i < block.count; ++i) {
+        reader_.Bind(block.tuple(i));
         Projected p;
-        p.out = proj_.Apply(row, ctx_->params);
+        p.out = proj_.Apply(reader_, ctx_->params);
+        p.sort_keys.reserve(order_exprs_.size());
         for (const Expr* expr : order_exprs_) {
-          p.sort_keys.push_back(EvalExpr(*expr, row, ctx_->params));
+          p.sort_keys.push_back(EvalExpr(*expr, reader_, ctx_->params));
         }
         sorted_.push_back(std::move(p));
       }
@@ -1002,10 +1151,11 @@ class SortProjectOp : public Op {
 
   static constexpr size_t kParallelSortMinRows = 1024;
 
-  std::unique_ptr<Op> child_;
+  std::unique_ptr<TupleOp> child_;
   const Projection& proj_;
   const std::vector<const Expr*>& order_exprs_;
   const std::vector<bool>& descending_;
+  TupleReader reader_;
   std::vector<Projected> sorted_;
   uint64_t charged_bytes_ = 0;
   bool drained_ = false;
@@ -1016,7 +1166,9 @@ class SortProjectOp : public Op {
 // Barrier: accumulates aggregate state block by block, then emits the
 // grouped (or global) output. HAVING, the SELECT-*-with-aggregation check,
 // and ORDER-BY-over-aggregates resolution run at finish time, with the
-// same data-dependent semantics the materialized executor had.
+// same data-dependent semantics the materialized executor had. A tuple's
+// multiplicity (a counted stage below) adds to COUNT(*) in one step;
+// counted stages only exist when every aggregate is COUNT(*).
 class AggregateOp : public Op {
  public:
   struct Config {
@@ -1033,9 +1185,13 @@ class AggregateOp : public Op {
     const std::vector<std::string>* columns = nullptr;  // output names
   };
 
-  AggregateOp(PlanContext* ctx, std::unique_ptr<Op> child,
+  AggregateOp(PlanContext* ctx, std::unique_ptr<TupleOp> child,
               const Projection& proj, const Config& cfg)
-      : Op(ctx), child_(std::move(child)), proj_(proj), cfg_(cfg) {
+      : Op(ctx),
+        child_(std::move(child)),
+        proj_(proj),
+        cfg_(cfg),
+        reader_(ctx) {
     ctx_->exec.scalar_ops += 1;
   }
 
@@ -1066,23 +1222,25 @@ class AggregateOp : public Op {
 
  private:
   struct Group {
-    Row sample;
+    std::vector<RowId> sample;  // the group's first tuple
     std::vector<AggState> states;
   };
 
   Status DrainAndFinish() {
     finished_ = true;
-    RowBlock block;
+    TupleBlock block;
     block.capacity = ctx_->block_rows;
     if (cfg_.simple) {
       std::vector<AggState> states(cfg_.args.size());
       while (child_->Next(&block)) {
-        for (const Row& row : block.rows) {
+        for (size_t t = 0; t < block.count; ++t) {
+          reader_.Bind(block.tuple(t));
           for (size_t i = 0; i < states.size(); ++i) {
             if (cfg_.args[i] == nullptr) {
-              ++states[i].count;
+              states[i].count += static_cast<int64_t>(block.multiplicity(t));
             } else {
-              states[i].Accumulate(EvalExpr(*cfg_.args[i], row, ctx_->params));
+              states[i].Accumulate(
+                  EvalExpr(*cfg_.args[i], reader_, ctx_->params));
             }
           }
         }
@@ -1096,43 +1254,51 @@ class AggregateOp : public Op {
       return Status::OK();
     }
 
+    Row key;
     while (child_->Next(&block)) {
-      for (const Row& row : block.rows) {
-        Row key;
-        key.reserve(cfg_.group_exprs.size());
+      for (size_t t = 0; t < block.count; ++t) {
+        const RowId* tuple = block.tuple(t);
+        reader_.Bind(tuple);
+        key.clear();
         for (const Expr* g : cfg_.group_exprs) {
-          key.push_back(EvalExpr(*g, row, ctx_->params));
+          key.push_back(EvalExpr(*g, reader_, ctx_->params));
         }
-        Group& group = groups_[key];
-        if (group.states.empty()) {
-          group.states.resize(cfg_.agg_specs.size());
-          group.sample = row;
+        auto it = groups_.find(key);
+        if (it == groups_.end()) {
+          it = groups_.emplace(key, Group()).first;
+          it->second.states.resize(cfg_.agg_specs.size());
+          it->second.sample.assign(tuple, tuple + block.width);
         }
+        Group& group = it->second;
         for (size_t a = 0; a < cfg_.agg_specs.size(); ++a) {
           if (cfg_.agg_specs[a].arg == nullptr) {
-            ++group.states[a].count;  // COUNT(*)
+            group.states[a].count +=
+                static_cast<int64_t>(block.multiplicity(t));  // COUNT(*)
           } else {
             group.states[a].Accumulate(
-                EvalExpr(*cfg_.agg_specs[a].arg, row, ctx_->params));
+                EvalExpr(*cfg_.agg_specs[a].arg, reader_, ctx_->params));
           }
         }
       }
     }
-    // A global aggregate over zero rows still yields one output row.
+    // A global aggregate over zero rows still yields one output row; its
+    // columns read as NULL.
     if (groups_.empty() && !cfg_.has_group_by) {
       Group& group = groups_[Row()];
       group.states.resize(cfg_.agg_specs.size());
+      group.sample.assign(ctx_->relations.size(), kNullSlot);
     }
-    for (auto& [key, group] : groups_) {
-      (void)key;
+    for (auto& [group_key, group] : groups_) {
+      (void)group_key;
       std::unordered_map<const Expr*, Value> agg_values;
       for (size_t a = 0; a < cfg_.agg_specs.size(); ++a) {
         agg_values[cfg_.agg_specs[a].node] =
             group.states[a].Finish(cfg_.agg_specs[a].op);
       }
+      reader_.Bind(group.sample.data());
       if (cfg_.having != nullptr) {
-        Value keep = EvalWithAggregates(*cfg_.having, group.sample,
-                                        ctx_->params, agg_values);
+        Value keep = EvalWithAggregates(*cfg_.having, reader_, ctx_->params,
+                                        agg_values);
         if (keep.is_null() || !keep.Truthy()) continue;
       }
       Row out;
@@ -1140,8 +1306,8 @@ class AggregateOp : public Op {
         if (expr->kind == ExprKind::kStar) {
           return Status::Unsupported("SELECT * with aggregation");
         }
-        out.push_back(EvalWithAggregates(*expr, group.sample, ctx_->params,
-                                         agg_values));
+        out.push_back(
+            EvalWithAggregates(*expr, reader_, ctx_->params, agg_values));
       }
       output_.push_back(std::move(out));
     }
@@ -1183,9 +1349,10 @@ class AggregateOp : public Op {
     return -1;
   }
 
-  std::unique_ptr<Op> child_;
+  std::unique_ptr<TupleOp> child_;
   const Projection& proj_;
   const Config& cfg_;
+  TupleReader reader_;
   std::map<Row, Group> groups_;  // ordered for deterministic output
   std::vector<Row> output_;
   bool finished_ = false;
@@ -1276,7 +1443,7 @@ class LimitOp : public Op {
 // These run below the row tree for single-table full scans when the
 // resolved ExecConfig is vectorized:
 //
-//   ColumnScan -> (ColumnProject | ColumnToRow -> <row operators>)
+//   ColumnScan -> (ColumnProject | ColumnToTuple -> <row operators>)
 //   ColumnAggregate
 //
 // Both leaves scan and filter in one operator, morsel by morsel, at the
@@ -1291,6 +1458,8 @@ class LimitOp : public Op {
 // Pull interface for the column section (ColumnBlock analogue of Op).
 class ColOp {
  public:
+  using Interface = ColOp;
+  using Block = ColumnBlock;
   explicit ColOp(PlanContext* ctx) : ctx_(ctx) {}
   virtual ~ColOp() = default;
   virtual bool Next(ColumnBlock* out) = 0;
@@ -1772,26 +1941,24 @@ class ColumnProjectOp : public Op {
   bool closed_ = false;
 };
 
-// Row-materialization adapter at the boundary between the column section
-// and the classic row operators: turns each selected slot into a full
-// row, so everything above (sort, distinct, scalar aggregation, the
-// RowStream API) is unchanged.
-class ColumnToRowOp : public Op {
+// Adapter at the boundary between the column section and the tuple
+// chain: each selected slot becomes a one-stage tuple, so the scalar
+// operators above (sort, distinct, scalar aggregation) read its columns
+// in place like any join's.
+class ColumnToTupleOp : public TupleOp {
  public:
-  ColumnToRowOp(PlanContext* ctx, std::unique_ptr<ColOp> child)
-      : Op(ctx), child_(std::move(child)) {
+  ColumnToTupleOp(PlanContext* ctx, std::unique_ptr<ColOp> child)
+      : TupleOp(ctx), child_(std::move(child)) {
     ctx_->exec.vectorized_ops += 1;
   }
 
-  bool Next(RowBlock* out) override {
-    out->Clear();
+  bool Next(TupleBlock* out) override {
+    out->Reset(1);
     if (closed_) return false;
     in_.capacity = std::max<size_t>(out->capacity, 1);
     if (!child_->Next(&in_)) return false;
-    out->rows.reserve(std::min(out->capacity, in_.sel.size()));
-    for (uint64_t rid : in_.sel) {
-      in_.table->AppendRow(rid, &out->rows.emplace_back());
-    }
+    out->slots.swap(in_.sel);  // buffers circulate: RowId is the slot type
+    out->count = out->slots.size();
     return true;
   }
 
@@ -1810,7 +1977,7 @@ class ColumnToRowOp : public Op {
 // AggregateOp: the "simple" global-aggregate list (SELECT AGG(col), ...),
 // accumulated with typed per-column loops, and GROUP BY over plain
 // columns with aggregate-or-group-key select items. Anything else stays
-// on the scalar AggregateOp behind the ColumnToRow adapter.
+// on the scalar AggregateOp behind the ColumnToTuple adapter.
 struct ColumnAggConfig {
   bool simple = false;
   std::vector<std::string> ops;  // per aggregate, upper-cased
@@ -2083,18 +2250,26 @@ class ColumnAggregateOp : public Op {
 // which pulls the whole subtree); rows_in is derived after execution from
 // the chain order, so the wrappers only count their own output.
 
-class ProfiledOp : public Op {
- public:
-  ProfiledOp(PlanContext* ctx, std::unique_ptr<Op> child, OpProfile* prof)
-      : Op(ctx), child_(std::move(child)), prof_(prof) {}
+inline size_t BlockRows(const RowBlock& block) { return block.rows.size(); }
+inline size_t BlockRows(const ColumnBlock& block) { return block.sel.size(); }
+inline size_t BlockRows(const TupleBlock& block) { return block.count; }
 
-  bool Next(RowBlock* out) override {
+// The wrapper around any of the three operator interfaces (Op, TupleOp,
+// ColOp).
+template <typename Base>
+class Profiled final : public Base {
+ public:
+  using Block = typename Base::Block;
+  Profiled(PlanContext* ctx, std::unique_ptr<Base> child, OpProfile* prof)
+      : Base(ctx), child_(std::move(child)), prof_(prof) {}
+
+  bool Next(Block* out) override {
     uint64_t t0 = TraceClock::Default()->NowMicros();
     bool ok = child_->Next(out);
     prof_->micros += TraceClock::Default()->NowMicros() - t0;
     if (ok) {
       prof_->blocks += 1;
-      prof_->rows_out += out->rows.size();
+      prof_->rows_out += BlockRows(*out);
     }
     return ok;
   }
@@ -2102,31 +2277,7 @@ class ProfiledOp : public Op {
   void Close() override { child_->Close(); }
 
  private:
-  std::unique_ptr<Op> child_;
-  OpProfile* prof_;
-};
-
-class ProfiledColOp : public ColOp {
- public:
-  ProfiledColOp(PlanContext* ctx, std::unique_ptr<ColOp> child,
-                OpProfile* prof)
-      : ColOp(ctx), child_(std::move(child)), prof_(prof) {}
-
-  bool Next(ColumnBlock* out) override {
-    uint64_t t0 = TraceClock::Default()->NowMicros();
-    bool ok = child_->Next(out);
-    prof_->micros += TraceClock::Default()->NowMicros() - t0;
-    if (ok) {
-      prof_->blocks += 1;
-      prof_->rows_out += out->sel.size();
-    }
-    return ok;
-  }
-
-  void Close() override { child_->Close(); }
-
- private:
-  std::unique_ptr<ColOp> child_;
+  std::unique_ptr<Base> child_;
   OpProfile* prof_;
 };
 
@@ -2345,13 +2496,14 @@ Result<ResultSet> SelectPlan::Drain() {
 //        -> Distinct? -> Limit?
 //
 // JoinStage covers both the scan of the first FROM relation (its
-// upstream is the one-empty-row Seed) and each subsequent join. Its
+// upstream is the one-empty-tuple Seed) and each subsequent join. Its
 // access path, in order of preference: index probe, then (for
-// materialized or unindexed relations with >1 outer row) a transient
-// hash join, then an ordered-index range scan, then a full scan. A
-// single-stage full scan over a table-backed relation may instead become
-// the column section (ColumnScan below ColumnProject / ColumnToRow, or a
-// fused ColumnAggregate) when the ExecConfig at Open() is vectorized.
+// materialized or unindexed relations with >1 outer tuple) a transient
+// hash join, then an ordered-index range scan, then a full scan; an
+// index-probe stage may be counted. A single-stage full scan over a
+// table-backed relation may instead become the column section
+// (ColumnScan below ColumnProject / ColumnToTuple, or a fused
+// ColumnAggregate) when the ExecConfig at Open() is vectorized.
 // Open() instantiates the operators over those configs; counters are
 // incremented per row actually visited, so early termination is visible
 // in ExecInfo.
@@ -2362,6 +2514,8 @@ struct SelectSection::Layout {
   std::vector<std::unique_ptr<Expr>> owned;  // bound expression clones
   std::vector<std::string> columns;
   std::vector<exec_ops::StageConfig> stages;
+  /// Per flat scope offset: the stage and column it reads.
+  std::vector<exec_ops::StageCell> cells;
   /// Residual WHERE, run as an operator with LEFT JOINs or without FROM.
   const Expr* residual = nullptr;
 
@@ -2489,16 +2643,19 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
 
   // 2. Bind clones of the statement's expressions against the full scope.
   // Join conditions and WHERE conjuncts bind against the FULL scope too: a
-  // prefix-stage row shares the offsets of its prefix, so evaluating a
+  // prefix-stage tuple reads the offsets of its prefix, so evaluating a
   // conjunct early is safe whenever its columns resolve in the prefix.
   Scope scope;
   bool any_left = false;
-  for (const StageConfig& stage : stages) {
+  for (size_t k = 0; k < stages.size(); ++k) {
+    const StageConfig& stage = stages[k];
     scope.AddTable(stage.alias, stage.columns);
     any_left |= stage.left;
+    for (size_t c = 0; c < stage.columns.size(); ++c) {
+      layout->cells.push_back(
+          {static_cast<uint32_t>(k), static_cast<uint32_t>(c)});
+    }
   }
-  // Columns some expression reads; join stages NULL-fill the rest.
-  const std::vector<bool> read = ReadColumns(stmt, scope);
   auto bind = [&](const Expr& source) -> Result<const Expr*> {
     std::unique_ptr<Expr> copy = source.Clone();
     DB2G_RETURN_NOT_OK(BindExpr(copy.get(), scope));
@@ -2521,9 +2678,6 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
     StageConfig& cfg = stages[k];
     Scope before = partial_scope;
     partial_scope.AddTable(cfg.alias, cfg.columns);
-    cfg.read.assign(read.begin() + static_cast<ptrdiff_t>(before.width()),
-                    read.begin() + static_cast<ptrdiff_t>(
-                                       partial_scope.width()));
 
     // Predicates applicable at this stage.
     if (stage_on_source[k] != nullptr) {
@@ -2547,6 +2701,17 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
     const Table* table = cfg.source.table;
     if (table != nullptr) {
       cfg.probe = PlanIndexProbe(*table, cfg.alias, conjuncts, before);
+    }
+    // An index probe answers its terms exactly, provided it skips keys
+    // holding NULL (ProbeKeys does): index equality is `=` on every
+    // non-NULL value, across int/double representations included. Every
+    // other conjunct is re-checked per candidate row.
+    for (const Expr* conjunct : conjuncts) {
+      bool answered = false;
+      for (const ProbeTerm& term : cfg.probe.terms) {
+        answered |= term.conjunct == conjunct;
+      }
+      if (!answered) cfg.residual.push_back(conjunct);
     }
 
     // Hash-join candidate: an equality term with no backing index
@@ -2709,6 +2874,7 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
     proj.star_expansion.emplace_back();
     proj.item_exprs.push_back(*bound);
   }
+  proj.width = layout->columns.size();
 
   if (has_aggregate) {
     exec_ops::AggregateOp::Config& agg = layout->agg;
@@ -2792,6 +2958,55 @@ Result<std::shared_ptr<const SelectSection>> SelectSection::BuildWithAccess(
   }
   layout->limit_label = std::to_string(stmt.limit);
 
+  // 6. Counted stages. Under an aggregate that only counts rows (every
+  // aggregate COUNT(*), no DISTINCT), a stage contributes nothing but how
+  // many rows match when nothing reads its columns except its own index
+  // probe, every conjunct on it is answered by that probe, and it is not
+  // LEFT: the stage then multiplies each tuple by the length of its
+  // posting runs and visits none of its rows.
+  bool counts_only = has_aggregate && !stmt.distinct;
+  if (counts_only) {
+    const exec_ops::AggregateOp::Config& agg = layout->agg;
+    for (const Expr* arg : agg.args) counts_only &= arg == nullptr;
+    for (const std::string& op : agg.ops) counts_only &= op == "COUNT";
+    for (const AggSpec& spec : agg.agg_specs) {
+      counts_only &= spec.op == "COUNT" && spec.arg == nullptr;
+    }
+  }
+  if (counts_only) {
+    std::vector<bool> read(scope.width(), false);
+    for (size_t i = 0; i < proj.item_exprs.size(); ++i) {
+      for (size_t offset : proj.star_expansion[i]) read[offset] = true;
+      MarkBoundReads(*proj.item_exprs[i], &read);
+    }
+    for (const Expr* g : layout->agg.group_exprs) MarkBoundReads(*g, &read);
+    if (layout->agg.having != nullptr) {
+      MarkBoundReads(*layout->agg.having, &read);
+    }
+    if (layout->residual != nullptr) {
+      MarkBoundReads(*layout->residual, &read);
+    }
+    for (const StageConfig& cfg : stages) {
+      for (const Expr* conjunct : cfg.residual) {
+        MarkBoundReads(*conjunct, &read);
+      }
+      for (const ProbeTerm& term : cfg.probe.terms) {
+        for (const Expr* value : term.values) MarkBoundReads(*value, &read);
+      }
+    }
+    size_t offset = 0;
+    for (StageConfig& cfg : stages) {
+      const size_t end = offset + cfg.columns.size();
+      cfg.counted = cfg.probe.index != nullptr && !cfg.left &&
+                    cfg.residual.empty() &&
+                    std::none_of(read.begin() + static_cast<ptrdiff_t>(offset),
+                                 read.begin() + static_cast<ptrdiff_t>(end),
+                                 [](bool r) { return r; });
+      if (cfg.counted) cfg.detail += ", counted";
+      offset = end;
+    }
+  }
+
   return std::shared_ptr<const SelectSection>(new SelectSection(
       db, std::move(stmt_ptr), ddl_version, std::move(layout)));
 }
@@ -2850,17 +3065,22 @@ Result<std::unique_ptr<SelectPlan>> SelectSection::OpenPlan(
     ctx.profiles.push_back(std::move(profile));
     return &ctx.profiles.back();
   };
-  auto prof = [&](std::unique_ptr<Op> op, const char* name,
-                  const std::string& detail) -> std::unique_ptr<Op> {
+  // Wraps an operator of any of the three interfaces in its profile node.
+  auto prof = [&]<typename OpT>(std::unique_ptr<OpT> op, const char* name,
+                                const std::string& detail)
+      -> std::unique_ptr<typename OpT::Interface> {
+    using Base = typename OpT::Interface;
     if (!profiled) return op;
-    return std::make_unique<exec_ops::ProfiledOp>(&ctx, std::move(op),
-                                                  node(name, detail));
+    return std::make_unique<exec_ops::Profiled<Base>>(&ctx, std::move(op),
+                                                      node(name, detail));
   };
 
   // 1. This execution's relation data, in stage order: access checks
   // (grants may change without DDL), virtual-table snapshots, and the
   // rows of views, subqueries and table functions.
-  std::vector<PlanRelation> relations(layout.stages.size());
+  std::vector<PlanRelation>& relations = ctx.relations;
+  relations.resize(layout.stages.size());
+  ctx.cells = &layout.cells;
   for (size_t k = 0; k < layout.stages.size(); ++k) {
     const StageConfig& stage = layout.stages[k];
     const RelationSource& source = stage.source;
@@ -2927,22 +3147,6 @@ Result<std::unique_ptr<SelectPlan>> SelectSection::OpenPlan(
 
   // 2. The operator tree over the section's configs.
   const bool columnar = layout.columnar && exec_cfg.vectorized();
-  std::unique_ptr<Op> source = std::make_unique<exec_ops::SeedOp>(&ctx);
-  if (!columnar) {
-    for (size_t k = 0; k < layout.stages.size(); ++k) {
-      const StageConfig& stage = layout.stages[k];
-      source = prof(std::make_unique<exec_ops::JoinStageOp>(
-                        &ctx, std::move(source), stage,
-                        std::move(relations[k])),
-                    k == 0 ? "Scan" : "Join", stage.detail);
-    }
-  }
-  if (layout.residual != nullptr) {
-    source = prof(std::make_unique<exec_ops::FilterOp>(
-                      &ctx, std::move(source), layout.residual),
-                  "Filter", layout.residual_label);
-  }
-
   // The column section's fused leaf: its profile node is registered
   // before the operator exists so it can append its morsel count.
   const Table* col_table = columnar ? relations[0].table : nullptr;
@@ -2958,16 +3162,36 @@ Result<std::unique_ptr<SelectPlan>> SelectSection::OpenPlan(
                                                  layout.kernels, dop,
                                                  scan_node);
     if (scan_node == nullptr) return op;
-    return std::make_unique<exec_ops::ProfiledColOp>(&ctx, std::move(op),
-                                                     scan_node);
+    return std::make_unique<exec_ops::Profiled<exec_ops::ColOp>>(
+        &ctx, std::move(op), scan_node);
   };
-  // Shapes without a column lowering materialize rows and keep the
-  // scalar operators above ("mixed" mode in profile()).
-  auto col_rows = [&]() {
-    return prof(std::make_unique<exec_ops::ColumnToRowOp>(&ctx, col_scan()),
-                "ColumnToRow", "");
+  // The tuple chain under the top operator: the join stages, or the
+  // column scan for shapes without a column lowering (those keep the
+  // scalar operators above: "mixed" mode in profile()).
+  auto tuples = [&]() -> std::unique_ptr<exec_ops::TupleOp> {
+    std::unique_ptr<exec_ops::TupleOp> chain;
+    if (columnar) {
+      chain = prof(std::make_unique<exec_ops::ColumnToTupleOp>(&ctx,
+                                                               col_scan()),
+                   "ColumnToTuple", "");
+    } else {
+      chain = std::make_unique<exec_ops::SeedOp>(&ctx);
+      for (size_t k = 0; k < layout.stages.size(); ++k) {
+        const StageConfig& stage = layout.stages[k];
+        chain = prof(std::make_unique<exec_ops::JoinStageOp>(
+                         &ctx, std::move(chain), stage, k),
+                     k == 0 ? "Scan" : "Join", stage.detail);
+      }
+    }
+    if (layout.residual != nullptr) {
+      chain = prof(std::make_unique<exec_ops::FilterOp>(
+                       &ctx, std::move(chain), layout.residual),
+                   "Filter", layout.residual_label);
+    }
+    return chain;
   };
 
+  std::unique_ptr<Op> source;
   if (layout.has_aggregate) {
     if (columnar && layout.agg_lowered) {
       OpProfile* agg_node = col_node(
@@ -2975,31 +3199,27 @@ Result<std::unique_ptr<SelectPlan>> SelectSection::OpenPlan(
       source = std::make_unique<exec_ops::ColumnAggregateOp>(
           &ctx, col_table, layout.kernels, layout.vagg, dop, agg_node);
       if (agg_node != nullptr) {
-        source = std::make_unique<exec_ops::ProfiledOp>(
+        source = std::make_unique<exec_ops::Profiled<Op>>(
             &ctx, std::move(source), agg_node);
       }
     } else {
-      if (columnar) source = col_rows();
       source = prof(std::make_unique<exec_ops::AggregateOp>(
-                        &ctx, std::move(source), layout.proj, layout.agg),
+                        &ctx, tuples(), layout.proj, layout.agg),
                     "Aggregate", layout.top_label);
     }
   } else if (columnar && layout.proj_lowered) {
     source = prof(std::make_unique<exec_ops::ColumnProjectOp>(
                       &ctx, col_scan(), layout.out_cols),
                   "ColumnProject", layout.column_project_label);
+  } else if (!layout.order_exprs.empty()) {
+    source = prof(std::make_unique<exec_ops::SortProjectOp>(
+                      &ctx, tuples(), layout.proj, layout.order_exprs,
+                      layout.order_desc),
+                  "SortProject", layout.top_label);
   } else {
-    if (columnar) source = col_rows();
-    if (!layout.order_exprs.empty()) {
-      source = prof(std::make_unique<exec_ops::SortProjectOp>(
-                        &ctx, std::move(source), layout.proj,
-                        layout.order_exprs, layout.order_desc),
-                    "SortProject", layout.top_label);
-    } else {
-      source = prof(std::make_unique<exec_ops::ProjectOp>(
-                        &ctx, std::move(source), layout.proj),
-                    "Project", layout.top_label);
-    }
+    source = prof(std::make_unique<exec_ops::ProjectOp>(&ctx, tuples(),
+                                                        layout.proj),
+                  "Project", layout.top_label);
   }
 
   // 3. DISTINCT, LIMIT.

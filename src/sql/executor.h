@@ -9,15 +9,15 @@
 // A SELECT runs in two halves, the plan-node/executor split of a classic
 // RDBMS:
 //  - A SelectSection is the compiled statement: resolved relations, bound
-//    expressions, each join stage's access path (index probe, hash or
-//    range candidate, read mask), the projection and aggregate layout and
-//    the profile node labels. It is immutable once built, so any number
+//    expressions, each join stage's access path (index probe and the
+//    residual conjuncts it leaves, hash or range candidate, counted or
+//    not), the projection and aggregate layout and the profile labels. It is immutable once built, so any number
 //    of concurrent executions share one. It records the catalog's
 //    ddl_version and is valid only while that version stands.
 //  - A SelectPlan is one execution of a section: the pull-based operator
-//    tree over RowBlocks (scan -> filter -> join -> project ->
-//    aggregate/sort -> limit) with its cursors, buffers, parameters and
-//    counters. Open() builds it and reads dop, block size, vectorization
+//    tree (scan -> join -> filter, passing tuples of slot ids, then
+//    project / aggregate / sort -> distinct -> limit over RowBlocks) with
+//    its cursors, buffers, parameters and counters. Open() builds it and reads dop, block size, vectorization
 //    and profiling from the resolved ExecConfig; views, subqueries, table
 //    functions and virtual-table snapshots are materialized per execution.
 //    Next() streams blocks from the root, with LIMIT shrinking upstream
@@ -37,6 +37,7 @@
 
 namespace db2graph::sql {
 
+class ColumnReader;
 class Database;
 class Scope;
 
@@ -48,6 +49,7 @@ class Scope;
 struct ProbeTerm {
   size_t column_index = 0;  // within the probed table
   std::vector<const Expr*> values;
+  const Expr* conjunct = nullptr;  // the `=` / IN conjunct it came from
 };
 
 /// An index access path: the index ChooseProbeIndex picked and the terms
@@ -66,17 +68,21 @@ IndexProbe PlanIndexProbe(const Table& table, const std::string& alias,
                           const std::vector<const Expr*>& conjuncts,
                           const Scope& outer);
 
-/// The keys `probe` looks up for `outer`: the cartesian product of its
-/// terms' values (IN lists contribute several), sorted and deduplicated so
-/// a repeated IN value cannot repeat a row.
-std::vector<Row> ProbeKeys(const IndexProbe& probe, const Row& outer,
-                           const std::vector<Value>* params);
+/// The keys `probe` looks up, its values read through `outer`, flattened
+/// into `keys` with one value per term: one key, or the values of an IN
+/// list sorted and deduplicated so a repeated IN value cannot repeat a
+/// row. A key holding NULL is left
+/// out of `keys`, since `=` and IN never match NULL while the index would
+/// find NULL keys; it still counts as a probe, answered empty. Returns the
+/// number of probes: the distinct keys.
+size_t ProbeKeys(const IndexProbe& probe, const ColumnReader& outer,
+                 const std::vector<Value>* params, std::vector<Value>* keys);
 
 /// Slots of `table` whose row satisfies `where` (bound against the table
 /// alone, referenced as `alias`; null matches every row), in ascending
 /// slot order. Probes an index when PlanIndexProbe finds one, else scans
 /// every live slot; either way the full WHERE is re-evaluated on each
-/// candidate. Records the access path and the candidates examined in
+/// candidate, reading its columns in place. Records the access path and the candidates examined in
 /// `exec`. The UPDATE/DELETE target search: it only reads, so callers
 /// collect every target before mutating.
 std::vector<RowId> FindTargetRows(const Table& table, const std::string& alias,

@@ -178,7 +178,7 @@ bool SqlLike(const std::string& text, const std::string& pattern) {
 
 namespace {
 
-Value EvalBinary(const Expr& expr, const Row& row,
+Value EvalBinary(const Expr& expr, const ColumnReader& row,
                  const std::vector<Value>* params) {
   const std::string& op = expr.op;
   if (op == "AND") {
@@ -232,7 +232,7 @@ Value EvalBinary(const Expr& expr, const Row& row,
   return Value::Null();
 }
 
-Value EvalScalarFunc(const Expr& expr, const Row& row,
+Value EvalScalarFunc(const Expr& expr, const ColumnReader& row,
                      const std::vector<Value>* params) {
   std::string name = ToUpper(expr.op);
   if (name == "ABS") {
@@ -269,15 +269,14 @@ Value EvalScalarFunc(const Expr& expr, const Row& row,
 
 }  // namespace
 
-Value EvalExpr(const Expr& expr, const Row& row,
+Value EvalExpr(const Expr& expr, const ColumnReader& row,
                const std::vector<Value>* params) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
     case ExprKind::kColumnRef:
-      assert(expr.bound_index >= 0 &&
-             static_cast<size_t>(expr.bound_index) < row.size());
-      return row[expr.bound_index];
+      assert(expr.bound_index >= 0);
+      return row.Read(static_cast<size_t>(expr.bound_index));
     case ExprKind::kParam:
       assert(params != nullptr &&
              expr.param_index >= 0 &&

@@ -90,12 +90,41 @@ class Scope {
 /// columns or ambiguity.
 Status BindExpr(Expr* expr, const Scope& scope);
 
-/// Evaluates a bound expression against a flat row. `params` supplies '?'
-/// values (may be null when the expression has no parameters). SQL
-/// three-valued logic is approximated: comparisons with NULL yield NULL
-/// (represented as a NULL Value), and filters treat NULL as false.
-Value EvalExpr(const Expr& expr, const Row& row,
+/// Where a bound column reference reads its value: `offset` is the
+/// reference's bound_index in the scope's flat row layout. A flat row is
+/// one source; the executor's join stages read cells in place from the
+/// relations a tuple of slot ids points into.
+class ColumnReader {
+ public:
+  virtual Value Read(size_t offset) const = 0;
+
+ protected:
+  ~ColumnReader() = default;
+};
+
+/// Reads a flat row.
+class RowReader final : public ColumnReader {
+ public:
+  explicit RowReader(const Row& row) : row_(row) {}
+  Value Read(size_t offset) const override { return row_[offset]; }
+
+ private:
+  const Row& row_;
+};
+
+/// Evaluates a bound expression, reading its columns through `columns`.
+/// `params` supplies '?' values (may be null when the expression has no
+/// parameters). SQL three-valued logic is approximated: comparisons with
+/// NULL yield NULL (represented as a NULL Value), and filters treat NULL
+/// as false.
+Value EvalExpr(const Expr& expr, const ColumnReader& columns,
                const std::vector<Value>* params);
+
+/// EvalExpr over a flat row.
+inline Value EvalExpr(const Expr& expr, const Row& row,
+                      const std::vector<Value>* params) {
+  return EvalExpr(expr, RowReader(row), params);
+}
 
 /// True if the expression contains an aggregate function call.
 bool ContainsAggregate(const Expr& expr);

@@ -455,13 +455,12 @@ void Index::Erase(const Row& key, RowId rid) {
   if (Slot* slot = FindSlot(probe)) EraseFrom(slot, rid);
 }
 
-void Index::Lookup(const Row& key, std::vector<RowId>* out) const {
+Index::Run Index::Find(const Value* key, size_t n) const {
   Probe probe;
-  probe.Reset(*this, KeyView{key.data(), nullptr, key.size()});
-  if (const Slot* slot = FindSlot(probe)) {
-    const RowId* run = RunData(*slot);
-    out->insert(out->end(), run, run + slot->len);
-  }
+  probe.Reset(*this, KeyView{key, nullptr, n});
+  const Slot* slot = FindSlot(probe);
+  if (slot == nullptr) return {};
+  return {RunData(*slot), slot->len};
 }
 
 bool Index::Contains(const Row& key) const {

@@ -113,7 +113,7 @@ class Column {
 /// stay in insertion order. Both arenas compact once their dead space
 /// exceeds their live contents. A batch that is large next to the table
 /// (InsertRows, Build) takes one counting pass: every touched run is sized
-/// once, then filled in row order. Lookup and Contains never mutate, so
+/// once, then filled in row order. Find and Contains never mutate, so
 /// readers holding the database's shared lock may probe concurrently.
 class Index {
  public:
@@ -137,8 +137,14 @@ class Index {
   /// Removes `rid` from the posting list of `key`, keeping the order of
   /// the others; the key disappears with its last posting.
   void Erase(const Row& key, RowId rid);
-  /// Appends all row ids whose key equals `key`, in insertion order.
-  void Lookup(const Row& key, std::vector<RowId>* out) const;
+  /// The posting run of the key `key[0..n)`, in insertion order, read in
+  /// place: empty when the key is absent, and its size is the number of
+  /// rows holding the key. Valid until the next write to the index.
+  struct Run {
+    const RowId* data = nullptr;
+    size_t size = 0;
+  };
+  Run Find(const Value* key, size_t n) const;
   bool Contains(const Row& key) const;
 
   // --- Row-based maintenance: each row is a full table row, and the key

@@ -27,8 +27,8 @@ namespace {
 // ---------------------------------------------------------------------
 
 std::vector<RowId> LookupAll(const Index& index, const Row& key) {
-  std::vector<RowId> out;
-  index.Lookup(key, &out);
+  Index::Run run = index.Find(key.data(), key.size());
+  std::vector<RowId> out(run.data, run.data + run.size);
   return out;
 }
 
