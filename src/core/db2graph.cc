@@ -1,5 +1,7 @@
 #include "core/db2graph.h"
 
+#include <optional>
+
 #include "common/exec_config.h"
 #include "common/query_log.h"
 #include "common/strings.h"
@@ -568,6 +570,7 @@ bool PreparedQuery::IsStale() const {
 
 namespace {
 
+using gremlin::Direction;
 using gremlin::GremlinArg;
 using gremlin::LookupSpec;
 using gremlin::Step;
@@ -590,31 +593,70 @@ void AddPreviews(QueryTrace* trace,
   }
 }
 
+// Literal values of `args`; script-variable arguments stay unresolved.
+std::vector<Value> LiteralIds(const std::vector<GremlinArg>& args) {
+  std::vector<Value> ids;
+  for (const GremlinArg& a : args) {
+    if (!a.is_var()) ids.push_back(a.literal);
+  }
+  return ids;
+}
+
+// Indexes of the tables a preview consults.
+std::vector<int> ConsultedTables(
+    const std::vector<Db2GraphProvider::SqlPreview>& previews) {
+  std::vector<int> tables;
+  for (const Db2GraphProvider::SqlPreview& p : previews) {
+    if (!p.pruned && p.table_index >= 0) tables.push_back(p.table_index);
+  }
+  return tables;
+}
+
+// Steps that pass edge traversers through unchanged, so an inV()/outV()
+// after them reads edges of the tables the last edge lookup consulted.
+bool KeepsEdgeTables(StepKind kind) {
+  switch (kind) {
+    case StepKind::kHas:
+    case StepKind::kWhere:
+    case StepKind::kNot:
+    case StepKind::kDedup:
+    case StepKind::kLimit:
+    case StepKind::kRange:
+    case StepKind::kOrder:
+    case StepKind::kTail:
+    case StepKind::kSimplePath:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // Opens a span per step and previews the SQL each GSA step would issue.
 // Anchor sets are unknown at compile time, so VertexStep previews show
-// the per-table plans the spec alone determines (label/property pruning);
-// script-variable id arguments stay unresolved.
+// the per-table plans the spec alone determines (label/property pruning),
+// and endpoint fetches the vertex tables endpoint pruning keeps, probed
+// by ids that render as "?"; script-variable id arguments stay
+// unresolved.
 Status ExplainSteps(const Db2GraphProvider* provider,
                     const std::vector<Step>& steps, QueryTrace* trace) {
+  // The edge tables the latest edge lookup consults, for the endpoint
+  // fetch after it; unset when unknown (every edge table).
+  std::optional<std::vector<int>> edge_tables;
   for (const Step& step : steps) {
     int span = trace->BeginStep(gremlin::StepKindName(step.kind),
                                 step.ToString(), 0);
     Status st = Status::OK();
     std::vector<Db2GraphProvider::SqlPreview> previews;
+    std::optional<std::vector<int>> emitted_edge_tables;
     if (step.kind == StepKind::kGraph) {
       LookupSpec spec = step.spec;
-      for (const GremlinArg& a : step.start_ids) {
-        if (!a.is_var()) spec.ids.push_back(a.literal);
-      }
-      for (const GremlinArg& a : step.src_id_args) {
-        if (!a.is_var()) spec.src_ids.push_back(a.literal);
-      }
-      for (const GremlinArg& a : step.dst_id_args) {
-        if (!a.is_var()) spec.dst_ids.push_back(a.literal);
-      }
+      for (Value& id : LiteralIds(step.start_ids)) spec.ids.push_back(id);
+      for (Value& id : LiteralIds(step.src_id_args)) spec.src_ids.push_back(id);
+      for (Value& id : LiteralIds(step.dst_id_args)) spec.dst_ids.push_back(id);
       st = step.graph_emits_edges ? provider->ExplainEdges(spec, &previews)
                                   : provider->ExplainVertices(spec, &previews);
       if (st.ok()) AddPreviews(trace, previews);
+      if (step.graph_emits_edges) emitted_edge_tables = ConsultedTables(previews);
     } else if (step.kind == StepKind::kVertex) {
       // Mirror the interpreter's edge spec: labels always constrain the
       // edge fetch; pushdown payload applies to edges only for outE/inE.
@@ -628,17 +670,36 @@ Status ExplainSteps(const Db2GraphProvider* provider,
       st = provider->ExplainEdges(edge_spec, &previews);
       if (st.ok() && step.to_vertex) {
         AddPreviews(trace, previews);
+        const std::vector<int> consulted = ConsultedTables(previews);
         previews.clear();
-        st = provider->ExplainVertices(step.spec, &previews);
+        const Direction far = step.direction == Direction::kOut
+                                  ? Direction::kIn
+                                  : step.direction == Direction::kIn
+                                        ? Direction::kOut
+                                        : Direction::kBoth;
+        st = provider->ExplainEndpoints(&consulted, far, step.spec,
+                                        &previews);
+      } else if (st.ok()) {
+        emitted_edge_tables = ConsultedTables(previews);
       }
       if (st.ok()) AddPreviews(trace, previews);
     } else if (step.kind == StepKind::kEdgeVertex) {
-      st = provider->ExplainVertices(step.spec, &previews);
+      st = provider->ExplainEndpoints(edge_tables ? &*edge_tables : nullptr,
+                                      step.direction, step.spec, &previews);
       if (st.ok()) AddPreviews(trace, previews);
     } else if (step.kind == StepKind::kMultiHop &&
                step.multi_hop != nullptr) {
-      st = provider->ExplainMultiHop(*step.multi_hop, &previews);
+      std::vector<Value> source_ids = LiteralIds(step.src_id_args);
+      for (Value& id : LiteralIds(step.dst_id_args)) {
+        source_ids.push_back(std::move(id));
+      }
+      st = provider->ExplainMultiHop(*step.multi_hop, source_ids, &previews);
       if (st.ok()) AddPreviews(trace, previews);
+    }
+    if (emitted_edge_tables) {
+      edge_tables = std::move(emitted_edge_tables);
+    } else if (!KeepsEdgeTables(step.kind)) {
+      edge_tables.reset();
     }
     // A MultiHopStep's body is the preserved step-at-a-time fallback, not
     // the plan execution is expected to take — its per-hop SQL would

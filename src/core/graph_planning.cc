@@ -191,22 +191,15 @@ std::string BuildJoinSql(const std::vector<JoinStage>& stages,
   return sql;
 }
 
-std::string JoinShapeKey(const std::vector<JoinStage>& stages,
-                         const std::string& select,
-                         const std::string& group_by) {
-  std::string key = "join\x01" + select + "\x02" + group_by;
-  for (const JoinStage& stage : stages) {
-    key += "\x06";
-    key += ShapeKey(stage.table + "\x07" + stage.alias, "", stage.conds);
-  }
-  return key;
+std::string JoinShapeKey(const std::string& select,
+                         const std::string& group_by,
+                         const std::string& stage_keys) {
+  return "join\x01" + select + "\x02" + group_by + stage_keys;
 }
 
-void CollectJoinParams(const std::vector<JoinStage>& stages,
-                       std::vector<Value>* params) {
-  for (const JoinStage& stage : stages) {
-    CollectParams(stage.conds, params);
-  }
+std::string JoinStageKey(const JoinStage& stage) {
+  return "\x06" +
+         ShapeKey(stage.table + "\x07" + stage.alias, "", stage.conds);
 }
 
 size_t JoinCondPosition(const QueryConds& conds,
@@ -652,6 +645,167 @@ std::string PredictAccessPath(const sql::Database* db,
     }
   }
   return has_conds ? "full scan+filter" : "full scan";
+}
+
+// ----------------------------------------------------------------------
+// Multi-hop join chains
+// ----------------------------------------------------------------------
+
+void SetCondAlias(QueryConds* conds, const std::string& alias) {
+  for (SqlCond& c : conds->conjuncts) c.alias = alias;
+  for (auto& group : conds->or_groups) {
+    for (auto& alt : group) {
+      for (SqlCond& c : alt) c.alias = alias;
+    }
+  }
+}
+
+Status BuildJoinChainPlan(const overlay::Topology& topology,
+                          const RuntimeOptions& options,
+                          const gremlin::MultiHopSpec& spec,
+                          std::vector<int> edge_tables,
+                          std::vector<int> vertex_tables, JoinChainPlan* out) {
+  const size_t hops = spec.hops.size();
+  if (hops == 0 || edge_tables.size() != hops ||
+      vertex_tables.size() != hops) {
+    return Status::Unsupported("malformed multi-hop plan");
+  }
+  const bool counting = spec.agg == gremlin::AggOp::kCount;
+  size_t offset = 0;
+  for (size_t h = 0; h < hops; ++h) {
+    if (edge_tables[h] < 0 ||
+        static_cast<size_t>(edge_tables[h]) >= topology.edge_tables().size() ||
+        vertex_tables[h] < 0 ||
+        static_cast<size_t>(vertex_tables[h]) >=
+            topology.vertex_tables().size()) {
+      return Status::Unsupported("multi-hop plan references unknown tables");
+    }
+    const ResolvedEdgeTable& et =
+        topology.edge_tables()[static_cast<size_t>(edge_tables[h])];
+    const ResolvedVertexTable& vt =
+        topology.vertex_tables()[static_cast<size_t>(vertex_tables[h])];
+    const gremlin::MultiHopHop& hop = spec.hops[h];
+    if (hop.direction == gremlin::Direction::kBoth) {
+      return Status::Unsupported("multi-hop over both()");
+    }
+    const bool outward = hop.direction == gremlin::Direction::kOut;
+    const ResolvedField& nearf = outward ? et.src_v : et.dst_v;
+    const ResolvedField& farf = outward ? et.dst_v : et.src_v;
+    if (!farf.def.SingleColumn() || !vt.id.def.SingleColumn()) {
+      return Status::Unsupported("composite multi-hop join field");
+    }
+    const std::string ealias = "e" + std::to_string(h);
+    const std::string valias = "v" + std::to_string(h + 1);
+
+    // Edge stage.
+    TablePlan ep = PlanEdgeTable(et, hop.edge_spec, options);
+    if (ep.skip || ep.client_filter) {
+      return Status::Unsupported("multi-hop edge plan not pushable");
+    }
+    QueryConds econds = ep.conds;
+    if (h > 0) {
+      const ResolvedVertexTable& pvt =
+          topology.vertex_tables()[static_cast<size_t>(vertex_tables[h - 1])];
+      if (!nearf.def.SingleColumn() || !pvt.id.def.SingleColumn()) {
+        return Status::Unsupported("composite multi-hop join field");
+      }
+      SqlCond join;
+      join.column = et.schema->columns[nearf.column_indexes[0]].name;
+      join.op = "=";
+      join.ref_alias = "v" + std::to_string(h);
+      join.ref_column = pvt.schema->columns[pvt.id.column_indexes[0]].name;
+      econds.conjuncts.insert(
+          econds.conjuncts.begin() +
+              static_cast<ptrdiff_t>(
+                  JoinCondPosition(ep.conds, *et.schema, et.label_column)),
+          std::move(join));
+    }
+    SetCondAlias(&econds, ealias);
+    std::vector<size_t> ecols = nearf.column_indexes;
+    ecols.insert(ecols.end(), farf.column_indexes.begin(),
+                 farf.column_indexes.end());
+    if (et.label_column) ecols.push_back(*et.label_column);
+    if (hop.emit_edge_id && !et.conf.implicit_edge_id) {
+      ecols.insert(ecols.end(), et.id.column_indexes.begin(),
+                   et.id.column_indexes.end());
+    }
+    JoinChainPlan::StageLayout elayout;
+    elayout.layout = MakeLayout(*et.schema, std::move(ecols));
+    elayout.offset = offset;
+    offset += elayout.layout.schema_cols.size();
+    out->stages.push_back(JoinStage{et.conf.table_name, ealias,
+                                    std::move(econds)});
+    out->layouts.push_back(std::move(elayout));
+    out->patterns.push_back(std::move(ep.predicate_columns));
+
+    // Vertex stage.
+    TablePlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
+    if (vp.skip || vp.client_filter) {
+      return Status::Unsupported("multi-hop vertex plan not pushable");
+    }
+    QueryConds vconds = vp.conds;
+    SqlCond vjoin;
+    vjoin.column = vt.schema->columns[vt.id.column_indexes[0]].name;
+    vjoin.op = "=";
+    vjoin.ref_alias = ealias;
+    vjoin.ref_column = et.schema->columns[farf.column_indexes[0]].name;
+    vconds.conjuncts.insert(
+        vconds.conjuncts.begin() +
+            static_cast<ptrdiff_t>(
+                JoinCondPosition(vp.conds, *vt.schema, vt.label_column)),
+        std::move(vjoin));
+    SetCondAlias(&vconds, valias);
+    std::vector<size_t> vcols = h + 1 == hops && !counting
+                                    ? VertexFetchColumns(vt, hop.vertex_spec)
+                                    : vt.id.column_indexes;
+    JoinChainPlan::StageLayout vlayout;
+    vlayout.layout = MakeLayout(*vt.schema, std::move(vcols));
+    vlayout.offset = offset;
+    offset += vlayout.layout.schema_cols.size();
+    out->stages.push_back(JoinStage{vt.conf.table_name, valias,
+                                    std::move(vconds)});
+    out->layouts.push_back(std::move(vlayout));
+    out->patterns.push_back(std::move(vp.predicate_columns));
+  }
+  out->edge_tables = std::move(edge_tables);
+  out->vertex_tables = std::move(vertex_tables);
+  for (size_t s = 1; s < out->stages.size(); ++s) {
+    out->rest_key += JoinStageKey(out->stages[s]);
+    CollectParams(out->stages[s].conds, &out->rest_params);
+  }
+
+  if (counting) {
+    const ResolvedEdgeTable& et0 =
+        topology.edge_tables()[static_cast<size_t>(out->edge_tables[0])];
+    const ResolvedField& near0 =
+        spec.hops[0].direction == gremlin::Direction::kOut ? et0.src_v
+                                                           : et0.dst_v;
+    if (near0.column_indexes.empty()) {
+      return Status::Unsupported("multi-hop count without a source column");
+    }
+    std::vector<std::string> keys;
+    for (size_t ci : near0.column_indexes) {
+      keys.push_back("\"e0\".\"" + et0.schema->columns[ci].name + "\"");
+    }
+    out->group_by = Join(keys, ", ");
+    out->select = out->group_by + ", COUNT(*)";
+    out->key_layout = MakeLayout(*et0.schema, near0.column_indexes);
+    return Status::OK();
+  }
+
+  std::vector<std::string> select_parts;
+  for (size_t s = 0; s < out->stages.size(); ++s) {
+    const size_t hop = s / 2;
+    const sql::TableSchema& schema =
+        s % 2 == 0 ? *topology.edge_tables()[out->edge_tables[hop]].schema
+                   : *topology.vertex_tables()[out->vertex_tables[hop]].schema;
+    for (size_t ci : out->layouts[s].layout.schema_cols) {
+      select_parts.push_back("\"" + out->stages[s].alias + "\".\"" +
+                             schema.columns[ci].name + "\"");
+    }
+  }
+  out->select = Join(select_parts, ", ");
+  return Status::OK();
 }
 
 }  // namespace db2graph::core

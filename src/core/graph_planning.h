@@ -100,14 +100,13 @@ std::string BuildJoinSql(const std::vector<JoinStage>& stages,
                          std::vector<Value>* params);
 
 /// Shape key uniquely determining BuildJoinSql's text (everything except
-/// parameter values), for the SQL-skeleton cache.
-std::string JoinShapeKey(const std::vector<JoinStage>& stages,
-                         const std::string& select,
-                         const std::string& group_by);
-
-/// Parameter values of `stages` in BuildJoinSql render order.
-void CollectJoinParams(const std::vector<JoinStage>& stages,
-                       std::vector<Value>* params);
+/// parameter values), for the SQL-skeleton cache: the select list and
+/// GROUP BY, then `stage_keys`, the JoinStageKey of every stage in order.
+std::string JoinShapeKey(const std::string& select,
+                         const std::string& group_by,
+                         const std::string& stage_keys);
+/// One stage's part of a JoinShapeKey.
+std::string JoinStageKey(const JoinStage& stage);
 
 /// Position a runtime-injected id/endpoint/join condition takes among a
 /// plan's conjuncts: PlanVertexTable/PlanEdgeTable place the label
@@ -225,6 +224,51 @@ std::optional<size_t> PropertyColumn(const overlay::ResolvedEdgeTable& t,
 std::string PredictAccessPath(const sql::Database* db,
                               const std::string& table,
                               const QueryConds& conds);
+
+// ----------------------------------------------------------------------
+// Multi-hop join chains
+// ----------------------------------------------------------------------
+
+/// Qualifies every column reference of `conds` with `alias`.
+void SetCondAlias(QueryConds* conds, const std::string& alias);
+
+/// One (edge-table × vertex-table) chain of a collapsed hop chain,
+/// compiled once with its plan: the N-way join's stages, where each
+/// stage's fetched columns land in the joined row, and the select list.
+/// Stage order is e0, v1, e1, v2, ... — hop h contributes edge stage 2h
+/// and vertex stage 2h+1. Stage e0 holds hop 1's edge plan without
+/// source ids; an execution plans e0 with its ids and puts it in front
+/// of the other stages, whose shape-key part and parameters are computed
+/// here once.
+struct JoinChainPlan {
+  struct StageLayout {
+    FetchLayout layout;
+    size_t offset = 0;  // column offset in the joined row
+  };
+  std::vector<JoinStage> stages;
+  std::vector<StageLayout> layouts;                // per stage
+  std::vector<std::vector<std::string>> patterns;  // per-stage pred columns
+  std::vector<int> edge_tables;    // per hop: Topology::edge_tables() index
+  std::vector<int> vertex_tables;  // per hop: Topology::vertex_tables() index
+  /// Walks: every stage's fetched columns. Counted: e0's near-endpoint
+  /// columns, which the rows group by, and COUNT(*); `key_layout` places
+  /// those columns in the grouped row.
+  std::string select;
+  std::string group_by;
+  FetchLayout key_layout;
+  std::string rest_key;            // JoinStageKey of stages v1.., in order
+  std::vector<Value> rest_params;  // parameters of stages v1.., in order
+};
+
+/// Compiles the chain whose hop h joins edge table `edge_tables[h]` to
+/// vertex table `vertex_tables[h]`. Unsupported when one N-way join
+/// cannot express it (a composite join field, a table the hop's spec
+/// prunes or filters client-side).
+Status BuildJoinChainPlan(const overlay::Topology& topology,
+                          const RuntimeOptions& options,
+                          const gremlin::MultiHopSpec& spec,
+                          std::vector<int> edge_tables,
+                          std::vector<int> vertex_tables, JoinChainPlan* out);
 
 }  // namespace db2graph::core
 

@@ -1122,211 +1122,41 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
 
 namespace {
 
-void SetCondAlias(QueryConds* conds, const std::string& alias) {
-  for (SqlCond& c : conds->conjuncts) c.alias = alias;
-  for (auto& group : conds->or_groups) {
-    for (auto& alt : group) {
-      for (SqlCond& c : alt) c.alias = alias;
+/// True when `chain` has `hops` hops, every one of them on a table of
+/// `topology`.
+bool ChainFits(const JoinChainPlan& chain, const overlay::Topology& topology,
+               size_t hops) {
+  if (chain.edge_tables.size() != hops ||
+      chain.vertex_tables.size() != hops ||
+      chain.layouts.size() != 2 * hops) {
+    return false;
+  }
+  for (size_t h = 0; h < hops; ++h) {
+    if (chain.edge_tables[h] < 0 ||
+        static_cast<size_t>(chain.edge_tables[h]) >=
+            topology.edge_tables().size() ||
+        chain.vertex_tables[h] < 0 ||
+        static_cast<size_t>(chain.vertex_tables[h]) >=
+            topology.vertex_tables().size()) {
+      return false;
     }
   }
+  return true;
 }
 
-/// One table of a built multi-hop join, with everything emission needs:
-/// the stage's fetched-column layout and its column offset in the joined
-/// result row (stages are concatenated in SELECT order).
-struct ChainStageMeta {
-  FetchLayout layout;
-  size_t offset = 0;
-};
-
-/// A fully-rendered join plan for one (edge-table × vertex-table) chain.
-/// Stage order is e0, v1, e1, v2, ... — hop h contributes edge stage
-/// 2h and vertex stage 2h+1.
-struct JoinChainPlan {
-  std::vector<JoinStage> stages;
-  std::vector<ChainStageMeta> meta;
-  std::vector<std::vector<std::string>> patterns;  // per-stage pred columns
-  std::vector<const ResolvedEdgeTable*> edge_tables;     // per hop
-  std::vector<const ResolvedVertexTable*> vertex_tables; // per hop
-  std::vector<int> vertex_table_indexes;                 // per hop
-  std::string select;
-  /// Count mode only: the near-endpoint columns of e0 the rows group by,
-  /// and their layout in the grouped row (the count follows them).
-  std::string group_by;
-  FetchLayout key_layout;
-};
-
-/// Builds the collapsed N-way join for chain `chain` of the provider
-/// plan. `first_plan` is hop 1's edge plan — with the source-endpoint
-/// conditions for execution, without them for Explain. A count-folded
-/// spec selects only the source key and COUNT(*), grouped by the key.
-/// Any violation of the compile-time legality assumptions returns
-/// Unsupported so the caller can fall back to step-at-a-time execution.
-Status BuildJoinChainPlan(const overlay::Topology& topology,
-                          const RuntimeOptions& options,
-                          const gremlin::MultiHopSpec& spec,
-                          const MultiHopProviderPlan& plan, size_t chain,
-                          const TablePlan& first_plan, JoinChainPlan* out) {
-  const size_t hops = spec.hops.size();
-  if (hops == 0 || plan.later_hops.size() + 1 != hops ||
-      chain >= plan.first_hop.size()) {
-    return Status::Unsupported("malformed multi-hop plan");
-  }
-  const bool counting = spec.agg == AggOp::kCount;
-  size_t offset = 0;
-  int prev_vt = -1;
-  for (size_t h = 0; h < hops; ++h) {
-    const MultiHopProviderPlan::HopTables& ht =
-        h == 0 ? plan.first_hop[chain] : plan.later_hops[h - 1];
-    if (ht.edge_table < 0 ||
-        static_cast<size_t>(ht.edge_table) >= topology.edge_tables().size() ||
-        ht.vertex_table < 0 ||
-        static_cast<size_t>(ht.vertex_table) >=
-            topology.vertex_tables().size()) {
-      return Status::Unsupported("multi-hop plan references unknown tables");
-    }
-    const ResolvedEdgeTable& et =
-        topology.edge_tables()[static_cast<size_t>(ht.edge_table)];
-    const ResolvedVertexTable& vt =
-        topology.vertex_tables()[static_cast<size_t>(ht.vertex_table)];
-    const gremlin::MultiHopHop& hop = spec.hops[h];
-    if (hop.direction == Direction::kBoth) {
-      return Status::Unsupported("multi-hop over both()");
-    }
-    const bool outward = hop.direction == Direction::kOut;
-    const ResolvedField& nearf = outward ? et.src_v : et.dst_v;
-    const ResolvedField& farf = outward ? et.dst_v : et.src_v;
-    if (!farf.def.SingleColumn() || !vt.id.def.SingleColumn()) {
-      return Status::Unsupported("composite multi-hop join field");
-    }
-    const std::string ealias = "e" + std::to_string(h);
-    const std::string valias = "v" + std::to_string(h + 1);
-
-    // Edge stage.
-    TablePlan ep = h == 0 ? first_plan
-                          : PlanEdgeTable(et, hop.edge_spec, options);
-    if (ep.skip || ep.client_filter) {
-      return Status::Unsupported("multi-hop edge plan not pushable");
-    }
-    QueryConds econds = ep.conds;
-    if (h > 0) {
-      if (!nearf.def.SingleColumn() || prev_vt < 0) {
-        return Status::Unsupported("composite multi-hop join field");
-      }
-      const ResolvedVertexTable& pvt =
-          topology.vertex_tables()[static_cast<size_t>(prev_vt)];
-      if (!pvt.id.def.SingleColumn()) {
-        return Status::Unsupported("composite multi-hop join field");
-      }
-      SqlCond join;
-      join.column = et.schema->columns[nearf.column_indexes[0]].name;
-      join.op = "=";
-      join.ref_alias = "v" + std::to_string(h);
-      join.ref_column = pvt.schema->columns[pvt.id.column_indexes[0]].name;
-      econds.conjuncts.insert(
-          econds.conjuncts.begin() +
-              static_cast<ptrdiff_t>(
-                  JoinCondPosition(ep.conds, *et.schema, et.label_column)),
-          std::move(join));
-    }
-    SetCondAlias(&econds, ealias);
-    std::vector<size_t> ecols = nearf.column_indexes;
-    ecols.insert(ecols.end(), farf.column_indexes.begin(),
-                 farf.column_indexes.end());
-    if (et.label_column) ecols.push_back(*et.label_column);
-    if (hop.emit_edge_id && !et.conf.implicit_edge_id) {
-      ecols.insert(ecols.end(), et.id.column_indexes.begin(),
-                   et.id.column_indexes.end());
-    }
-    FetchLayout elayout = MakeLayout(*et.schema, std::move(ecols));
-    JoinStage estage;
-    estage.table = et.conf.table_name;
-    estage.alias = ealias;
-    estage.conds = std::move(econds);
-    out->stages.push_back(std::move(estage));
-    ChainStageMeta emeta;
-    emeta.layout = elayout;
-    emeta.offset = offset;
-    offset += elayout.schema_cols.size();
-    out->meta.push_back(std::move(emeta));
-    out->patterns.push_back(ep.predicate_columns);
-
-    // Vertex stage.
-    TablePlan vp = PlanVertexTable(vt, hop.vertex_spec, options);
-    if (vp.skip || vp.client_filter) {
-      return Status::Unsupported("multi-hop vertex plan not pushable");
-    }
-    QueryConds vconds = vp.conds;
-    SqlCond vjoin;
-    vjoin.column = vt.schema->columns[vt.id.column_indexes[0]].name;
-    vjoin.op = "=";
-    vjoin.ref_alias = ealias;
-    vjoin.ref_column = et.schema->columns[farf.column_indexes[0]].name;
-    vconds.conjuncts.insert(
-        vconds.conjuncts.begin() +
-            static_cast<ptrdiff_t>(
-                JoinCondPosition(vp.conds, *vt.schema, vt.label_column)),
-        std::move(vjoin));
-    SetCondAlias(&vconds, valias);
-    std::vector<size_t> vcols = h + 1 == hops && !counting
-                                    ? VertexFetchColumns(vt, hop.vertex_spec)
-                                    : vt.id.column_indexes;
-    FetchLayout vlayout = MakeLayout(*vt.schema, std::move(vcols));
-    JoinStage vstage;
-    vstage.table = vt.conf.table_name;
-    vstage.alias = valias;
-    vstage.conds = std::move(vconds);
-    out->stages.push_back(std::move(vstage));
-    ChainStageMeta vmeta;
-    vmeta.layout = vlayout;
-    vmeta.offset = offset;
-    offset += vlayout.schema_cols.size();
-    out->meta.push_back(std::move(vmeta));
-    out->patterns.push_back(vp.predicate_columns);
-
-    out->edge_tables.push_back(&et);
-    out->vertex_tables.push_back(&vt);
-    out->vertex_table_indexes.push_back(ht.vertex_table);
-    prev_vt = ht.vertex_table;
-  }
-
-  if (counting) {
-    const ResolvedEdgeTable& et0 = *out->edge_tables[0];
-    const ResolvedField& near0 =
-        spec.hops[0].direction == Direction::kOut ? et0.src_v : et0.dst_v;
-    if (near0.column_indexes.empty()) {
-      return Status::Unsupported("multi-hop count without a source column");
-    }
-    std::vector<std::string> keys;
-    for (size_t ci : near0.column_indexes) {
-      keys.push_back("\"e0\".\"" + et0.schema->columns[ci].name + "\"");
-    }
-    out->group_by = Join(keys, ", ");
-    out->select = out->group_by + ", COUNT(*)";
-    out->key_layout = MakeLayout(*et0.schema, near0.column_indexes);
-    return Status::OK();
-  }
-
-  std::vector<std::string> select_parts;
-  for (size_t s = 0; s < out->stages.size(); ++s) {
-    const sql::TableSchema& schema =
-        s % 2 == 0 ? *out->edge_tables[s / 2]->schema
-                   : *out->vertex_tables[s / 2]->schema;
-    for (size_t ci : out->meta[s].layout.schema_cols) {
-      select_parts.push_back("\"" + out->stages[s].alias + "\".\"" +
-                             schema.columns[ci].name + "\"");
-    }
-  }
-  out->select = Join(select_parts, ", ");
-  return Status::OK();
+/// The chain's stages with `e0` — hop 1's edge stage planned with the
+/// execution's source ids — in front.
+std::vector<JoinStage> StagesWith(const JoinChainPlan& chain, JoinStage e0) {
+  std::vector<JoinStage> stages = chain.stages;
+  stages[0] = std::move(e0);
+  return stages;
 }
 
 /// Sub-row of one stage in the joined result row.
-Row StageRow(const Row& row, const ChainStageMeta& meta) {
-  return Row(row.begin() + static_cast<ptrdiff_t>(meta.offset),
-             row.begin() + static_cast<ptrdiff_t>(meta.offset +
-                                                  meta.layout.schema_cols
-                                                      .size()));
+Row StageRow(const Row& row, const JoinChainPlan::StageLayout& stage) {
+  return Row(row.begin() + static_cast<ptrdiff_t>(stage.offset),
+             row.begin() + static_cast<ptrdiff_t>(
+                               stage.offset + stage.layout.schema_cols.size()));
 }
 
 /// The edge id BuildEdgeFromFetched would assign for this edge row.
@@ -1340,9 +1170,9 @@ Value ComposeEdgeId(const ResolvedEdgeTable& et, const FetchLayout& layout,
 
 }  // namespace
 
-Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
-                                          const gremlin::MultiHopSpec& spec,
-                                          gremlin::MultiHopResult* out) {
+Status Db2GraphProvider::MultiHopTraverse(
+    const gremlin::MultiHopSources& sources, const gremlin::MultiHopSpec& spec,
+    gremlin::MultiHopResult* out) {
   auto plan = std::static_pointer_cast<const MultiHopProviderPlan>(
       spec.provider_plan);
   auto decline = [&](const char* why) {
@@ -1353,37 +1183,36 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
     }
     return Status::Unsupported(why);
   };
-  if (plan == nullptr || spec.hops.empty() || plan->first_hop.empty() ||
-      plan->later_hops.size() + 1 != spec.hops.size() ||
+  if (plan == nullptr || spec.hops.empty() || plan->chains.empty() ||
       !options_.endpoint_table_pruning) {
     return decline("no executable multi-hop plan");
   }
-  if (sources.empty()) return Status::OK();
+  for (const JoinChainPlan& chain : plan->chains) {
+    if (!ChainFits(chain, topology_, spec.hops.size())) {
+      return decline("multi-hop plan references unknown tables");
+    }
+  }
+  if (sources.ids.empty()) return Status::OK();
 
   // Hop 1 repeats the step-at-a-time endpoint handling exactly: the
-  // sources' ids become endpoint conditions and their source tables
-  // drive the same endpoint pruning AdjacentEdges would apply.
+  // source ids become endpoint conditions (pinning tables by id as any
+  // edge lookup does), and the sources' tables, when known, drive the
+  // same endpoint pruning AdjacentEdges would apply.
   const gremlin::MultiHopHop& first = spec.hops[0];
   LookupSpec espec = first.edge_spec;
-  std::vector<Value>& endpoint_ids =
-      first.direction == Direction::kOut ? espec.src_ids : espec.dst_ids;
-  endpoint_ids.reserve(sources.size());
-  for (const VertexPtr& v : sources) endpoint_ids.push_back(v->id);
-  const std::unordered_set<std::string> source_tables = SourceTables(sources);
+  (first.direction == Direction::kOut ? espec.src_ids : espec.dst_ids) =
+      sources.ids;
 
   QueryTrace* trace = CurrentTrace();
   const bool counting = spec.agg == AggOp::kCount;
+  // From a single source every walk is that source's: count ungrouped.
+  const bool ungrouped = counting && sources.ids.size() == 1;
+  const size_t hops = spec.hops.size();
   uint64_t total = 0;  // walks emitted (or counted), for sysmon.optimizer
-  for (size_t ci = 0; ci < plan->first_hop.size(); ++ci) {
-    const MultiHopProviderPlan::HopTables& ht = plan->first_hop[ci];
-    if (ht.edge_table < 0 ||
-        static_cast<size_t>(ht.edge_table) >=
-            topology_.edge_tables().size()) {
-      return decline("multi-hop plan references unknown tables");
-    }
+  for (const JoinChainPlan& chain : plan->chains) {
     const ResolvedEdgeTable& et =
-        topology_.edge_tables()[static_cast<size_t>(ht.edge_table)];
-    if (!EndpointCanHold(topology_, et, first.direction, source_tables)) {
+        topology_.edge_tables()[static_cast<size_t>(chain.edge_tables[0])];
+    if (!EndpointCanHold(topology_, et, first.direction, sources.tables)) {
       continue;  // no source can live in this chain's near table
     }
     TablePlan ep = PlanEdgeTable(et, espec, options_);
@@ -1393,34 +1222,36 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
       if (trace != nullptr) trace->AddTablePruned(et.conf.table_name);
       continue;
     }
-
-    JoinChainPlan cp;
-    Status built =
-        BuildJoinChainPlan(topology_, options_, spec, *plan, ci, ep, &cp);
-    if (built.code() == StatusCode::kUnsupported) {
-      return decline(built.message().c_str());
-    }
-    DB2G_RETURN_NOT_OK(built);
+    JoinStage e0{et.conf.table_name, "e0", std::move(ep.conds)};
+    SetCondAlias(&e0.conds, e0.alias);
 
     stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
-    for (size_t s = 0; s < cp.stages.size(); ++s) {
-      if (trace != nullptr) trace->AddTableConsulted(cp.stages[s].table);
-      dialect_->RecordPattern(cp.stages[s].table, cp.patterns[s]);
+    for (size_t s = 0; s < chain.stages.size(); ++s) {
+      if (trace != nullptr) trace->AddTableConsulted(chain.stages[s].table);
+      dialect_->RecordPattern(chain.stages[s].table,
+                              s == 0 ? ep.predicate_columns
+                                     : chain.patterns[s]);
     }
+    static const std::string kCountStar = "COUNT(*)";
+    static const std::string kNoGroups;
+    const std::string& select = ungrouped ? kCountStar : chain.select;
+    const std::string& group_by = ungrouped ? kNoGroups : chain.group_by;
     std::vector<Value> params;
-    CollectJoinParams(cp.stages, &params);
+    CollectParams(e0.conds, &params);
+    params.insert(params.end(), chain.rest_params.begin(),
+                  chain.rest_params.end());
     Result<std::unique_ptr<DialectRowStream>> stream =
         dialect_->QueryShapedStreaming(
-            JoinShapeKey(cp.stages, cp.select, cp.group_by),
+            JoinShapeKey(select, group_by,
+                         JoinStageKey(e0) + chain.rest_key),
             [&] {
               std::vector<Value> ignored;
-              return BuildJoinSql(cp.stages, cp.select, cp.group_by,
+              return BuildJoinSql(StagesWith(chain, e0), select, group_by,
                                   &ignored);
             },
             params);
     if (!stream.ok()) return stream.status();
 
-    const size_t hops = spec.hops.size();
     const ResolvedField& near0 = first.direction == Direction::kOut
                                      ? et.src_v
                                      : et.dst_v;
@@ -1433,40 +1264,46 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
       }
       for (Row& row : block.rows) {
         if (counting) {
-          // Grouped row: the source key columns, then COUNT(*).
+          // The source key columns (none when ungrouped), then COUNT(*).
           int64_t walks = row.back().as_int();
-          out->counts[ComposeField(near0, cp.key_layout, row)] += walks;
+          out->counts[ungrouped ? sources.ids[0]
+                                : ComposeField(near0, chain.key_layout,
+                                               row)] += walks;
           total += static_cast<uint64_t>(walks);
           continue;
         }
-        Row e0row = StageRow(row, cp.meta[0]);
-        Value source_id = ComposeField(near0, cp.meta[0].layout, e0row);
+        Row e0row = StageRow(row, chain.layouts[0]);
         gremlin::MultiHopEmission emission;
+        emission.source = ComposeField(near0, chain.layouts[0].layout, e0row);
         for (size_t h = 0; h < hops; ++h) {
-          const ChainStageMeta& emeta = cp.meta[2 * h];
-          const ChainStageMeta& vmeta = cp.meta[2 * h + 1];
-          const ResolvedEdgeTable& het = *cp.edge_tables[h];
+          const JoinChainPlan::StageLayout& estage = chain.layouts[2 * h];
+          const ResolvedEdgeTable& het =
+              topology_.edge_tables()[static_cast<size_t>(
+                  chain.edge_tables[h])];
           const bool outward =
               spec.hops[h].direction == Direction::kOut;
-          Row erow = h == 0 ? e0row : StageRow(row, emeta);
+          Row erow = h == 0 ? e0row : StageRow(row, estage);
           if (spec.hops[h].emit_edge_id) {
             emission.path_ids.push_back(
-                ComposeEdgeId(het, emeta.layout, erow));
+                ComposeEdgeId(het, estage.layout, erow));
           }
           // The hop's vertex id enters the path as the edge row's far
           // endpoint value — exactly the value step-at-a-time emission
           // uses (the join guarantees it matches the vertex row's id).
           const ResolvedField& farf = outward ? het.dst_v : het.src_v;
           emission.path_ids.push_back(
-              ComposeField(farf, emeta.layout, erow));
+              ComposeField(farf, estage.layout, erow));
           if (h + 1 == hops) {
+            const JoinChainPlan::StageLayout& vstage =
+                chain.layouts[2 * h + 1];
+            const int vt = chain.vertex_tables[h];
             emission.vertex = BuildVertexFromFetched(
-                *cp.vertex_tables[h], cp.vertex_table_indexes[h],
-                vmeta.layout, StageRow(row, vmeta));
+                topology_.vertex_tables()[static_cast<size_t>(vt)], vt,
+                vstage.layout, StageRow(row, vstage));
           }
         }
         ++total;
-        out->buckets[source_id].push_back(std::move(emission));
+        out->walks.push_back(std::move(emission));
       }
     }
     if (!(*stream)->status().ok()) return (*stream)->status();
@@ -1484,32 +1321,101 @@ Status Db2GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>& sources,
 
 namespace {
 
-// Previews `spec` against every table of one kind without touching data,
+// Stands in for an id whose value arrives at run time (the endpoint ids
+// of fetched edges): previews keep it as a "?" marker.
+const Value& RuntimeIdMarker() {
+  static const Value marker(std::string("\x01runtime id"));
+  return marker;
+}
+
+// Adds the condition a lookup by (runtime) ids puts on `t`'s id, where
+// PlanIdConds puts it: after the label condition, or as the first
+// OR-group for a composite id.
+template <typename Table>
+void AddRuntimeIdCond(const Table& t, QueryConds* conds) {
+  const sql::TableSchema& schema = *t.schema;
+  if (t.id.column_indexes.size() == 1) {
+    SqlCond cond;
+    cond.column = schema.columns[t.id.column_indexes[0]].name;
+    cond.op = "IN";
+    cond.params = {RuntimeIdMarker()};
+    conds->conjuncts.insert(
+        conds->conjuncts.begin() +
+            static_cast<ptrdiff_t>(
+                JoinCondPosition(*conds, schema, t.label_column)),
+        std::move(cond));
+    return;
+  }
+  std::vector<SqlCond> conjunction;
+  for (size_t ci : t.id.column_indexes) {
+    SqlCond cond;
+    cond.column = schema.columns[ci].name;
+    cond.op = "=";
+    cond.params = {RuntimeIdMarker()};
+    conjunction.push_back(std::move(cond));
+  }
+  conds->or_groups.insert(conds->or_groups.begin(), {std::move(conjunction)});
+}
+
+// SqlDialect::RenderSql, except that runtime id markers stay "?".
+std::string RenderPreviewSql(const std::string& sql,
+                             const std::vector<Value>& params) {
+  std::string out;
+  size_t next = 0;
+  for (char c : sql) {
+    if (c == '?' && next < params.size()) {
+      const Value& p = params[next++];
+      out += p == RuntimeIdMarker() ? "?" : p.ToSqlLiteral();
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+// Previews `spec` against the tables of one kind without touching data,
 // counters or the trace: each table's BuildStatement statement, its
 // predicted access path, and the table cardinality. An aggregate previews
 // its per-table aggregate statements unless some table filters
 // client-side; execution then declines the pushdown and fetches rows.
+// `subset` (table indexes, ascending) limits the preview to the tables a
+// lookup can reach; `runtime_ids` adds the id condition of a lookup whose
+// ids are only known at run time.
 template <typename Table>
 void PreviewTables(const sql::Database* db, const std::vector<Table>& tables,
                    const LookupSpec& spec, const RuntimeOptions& options,
+                   const std::vector<int>* subset, bool runtime_ids,
                    std::vector<Db2GraphProvider::SqlPreview>* out) {
-  std::vector<TablePlan> plans;
-  plans.reserve(tables.size());
-  bool aggregate = spec.agg != AggOp::kNone;
-  for (const Table& t : tables) {
-    plans.push_back(TableKind<Table>::Plan(t, spec, options));
-    aggregate &= !plans.back().client_filter;
+  std::vector<int> indexes;
+  if (subset != nullptr) {
+    indexes = *subset;
+  } else {
+    for (size_t ti = 0; ti < tables.size(); ++ti) {
+      indexes.push_back(static_cast<int>(ti));
+    }
   }
-  for (size_t ti = 0; ti < tables.size(); ++ti) {
-    const Table& t = tables[ti];
+  std::vector<TablePlan> plans;
+  plans.reserve(indexes.size());
+  bool aggregate = spec.agg != AggOp::kNone;
+  for (int ti : indexes) {
+    plans.push_back(TableKind<Table>::Plan(tables[ti], spec, options));
+    TablePlan& plan = plans.back();
+    if (runtime_ids && !plan.skip && !plan.client_filter) {
+      AddRuntimeIdCond(tables[ti], &plan.conds);
+    }
+    aggregate &= !plan.client_filter;
+  }
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    const Table& t = tables[indexes[i]];
     Db2GraphProvider::SqlPreview preview;
     preview.table = t.conf.table_name;
+    preview.table_index = indexes[i];
     const sql::Table* base = db->GetTable(t.conf.table_name);
     preview.estimated_rows = base != nullptr ? base->row_count() : 0;
     std::optional<TableStatement> q;
-    if (!plans[ti].skip) q = BuildStatement(t, spec, plans[ti], aggregate);
+    if (!plans[i].skip) q = BuildStatement(t, spec, plans[i], aggregate);
     if (q) {
-      preview.sql = SqlDialect::RenderSql(q->Sql(), q->params);
+      preview.sql = RenderPreviewSql(q->Sql(), q->params);
       preview.access_path =
           PredictAccessPath(db, t.conf.table_name, *q->conds);
     } else {
@@ -1525,55 +1431,98 @@ void PreviewTables(const sql::Database* db, const std::vector<Table>& tables,
 Status Db2GraphProvider::ExplainVertices(const LookupSpec& spec,
                                          std::vector<SqlPreview>* out) const {
   PreviewTables(dialect_->db(), topology_.vertex_tables(), spec, options_,
-                out);
+                /*subset=*/nullptr, /*runtime_ids=*/false, out);
   return Status::OK();
 }
 
 Status Db2GraphProvider::ExplainEdges(const LookupSpec& spec,
                                       std::vector<SqlPreview>* out) const {
-  PreviewTables(dialect_->db(), topology_.edge_tables(), spec, options_, out);
+  PreviewTables(dialect_->db(), topology_.edge_tables(), spec, options_,
+                /*subset=*/nullptr, /*runtime_ids=*/false, out);
+  return Status::OK();
+}
+
+Status Db2GraphProvider::ExplainEndpoints(const std::vector<int>* edge_tables,
+                                          Direction endpoint,
+                                          const LookupSpec& spec,
+                                          std::vector<SqlPreview>* out) const {
+  // The tables EdgeEndpoints reaches: each edge table's pinned endpoint
+  // table, except where the vertex-from-edge shortcut builds the vertex
+  // from the edge row itself; an unpinned endpoint (or endpoint pruning
+  // off) sends the ids to every vertex table.
+  const auto& etables = topology_.edge_tables();
+  const auto& vtables = topology_.vertex_tables();
+  std::vector<bool> reached(vtables.size(), !options_.endpoint_table_pruning);
+  auto reach = [&](const ResolvedEdgeTable& et, int vertex_table) {
+    if (vertex_table < 0) {
+      reached.assign(vtables.size(), true);
+    } else if (!options_.vertex_from_edge_shortcut ||
+               !EqualsIgnoreCase(vtables[vertex_table].conf.table_name,
+                                 et.conf.table_name)) {
+      reached[static_cast<size_t>(vertex_table)] = true;
+    }
+  };
+  const size_t n = edge_tables != nullptr ? edge_tables->size() : etables.size();
+  for (size_t i = 0; i < n; ++i) {
+    const ResolvedEdgeTable& et =
+        etables[edge_tables != nullptr ? (*edge_tables)[i] : i];
+    if (endpoint != Direction::kIn) reach(et, et.src_vertex_table);
+    if (endpoint != Direction::kOut) reach(et, et.dst_vertex_table);
+  }
+  std::vector<int> subset;
+  for (size_t vi = 0; vi < vtables.size(); ++vi) {
+    if (reached[vi]) subset.push_back(static_cast<int>(vi));
+  }
+  // Ids the spec asks for (a hasId() folded into out()/in()) bound the
+  // endpoint ids the fetch can look up, so they preview as the ids.
+  PreviewTables(dialect_->db(), vtables, spec, options_, &subset,
+                /*runtime_ids=*/spec.ids.empty(), out);
   return Status::OK();
 }
 
 Status Db2GraphProvider::ExplainMultiHop(const gremlin::MultiHopSpec& spec,
+                                         const std::vector<Value>& source_ids,
                                          std::vector<SqlPreview>* out) const {
   auto plan = std::static_pointer_cast<const MultiHopProviderPlan>(
       spec.provider_plan);
   if (plan == nullptr || spec.hops.empty()) return Status::OK();
   const gremlin::MultiHopHop& first = spec.hops[0];
-  for (size_t ci = 0; ci < plan->first_hop.size(); ++ci) {
-    const MultiHopProviderPlan::HopTables& ht = plan->first_hop[ci];
-    if (ht.edge_table < 0 ||
-        static_cast<size_t>(ht.edge_table) >=
-            topology_.edge_tables().size()) {
-      continue;
-    }
+  LookupSpec espec = first.edge_spec;
+  (first.direction == Direction::kOut ? espec.src_ids : espec.dst_ids) =
+      source_ids;
+  const bool ungrouped = spec.agg == AggOp::kCount && source_ids.size() == 1;
+  for (const JoinChainPlan& chain : plan->chains) {
+    if (!ChainFits(chain, topology_, spec.hops.size())) continue;
     const ResolvedEdgeTable& et =
-        topology_.edge_tables()[static_cast<size_t>(ht.edge_table)];
+        topology_.edge_tables()[static_cast<size_t>(chain.edge_tables[0])];
     SqlPreview preview;
-    TablePlan ep = PlanEdgeTable(et, first.edge_spec, options_);
-    JoinChainPlan cp;
-    if (ep.skip || ep.client_filter ||
-        !BuildJoinChainPlan(topology_, options_, spec, *plan, ci, ep, &cp)
-             .ok()) {
+    TablePlan ep = PlanEdgeTable(et, espec, options_);
+    if (ep.skip || ep.client_filter) {
       preview.table = et.conf.table_name;
       preview.pruned = true;
       preview.access_path = "pruned";
       out->push_back(std::move(preview));
       continue;
     }
+    JoinStage e0{et.conf.table_name, "e0", std::move(ep.conds)};
+    SetCondAlias(&e0.conds, e0.alias);
     std::vector<std::string> chain_tables;
-    chain_tables.reserve(cp.stages.size());
-    for (const JoinStage& stage : cp.stages) {
+    chain_tables.reserve(chain.stages.size());
+    for (const JoinStage& stage : chain.stages) {
       chain_tables.push_back(stage.table);
     }
     preview.table = Join(chain_tables, ">");
     std::vector<Value> params;
-    std::string sql = BuildJoinSql(cp.stages, cp.select, cp.group_by, &params);
+    std::string sql =
+        BuildJoinSql(StagesWith(chain, std::move(e0)),
+                     ungrouped ? "COUNT(*)" : chain.select,
+                     ungrouped ? "" : chain.group_by, &params);
     preview.sql = SqlDialect::RenderSql(sql, params);
-    preview.access_path = "multi-hop join (" +
-                          std::to_string(cp.stages.size()) + " stages" +
-                          (cp.group_by.empty() ? ")" : ", grouped count)");
+    preview.access_path =
+        "multi-hop join (" + std::to_string(chain.stages.size()) + " stages" +
+        (spec.agg != AggOp::kCount ? ")"
+         : ungrouped               ? ", count)"
+                                   : ", grouped count)");
     preview.estimated_rows = spec.est_rows;
     out->push_back(std::move(preview));
   }

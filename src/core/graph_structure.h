@@ -101,16 +101,18 @@ class Db2GraphProvider : public gremlin::GraphProvider {
 
   /// Executes an optimizer-collapsed hop chain as one N-way join per
   /// (edge-table × vertex-table) chain, in chain order, appending each
-  /// chain's emissions to the per-source buckets — which reproduces the
-  /// table-major per-source order of step-at-a-time execution. A
-  /// count-folded spec renders the same joins as SELECT <near endpoint>,
-  /// COUNT(*) ... GROUP BY <near endpoint> and sums the per-source counts
-  /// instead. Returns
+  /// chain's walks in the join's row order — which reproduces the
+  /// table-major order of step-at-a-time execution, per source and, for
+  /// an id-sourced chain, overall. Each chain's join was compiled with the
+  /// plan; an execution plans only its first edge stage, with the source
+  /// ids. A count-folded spec renders the same joins as SELECT <near
+  /// endpoint>, COUNT(*) ... GROUP BY <near endpoint> (SELECT COUNT(*)
+  /// from a single source) and sums the per-source counts instead. Returns
   /// Unsupported (after logging a fallback against the plan's optimizer
   /// decision) whenever a runtime condition breaks the compile-time
   /// legality assumptions; the interpreter then re-runs the preserved
   /// step-at-a-time body.
-  Status MultiHopTraverse(const std::vector<gremlin::VertexPtr>& sources,
+  Status MultiHopTraverse(const gremlin::MultiHopSources& sources,
                           const gremlin::MultiHopSpec& spec,
                           gremlin::MultiHopResult* out) override;
 
@@ -185,6 +187,7 @@ class Db2GraphProvider : public gremlin::GraphProvider {
     std::string access_path;  // "index probe" | "full scan" | "full scan+filter" | "pruned"
     uint64_t estimated_rows = 0;
     bool pruned = false;
+    int table_index = -1;  // overlay table index; -1 for a join preview
   };
 
   /// Plan previews for a vertex/edge lookup, without touching any data.
@@ -194,10 +197,22 @@ class Db2GraphProvider : public gremlin::GraphProvider {
                          std::vector<SqlPreview>* out) const;
   Status ExplainEdges(const gremlin::LookupSpec& spec,
                       std::vector<SqlPreview>* out) const;
+  /// Preview of the endpoint fetch that follows an edge lookup
+  /// (inV()/outV(), or the second half of out()/in()): only the vertex
+  /// tables endpoint pruning keeps for the given edge tables (indexes;
+  /// null means every edge table), each probed by id. The endpoint ids
+  /// come from the fetched edges, so they render as "?".
+  Status ExplainEndpoints(const std::vector<int>* edge_tables,
+                          gremlin::Direction endpoint,
+                          const gremlin::LookupSpec& spec,
+                          std::vector<SqlPreview>* out) const;
   /// Preview of a collapsed multi-hop chain: one entry per table chain
-  /// with the rendered N-way join SQL (without the runtime source-id
-  /// conditions) and the optimizer's output-cardinality estimate.
+  /// with the rendered N-way join SQL and the optimizer's
+  /// output-cardinality estimate. `source_ids` are an id-sourced chain's
+  /// literal start ids; the runtime source-id conditions of a chain that
+  /// starts from traversers are left out.
   Status ExplainMultiHop(const gremlin::MultiHopSpec& spec,
+                         const std::vector<Value>& source_ids,
                          std::vector<SqlPreview>* out) const;
 
  private:

@@ -157,6 +157,42 @@ bool ExtractHop(const std::vector<Step>& steps, size_t i, CandidateHop* out) {
   return true;
 }
 
+/// Tries to read an id-sourced first hop at steps[i]: the GraphStep(E)
+/// the GraphStep::VertexStep mutation makes of g.V(ids).out(labels) (or
+/// of g.V(ids).outE(labels).has(...)) — edges by source ids, or by
+/// destination ids for in() — carrying only labels and pushable edge
+/// predicates, followed by its far-endpoint EdgeVertexStep. The fetched
+/// edges start the traverser path, so the hop records the edge id before
+/// the vertex id.
+bool ExtractIdSourcedHop(const std::vector<Step>& steps, size_t i,
+                         CandidateHop* out) {
+  const Step& g = steps[i];
+  if (g.kind != StepKind::kGraph || !g.graph_emits_edges ||
+      !g.start_ids.empty() || g.src_id_args.empty() == g.dst_id_args.empty() ||
+      !SpecCollapsible(g.spec, /*allow_projection=*/false)) {
+    return false;
+  }
+  const Direction dir =
+      g.src_id_args.empty() ? Direction::kIn : Direction::kOut;
+  if (i + 1 >= steps.size()) return false;
+  const Step& n = steps[i + 1];
+  if (n.kind != StepKind::kEdgeVertex ||
+      n.direction !=
+          (dir == Direction::kOut ? Direction::kIn : Direction::kOut) ||
+      !SpecCollapsible(n.spec, /*allow_projection=*/true)) {
+    return false;
+  }
+  out->hop = MultiHopHop{};
+  out->hop.direction = dir;
+  out->hop.edge_labels = g.spec.labels;
+  out->hop.edge_spec.labels = g.spec.labels;
+  out->hop.edge_spec.predicates = g.spec.predicates;
+  out->hop.vertex_spec = n.spec;
+  out->hop.emit_edge_id = true;
+  out->step_count = 2;
+  return true;
+}
+
 /// True when `s` emits vertex traversers a hop chain can start from.
 bool EmitsVertices(const Step& s) {
   switch (s.kind) {
@@ -173,9 +209,11 @@ bool EmitsVertices(const Step& s) {
   }
 }
 
-std::string DescribeHops(const std::vector<CandidateHop>& hops) {
+std::string DescribeHops(const std::vector<CandidateHop>& hops,
+                         bool id_sourced) {
   std::vector<std::string> parts;
-  parts.reserve(hops.size());
+  parts.reserve(hops.size() + 1);
+  if (id_sourced) parts.push_back("V(ids)");
   for (const CandidateHop& h : hops) {
     bool outward = h.hop.direction == Direction::kOut;
     std::string p = h.hop.emit_edge_id ? (outward ? "outE" : "inE")
@@ -322,11 +360,18 @@ bool UniqueOn(const sql::Database* db, const std::string& table_name,
 // Chain analysis
 // ----------------------------------------------------------------------
 
+/// The tables one accepted hop joins: an edge table and its far
+/// endpoint's pinned vertex table (Topology indexes).
+struct HopTables {
+  int edge_table = -1;
+  int vertex_table = -1;
+};
+
 struct ChainResult {
   int hops_used = 0;        // legal + cheap prefix length
   std::string stop_reason;  // why the prefix ended early (diagnostic)
-  std::vector<MultiHopProviderPlan::HopTables> first_hop;
-  std::vector<MultiHopProviderPlan::HopTables> later_hops;
+  std::vector<HopTables> first_hop;   // candidate chains, table order
+  std::vector<HopTables> later_hops;  // hops 2..N
   std::string join_order;
   double est_rows = 1.0;  // per-source estimate for the prefix
 };
@@ -528,7 +573,7 @@ ChainResult AnalyzeChain(const std::vector<CandidateHop>& hops,
     std::vector<std::string> part;
     std::vector<int> far_set;
     for (const Cand& c : cands) {
-      MultiHopProviderPlan::HopTables ht;
+      HopTables ht;
       ht.edge_table = c.edge;
       ht.vertex_table = c.far;
       if (k == 0) {
@@ -573,22 +618,31 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
     }
   }
 
-  for (size_t i = 1; i < steps->size();) {
-    if (!EmitsVertices((*steps)[i - 1])) {
+  for (size_t i = 0; i < steps->size();) {
+    // A chain starts at a mutated g.V(ids).out() pair, or at any hop
+    // after a step that emits vertices.
+    std::vector<CandidateHop> hops;
+    CandidateHop first;
+    const bool id_sourced = ExtractIdSourcedHop(*steps, i, &first);
+    if (!id_sourced && (i == 0 || !EmitsVertices((*steps)[i - 1]))) {
       ++i;
       continue;
     }
-    std::vector<CandidateHop> hops;
     size_t pos = i;
-    while (pos < steps->size() &&
-           hops.size() <
-               static_cast<size_t>(std::max(ctx.options.max_hops, 0))) {
+    const size_t max_hops =
+        static_cast<size_t>(std::max(ctx.options.max_hops, 0));
+    bool projected = false;  // projected vertices end the chain
+    if (id_sourced) {
+      pos += first.step_count;
+      projected = first.hop.vertex_spec.has_projection;
+      hops.push_back(std::move(first));
+    }
+    while (!projected && pos < steps->size() && hops.size() < max_hops) {
       CandidateHop ch;
       if (!ExtractHop(*steps, pos, &ch)) break;
-      bool final_projection = ch.hop.vertex_spec.has_projection;
+      projected = ch.hop.vertex_spec.has_projection;
       pos += ch.step_count;
       hops.push_back(std::move(ch));
-      if (final_projection) break;  // projected vertices end the chain
     }
     if (hops.size() < 2) {
       ++i;
@@ -597,7 +651,7 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
 
     sum.attempted++;
     ChainResult chain = AnalyzeChain(hops, ctx, stats);
-    const bool chosen = chain.hops_used >= 2;
+    bool chosen = chain.hops_used >= 2;
     size_t span = 0;
     for (int h = 0; h < chain.hops_used; ++h) {
       span += hops[static_cast<size_t>(h)].step_count;
@@ -609,9 +663,38 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
         (*steps)[i + span].kind == StepKind::kAggregate &&
         (*steps)[i + span].agg == AggOp::kCount;
 
+    // The join of every table chain compiles with the plan.
+    auto spec = std::make_shared<MultiHopSpec>();
+    auto pplan = std::make_shared<MultiHopProviderPlan>();
+    if (chosen) {
+      for (int h = 0; h < chain.hops_used; ++h) {
+        spec->hops.push_back(hops[static_cast<size_t>(h)].hop);
+      }
+      if (fold_count) spec->agg = AggOp::kCount;
+      for (const HopTables& first : chain.first_hop) {
+        std::vector<int> edge_tables = {first.edge_table};
+        std::vector<int> vertex_tables = {first.vertex_table};
+        for (const HopTables& later : chain.later_hops) {
+          edge_tables.push_back(later.edge_table);
+          vertex_tables.push_back(later.vertex_table);
+        }
+        JoinChainPlan cp;
+        Status built =
+            BuildJoinChainPlan(*ctx.topology, *ctx.runtime, *spec,
+                               std::move(edge_tables),
+                               std::move(vertex_tables), &cp);
+        if (!built.ok()) {
+          chosen = false;
+          chain.stop_reason = built.message();
+          break;
+        }
+        pplan->chains.push_back(std::move(cp));
+      }
+    }
+
     OptimizerLog::Decision d;
-    d.chain = DescribeHops(hops);
-    if (fold_count) d.chain += ".count()";
+    d.chain = DescribeHops(hops, id_sourced);
+    if (chosen && fold_count) d.chain += ".count()";
     d.chosen = chosen;
     d.hops = chosen ? chain.hops_used : static_cast<int>(hops.size());
     if (chosen) {
@@ -627,22 +710,17 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
     uint64_t decision_id = ctx.log ? ctx.log->Record(std::move(d)) : 0;
 
     if (!chosen) {
-      i = pos;  // a shorter sub-run would fail the same legality checks
+      // A shorter sub-run would fail the same legality checks — except
+      // that the hops after a rejected id-sourced first hop may still
+      // collapse on their own, from its EdgeVertexStep's vertices.
+      i = id_sourced ? i + hops[0].step_count : pos;
       continue;
     }
 
     if (fold_count) span += 1;  // the count() joins the fallback body
-    auto spec = std::make_shared<MultiHopSpec>();
-    for (int h = 0; h < chain.hops_used; ++h) {
-      spec->hops.push_back(hops[static_cast<size_t>(h)].hop);
-    }
     spec->est_rows =
         static_cast<uint64_t>(std::llround(std::max(chain.est_rows, 0.0)));
     spec->join_order = chain.join_order;
-    if (fold_count) spec->agg = AggOp::kCount;
-    auto pplan = std::make_shared<MultiHopProviderPlan>();
-    pplan->first_hop = std::move(chain.first_hop);
-    pplan->later_hops = std::move(chain.later_hops);
     pplan->log = ctx.log;
     pplan->decision_id = decision_id;
     spec->provider_plan = std::static_pointer_cast<const void>(
@@ -650,6 +728,12 @@ CollapseSummary CollapseInSteps(std::vector<Step>* steps,
 
     Step collapsed;
     collapsed.kind = StepKind::kMultiHop;
+    if (id_sourced) {
+      // The start ids stay id arguments, so plan-cache slots and prepared
+      // bindings resolve them per execution.
+      collapsed.src_id_args = (*steps)[i].src_id_args;
+      collapsed.dst_id_args = (*steps)[i].dst_id_args;
+    }
     collapsed.body.assign(steps->begin() + static_cast<ptrdiff_t>(i),
                           steps->begin() + static_cast<ptrdiff_t>(i + span));
     collapsed.multi_hop = std::move(spec);

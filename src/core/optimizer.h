@@ -12,7 +12,12 @@
 // falls back whenever the provider declines at runtime. A count() that
 // directly follows a collapsed chain folds into the step (with aggregate
 // pushdown on): the provider then groups the same join by source and
-// returns per-source walk counts instead of the walks.
+// returns per-source walk counts instead of the walks. A chain may start
+// at the edge fetch the GraphStep::VertexStep mutation makes of
+// g.V(ids).out(): the collapsed step is then a source that keeps those
+// ids as its own id arguments, and the join's first edge stage is
+// constrained by them, so g.V(id).out(a).out(b).out(c).count() is one
+// statement.
 //
 // Costing uses the live catalog statistics (table cardinalities and the
 // per-column KMV distinct-value estimates): per-hop fan-out is
@@ -34,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/graph_planning.h"
 #include "gremlin/step.h"
 #include "overlay/topology.h"
 #include "sql/database.h"
@@ -106,17 +112,12 @@ class OptimizerLog {
 };
 
 /// The provider-side payload of a MultiHopSpec (carried through the
-/// gremlin layer as an opaque pointer): which overlay tables each stage
-/// of the join touches. Hop 1 may fan out over several edge tables (one
-/// chain per table, executed in table-index order); every later hop was
-/// proven to resolve to exactly one.
+/// gremlin layer as an opaque pointer): the compiled join of each table
+/// chain. Hop 1 may fan out over several edge tables (one chain per
+/// table, executed in table-index order); every later hop was proven to
+/// resolve to exactly one.
 struct MultiHopProviderPlan {
-  struct HopTables {
-    int edge_table = -1;    // index into Topology::edge_tables()
-    int vertex_table = -1;  // far endpoint's pinned vertex table
-  };
-  std::vector<HopTables> first_hop;   // candidate chains, table order
-  std::vector<HopTables> later_hops;  // hops 2..N
+  std::vector<JoinChainPlan> chains;  // candidate chains, table order
   /// Execution feedback channel (est vs actual in sysmon.optimizer).
   std::weak_ptr<OptimizerLog> log;
   uint64_t decision_id = 0;

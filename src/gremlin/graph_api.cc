@@ -166,7 +166,7 @@ Result<Value> GraphProvider::AggregateEdges(const LookupSpec&) {
   return Status::Unsupported("no aggregate pushdown");
 }
 
-Status GraphProvider::MultiHopTraverse(const std::vector<VertexPtr>&,
+Status GraphProvider::MultiHopTraverse(const MultiHopSources&,
                                        const MultiHopSpec&, MultiHopResult*) {
   return Status::Unsupported("no multi-hop pushdown");
 }

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -161,24 +162,36 @@ struct MultiHopSpec {
   std::shared_ptr<const void> provider_plan;
 };
 
-/// One multi-hop result from one source: the final vertex plus the ids
-/// the traverser path accumulates along the way, in hop order (the edge
-/// id first for emit_edge_id hops, then the hop's vertex id).
+/// One multi-hop walk: the source id it started from, the final vertex,
+/// and the ids the traverser path accumulates along the way, in hop order
+/// (the edge id first for emit_edge_id hops, then the hop's vertex id).
 struct MultiHopEmission {
+  Value source;
   VertexPtr vertex;
   std::vector<Value> path_ids;
 };
 
-/// Multi-hop results bucketed by source-vertex id; the per-bucket order
-/// must equal the order step-at-a-time execution would emit for that
-/// source, so collapsed plans stay byte-identical with the fallback.
-using MultiHopBuckets =
-    std::unordered_map<Value, std::vector<MultiHopEmission>, ValueHash>;
+/// Where one MultiHopTraverse call starts: the distinct source ids, and
+/// the vertex tables the source vertices were read from (the input of
+/// endpoint-table pruning). A chain continuing from vertex traversers
+/// passes both. An id-sourced chain (g.V(ids).out()... after the
+/// GraphStep::VertexStep mutation) never looks its start vertices up, so
+/// it passes no tables: every edge table stays a candidate and id pinning
+/// alone prunes, exactly as for the edge fetch the chain replaces.
+struct MultiHopSources {
+  std::vector<Value> ids;
+  std::unordered_set<std::string> tables;
+};
 
-/// What one MultiHopTraverse call returns: the per-source emissions, or —
-/// for a count-folded spec — the per-source number of walks.
+/// What one MultiHopTraverse call returns: the walks, or — for a
+/// count-folded spec — the per-source number of walks.
 struct MultiHopResult {
-  MultiHopBuckets buckets;                               // agg == kNone
+  /// agg == kNone: every walk in the order step-at-a-time execution of an
+  /// id-sourced chain emits them (first-hop table order, then the join's
+  /// row order). Walks from one source keep the order step-at-a-time
+  /// execution emits for that source, so a vertex-sourced chain groups
+  /// them by source id without reordering.
+  std::vector<MultiHopEmission> walks;
   std::unordered_map<Value, int64_t, ValueHash> counts;  // agg == kCount
 };
 
@@ -256,10 +269,10 @@ class GraphProvider {
 
   /// Collapsed multi-hop traversal: all hops of `spec` from each source
   /// in one call (one N-way join statement per table chain in Db2 Graph).
-  /// Fills out->buckets, or out->counts when spec.agg is kCount.
+  /// Fills out->walks, or out->counts when spec.agg is kCount.
   /// Default is Unsupported — the interpreter then falls back to the
   /// step-at-a-time plan kept alongside the MultiHopStep.
-  virtual Status MultiHopTraverse(const std::vector<VertexPtr>& sources,
+  virtual Status MultiHopTraverse(const MultiHopSources& sources,
                                   const MultiHopSpec& spec,
                                   MultiHopResult* out);
 

@@ -112,9 +112,12 @@ bool IsStreamableStep(const Step& step) {
       // Same shape as streamable kVertex: per-block distinct sources, one
       // provider call, per-traverser emission (the collapsed hops never
       // carry an aggregate or a kBoth direction — the optimizer bails).
-      // A folded count() makes it a barrier, like the count itself.
-      return step.multi_hop == nullptr ||
-             step.multi_hop->agg == AggOp::kNone;
+      // A folded count() makes it a barrier, like the count itself. An
+      // id-sourced chain ignores its input, like the GraphStep it
+      // replaces, so it runs once per pass, as a barrier.
+      return !step.IdSourced() &&
+             (step.multi_hop == nullptr ||
+              step.multi_hop->agg == AggOp::kNone);
     case StepKind::kEdgeVertex:
     case StepKind::kHas:
     case StepKind::kValues:
@@ -893,19 +896,38 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
                                       std::vector<Traverser> input,
                                       ExecState* state,
                                       std::vector<Traverser>* out) {
-  std::vector<VertexPtr> sources;
-  std::unordered_set<Value, ValueHash> seen;
-  for (const Traverser& t : input) {
-    if (t.kind != Traverser::Kind::kVertex) {
-      return Status::InvalidArgument(
-          "Gremlin: multi-hop step applied to a non-vertex");
-    }
-    if (seen.insert(t.vertex->id).second) sources.push_back(t.vertex);
-  }
   const bool counted = step.multi_hop && step.multi_hop->agg == AggOp::kCount;
-  if (sources.empty()) {
-    if (counted) out->push_back(Traverser::OfValue(Value(int64_t{0})));
-    return Status::OK();
+  const bool id_sourced = step.IdSourced();
+  MultiHopSources sources;
+  if (id_sourced) {
+    // The chain starts from its resolved, deduplicated ids, as the edge
+    // fetch it replaces does. An id list that resolves empty leaves that
+    // fetch unconstrained, which the chain does not express: the body
+    // runs instead.
+    Result<LookupSpec> resolved = BuildGraphSpec(step, *state);
+    if (!resolved.ok()) return resolved.status();
+    sources.ids = std::move(step.src_id_args.empty() ? resolved->dst_ids
+                                                     : resolved->src_ids);
+    if (sources.ids.empty()) {
+      return Execute(step.body, std::move(input), state, out);
+    }
+  } else {
+    std::unordered_set<Value, ValueHash> seen;
+    for (const Traverser& t : input) {
+      if (t.kind != Traverser::Kind::kVertex) {
+        return Status::InvalidArgument(
+            "Gremlin: multi-hop step applied to a non-vertex");
+      }
+      if (!seen.insert(t.vertex->id).second) continue;
+      sources.ids.push_back(t.vertex->id);
+      if (!t.vertex->source_table.empty()) {
+        sources.tables.insert(t.vertex->source_table);
+      }
+    }
+    if (sources.ids.empty()) {
+      if (counted) out->push_back(Traverser::OfValue(Value(int64_t{0})));
+      return Status::OK();
+    }
   }
 
   if (step.multi_hop) {
@@ -913,21 +935,40 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
     Status st = provider_->MultiHopTraverse(sources, *step.multi_hop, &result);
     if (st.ok() && counted) {
       // The folded count() sees one traverser per walk from each input
-      // traverser, duplicates included.
+      // traverser, duplicates included; an id-sourced chain counts each
+      // of its distinct ids once.
       int64_t total = 0;
-      for (const Traverser& t : input) {
-        auto it = result.counts.find(t.vertex->id);
-        if (it != result.counts.end()) total += it->second;
+      if (id_sourced) {
+        for (const auto& [source, walks] : result.counts) total += walks;
+      } else {
+        for (const Traverser& t : input) {
+          auto it = result.counts.find(t.vertex->id);
+          if (it != result.counts.end()) total += it->second;
+        }
       }
       out->push_back(Traverser::OfValue(Value(total)));
       return st;
     }
+    if (st.ok() && id_sourced) {
+      // Walks arrive in the order the replaced steps emit them; each
+      // path starts at the walk's first edge, as the edge fetch's does.
+      for (MultiHopEmission& e : result.walks) {
+        Traverser child = Traverser::OfVertex(std::move(e.vertex));
+        child.path = std::move(e.path_ids);
+        out->push_back(std::move(child));
+      }
+      return st;
+    }
     if (st.ok()) {
-      const MultiHopBuckets& buckets = result.buckets;
+      std::unordered_map<Value, std::vector<size_t>, ValueHash> by_source;
+      for (size_t w = 0; w < result.walks.size(); ++w) {
+        by_source[result.walks[w].source].push_back(w);
+      }
       for (const Traverser& t : input) {
-        auto it = buckets.find(t.vertex->id);
-        if (it == buckets.end()) continue;
-        for (const MultiHopEmission& e : it->second) {
+        auto it = by_source.find(t.vertex->id);
+        if (it == by_source.end()) continue;
+        for (size_t w : it->second) {
+          const MultiHopEmission& e = result.walks[w];
           Traverser child = Traverser::OfVertex(e.vertex);
           child.path = t.path;
           child.path.insert(child.path.end(), e.path_ids.begin(),
@@ -943,7 +984,8 @@ Status Interpreter::ApplyMultiHopStep(const Step& step,
   // this input, carved like any other plan. The collapsed steps are all
   // block-safe transforms with no cross-pass state, so the result matches
   // the collapsed walk exactly (a folded count() is the body's last step
-  // and, as a barrier, sees the whole input).
+  // and, as a barrier, sees the whole input; an id-sourced body starts at
+  // its own edge fetch).
   return Execute(step.body, std::move(input), state, out);
 }
 

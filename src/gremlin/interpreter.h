@@ -136,7 +136,8 @@ class Interpreter {
   /// the whole chain; falls back to the preserved step-at-a-time plan in
   /// step.body when the provider returns Unsupported. With a folded
   /// count() it is a barrier emitting one value: the walk count summed
-  /// over the input traversers (0 for empty input).
+  /// over the input traversers (0 for empty input). An id-sourced chain
+  /// ignores its input and starts from its resolved ids.
   Status ApplyMultiHopStep(const Step& step, std::vector<Traverser> input,
                            ExecState* state, std::vector<Traverser>* out);
 

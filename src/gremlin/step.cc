@@ -91,6 +91,21 @@ void AppendValueList(const std::vector<Value>& values, std::ostream& os) {
   }
 }
 
+// " ids=[...]": literals as written, variables and id slots as "$name".
+void AppendIdArgs(const std::vector<GremlinArg>& ids, std::ostream& os) {
+  if (ids.empty()) return;
+  os << " ids=[";
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) os << ",";
+    const GremlinArg& id = ids[i];
+    os << (id.is_var()    ? "$" + id.var
+           : id.is_slot() ? "$" + std::string(kSlotPrefix) +
+                                std::to_string(id.slot)
+                          : id.literal.ToString());
+  }
+  os << "]";
+}
+
 }  // namespace
 
 std::string Step::ToString() const {
@@ -99,18 +114,7 @@ std::string Step::ToString() const {
   switch (kind) {
     case StepKind::kGraph: {
       os << "(" << (graph_emits_edges ? "E" : "V");
-      if (!start_ids.empty()) {
-        os << " ids=[";
-        for (size_t i = 0; i < start_ids.size(); ++i) {
-          if (i > 0) os << ",";
-          const GremlinArg& id = start_ids[i];
-          os << (id.is_var()    ? "$" + id.var
-                 : id.is_slot() ? "$" + std::string(kSlotPrefix) +
-                                      std::to_string(id.slot)
-                                : id.literal.ToString());
-        }
-        os << "]";
-      }
+      AppendIdArgs(start_ids, os);
       if (!spec.labels.empty()) {
         os << " labels=[";
         for (size_t i = 0; i < spec.labels.size(); ++i) {
@@ -208,6 +212,14 @@ std::string Step::ToString() const {
       break;
     case StepKind::kMultiHop: {
       os << "(hops=" << (multi_hop ? multi_hop->hops.size() : 0);
+      if (!src_id_args.empty()) {
+        AppendIdArgs(src_id_args, os);
+        os << " by-src";
+      }
+      if (!dst_id_args.empty()) {
+        AppendIdArgs(dst_id_args, os);
+        os << " by-dst";
+      }
       if (multi_hop && !multi_hop->join_order.empty()) {
         os << " join=" << multi_hop->join_order;
       }

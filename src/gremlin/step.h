@@ -132,7 +132,8 @@ struct Step {
 
   // kMultiHop ---------------------------------------------------------------
   /// The collapsed hop chain. The replaced step-at-a-time steps live in
-  /// `body` so the interpreter can fall back when the provider declines.
+  /// `body` so the interpreter can fall back when the provider declines;
+  /// an id-sourced chain keeps its start ids in src_id_args/dst_id_args.
   std::shared_ptr<const MultiHopSpec> multi_hop;
 
   /// True for steps that access the graph structure API (the paper's GSA
@@ -140,6 +141,15 @@ struct Step {
   bool IsGsa() const {
     return kind == StepKind::kGraph || kind == StepKind::kVertex ||
            kind == StepKind::kEdgeVertex || kind == StepKind::kMultiHop;
+  }
+
+  /// True for a MultiHopStep whose chain starts from ids (src_id_args for
+  /// an outward first hop, dst_id_args for an inward one: a collapsed
+  /// g.V(ids).out()...) instead of from its input traversers. Like the
+  /// GraphStep it replaces, such a step is a source.
+  bool IdSourced() const {
+    return kind == StepKind::kMultiHop &&
+           (!src_id_args.empty() || !dst_id_args.empty());
   }
 
   /// Human-readable rendering for plan diagnostics and strategy tests.

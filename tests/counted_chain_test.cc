@@ -6,6 +6,7 @@
 // distinct counts). A last hop that carries its own predicate keeps
 // visiting rows, and EXPLAIN ANALYZE shows which stages were counted.
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -30,7 +31,7 @@ class CountedChainTest : public ::testing::Test {
   void SetUp() override {
     ASSERT_TRUE(db_.ExecuteScript(R"sql(
       CREATE TABLE person (id BIGINT PRIMARY KEY, version BIGINT);
-      CREATE TABLE knows (src BIGINT, dst BIGINT);
+      CREATE TABLE knows (src BIGINT, dst BIGINT, w BIGINT);
       CREATE INDEX idx_knows_src ON knows (src);
       CREATE INDEX idx_knows_dst ON knows (dst);
     )sql")
@@ -47,13 +48,15 @@ class CountedChainTest : public ::testing::Test {
     }
     std::mt19937_64 rng(7);
     auto edge = [&](int64_t src, int64_t dst) {
+      const int64_t w = (src + 2 * dst) % 4;
       ASSERT_TRUE(db_.Execute("INSERT INTO knows VALUES (" +
                               std::to_string(src) + ", " +
-                              std::to_string(dst) + ")")
+                              std::to_string(dst) + ", " +
+                              std::to_string(w) + ")")
                       .ok());
       ASSERT_TRUE(native_
                       .AddEdge(Value(next_edge_id_++), "knows", Value(src),
-                               Value(dst), {})
+                               Value(dst), {{"w", Value(w)}})
                       .ok());
     };
     for (int64_t i = 0; i < kVertices; ++i) {
@@ -75,7 +78,7 @@ class CountedChainTest : public ::testing::Test {
       "e_tables": [{"table_name": "knows", "src_v_table": "person",
                     "src_v": "src", "dst_v_table": "person", "dst_v": "dst",
                     "implicit_edge_id": true, "fix_label": true,
-                    "label": "'knows'"}]
+                    "label": "'knows'", "properties": ["w"]}]
     })json");
     ASSERT_TRUE(graph.ok()) << graph.status().ToString();
     graph_ = std::move(*graph);
@@ -95,6 +98,26 @@ class CountedChainTest : public ::testing::Test {
     EXPECT_TRUE(out.ok()) << out.status().ToString() << " for " << text;
     if (!out.ok() || out->size() != 1) return -1;
     return (*out)[0].value.as_int();
+  }
+
+  // The ids a vertex-returning `text` (ending in .id()) yields, sorted:
+  // the native store and Db2 Graph may order walks differently.
+  std::vector<Value> SortedIds(const std::string& text, bool native) {
+    Result<std::vector<gremlin::Traverser>> out = [&] {
+      if (!native) return graph_->Execute(text);
+      Result<gremlin::Script> script = gremlin::ParseGremlin(text);
+      if (!script.ok()) {
+        return Result<std::vector<gremlin::Traverser>>(script.status());
+      }
+      gremlin::Interpreter interp(&native_);
+      return interp.RunScript(*script);
+    }();
+    EXPECT_TRUE(out.ok()) << out.status().ToString() << " for " << text;
+    std::vector<Value> ids;
+    if (!out.ok()) return ids;
+    for (const gremlin::Traverser& t : *out) ids.push_back(t.value);
+    std::sort(ids.begin(), ids.end());
+    return ids;
   }
 
   int64_t Db2Count(const std::string& text, ExecOptions options = {}) {
@@ -163,6 +186,59 @@ TEST_F(CountedChainTest, WalkCountsMatchTheNativeStore) {
   EXPECT_EQ(counters.fallbacks, 0u);
 }
 
+TEST_F(CountedChainTest, IdSourcedChainsAreOneStatement) {
+  // g.V(ids) followed by hops: the mutated first hop (out, in, or an
+  // outE/inE pair with an edge predicate, optionally with has() on its
+  // vertices) joins the chain, so each query is one SELECT. Starts cover
+  // the hub (0), parallel edges (multiples of 5), self loops (multiples
+  // of 6), and repeated and missing ids; walk counts and the returned
+  // vertices match the native store.
+  const std::vector<std::string> starts = {
+      "g.V(0)", "g.V(5, 5, 12)", "g.V(6, 77)", "g.V(77)",
+      "g.V(30, 10, 0, 10)"};
+  const std::vector<std::string> first_hops = {
+      "out('knows')", "in('knows')",
+      "outE('knows').has('w', gte(1)).inV()",
+      "out('knows').has('version', lte(4))",
+      "inE('knows').has('w', lt(3)).outV()"};
+  const std::vector<std::string> rests = {".out('knows').out('knows')",
+                                          ".in('knows').out()"};
+  const uint64_t executions0 = graph_->optimizer_log()->counters().executions;
+  int compared = 0;
+  for (const std::string& start : starts) {
+    for (const std::string& first : first_hops) {
+      for (const std::string& rest : rests) {
+        const std::string chain = start + "." + first + rest;
+        const std::string counted = chain + ".count()";
+        const uint64_t selects = db_.stats().Snapshot().selects;
+        EXPECT_EQ(Db2Count(counted), NativeCount(counted)) << counted;
+        EXPECT_EQ(db_.stats().Snapshot().selects, selects + 1) << counted;
+        const std::string returned = chain + ".id()";
+        EXPECT_EQ(SortedIds(returned, /*native=*/false),
+                  SortedIds(returned, /*native=*/true))
+            << returned;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 50);
+  OptimizerLog::Counters counters = graph_->optimizer_log()->counters();
+  EXPECT_EQ(counters.executions, executions0 + 2 * 50);
+  EXPECT_EQ(counters.fallbacks, 0u);
+
+  // Unlabeled hops over the one edge table: one source step, 3 hops.
+  Result<gremlin::Script> script =
+      graph_->Compile("g.V(1).out().out().out().count()");
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  const auto& steps = script->statements[0].traversal.steps;
+  ASSERT_EQ(steps.size(), 1u) << script->statements[0].traversal.ToString();
+  EXPECT_EQ(steps[0].kind, gremlin::StepKind::kMultiHop);
+  EXPECT_TRUE(steps[0].IdSourced());
+  ASSERT_NE(steps[0].multi_hop, nullptr);
+  EXPECT_EQ(steps[0].multi_hop->hops.size(), 3u);
+  EXPECT_EQ(steps[0].multi_hop->agg, gremlin::AggOp::kCount);
+}
+
 TEST_F(CountedChainTest, ExplainAnalyzeShowsTheCountedLastStage) {
   int64_t walks = 0;
   const std::string text =
@@ -170,10 +246,12 @@ TEST_F(CountedChainTest, ExplainAnalyzeShowsTheCountedLastStage) {
   const std::string plan = MultiHopPlan(text, &walks);
   ASSERT_FALSE(plan.empty()) << "no multi-hop statement was logged";
   EXPECT_EQ(walks, NativeCount(text));
-  // The last vertex stage is counted; the edge stage before it still
-  // visits its rows, since the counted stage's probe reads them.
-  EXPECT_NE(PlanLine(plan, "Join [v2 index probe, counted]"), "") << plan;
-  const std::string edge_stage = PlanLine(plan, "Join [e1 ");
+  // The whole chain, the first hop from the start ids included, is one
+  // 6-stage join. Its last vertex stage is counted; the edge stage before
+  // it still visits its rows, since the counted stage's probe reads them.
+  EXPECT_NE(PlanLine(plan, "Scan [e0 index probe]"), "") << plan;
+  EXPECT_NE(PlanLine(plan, "Join [v3 index probe, counted]"), "") << plan;
+  const std::string edge_stage = PlanLine(plan, "Join [e2 ");
   ASSERT_NE(edge_stage, "") << plan;
   EXPECT_EQ(edge_stage.find("counted"), std::string::npos) << plan;
 }
@@ -254,7 +332,7 @@ TEST_F(CountedChainTest, LastHopPredicateKeepsVisitingRows) {
     const std::string plan = MultiHopPlan(text, &walks);
     ASSERT_FALSE(plan.empty()) << "no multi-hop statement for " << text;
     EXPECT_EQ(walks, NativeCount(text)) << text;
-    const std::string last = PlanLine(plan, "Join [v2 ");
+    const std::string last = PlanLine(plan, "Join [v3 ");
     ASSERT_NE(last, "") << plan;
     EXPECT_EQ(last.find("counted"), std::string::npos) << plan;
     EXPECT_EQ(plan.find("counted"), std::string::npos) << plan;

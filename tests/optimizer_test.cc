@@ -177,6 +177,20 @@ TEST_F(MultiHopCollapseTest, EquivalenceMatrix) {
       ".out('follows').has('name', without('p3')).out('knows')",
       // Projection on the final hop only.
       "g.V(2, 4).out('knows').out('knows').values('name')",
+      // Id-sourced chains, whose first hop is the mutated g.V(ids).out()
+      // pair: an outE().has().inV() first hop, has() on hop-1 vertices,
+      // repeated and missing start ids, and an unlabeled first hop over
+      // both edge tables from several ids (table-major across sources).
+      "g.V(1, 7, 13).outE('knows').has('w', gte(2)).inV().out('follows')",
+      "g.V(2, 3).out('knows').has('age', lte(24)).out('knows')",
+      "g.V(4, 4, 999, 2).out('knows').out('knows').out('follows')",
+      "g.V(3, 1, 2).out().out('knows')",
+      "g.V(8, 9).in('knows').out('follows').in('knows').values('name')",
+      "g.V(6).inE('follows').outV().outE('knows').inV().id()",
+      // A mid-traversal V(ids) and one inside a union() branch: sources
+      // that ignore their input traversers.
+      "g.V(1).out('knows').V(2, 3).out('knows').out('follows')",
+      "g.V(1, 2).union(V(3).out('knows').out('knows'), out('follows'))",
   };
   for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
     for (int dop : {1, 4}) {
@@ -241,6 +255,12 @@ TEST_F(MultiHopCollapseTest, CountFoldEquivalence) {
       "g.V(1).outE('knows').has('w', gte(2)).inV().out('follows').count()",
       // A pushed has() on the final hop.
       "g.V(1, 2, 3).out('knows').out('knows').has('age', lte(23)).count()",
+      // Id-sourced first hops: missing and repeated ids, edge predicates,
+      // has() on hop-1 vertices, an unlabeled first hop.
+      "g.V(1, 99, 1, 1000).out('knows').out('knows').out('follows').count()",
+      "g.V(1, 7).outE('knows').has('w', gte(2)).inV().out('knows').count()",
+      "g.V(2, 5).out('follows').has('age', gte(23)).out('knows').count()",
+      "g.V(3, 4).out().out('knows').out('knows').count()",
       // limit() / dedup() between the chain and count(): no fold.
       "g.V(1, 2).out('knows').out('knows').limit(5).count()",
       "g.V(1, 2).out('knows').out('knows').dedup().count()",
@@ -385,6 +405,166 @@ TEST_F(MultiHopCollapseTest, CountFoldFallbackBodyCounts) {
       } else {
         EXPECT_GT(now, fallbacks) << text << " at block size " << block;
       }
+    }
+  }
+}
+
+// ----------------------------------------------------------------------
+// Id-sourced chains: g.V(ids).out()... with the mutated first hop
+// ----------------------------------------------------------------------
+
+TEST_F(MultiHopCollapseTest, IdSourcedChainCompilesToOneSourceStep) {
+  Result<gremlin::Script> script = graph_on_->Compile(
+      "g.V(1).out('knows').out('knows').out('follows').count()");
+  ASSERT_TRUE(script.ok());
+  const auto& steps = script->statements[0].traversal.steps;
+  ASSERT_EQ(steps.size(), 1u) << script->statements[0].traversal.ToString();
+  const gremlin::Step& step = steps[0];
+  ASSERT_EQ(step.kind, gremlin::StepKind::kMultiHop);
+  EXPECT_TRUE(step.IdSourced());
+  ASSERT_EQ(step.src_id_args.size(), 1u);
+  EXPECT_TRUE(step.dst_id_args.empty());
+  ASSERT_NE(step.multi_hop, nullptr);
+  EXPECT_EQ(step.multi_hop->hops.size(), 3u);
+  EXPECT_EQ(step.multi_hop->agg, gremlin::AggOp::kCount);
+  EXPECT_EQ(step.multi_hop->join_order,
+            "knows>person>knows>person>follows>person");
+  // The first hop's edges start the path, as the edge fetch's do.
+  EXPECT_TRUE(step.multi_hop->hops[0].emit_edge_id);
+  // The fallback body is the mutated plan: the edge fetch by source id,
+  // its inV(), the later hops and the count().
+  ASSERT_EQ(step.body.size(), 5u);
+  EXPECT_EQ(step.body[0].kind, gremlin::StepKind::kGraph);
+  EXPECT_TRUE(step.body[0].graph_emits_edges);
+  EXPECT_EQ(step.body[1].kind, gremlin::StepKind::kEdgeVertex);
+  EXPECT_EQ(step.body[4].kind, gremlin::StepKind::kAggregate);
+
+  // in() starts from destination ids.
+  script = graph_on_->Compile("g.V(5).in('knows').in('knows')");
+  ASSERT_TRUE(script.ok());
+  const auto& inward = script->statements[0].traversal.steps;
+  ASSERT_EQ(inward.size(), 1u);
+  EXPECT_TRUE(inward[0].IdSourced());
+  EXPECT_EQ(inward[0].dst_id_args.size(), 1u);
+  EXPECT_TRUE(inward[0].src_id_args.empty());
+
+  // path() keeps the mutation away, so the chain starts from the fetched
+  // start vertices instead.
+  script = graph_on_->Compile("g.V(5).out('knows').out('knows').path()");
+  ASSERT_TRUE(script.ok());
+  const auto& pathed = script->statements[0].traversal.steps;
+  ASSERT_EQ(pathed.size(), 3u);
+  EXPECT_EQ(pathed[1].kind, gremlin::StepKind::kMultiHop);
+  EXPECT_FALSE(pathed[1].IdSourced());
+
+  // A single hop after the pair stays step-at-a-time.
+  script = graph_on_->Compile("g.V(5).out('knows').count()");
+  ASSERT_TRUE(script.ok());
+  for (const auto& s : script->statements[0].traversal.steps) {
+    EXPECT_NE(s.kind, gremlin::StepKind::kMultiHop);
+  }
+}
+
+TEST_F(MultiHopCollapseTest, IdSourcedChainsShareOnePlanAcrossIds) {
+  // Texts differing only in the id share one cached plan: the start id
+  // stays a slot of the collapsed step.
+  const std::vector<std::string> texts = {
+      "g.V(1).out('knows').out('knows').out('follows').count()",
+      "g.V(2).out('knows').out('knows').out('follows').count()",
+      "g.V(999).out('knows').out('knows').out('follows').count()",
+  };
+  PlanCache::Counts before = graph_on_->plan_cache()->Snapshot();
+  for (const std::string& text : texts) {
+    EXPECT_EQ(Run(graph_on_.get(), text, 256, 1),
+              Run(graph_off_.get(), text, 256, 1))
+        << text;
+  }
+  PlanCache::Counts after = graph_on_->plan_cache()->Snapshot();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + texts.size() - 1);
+  EXPECT_EQ(graph_on_->plan_cache()->size(), 1u);
+}
+
+TEST_F(MultiHopCollapseTest, PreparedIdSourcedChainsBindTheStartIds) {
+  // The prepared form binds the start ids per execution; every binding,
+  // at every block size and degree of parallelism, matches the
+  // step-at-a-time text with the ids inlined.
+  const std::vector<std::string> shapes = {
+      "g.V(vid).out('knows').out('follows').out('knows')",
+      "g.V(vid).out('knows').out('follows').out('knows').count()",
+      "g.V(vid).in('knows').outE('knows').inV().id()",
+  };
+  const std::vector<std::vector<int64_t>> bindings = {
+      {1}, {7, 3}, {4, 4}, {999}, {12, 999, 5}};
+  const uint64_t executions0 =
+      graph_on_->optimizer_log()->counters().executions;
+  for (const std::string& shape : shapes) {
+    Result<PreparedQuery> prepared = graph_on_->Prepare(shape);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    for (const std::vector<int64_t>& ids : bindings) {
+      std::string inlined;
+      std::vector<Value> values;
+      for (int64_t id : ids) {
+        if (!inlined.empty()) inlined += ", ";
+        inlined += std::to_string(id);
+        values.push_back(Value(id));
+      }
+      std::string text = shape;
+      text.replace(text.find("vid"), 3, inlined);
+      for (size_t block_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+        for (int dop : {1, 4}) {
+          ExecOptions options;
+          options.config =
+              ExecConfig().block_rows(block_rows).parallelism(dop);
+          options.bindings = {{"vid", values}};
+          Result<std::vector<Traverser>> out = prepared->Execute(options);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          EXPECT_EQ(RenderAll(*out),
+                    Run(graph_off_.get(), text, block_rows, dop))
+              << text << " (block_rows=" << block_rows << " dop=" << dop
+              << ")";
+        }
+      }
+    }
+  }
+  OptimizerLog::Counters c = graph_on_->optimizer_log()->counters();
+  EXPECT_EQ(c.executions,
+            executions0 + shapes.size() * bindings.size() * 6);
+  EXPECT_EQ(c.fallbacks, 0u);
+}
+
+TEST_F(MultiHopCollapseTest, IdSourcedDeclineRunsTheBodyOnce) {
+  // A provider without endpoint pinning declines the join; the step then
+  // runs its body — the mutated edge fetch and the hops after it — once,
+  // whatever the block size, and returns exactly what step-at-a-time
+  // execution returns.
+  Db2Graph::Options unpinned;
+  unpinned.runtime.endpoint_table_pruning = false;
+  std::unique_ptr<Db2Graph> declining = OpenGraph(unpinned);
+  const std::vector<std::string> texts = {
+      "g.V(1, 1, 3).out('knows').out('knows').out('follows')",
+      "g.V(1, 1, 3).out('knows').out('knows').out('follows').count()",
+      "g.V(4).in('knows').in('knows').id()",
+      "g.V(999).out('knows').out('knows').count()",
+  };
+  for (const std::string& text : texts) {
+    Result<gremlin::Script> script = graph_on_->Compile(text);
+    ASSERT_TRUE(script.ok());
+    ASSERT_TRUE(script->statements[0].traversal.steps[0].IdSourced())
+        << script->statements[0].traversal.ToString();
+    for (size_t block : {size_t{1}, size_t{7}, size_t{1024}}) {
+      const uint64_t fallbacks =
+          graph_on_->optimizer_log()->counters().fallbacks;
+      gremlin::Interpreter::Options options;
+      options.block_size = block;
+      gremlin::Interpreter interpreter(declining->provider(), options);
+      Result<std::vector<Traverser>> out = interpreter.RunScript(*script);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(RenderAll(*out), Run(graph_off_.get(), text, block, 1))
+          << text << " at block size " << block;
+      EXPECT_EQ(graph_on_->optimizer_log()->counters().fallbacks,
+                fallbacks + 1)
+          << text << " at block size " << block;
     }
   }
 }

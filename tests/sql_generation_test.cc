@@ -194,14 +194,37 @@ TEST_F(SqlGenerationTest, ExplainPreviewsTheStatementsThatRun) {
     EXPECT_EQ(explained, Trace(shape)) << shape;
   }
 
-  // inV()'s endpoint ids come from the fetched edges, so only the edge
-  // statement is known before execution.
-  const char kEndpoint[] = "g.V('patient::1').outE('hasDisease').inV()";
-  std::vector<std::string> explained = Explained(graph_.get(), kEndpoint);
-  std::vector<std::string> traced = Trace(kEndpoint);
-  ASSERT_FALSE(explained.empty());
-  ASSERT_EQ(traced.size(), 2u);
-  EXPECT_EQ(explained[0], traced[0]);
+  // The vertex half of out() and inV(): endpoint pruning keeps the one
+  // table the edges' far endpoint is pinned to, probed by id. The ids
+  // come from the fetched edges, so the preview shows them as "?".
+  std::vector<std::string> explained;
+  for (const char* endpoint :
+       {"g.V('patient::1').outE('hasDisease').inV()",
+        "g.V('patient::1').out('hasDisease')"}) {
+    explained = Explained(graph_.get(), endpoint);
+    std::vector<std::string> traced = Trace(endpoint);
+    ASSERT_EQ(traced.size(), 2u) << endpoint;
+    ASSERT_EQ(explained.size(), 2u) << endpoint;
+    EXPECT_EQ(explained[0], traced[0]) << endpoint;
+    std::string runtime_ids = traced[1];
+    const size_t at = runtime_ids.rfind("IN (11)");
+    ASSERT_NE(at, std::string::npos) << runtime_ids;
+    runtime_ids.replace(at, 7, "IN (?)");
+    EXPECT_EQ(explained[1], runtime_ids) << endpoint;
+    Result<Db2Graph::ExplainResult> explain = graph_->Explain(endpoint);
+    ASSERT_TRUE(explain.ok());
+    const Json& vertex_step = explain->json.Find("steps")->items().back();
+    ASSERT_EQ(vertex_step.Find("tables_consulted")->items().size(), 1u)
+        << explain->text;
+    EXPECT_EQ(vertex_step.Find("tables_consulted")->items().back().as_string(),
+              "Disease");
+    EXPECT_EQ(vertex_step.Find("statements")
+                  ->items()
+                  .back()
+                  .Find("access_path")
+                  ->as_string(),
+              "index probe");
+  }
 
   // Naive mode: the client-filtered table previews its full-row scan.
   Db2Graph::Options naive;
