@@ -7,15 +7,14 @@
 // scales with cores, while GDB-X serializes on its cache latch and the
 // Janus-like store on its KV latch.
 //
-// This binary also runs a Db2Graph-only ablation of the runtime lookup
-// optimizations (parallel multi-table fan-out and the sharded vertex
-// cache) on the partitioned overlay with PLAIN integer ids — the layout
-// where every g.V(id) must consult all 10 vertex tables, so both knobs
-// have real work to do. Results land in BENCH_fig6.json. Environment:
+// This binary also runs a Db2Graph-only ablation of the parallel
+// multi-table fan-out on the partitioned overlay with PLAIN integer ids —
+// the layout where every g.V(id) must consult all 10 vertex tables, so the
+// fan-out has real work to do. Results land in BENCH_fig6.json.
+// Environment:
 //   DB2G_FIG6_CLIENTS        client threads for the ablation (default 8)
 //   DB2G_FIG6_QPC            queries per client per query type (default 200)
-//   DB2G_FIG6_CACHE=0|1      restrict the mode grid to one cache setting
-//   DB2G_FIG6_FANOUT=0|1     restrict the mode grid to one fan-out setting
+//   DB2G_FIG6_FANOUT=0|1     run the ablation with one fan-out setting only
 //   DB2G_FIG6_SKIP_SYSTEMS=1 skip the heavy three-system comparison
 //   DB2G_FIG6_SKIP_ABLATION=1 skip the ablation section
 
@@ -134,18 +133,11 @@ void RunScale(const db2graph::linkbench::Config& config, const char* label,
   std::printf("\n");
 }
 
-// --- Ablation: parallel fan-out x vertex cache -------------------------
-
-struct AblationMode {
-  bool cache;
-  bool fanout;
-};
+// --- Ablation: parallel fan-out off / on --------------------------------
 
 struct AblationResult {
-  AblationMode mode;
+  bool fanout = false;
   double overall_qps = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t parallel_batches = 0;
   uint64_t parallel_tasks = 0;
 };
@@ -174,14 +166,14 @@ size_t PickNode(std::mt19937_64* rng, size_t n) {
 }
 
 // The ablation's query mix. Link operations compile to direct single-table
-// edge SQL (the fold of V(id).outE into an id1 lookup), so they neither
-// fan out nor touch the vertex cache; the shape that exercises both is the
-// untyped point lookup g.V(id) — the retrofit case where the caller holds
-// a plain integer id and cannot name the vertex type, forcing a consult of
-// all 10 Node_t* tables. The mix keeps that lookup dominant and lets typed
-// lookups and link scans ride along.
-//   60% g.V(id)                  multi-table fan-out / cache hit
-//   15% g.V(id).hasLabel('vtK')  pruned to one table; hits warm cache
+// edge SQL (the fold of V(id).outE into an id1 lookup), so they do not fan
+// out; the shape that does is the untyped point lookup g.V(id) — the
+// retrofit case where the caller holds a plain integer id and cannot name
+// the vertex type, forcing a consult of all 10 Node_t* tables. The mix
+// keeps that lookup dominant and lets typed lookups and link scans ride
+// along.
+//   60% g.V(id)                  multi-table fan-out
+//   15% g.V(id).hasLabel('vtK')  pruned to one table
 //   15% g.V(id1).outE('etK').count()
 //   10% g.V(id1).outE('etK')
 std::string NextAblationQuery(const db2graph::linkbench::Dataset& dataset,
@@ -200,16 +192,14 @@ std::string NextAblationQuery(const db2graph::linkbench::Dataset& dataset,
   return roll < 90 ? base + ".count()" : base;
 }
 
-// Measures one (cache, fanout) configuration over a fresh Db2Graph opened
-// on the shared database. The query lists are generated once by the
-// caller, so every mode answers the identical Zipfian workload.
+// Measures one fan-out setting over a fresh Db2Graph opened on the shared
+// database. The query lists are generated once by the caller, so every
+// mode answers the identical Zipfian workload.
 AblationResult MeasureAblationMode(
     db2graph::sql::Database* db, const db2graph::overlay::OverlayConfig& conf,
-    const std::vector<std::vector<std::string>>& per_client,
-    AblationMode mode) {
+    const std::vector<std::vector<std::string>>& per_client, bool fanout) {
   db2graph::core::Db2Graph::Options options;
-  options.runtime.vertex_cache = mode.cache;
-  options.runtime.parallel_fanout = mode.fanout;
+  options.runtime.parallel_fanout = fanout;
   auto graph = db2graph::core::Db2Graph::Open(db, conf, options);
   if (!graph.ok()) std::abort();
   auto run = [&](const std::string& q) {
@@ -221,18 +211,16 @@ AblationResult MeasureAblationMode(
     }
   };
 
-  // Warm up to steady state (SQL template cache and, when enabled, the
-  // vertex cache) — every mode gets the identical warm-up stream.
+  // Warm up the SQL template cache — every mode gets the identical warm-up
+  // stream.
   for (int i = 0; i < 200; ++i) {
     run(per_client[0][i % per_client[0].size()]);
   }
 
   AblationResult result;
-  result.mode = mode;
+  result.fanout = fanout;
   result.overall_qps = RunClients(run, per_client);
   const auto stats = (*graph)->provider()->stats().Snapshot();
-  result.cache_hits = stats.cache_hits;
-  result.cache_misses = stats.cache_misses;
   result.parallel_batches = stats.parallel_batches;
   result.parallel_tasks = stats.parallel_tasks;
   return result;
@@ -244,7 +232,7 @@ void RunAblation() {
 
   // Plain integer ids: no prefix to pin a vertex table, so every untyped
   // g.V(id) fans out across all 10 Node_t* tables — the worst-case lookup
-  // the cache and the parallel fan-out exist for.
+  // the parallel fan-out exists for.
   auto config = db2graph::linkbench::Config::Small();
   std::fprintf(stderr, "[setup] generating LB-small (ablation)...\n");
   auto dataset = db2graph::linkbench::GeneratePartitioned(config);
@@ -266,21 +254,14 @@ void RunAblation() {
     }
   }
 
-  std::vector<AblationMode> grid;
-  const char* cache_env = std::getenv("DB2G_FIG6_CACHE");
+  std::vector<bool> grid;
   const char* fanout_env = std::getenv("DB2G_FIG6_FANOUT");
-  for (bool cache : {false, true}) {
-    if (cache_env != nullptr && *cache_env != '\0' &&
-        cache != (cache_env[0] == '1')) {
+  for (bool fanout : {false, true}) {
+    if (fanout_env != nullptr && *fanout_env != '\0' &&
+        fanout != (fanout_env[0] == '1')) {
       continue;
     }
-    for (bool fanout : {false, true}) {
-      if (fanout_env != nullptr && *fanout_env != '\0' &&
-          fanout != (fanout_env[0] == '1')) {
-        continue;
-      }
-      grid.push_back({cache, fanout});
-    }
+    grid.push_back(fanout);
   }
 
   std::printf(
@@ -288,17 +269,16 @@ void RunAblation() {
       "access,\n%d clients, lookup-heavy mix): runtime lookup "
       "optimizations\n",
       clients);
-  std::printf("%-22s %12s %12s %12s %12s\n", "Mode", "overall q/s",
-              "cache hits", "misses", "batches");
+  std::printf("%-12s %12s %12s %12s\n", "Mode", "overall q/s", "batches",
+              "tasks");
 
   std::vector<AblationResult> results;
-  for (AblationMode mode : grid) {
-    AblationResult r = MeasureAblationMode(&db, overlay, per_client, mode);
-    std::printf("cache=%-3s fanout=%-3s   %12.0f %12llu %12llu %12llu\n",
-                mode.cache ? "on" : "off", mode.fanout ? "on" : "off",
-                r.overall_qps, (unsigned long long)r.cache_hits,
-                (unsigned long long)r.cache_misses,
-                (unsigned long long)r.parallel_batches);
+  for (bool fanout : grid) {
+    AblationResult r = MeasureAblationMode(&db, overlay, per_client, fanout);
+    std::printf("fanout=%-3s   %12.0f %12llu %12llu\n",
+                fanout ? "on" : "off", r.overall_qps,
+                (unsigned long long)r.parallel_batches,
+                (unsigned long long)r.parallel_tasks);
     results.push_back(r);
   }
 
@@ -311,29 +291,24 @@ void RunAblation() {
   doc.Set("mix", Json::Str("60% g.V(id), 15% g.V(id).hasLabel, "
                            "15% outE.count, 10% outE"));
   Json modes = Json::Array();
-  const AblationResult* off_off = nullptr;
-  const AblationResult* on_on = nullptr;
+  const AblationResult* off = nullptr;
+  const AblationResult* on = nullptr;
   for (const AblationResult& r : results) {
     Json m = Json::Object();
-    m.Set("vertex_cache", Json::Bool(r.mode.cache));
-    m.Set("parallel_fanout", Json::Bool(r.mode.fanout));
+    m.Set("parallel_fanout", Json::Bool(r.fanout));
     m.Set("overall_qps", Json::Number(r.overall_qps));
-    m.Set("cache_hits", Json::Number(static_cast<double>(r.cache_hits)));
-    m.Set("cache_misses", Json::Number(static_cast<double>(r.cache_misses)));
     m.Set("parallel_batches",
           Json::Number(static_cast<double>(r.parallel_batches)));
     m.Set("parallel_tasks",
           Json::Number(static_cast<double>(r.parallel_tasks)));
     modes.Append(std::move(m));
-    if (!r.mode.cache && !r.mode.fanout) off_off = &r;
-    if (r.mode.cache && r.mode.fanout) on_on = &r;
+    (r.fanout ? on : off) = &r;
   }
   doc.Set("modes", std::move(modes));
-  if (off_off != nullptr && on_on != nullptr && off_off->overall_qps > 0) {
-    double speedup = on_on->overall_qps / off_off->overall_qps;
+  if (off != nullptr && on != nullptr && off->overall_qps > 0) {
+    double speedup = on->overall_qps / off->overall_qps;
     doc.Set("speedup_on_vs_off", Json::Number(speedup));
-    std::printf("Speedup (cache+fanout on vs both off): %.2fx overall\n",
-                speedup);
+    std::printf("Speedup (fanout on vs off): %.2fx overall\n", speedup);
   }
   std::ofstream out("BENCH_fig6.json");
   out << doc.Dump() << "\n";

@@ -439,7 +439,7 @@ int main() {
   const size_t query_log_capacity = query_log.capacity();
   query_log.SetCapacity(size_t{1} << 18);
 
-  // Warm the vertex cache and code paths in both modes.
+  // Warm the plan cache and code paths in both modes.
   RunBatch(graph->get(), kIdRange, kIdRange);
   query_log.SetThresholdMs(1000000);  // traced, never logged as slow
   RunBatch(graph->get(), kIdRange, kIdRange);

@@ -8,7 +8,7 @@
 // a waiting caller is also a worker for its batch.
 //
 // This is the execution engine behind the Graph Structure module's
-// parallel multi-table fan-out (DESIGN.md "Concurrency & caching"): each
+// parallel multi-table fan-out (DESIGN.md "Concurrency architecture"): each
 // per-table SQL of one graph lookup becomes one task.
 
 #ifndef DB2GRAPH_COMMON_THREAD_POOL_H_

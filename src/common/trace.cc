@@ -149,16 +149,6 @@ void QueryTrace::AddTablePruned(std::string table) {
   }
 }
 
-void QueryTrace::AddCacheHit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (StepTraceSpan* span = InnermostOpenLocked()) ++span->cache_hits;
-}
-
-void QueryTrace::AddCacheMiss() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (StepTraceSpan* span = InnermostOpenLocked()) ++span->cache_misses;
-}
-
 void QueryTrace::AddFanout(uint64_t batches, uint64_t tasks) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (StepTraceSpan* span = InnermostOpenLocked()) {
@@ -246,10 +236,6 @@ std::string QueryTrace::RenderText() const {
       }
       out += "\n";
     }
-    if (span.cache_hits + span.cache_misses > 0) {
-      out += pad + "  cache: hits=" + std::to_string(span.cache_hits) +
-             " misses=" + std::to_string(span.cache_misses) + "\n";
-    }
     if (span.fanout_batches > 0) {
       out += pad + "  fanout: batches=" +
              std::to_string(span.fanout_batches) +
@@ -319,9 +305,6 @@ Json QueryTrace::ToJson() const {
       pruned.Append(Json::Str(t));
     }
     one.Set("tables_pruned", std::move(pruned));
-    one.Set("cache_hits", Json::Number(static_cast<double>(span.cache_hits)));
-    one.Set("cache_misses",
-            Json::Number(static_cast<double>(span.cache_misses)));
     one.Set("fanout_batches",
             Json::Number(static_cast<double>(span.fanout_batches)));
     one.Set("fanout_tasks",

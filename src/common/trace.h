@@ -97,8 +97,6 @@ struct StepTraceSpan {
   uint64_t blocks = 0;
   std::vector<std::string> tables_consulted;
   std::vector<std::string> tables_pruned;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t fanout_batches = 0;
   uint64_t fanout_tasks = 0;
   uint64_t shortcut_vertices = 0;
@@ -168,8 +166,6 @@ class QueryTrace {
   void RecordSql(SqlTraceRecord record, int span_id = -1);
   void AddTableConsulted(std::string table);
   void AddTablePruned(std::string table);
-  void AddCacheHit();
-  void AddCacheMiss();
   void AddFanout(uint64_t batches, uint64_t tasks);
   void AddShortcutVertices(uint64_t n);
 

@@ -515,13 +515,7 @@ std::unordered_set<std::string> SourceTables(
 Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
                                    overlay::Topology topology,
                                    RuntimeOptions options)
-    : dialect_(dialect), topology_(std::move(topology)), options_(options) {
-  if (options_.vertex_cache) {
-    VertexCache::Options cache_options;
-    cache_options.capacity = options_.vertex_cache_entries;
-    cache_ = std::make_unique<VertexCache>(cache_options);
-  }
-}
+    : dialect_(dialect), topology_(std::move(topology)), options_(options) {}
 
 bool Db2GraphProvider::BeginFanOut(size_t n) {
   // Fanning out while this thread already holds the database's shared
@@ -607,26 +601,6 @@ Result<Value> Db2GraphProvider::AggregateTables(
       },
       &partials));
   return MergeAggregate(spec.agg, partials);
-}
-
-bool Db2GraphProvider::CacheUsable(const LookupSpec& spec) const {
-  // Single-id point lookups only: multi-id answers would interleave
-  // cached and fetched rows and break the deterministic table-major
-  // result order. Projections fetch partial rows (never cacheable), and
-  // under access control every lookup must reach SQL so grants apply.
-  return cache_ != nullptr && options_.vertex_cache && spec.ids.size() == 1 &&
-         spec.agg == AggOp::kNone && !spec.has_projection &&
-         !dialect_->db()->access_control_enabled();
-}
-
-bool Db2GraphProvider::CacheFillEligible(const LookupSpec& spec) const {
-  // Labels prune tables and predicates are pushed into WHERE: either one
-  // makes the fetched set a subset of "all vertices with this id", which
-  // is what a cache entry must hold. (Id-type pinning is fine — a table
-  // skipped because the id cannot decompose into its key columns cannot
-  // contain the vertex at all.) A limit truncates the fetch, so a limited
-  // lookup can never populate an entry either.
-  return spec.labels.empty() && spec.predicates.empty() && spec.limit < 0;
 }
 
 // ----------------------------------------------------------------------
@@ -886,43 +860,11 @@ Result<std::unique_ptr<Stream>> Db2GraphProvider::StreamTables(
 
 Status Db2GraphProvider::Vertices(const LookupSpec& spec,
                                   std::vector<VertexPtr>* out) {
-  const bool cache_on = CacheUsable(spec);
-  uint64_t epoch = 0;
-  if (cache_on) {
-    // Epoch read *before* the lookup: a write racing with the fetch makes
-    // the entry stale-by-construction rather than stale-but-current.
-    epoch = dialect_->db()->write_epoch();
-    std::vector<VertexPtr> cached;
-    if (cache_->Get(spec.ids[0], epoch, &cached)) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) trace->AddCacheHit();
-      for (VertexPtr& v : cached) {
-        if (gremlin::MatchesSpec(*v, spec)) out->push_back(std::move(v));
-      }
-      return Status::OK();
-    }
-    stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
-  }
-
-  std::vector<VertexPtr> fetched;
-  DB2G_RETURN_NOT_OK(
-      FetchTables(topology_.vertex_tables(), spec, nullptr, &fetched));
-  if (cache_on && CacheFillEligible(spec)) {
-    // Every surviving table was consulted and nothing was filtered, so
-    // `fetched` is the complete vertex set for this id (possibly empty —
-    // a cached negative).
-    cache_->Put(spec.ids[0], fetched, epoch);
-  }
-  for (VertexPtr& v : fetched) out->push_back(std::move(v));
-  return Status::OK();
+  return FetchTables(topology_.vertex_tables(), spec, nullptr, out);
 }
 
 Result<std::unique_ptr<gremlin::VertexStream>>
 Db2GraphProvider::VerticesStreaming(const LookupSpec& spec) {
-  // Cache-eligible point lookups answer from (and fill) the vertex cache
-  // in Vertices(); the base class chunks that result.
-  if (CacheUsable(spec)) return GraphProvider::VerticesStreaming(spec);
   return StreamTables<ResolvedVertexTable, gremlin::VertexStream>(
       topology_.vertex_tables(), spec);
 }
@@ -1000,18 +942,10 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
                                        const LookupSpec& spec,
                                        std::vector<VertexPtr>* out) {
   // Downstream the interpreter joins endpoints back to edges through an
-  // id-keyed map, so result order here is free — cache hits can be
-  // emitted immediately during classification.
-  const bool cache_on = cache_ != nullptr && options_.vertex_cache &&
-                        spec.agg == AggOp::kNone && !spec.has_projection &&
-                        !dialect_->db()->access_control_enabled();
-  uint64_t epoch = cache_on ? dialect_->db()->write_epoch() : 0;
-  // The pinned paths below replace spec.ids with the endpoint ids, so
-  // cached vertices are filtered against labels/predicates only; ids the
-  // spec asks for (a hasId() folded into out()/in()) filter the endpoints
-  // up front instead.
-  LookupSpec cached_check = spec;
-  cached_check.ids.clear();
+  // id-keyed map, so result order here is free: shortcut vertices are
+  // emitted during classification. The pinned paths below replace spec.ids
+  // with the endpoint ids, so ids the spec asks for (a hasId() folded into
+  // out()/in()) filter the endpoints up front.
 
   // Partition endpoint ids by the vertex table they are pinned to.
   std::map<int, std::vector<Value>> pinned;  // vertex table -> ids
@@ -1051,21 +985,6 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
           return true;
         }
       }
-    }
-    if (cache_on) {
-      std::vector<VertexPtr> cached;
-      if (cache_->Get(id, epoch, &cached)) {
-        stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        if (QueryTrace* trace = CurrentTrace()) trace->AddCacheHit();
-        for (VertexPtr& v : cached) {
-          if (gremlin::MatchesSpec(*v, cached_check)) {
-            out->push_back(std::move(v));
-          }
-        }
-        return true;
-      }
-      stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      if (QueryTrace* trace = CurrentTrace()) trace->AddCacheMiss();
     }
     if (vertex_table >= 0) {
       pinned[vertex_table].push_back(id);
@@ -1152,6 +1071,15 @@ std::vector<JoinStage> StagesWith(const JoinChainPlan& chain, JoinStage e0) {
   return stages;
 }
 
+/// The one name a chain's join files under, in Explain and in the trace:
+/// its stage tables in join order, separated by '>'.
+std::string ChainName(const JoinChainPlan& chain) {
+  std::vector<std::string> tables;
+  tables.reserve(chain.stages.size());
+  for (const JoinStage& stage : chain.stages) tables.push_back(stage.table);
+  return Join(tables, ">");
+}
+
 /// Sub-row of one stage in the joined result row.
 Row StageRow(const Row& row, const JoinChainPlan::StageLayout& stage) {
   return Row(row.begin() + static_cast<ptrdiff_t>(stage.offset),
@@ -1226,8 +1154,8 @@ Status Db2GraphProvider::MultiHopTraverse(
     SetCondAlias(&e0.conds, e0.alias);
 
     stats_.edge_tables_queried.fetch_add(1, std::memory_order_relaxed);
+    if (trace != nullptr) trace->AddTableConsulted(ChainName(chain));
     for (size_t s = 0; s < chain.stages.size(); ++s) {
-      if (trace != nullptr) trace->AddTableConsulted(chain.stages[s].table);
       dialect_->RecordPattern(chain.stages[s].table,
                               s == 0 ? ep.predicate_columns
                                      : chain.patterns[s]);
@@ -1506,12 +1434,7 @@ Status Db2GraphProvider::ExplainMultiHop(const gremlin::MultiHopSpec& spec,
     }
     JoinStage e0{et.conf.table_name, "e0", std::move(ep.conds)};
     SetCondAlias(&e0.conds, e0.alias);
-    std::vector<std::string> chain_tables;
-    chain_tables.reserve(chain.stages.size());
-    for (const JoinStage& stage : chain.stages) {
-      chain_tables.push_back(stage.table);
-    }
-    preview.table = Join(chain_tables, ">");
+    preview.table = ChainName(chain);
     std::vector<Value> params;
     std::string sql =
         BuildJoinSql(StagesWith(chain, std::move(e0)),

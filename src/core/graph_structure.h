@@ -26,15 +26,13 @@
 #include <vector>
 
 #include "core/sql_dialect.h"
-#include "core/vertex_cache.h"
 #include "gremlin/graph_api.h"
 #include "overlay/topology.h"
 
 namespace db2graph::core {
 
 /// Toggles for the Section 6.3 data-dependent runtime optimizations, plus
-/// the execution-layer knobs (parallel fan-out, hot-vertex cache) that sit
-/// on top of them.
+/// the execution-layer parallel fan-out that sits on top of them.
 struct RuntimeOptions {
   bool label_pruning = true;
   bool prefixed_id_pinning = true;
@@ -46,19 +44,14 @@ struct RuntimeOptions {
   /// Fan per-table SQL of one lookup out across the shared thread pool
   /// whenever more than one table survives pruning. Skipped when the
   /// calling thread already holds the database read lock (graphQuery
-  /// inside a SELECT) — see DESIGN.md "Concurrency & caching".
+  /// inside a SELECT) — see DESIGN.md "Concurrency architecture".
   bool parallel_fanout = true;
-  /// Sharded LRU cache of fully-materialized vertices by id, invalidated
-  /// via the database write epoch. Bypassed under access control.
-  bool vertex_cache = true;
-  size_t vertex_cache_entries = 65536;
 
   static RuntimeOptions AllOff() {
     RuntimeOptions o;
     o.label_pruning = o.prefixed_id_pinning = o.property_pruning =
         o.endpoint_table_pruning = o.vertex_from_edge_shortcut =
-            o.implicit_edge_id_decomposition = o.parallel_fanout =
-                o.vertex_cache = false;
+            o.implicit_edge_id_decomposition = o.parallel_fanout = false;
     return o;
   }
 };
@@ -82,8 +75,7 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   /// for the tables it did not reach. Without fan-out the tables stream
   /// lazily in table order; with it, per-table producers feed bounded
   /// queues drained in table order, and Close() cancels the ones not yet
-  /// started. A vertex point lookup the cache can answer goes through
-  /// Vertices() and the base class's chunking adapter.
+  /// started.
   Result<std::unique_ptr<gremlin::VertexStream>> VerticesStreaming(
       const gremlin::LookupSpec& spec) override;
   Result<std::unique_ptr<gremlin::EdgeStream>> EdgesStreaming(
@@ -131,8 +123,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
     metrics::Counter shortcut_vertices;  // built from edge rows
     metrics::Counter parallel_batches;   // fan-outs dispatched
     metrics::Counter parallel_tasks;     // per-table jobs in them
-    metrics::Counter cache_hits;         // vertex-cache hits
-    metrics::Counter cache_misses;       // vertex-cache misses
 
     /// Plain-value copy of every counter.
     struct Counts {
@@ -143,6 +133,7 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       uint64_t shortcut_vertices = 0;
       uint64_t parallel_batches = 0;
       uint64_t parallel_tasks = 0;
+      // Always 0: no graph-level vertex cache; kept for perfbench readers.
       uint64_t cache_hits = 0;
       uint64_t cache_misses = 0;
     };
@@ -156,8 +147,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       c.shortcut_vertices = shortcut_vertices.load();
       c.parallel_batches = parallel_batches.load();
       c.parallel_tasks = parallel_tasks.load();
-      c.cache_hits = cache_hits.load();
-      c.cache_misses = cache_misses.load();
       return c;
     }
 
@@ -169,8 +158,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       shortcut_vertices = 0;
       parallel_batches = 0;
       parallel_tasks = 0;
-      cache_hits = 0;
-      cache_misses = 0;
     }
   };
   const Stats& stats() const { return stats_; }
@@ -251,19 +238,10 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   /// the fan-out it allows.
   bool BeginFanOut(size_t n);
 
-  /// Cache is consulted only for pure single-id point lookups that fetch
-  /// full rows (no projection, no aggregate) outside access control.
-  bool CacheUsable(const gremlin::LookupSpec& spec) const;
-  /// Entries may only be *filled* from fetches whose result is the
-  /// complete vertex set for the id: no label/predicate restriction (those
-  /// prune or filter tables a later lookup might need).
-  bool CacheFillEligible(const gremlin::LookupSpec& spec) const;
-
   SqlDialect* dialect_;
   overlay::Topology topology_;
   RuntimeOptions options_;
   Stats stats_;
-  std::unique_ptr<VertexCache> cache_;
 };
 
 /// Provenance payload attached to elements produced by Db2GraphProvider:

@@ -282,11 +282,6 @@ Result<ResultSet> Database::Run(PreparedStatement::Handle& handle,
   }
   auto execute = [&]() -> Result<ResultSet> {
     WriteLock lock(&mutex_);
-    // Bumped under the exclusive lock: readers that observe the new epoch
-    // are serialized after this write, so data they fetch and tag with it
-    // cannot be stale. (Bumping outside the lock would let a reader tag
-    // pre-write data with the post-write epoch.)
-    write_epoch_.fetch_add(1, std::memory_order_acq_rel);
     stats_.writes.fetch_add(1, std::memory_order_relaxed);
     return ExecuteLocked(stmt, params);
   };

@@ -244,16 +244,6 @@ class Database {
     return ddl_version_.load(std::memory_order_acquire);
   }
 
-  /// Monotonic counter bumped (under the exclusive lock) by every
-  /// write-path statement: INSERT/UPDATE/DELETE, DDL, and transaction
-  /// control. Caches above the SQL layer (the graph layer's hot-vertex
-  /// cache) tag entries with the epoch observed before their read and
-  /// lazily discard entries whose epoch no longer matches — any committed
-  /// write therefore invalidates them without a cross-layer callback.
-  uint64_t write_epoch() const {
-    return write_epoch_.load(std::memory_order_acquire);
-  }
-
   /// Sum of Table::stats_version() over all base tables: a cheap,
   /// monotonically non-decreasing fingerprint of the catalog statistics.
   /// Plans whose shape depended on statistics (the graph layer's multi-hop
@@ -287,7 +277,6 @@ class Database {
   // over tables the current user cannot read fails exactly like the SQL
   // would (paper Section 1).
   void EnableAccessControl() { access_control_ = true; }
-  bool access_control_enabled() const { return access_control_; }
   /// Sets the user for subsequent statements ("" = superuser).
   void SetCurrentUser(std::string user);
   const std::string& current_user() const { return current_user_; }
@@ -359,7 +348,6 @@ class Database {
   ExecStats stats_;
 
   std::atomic<uint64_t> ddl_version_{0};
-  std::atomic<uint64_t> write_epoch_{0};
   mutable std::mutex exec_config_mutex_;
   ExecConfig session_exec_config_;
   bool access_control_ = false;

@@ -1,12 +1,12 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// Concurrency stress coverage for the parallel multi-table fan-out and the
-// sharded vertex cache: correct results under many concurrent sessionless
-// GremlinService submits, nonzero parallel-batch/cache counters, and
-// write-epoch invalidation (a write provably flushes stale cache entries,
-// including cached negative lookups). The ConcurrentReadersAndWriter case
-// is the primary TSan target (see README "Sanitizers"); the hot-key case
-// runs hash-index run relocation and arena compaction under readers.
+// Concurrency stress coverage for the parallel multi-table fan-out: correct
+// results under many concurrent sessionless GremlinService submits, nonzero
+// parallel-batch counters, and reads after a write (an UPDATE, and an
+// INSERT of a previously absent id) that see it. The
+// ConcurrentReadersAndWriter case is the primary TSan target (see README
+// "Sanitizers"); the hot-key case runs hash-index run relocation and arena
+// compaction under readers.
 // SharedSectionStressTest races executions of one prepared SELECT, whose
 // compiled section all of them share, against DDL that forces rebuilds.
 
@@ -35,7 +35,7 @@ using gremlin::Traverser;
 
 // Partitioned LinkBench overlay with PLAIN integer ids: every g.V(id) must
 // consult all 10 vertex tables (no prefix to pin a table), which is exactly
-// the shape that exercises the fan-out and makes the cache worth filling.
+// the shape that exercises the fan-out.
 class ConcurrencyStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -58,7 +58,7 @@ class ConcurrencyStressTest : public ::testing::Test {
   std::unique_ptr<Db2Graph> graph_;
 };
 
-TEST_F(ConcurrencyStressTest, FanOutAndCacheCountersFire) {
+TEST_F(ConcurrencyStressTest, FanOutCountersFire) {
   auto& stats = graph_->provider()->stats();
   stats.Reset();
 
@@ -66,20 +66,9 @@ TEST_F(ConcurrencyStressTest, FanOutAndCacheCountersFire) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_EQ(first->size(), 1u);
   EXPECT_EQ((*first)[0].vertex->id, Value(int64_t{17}));
-  // Cold cache: the lookup missed, then fanned out over all 10 tables.
-  EXPECT_GT(stats.Snapshot().cache_misses, 0u);
-  EXPECT_EQ(stats.Snapshot().cache_hits, 0u);
+  // The lookup fanned out over all 10 tables.
   EXPECT_GT(stats.Snapshot().parallel_batches, 0u);
   EXPECT_GE(stats.Snapshot().parallel_tasks, 10u);
-
-  uint64_t queries_before = graph_->dialect()->queries_issued();
-  Result<std::vector<Traverser>> second = Run("g.V(17)");
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ASSERT_EQ(second->size(), 1u);
-  EXPECT_EQ((*second)[0].vertex->id, Value(int64_t{17}));
-  EXPECT_GT(stats.Snapshot().cache_hits, 0u);
-  // The repeat was served entirely from the cache — no SQL at all.
-  EXPECT_EQ(graph_->dialect()->queries_issued(), queries_before);
 }
 
 TEST_F(ConcurrencyStressTest, ConcurrentSubmitsReturnCorrectResults) {
@@ -94,8 +83,8 @@ TEST_F(ConcurrencyStressTest, ConcurrentSubmitsReturnCorrectResults) {
   futures.reserve(kRequests);
   expected_ids.reserve(kRequests);
   for (int i = 0; i < kRequests; ++i) {
-    // Heavy repetition over a small id set so later requests hit the cache
-    // while early ones are still fanning out.
+    // Heavy repetition over a small id set, so requests for one id run
+    // concurrently.
     int64_t id = 1 + (i % 40);
     expected_ids.push_back(id);
     futures.push_back(service.Submit("g.V(" + std::to_string(id) + ")"));
@@ -108,19 +97,13 @@ TEST_F(ConcurrencyStressTest, ConcurrentSubmitsReturnCorrectResults) {
   }
   EXPECT_EQ(service.completed(), static_cast<uint64_t>(kRequests));
   EXPECT_GT(stats.Snapshot().parallel_batches, 0u);
-  EXPECT_GT(stats.Snapshot().cache_hits, 0u);
 }
 
-TEST_F(ConcurrencyStressTest, WriteInvalidatesCachedVertex) {
+TEST_F(ConcurrencyStressTest, ReadAfterUpdateSeesTheWrite) {
   // 42 % 10 == 2, so node 42 lives in Node_t2.
   Result<std::vector<Traverser>> before = Run("g.V(42)");
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   ASSERT_EQ(before->size(), 1u);
-
-  // Confirm the entry is cached: a repeat issues no SQL.
-  uint64_t queries_before = graph_->dialect()->queries_issued();
-  ASSERT_TRUE(Run("g.V(42)").ok());
-  ASSERT_EQ(graph_->dialect()->queries_issued(), queries_before);
 
   ASSERT_TRUE(
       db_.Execute("UPDATE Node_t2 SET version = 777 WHERE id = 42").ok());
@@ -131,13 +114,14 @@ TEST_F(ConcurrencyStressTest, WriteInvalidatesCachedVertex) {
   const Value* version = (*after)[0].vertex->FindProperty("version");
   ASSERT_NE(version, nullptr);
   EXPECT_EQ(*version, Value(int64_t{777}))
-      << "read after write returned a stale cached vertex";
+      << "read after write returned a stale vertex";
 }
 
-TEST_F(ConcurrencyStressTest, WriteInvalidatesCachedNegativeLookup) {
+TEST_F(ConcurrencyStressTest, ReadAfterInsertSeesTheNewVertex) {
   // 99999 % 10 == 9, so once inserted the node belongs in Node_t9.
-  ASSERT_TRUE(Run("g.V(99999)").ok());
-  EXPECT_EQ(Run("g.V(99999)")->size(), 0u);  // cached "no such vertex"
+  Result<std::vector<Traverser>> before = Run("g.V(99999)");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->size(), 0u);
 
   ASSERT_TRUE(
       db_.Execute("INSERT INTO Node_t9 VALUES (99999, 5, 12345, 'late')")
@@ -146,7 +130,7 @@ TEST_F(ConcurrencyStressTest, WriteInvalidatesCachedNegativeLookup) {
   Result<std::vector<Traverser>> after = Run("g.V(99999)");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ASSERT_EQ(after->size(), 1u)
-      << "insert did not flush the cached negative entry";
+      << "read after insert missed the new vertex";
   EXPECT_EQ((*after)[0].vertex->id, Value(int64_t{99999}));
 }
 

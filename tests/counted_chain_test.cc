@@ -256,6 +256,39 @@ TEST_F(CountedChainTest, ExplainAnalyzeShowsTheCountedLastStage) {
   EXPECT_EQ(edge_stage.find("counted"), std::string::npos) << plan;
 }
 
+TEST_F(CountedChainTest, ProfileAndExplainListTheSameConsultedChain) {
+  // A collapsed chain runs as one join, so profile() files one consulted
+  // entry for it, named as Explain names the join it previews.
+  const std::string text =
+      "g.V(1).out('knows').out('knows').out('knows').count()";
+  auto multi_hop_consulted = [](const Json& doc) {
+    std::vector<std::string> tables;
+    for (const Json& step : doc.Find("steps")->items()) {
+      if (step.Find("step")->as_string() != "MultiHopStep") continue;
+      for (const Json& table : step.Find("tables_consulted")->items()) {
+        tables.push_back(table.as_string());
+      }
+    }
+    return tables;
+  };
+  Result<Db2Graph::ExplainResult> explain = graph_->Explain(text);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  const std::vector<std::string> explained =
+      multi_hop_consulted(explain->json);
+  EXPECT_EQ(explained, std::vector<std::string>{
+                           "knows>person>knows>person>knows>person"})
+      << explain->text;
+
+  Result<std::vector<gremlin::Traverser>> profiled =
+      graph_->Execute(text + ".profile()");
+  ASSERT_TRUE(profiled.ok()) << profiled.status().ToString();
+  ASSERT_EQ(profiled->size(), 1u);
+  Result<Json> profile = Json::Parse((*profiled)[0].value.as_string());
+  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
+  EXPECT_EQ(multi_hop_consulted(*profile), explained)
+      << (*profiled)[0].value.as_string();
+}
+
 TEST_F(CountedChainTest, CountedSqlStagesNeverChangeAResult) {
   // COUNT(dst) counts the same rows (dst is never NULL here) but reads a
   // column, so its stage is not counted: the row path is the reference.

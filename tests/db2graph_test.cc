@@ -511,12 +511,7 @@ TEST_F(Db2GraphTest, AutoOverlayGraphIsQueryable) {
 // ------------------------------------------------------- dialect module
 
 TEST_F(Db2GraphTest, TemplateCacheHitsOnRepeatedQueries) {
-  // The vertex cache would satisfy the repeats without reaching SQL;
-  // disable it so every run exercises the statement-template cache.
-  Db2Graph::Options options;
-  options.runtime.vertex_cache = false;
-  Result<std::unique_ptr<Db2Graph>> graph =
-      Db2Graph::Open(&db_, kPaperConfig, options);
+  Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(&db_, kPaperConfig);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
   (*graph)->dialect()->ResetCounters();
   for (int i = 0; i < 5; ++i) {

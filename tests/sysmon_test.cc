@@ -419,7 +419,7 @@ TEST(SysmonProviderTest, ProviderStatementsFileOneEntryEach) {
   })json";
   QueryLog::Global().SetEnabled(true);
   auto sql_entries = [&](const std::string& q) -> size_t {
-    // A fresh graph per query: no vertex-cache hit answers without SQL.
+    // A fresh graph per query, so no count depends on an earlier query.
     Result<std::unique_ptr<core::Db2Graph>> graph =
         core::Db2Graph::Open(&db, kTwoTables);
     EXPECT_TRUE(graph.ok()) << graph.status().ToString();

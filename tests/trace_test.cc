@@ -120,7 +120,6 @@ TEST(QueryTraceTest, SpansNestAndCollectRecords) {
   int outer = trace.BeginStep("GraphStep", "V(1)", 1);
   trace.AddTableConsulted("Patient");
   trace.AddTablePruned("Disease");
-  trace.AddCacheMiss();
   trace.AddFanout(1, 4);
   SqlTraceRecord record;
   record.table = "Patient";
@@ -140,7 +139,6 @@ TEST(QueryTraceTest, SpansNestAndCollectRecords) {
   EXPECT_EQ(spans[0].tables_consulted,
             std::vector<std::string>{"Patient"});
   EXPECT_EQ(spans[0].tables_pruned, std::vector<std::string>{"Disease"});
-  EXPECT_EQ(spans[0].cache_misses, 1u);
   EXPECT_EQ(spans[0].fanout_tasks, 4u);
   ASSERT_EQ(spans[0].statements.size(), 1u);
   EXPECT_EQ(spans[0].statements[0].access_path, "index");
@@ -160,7 +158,7 @@ TEST(QueryTraceTest, SpansNestAndCollectRecords) {
 TEST(QueryTraceTest, RecordsOutsideOpenSpansAreDropped) {
   QueryTrace trace;
   trace.AddTableConsulted("Orphan");  // no open span
-  trace.AddCacheHit();
+  trace.AddTablePruned("Orphan");
   EXPECT_TRUE(trace.Spans().empty());
 }
 
@@ -509,36 +507,35 @@ class PartitionedTraceTest : public ::testing::Test {
   std::unique_ptr<Db2Graph> graph_;
 };
 
-TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedAndCacheTransitions) {
+TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedOnEveryLookup) {
   // Plain integer ids cannot pin a table: the lookup consults all 10
-  // partitions, recording one SQL statement per partition, and misses the
-  // cold cache.
-  QueryTrace cold;
-  ExecOptions cold_opts;
-  cold_opts.trace = &cold;
-  Result<std::vector<Traverser>> first = graph_->Execute("g.V(17)", cold_opts);
+  // partitions, recording one SQL statement per partition.
+  QueryTrace first_trace;
+  ExecOptions first_opts;
+  first_opts.trace = &first_trace;
+  Result<std::vector<Traverser>> first =
+      graph_->Execute("g.V(17)", first_opts);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_EQ(first->size(), 1u);
-  std::vector<StepTraceSpan> spans = cold.Spans();
+  std::vector<StepTraceSpan> spans = first_trace.Spans();
   ASSERT_FALSE(spans.empty());
   const StepTraceSpan& lookup = spans[0];
   EXPECT_EQ(lookup.tables_consulted.size(), 10u);
   EXPECT_EQ(lookup.tables_pruned.size(), 0u);
-  EXPECT_EQ(lookup.cache_misses, 1u);
-  EXPECT_EQ(lookup.cache_hits, 0u);
   EXPECT_EQ(lookup.statements.size(), 10u);
   EXPECT_GT(lookup.fanout_tasks, 0u);
 
-  // Warm repeat: served from the cache, no SQL at all.
-  QueryTrace warm;
-  ExecOptions warm_opts;
-  warm_opts.trace = &warm;
-  Result<std::vector<Traverser>> second = graph_->Execute("g.V(17)", warm_opts);
+  // A repeat reads Db2's tables again: no graph-level cache answers it.
+  QueryTrace repeat_trace;
+  ExecOptions repeat_opts;
+  repeat_opts.trace = &repeat_trace;
+  Result<std::vector<Traverser>> second =
+      graph_->Execute("g.V(17)", repeat_opts);
   ASSERT_TRUE(second.ok());
-  spans = warm.Spans();
+  ASSERT_EQ(second->size(), 1u);
+  spans = repeat_trace.Spans();
   ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(spans[0].cache_hits, 1u);
-  EXPECT_TRUE(spans[0].statements.empty());
+  EXPECT_EQ(spans[0].statements.size(), 10u);
 }
 
 TEST_F(PartitionedTraceTest, StreamedStatementsFileIntoTheIssuingStep) {
@@ -675,11 +672,9 @@ TEST_F(PartitionedTraceTest, ProviderStatsSnapshotAndReset) {
   Db2GraphProvider::Stats::Counts counts =
       graph_->provider()->stats().Snapshot();
   EXPECT_EQ(counts.vertex_tables_queried, 10u);
-  EXPECT_EQ(counts.cache_misses, 1u);
   graph_->provider()->stats().Reset();
   counts = graph_->provider()->stats().Snapshot();
   EXPECT_EQ(counts.vertex_tables_queried, 0u);
-  EXPECT_EQ(counts.cache_misses, 0u);
 }
 
 // ----------------------------------------------------------------------
