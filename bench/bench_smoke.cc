@@ -30,13 +30,13 @@
 //
 //  4. Streaming execution saves work where it should, gated on counts
 //     the host cannot move: on a limit-heavy mix over a larger
-//     partitioned dataset, with SQL LIMIT pushdown and the parallel
-//     fan-out off so only the interpreter's pull cursor bounds the scan,
-//     each query must scan strictly fewer rows than the same query with
-//     limit() stripped, one whose limit directly follows a vertex source
-//     no more rows than its limit, and the edge-sourced g.V().out(l)
-//     shape no more than the one block of edges its streamed edge source
-//     pulls plus one endpoint probe per edge. On a full-scan mix (where
+//     partitioned dataset, with SQL LIMIT pushdown off so only the
+//     interpreter's pull cursor bounds the scan, each query must scan
+//     strictly fewer rows than the same query with limit() stripped, one
+//     whose limit directly follows a vertex source no more rows than its
+//     limit, and the edge-sourced g.V().out(l) shape no more than the one
+//     block of edges its streamed edge source pulls plus one endpoint
+//     probe per edge. On a full-scan mix (where
 //     blocks can only add bookkeeping) the default block size must stay
 //     within a loose throughput floor of a one-block run of the same
 //     graph. Results land in BENCH_streaming.json.
@@ -744,12 +744,10 @@ int main() {
       db2graph::linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false);
   Result<std::unique_ptr<Db2Graph>> streaming =
       Db2Graph::Open(&stream_db, stream_overlay);
-  // The work gates' graph: no SQL LIMIT pushdown and no parallel
-  // fan-out, so the interpreter's pull cursor alone bounds each scan and
-  // rows_scanned does not depend on how far producers ran ahead.
+  // The work gates' graph: no SQL LIMIT pushdown, so the interpreter's
+  // pull cursor alone bounds each scan.
   Db2Graph::Options pull_options;
   pull_options.strategies.limit_pushdown = false;
-  pull_options.runtime.parallel_fanout = false;
   Result<std::unique_ptr<Db2Graph>> pull_only =
       Db2Graph::Open(&stream_db, stream_overlay, pull_options);
   // The full-scan floor's reference: the same graph run as one block.

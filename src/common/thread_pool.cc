@@ -28,8 +28,9 @@ ThreadPool& ThreadPool::Shared() {
     if (const char* env = std::getenv("DB2G_POOL_WORKERS")) {
       workers = std::atoi(env);
     }
-    // At least 2 so the fan-out path is exercised (and testable) even on
-    // single-core hosts; capped to keep oversubscription bounded.
+    // At least 2 so morsel and barrier-drain parallelism is exercised (and
+    // testable) even on single-core hosts; capped to keep oversubscription
+    // bounded.
     workers = std::clamp(workers, 2, 32);
     return new ThreadPool(workers);
   }();

@@ -1,15 +1,15 @@
 // Copyright (c) 2026 The db2graph-repro Authors.
 //
-// A small fixed-size thread pool for intra-query fan-out. The unit of
+// A small fixed-size thread pool for intra-query parallelism. The unit of
 // work is a *batch* of independent index-addressed tasks: RunBatch(n, fn)
 // runs fn(0..n-1) and returns when all calls finished. The calling thread
 // always participates in its own batch, so RunBatch never deadlocks even
 // when every pool worker is busy (or when a task itself calls RunBatch):
 // a waiting caller is also a worker for its batch.
 //
-// This is the execution engine behind the Graph Structure module's
-// parallel multi-table fan-out (DESIGN.md "Concurrency architecture"): each
-// per-table SQL of one graph lookup becomes one task.
+// It runs MiniDb2's morsel-driven operators (scan, join and sort morsels
+// of one SQL statement) and the Gremlin interpreter's parallel barrier
+// drains (DESIGN.md "Concurrency architecture").
 
 #ifndef DB2GRAPH_COMMON_THREAD_POOL_H_
 #define DB2GRAPH_COMMON_THREAD_POOL_H_
@@ -48,7 +48,7 @@ class ThreadPool {
   void RunBatch(size_t n, const std::function<void(size_t)>& fn);
 
  private:
-  // One fan-out request. Workers and the submitting caller race to claim
+  // One batch request. Workers and the submitting caller race to claim
   // task indexes from `next`; the last finisher signals `cv`.
   struct Batch {
     const std::function<void(size_t)>* fn = nullptr;

@@ -149,14 +149,6 @@ void QueryTrace::AddTablePruned(std::string table) {
   }
 }
 
-void QueryTrace::AddFanout(uint64_t batches, uint64_t tasks) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (StepTraceSpan* span = InnermostOpenLocked()) {
-    span->fanout_batches += batches;
-    span->fanout_tasks += tasks;
-  }
-}
-
 void QueryTrace::AddShortcutVertices(uint64_t n) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (StepTraceSpan* span = InnermostOpenLocked()) {
@@ -236,11 +228,6 @@ std::string QueryTrace::RenderText() const {
       }
       out += "\n";
     }
-    if (span.fanout_batches > 0) {
-      out += pad + "  fanout: batches=" +
-             std::to_string(span.fanout_batches) +
-             " tasks=" + std::to_string(span.fanout_tasks) + "\n";
-    }
     if (span.shortcut_vertices > 0) {
       out += pad + "  shortcut_vertices=" +
              std::to_string(span.shortcut_vertices) + "\n";
@@ -305,10 +292,6 @@ Json QueryTrace::ToJson() const {
       pruned.Append(Json::Str(t));
     }
     one.Set("tables_pruned", std::move(pruned));
-    one.Set("fanout_batches",
-            Json::Number(static_cast<double>(span.fanout_batches)));
-    one.Set("fanout_tasks",
-            Json::Number(static_cast<double>(span.fanout_tasks)));
     one.Set("shortcut_vertices",
             Json::Number(static_cast<double>(span.shortcut_vertices)));
     Json statements = Json::Array();
@@ -360,10 +343,6 @@ Json QueryTrace::ToChromeTrace() const {
     if (span.blocks > 0) {
       args.Set("blocks", Json::Number(static_cast<double>(span.blocks)));
     }
-    if (span.fanout_tasks > 0) {
-      args.Set("fanout_tasks",
-               Json::Number(static_cast<double>(span.fanout_tasks)));
-    }
     events.Append(complete_event("step:" + span.step, "step",
                                  span.start_micros, span.micros, span.tid,
                                  std::move(args)));
@@ -397,14 +376,12 @@ Json QueryTrace::ToChromeTrace() const {
 
 namespace {
 thread_local QueryTrace* g_current_trace = nullptr;
-thread_local int g_current_span = -1;
 }  // namespace
 
 QueryTrace* CurrentTrace() { return g_current_trace; }
 
 int CurrentTraceSpan() {
   if (g_current_trace == nullptr) return -1;
-  if (g_current_span >= 0) return g_current_span;
   return g_current_trace->InnermostOpenSpan();
 }
 
@@ -414,15 +391,10 @@ int TraceTid() {
   return tid;
 }
 
-ScopedTrace::ScopedTrace(QueryTrace* trace, int span)
-    : previous_(g_current_trace), previous_span_(g_current_span) {
+ScopedTrace::ScopedTrace(QueryTrace* trace) : previous_(g_current_trace) {
   g_current_trace = trace;
-  g_current_span = span;
 }
 
-ScopedTrace::~ScopedTrace() {
-  g_current_trace = previous_;
-  g_current_span = previous_span_;
-}
+ScopedTrace::~ScopedTrace() { g_current_trace = previous_; }
 
 }  // namespace db2graph

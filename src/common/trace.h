@@ -9,9 +9,9 @@
 // Zero-cost-when-disabled contract: the untraced hot path performs one
 // thread-local pointer read and a null check per potential record site;
 // no mutex is touched and nothing allocates. Only when a trace is
-// installed do the record methods lock the trace's internal mutex (which
-// is required anyway: parallel fan-out workers record into the same
-// query's trace concurrently).
+// installed do the record methods lock the trace's internal mutex, so a
+// caller-supplied trace (Db2Graph's ExecuteOptions::trace) can be
+// inspected from another thread while its query still records into it.
 
 #ifndef DB2GRAPH_COMMON_TRACE_H_
 #define DB2GRAPH_COMMON_TRACE_H_
@@ -46,8 +46,8 @@ struct SqlTraceRecord {
   /// RecordSql as now-minus-micros when the recorder left it 0. Feeds the
   /// Chrome-trace exporter's event timeline.
   uint64_t start_micros = 0;
-  /// Small per-thread integer identifying the recording thread (fan-out
-  /// workers show as separate Chrome-trace rows); 0 = stamped by RecordSql.
+  /// Small per-thread integer identifying the recording thread (one
+  /// Chrome-trace row per thread); 0 = stamped by RecordSql.
   int tid = 0;
   /// Chosen access path: "index", "range", "scan", "mixed", "none" at
   /// runtime; "index probe" / "full scan" / "full scan+filter" predictions
@@ -97,8 +97,6 @@ struct StepTraceSpan {
   uint64_t blocks = 0;
   std::vector<std::string> tables_consulted;
   std::vector<std::string> tables_pruned;
-  uint64_t fanout_batches = 0;
-  uint64_t fanout_tasks = 0;
   uint64_t shortcut_vertices = 0;
   std::vector<SqlTraceRecord> statements;
 };
@@ -166,7 +164,6 @@ class QueryTrace {
   void RecordSql(SqlTraceRecord record, int span_id = -1);
   void AddTableConsulted(std::string table);
   void AddTablePruned(std::string table);
-  void AddFanout(uint64_t batches, uint64_t tasks);
   void AddShortcutVertices(uint64_t n);
 
   /// Stamps the total query wall time.
@@ -192,10 +189,9 @@ class QueryTrace {
   Json ToJson() const;
   /// chrome://tracing / Perfetto JSON (Trace Event Format): one complete
   /// ("X") event per step span and per SQL statement, laid out on the
-  /// recording thread's row — fan-out workers and barrier drains render as
-  /// a flamegraph. A streamed span's dur is its active micros, so paused
-  /// windows are collapsed out of the bar. Dump with .Dump(0) and load the
-  /// file directly in the tracing UI.
+  /// recording thread's row, rendered as a flamegraph. A streamed span's
+  /// dur is its active micros, so paused windows are collapsed out of the
+  /// bar. Dump with .Dump(0) and load the file directly in the tracing UI.
   Json ToChromeTrace() const;
 
  private:
@@ -218,10 +214,8 @@ class QueryTrace {
 /// untraced (the common case).
 QueryTrace* CurrentTrace();
 
-/// The span SQL issued on this thread belongs to: the span the enclosing
-/// ScopedTrace pinned (fan-out workers run on behalf of the consumer's
-/// step), else the current trace's innermost open span; -1 when untraced
-/// or no span is open.
+/// The span SQL issued on this thread belongs to: the current trace's
+/// innermost open span; -1 when untraced or no span is open.
 int CurrentTraceSpan();
 
 /// Small, stable integer identifying the calling thread (1, 2, 3, ... in
@@ -229,19 +223,16 @@ int CurrentTraceSpan();
 int TraceTid();
 
 /// RAII installer; saves and restores the previous thread-local trace, so
-/// fan-out workers (and nested graphQuery interpreters) compose. `span`
-/// pins the span this thread's SQL records attach to (CurrentTraceSpan);
-/// -1 leaves them to the trace's innermost open span.
+/// nested graphQuery interpreters compose.
 class ScopedTrace {
  public:
-  explicit ScopedTrace(QueryTrace* trace, int span = -1);
+  explicit ScopedTrace(QueryTrace* trace);
   ~ScopedTrace();
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
  private:
   QueryTrace* previous_;
-  int previous_span_;
 };
 
 }  // namespace db2graph

@@ -8,10 +8,9 @@
 // Db2Graph::Execute from the limits of its resolved ExecConfig and
 // installed thread-locally — the same propagation model as QueryTrace:
 // deep layers (the SQL operator tree, the interpreter's pull cursor, the
-// provider's fan-out producers) call CheckCurrent() at each block
-// boundary without any signature plumbing, and fan-out pool workers
-// inherit the context through ScopedQueryContext exactly like
-// ScopedTrace.
+// provider's table readers) call CheckCurrent() at each block boundary
+// without any signature plumbing, and the pool workers of SQL morsels and
+// barrier drains inherit the context through ScopedQueryContext.
 //
 // Violations latch: the first failed check fixes the context's terminal
 // status (kTimeout / kCancelled / kResourceExhausted) and every later
@@ -81,9 +80,9 @@ struct GovernorLimits {
   }
 };
 
-/// The per-query governance state. Thread-safe: fan-out producers,
-/// KillQuery callers, and sysmon.active_queries all touch a running
-/// query's context concurrently.
+/// The per-query governance state. Thread-safe: pool workers, KillQuery
+/// callers, and sysmon.active_queries all touch a running query's context
+/// concurrently.
 class QueryContext {
  public:
   QueryContext(std::string script, GovernorLimits limits,
@@ -163,7 +162,7 @@ QueryContext* CurrentQueryContext();
 Status CheckCurrent();
 
 /// RAII installer; saves and restores the previous thread-local context,
-/// so fan-out workers and nested graphQuery interpreters compose (same
+/// so pool workers and nested graphQuery interpreters compose (same
 /// contract as ScopedTrace). Installing nullptr is allowed and makes the
 /// scope ungoverned.
 class ScopedQueryContext {
@@ -218,11 +217,10 @@ const char* TerminationReason(const Status& status);
 /// and plain errors (shed is counted at the admission gate, not here).
 void CountTermination(const Status& status);
 
-/// Approximate retained bytes per buffered traverser / element, used by
-/// the block-boundary memory accounting. Deliberately coarse: the budget
+/// Approximate retained bytes per buffered traverser, used by the
+/// block-boundary memory accounting. Deliberately coarse: the budget
 /// bounds order-of-magnitude blowups, not exact allocations.
 inline constexpr uint64_t kApproxTraverserBytes = 192;
-inline constexpr uint64_t kApproxElementBytes = 256;
 
 }  // namespace db2graph::governor
 

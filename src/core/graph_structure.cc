@@ -5,21 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <span>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
-#include "common/exec_config.h"
 #include "common/fault_injection.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "common/workload_governor.h"
 
@@ -114,9 +108,10 @@ FetchLayout FullRowLayout(const sql::TableSchema& schema) {
 // Every lookup runs the same stages over either kind of table: plan each
 // table, prune and count it (PlanJobs); build its statement
 // (BuildStatement); read it as a stream of element blocks (TableReader);
-// then either drain the readers and merge their results in table order
-// (Db2GraphProvider::RunInOrder) or hand them to a pulled stream
-// (Db2ElementStream). TableKind holds what differs between the kinds.
+// then either drain the readers one after another in table order
+// (FetchTables) or hand them to a pulled stream (Db2ElementStream). Every
+// read runs on the calling thread; parallelism lives inside each SQL
+// statement. TableKind holds what differs between the kinds.
 
 template <typename Table>
 struct TableKind;
@@ -378,11 +373,10 @@ void AppendElements(const Table& t, const TableJob& job,
   }
 }
 
-// One table's element read, the unit of work of every lookup: serial
-// streams, parallel producers and the materialized drains all read tables
-// through it. It touches only its own state or internally synchronized
-// state, so the readers of one lookup run on any thread. `t`, `job` and
-// `spec` must outlive the reader.
+// One table's element read, the unit of work of every lookup: streams and
+// the materialized drains both read tables through it. Destroying it
+// closes the SQL stream, filing its trace and query-log records and
+// releasing its read lock. `t`, `job` and `spec` must outlive the reader.
 template <typename Table>
 class TableReader {
  public:
@@ -414,10 +408,6 @@ class TableReader {
 
   const Status& status() const { return status_; }
 
-  // Closes the SQL stream, filing its trace and query-log records and
-  // releasing its read lock (also run by the destructor).
-  void Close() { rows_.reset(); }
-
  private:
   Status Open() {
     DB2G_FAILPOINT(TableKind<Table>::kFetchFailpoint);
@@ -441,42 +431,6 @@ class TableReader {
   std::unique_ptr<DialectRowStream> rows_;
   sql::RowBlock block_;
   Status status_ = Status::OK();
-};
-
-// A materialized lookup's per-table job: drains `job`'s reader into
-// `out`. A failed read appends nothing.
-template <typename Table>
-Status DrainTable(SqlDialect* dialect, const Table& t, const TableJob& job,
-                  const LookupSpec& spec,
-                  std::vector<typename TableKind<Table>::ElementPtr>* out) {
-  TableReader<Table> reader(dialect, t, job, spec);
-  const size_t before = out->size();
-  while (reader.Next(/*max=*/0, out)) {
-  }
-  if (!reader.status().ok()) out->resize(before);
-  return reader.status();
-}
-
-// The calling query's trace span, governor context and exec config,
-// captured where a fan-out starts. Pool workers have none of their own;
-// RunBatch installs them for each job, so its SQL lands in the step that
-// started the fan-out, observes the query's budgets and compiles under
-// its config.
-struct QueryScope {
-  QueryTrace* trace = CurrentTrace();
-  int span = CurrentTraceSpan();
-  governor::QueryContext* qctx = governor::CurrentQueryContext();
-  ExecConfig exec = ExecConfig::Current();
-
-  // Runs job(j) for j in [0, n) on the shared pool; returns when all ran.
-  void RunBatch(size_t n, const std::function<void(size_t)>& job) const {
-    ThreadPool::Shared().RunBatch(n, [&](size_t j) {
-      ScopedTrace scoped(trace, span);
-      governor::ScopedQueryContext governed(qctx);
-      ScopedExecConfig configured(exec);
-      job(j);
-    });
-  }
 };
 
 // Endpoint-table pruning (Section 6.3 "Using Source/Destination Vertex
@@ -517,47 +471,6 @@ Db2GraphProvider::Db2GraphProvider(SqlDialect* dialect,
                                    RuntimeOptions options)
     : dialect_(dialect), topology_(std::move(topology)), options_(options) {}
 
-bool Db2GraphProvider::BeginFanOut(size_t n) {
-  // Fanning out while this thread already holds the database's shared
-  // read lock (a graphQuery table function inside a SELECT) is unsafe:
-  // pool workers would queue for fresh shared locks behind any waiting
-  // writer, which in turn waits on this thread — a deadlock. Reentrant
-  // calls run serially instead; the outer statement still parallelizes.
-  if (n <= 1 || !options_.parallel_fanout ||
-      dialect_->db()->ReadLockHeldByThisThread()) {
-    return false;
-  }
-  stats_.parallel_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.parallel_tasks.fetch_add(n, std::memory_order_relaxed);
-  if (QueryTrace* trace = CurrentTrace()) trace->AddFanout(1, n);
-  return true;
-}
-
-template <typename T>
-Status Db2GraphProvider::RunInOrder(
-    size_t n, const std::function<Status(size_t, std::vector<T>*)>& job,
-    std::vector<T>* out) {
-  // Jobs append only when they succeed, so a single job needs no slot.
-  if (n == 1) return job(0, out);
-  // Per-job result slots keep the merge deterministic in table order no
-  // matter which worker finishes first.
-  std::vector<std::vector<T>> slots(n);
-  std::vector<Status> statuses(n, Status::OK());
-  if (BeginFanOut(n)) {
-    QueryScope().RunBatch(n,
-                          [&](size_t j) { statuses[j] = job(j, &slots[j]); });
-  } else {
-    for (size_t j = 0; j < n; ++j) statuses[j] = job(j, &slots[j]);
-  }
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  for (std::vector<T>& slot : slots) {
-    for (T& item : slot) out->push_back(std::move(item));
-  }
-  return Status::OK();
-}
-
 template <typename Table, typename ElementPtr>
 Status Db2GraphProvider::FetchTables(const std::vector<Table>& tables,
                                      const LookupSpec& spec,
@@ -566,13 +479,18 @@ Status Db2GraphProvider::FetchTables(const std::vector<Table>& tables,
   std::vector<TableJob> jobs;
   DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, subset, /*aggregate=*/false,
                               options_, &stats_, &jobs));
-  return RunInOrder<ElementPtr>(
-      jobs.size(),
-      [&](size_t j, std::vector<ElementPtr>* slot) {
-        return DrainTable(dialect_, tables[jobs[j].table_index], jobs[j],
-                          spec, slot);
-      },
-      out);
+  // The first failed read wins, and a failed lookup appends nothing.
+  const size_t before = out->size();
+  for (const TableJob& job : jobs) {
+    TableReader<Table> reader(dialect_, tables[job.table_index], job, spec);
+    while (reader.Next(/*max=*/0, out)) {
+    }
+    if (!reader.status().ok()) {
+      out->resize(before);
+      return reader.status();
+    }
+  }
+  return Status::OK();
 }
 
 template <typename Table>
@@ -585,21 +503,15 @@ Result<Value> Db2GraphProvider::AggregateTables(
   DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, /*subset=*/nullptr,
                               /*aggregate=*/true, options_, &stats_, &jobs));
   std::vector<Row> partials;  // one row per consulted table, table order
-  DB2G_RETURN_NOT_OK(RunInOrder<Row>(
-      jobs.size(),
-      [&](size_t j, std::vector<Row>* rows) {
-        const Table& t = tables[jobs[j].table_index];
-        TableStatement q =
-            *BuildStatement(t, spec, jobs[j].plan, /*aggregate=*/true);
-        dialect_->RecordPattern(t.conf.table_name,
-                                jobs[j].plan.predicate_columns);
-        Result<sql::ResultSet> rs = dialect_->QueryShaped(
-            q.Key(), [&] { return q.Sql(); }, q.params);
-        if (!rs.ok()) return rs.status();
-        for (Row& row : rs->rows) rows->push_back(std::move(row));
-        return Status::OK();
-      },
-      &partials));
+  for (const TableJob& job : jobs) {
+    const Table& t = tables[job.table_index];
+    TableStatement q = *BuildStatement(t, spec, job.plan, /*aggregate=*/true);
+    dialect_->RecordPattern(t.conf.table_name, job.plan.predicate_columns);
+    Result<sql::ResultSet> rs =
+        dialect_->QueryShaped(q.Key(), [&] { return q.Sql(); }, q.params);
+    if (!rs.ok()) return rs.status();
+    for (Row& row : rs->rows) partials.push_back(std::move(row));
+  }
   return MergeAggregate(spec.agg, partials);
 }
 
@@ -609,91 +521,23 @@ Result<Value> Db2GraphProvider::AggregateTables(
 
 namespace {
 
-// Bounded handoff of element blocks from one per-table producer to the
-// consuming stream: producers block when their queue is full (backpressure
-// instead of materializing the table), the consumer blocks until the
-// producer delivers or finishes, and cancellation wakes both sides.
-template <typename ElementPtr>
-class BlockQueue {
- public:
-  explicit BlockQueue(size_t capacity) : capacity_(capacity) {}
-
-  // Producer side. False = the consumer cancelled; stop fetching.
-  bool Push(std::vector<ElementPtr> block) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] {
-      return cancelled_ || blocks_.size() < capacity_;
-    });
-    if (cancelled_) return false;
-    blocks_.push_back(std::move(block));
-    not_empty_.notify_one();
-    return true;
-  }
-  void MarkDone(Status status) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    done_ = true;
-    status_ = std::move(status);
-    not_empty_.notify_all();
-  }
-
-  // Consumer side. False = producer finished; check TakeStatus().
-  bool Pop(std::vector<ElementPtr>* block) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return done_ || !blocks_.empty(); });
-    if (blocks_.empty()) return false;
-    *block = std::move(blocks_.front());
-    blocks_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-  Status TakeStatus() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return status_;
-  }
-  void Cancel() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    cancelled_ = true;
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
- private:
-  const size_t capacity_;
-  std::mutex mutex_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<std::vector<ElementPtr>> blocks_;
-  bool done_ = false;
-  bool cancelled_ = false;
-  Status status_ = Status::OK();
-};
-
-// Live streaming lookup over the surviving tables of one kind.
-//
-// Serial mode keeps at most one TableReader open and pulls exactly the
-// elements the consumer asks for. Parallel mode (fan-out eligible) starts
-// a coordinator thread that fans the per-table producers out on the
-// shared pool; each producer drains its table's reader into a bounded
-// BlockQueue and the consumer drains the queues in table order, so
-// results match the materialized table-major merge exactly. Close()
-// cancels: producers stop at their next push, and ones that have not
-// started observe the flag and never open their table.
+// Live streaming lookup over the surviving tables of one kind: keeps at
+// most one TableReader open, opens them in table order, and pulls exactly
+// the elements the consumer asks for, so results match the materialized
+// table-major merge and a consumer that stops pulling never opens the
+// tables it did not reach.
 template <typename Table>
 class Db2ElementStream
     : public gremlin::ElementStream<typename TableKind<Table>::ElementPtr> {
  public:
   using ElementPtr = typename TableKind<Table>::ElementPtr;
-  static constexpr size_t kQueueBlocks = 4;  // per-table backpressure bound
 
-  // `parallel`: the caller counted a fan-out over `jobs` (BeginFanOut).
   Db2ElementStream(SqlDialect* dialect, const std::vector<Table>* tables,
-                   LookupSpec spec, std::vector<TableJob> jobs, bool parallel)
+                   LookupSpec spec, std::vector<TableJob> jobs)
       : dialect_(dialect),
         tables_(tables),
         spec_(std::move(spec)),
-        jobs_(std::move(jobs)) {
-    if (parallel) StartParallel();
-  }
+        jobs_(std::move(jobs)) {}
 
   ~Db2ElementStream() override { Close(); }
 
@@ -701,25 +545,6 @@ class Db2ElementStream
     out->clear();
     if (closed_ || !status_.ok()) return false;
     if (max == 0) max = 1;
-    return parallel_mode_ ? NextParallel(out, max) : NextSerial(out, max);
-  }
-
-  void Close() override {
-    if (closed_) return;
-    closed_ = true;
-    reader_.reset();
-    if (parallel_mode_) {
-      cancel_.store(true, std::memory_order_release);
-      for (auto& q : queues_) q->Cancel();
-      if (coordinator_.joinable()) coordinator_.join();
-    }
-  }
-
-  const Status& status() const override { return status_; }
-
- private:
-  // -- serial: one reader at a time, opened in table order ----------------
-  bool NextSerial(std::vector<ElementPtr>* out, size_t max) {
     while (true) {
       if (!reader_.has_value()) {
         if (job_pos_ >= jobs_.size()) return false;
@@ -737,108 +562,22 @@ class Db2ElementStream
     }
   }
 
-  // -- parallel: bounded queues fed by pool workers -----------------------
-  void StartParallel() {
-    parallel_mode_ = true;
-    queues_.reserve(jobs_.size());
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-      queues_.push_back(
-          std::make_unique<BlockQueue<ElementPtr>>(kQueueBlocks));
-    }
-    // Producers run under the consumer's query scope, so a deadline or
-    // kill observed mid-table stops the fetch from inside the producer,
-    // not only when the consumer gets around to calling Close(). RunBatch
-    // blocks its caller until every task finished, which must not be the
-    // consumer: a dedicated coordinator submits the batch and is joined
-    // on Close(). The consumer only ever waits on queue pops.
-    coordinator_ = std::thread([this, scope = QueryScope()] {
-      scope.RunBatch(jobs_.size(), [this](size_t j) { ProduceTable(j); });
-    });
+  void Close() override {
+    closed_ = true;
+    reader_.reset();
   }
 
-  void ProduceTable(size_t j) {
-    BlockQueue<ElementPtr>& queue = *queues_[j];
-    TableReader<Table> reader(dialect_, (*tables_)[jobs_[j].table_index],
-                              jobs_[j], spec_);
-    governor::QueryContext* qctx = governor::CurrentQueryContext();
-    Status final_status = Status::OK();
-    // Early termination: a task the consumer cancelled before it started
-    // never opens its table. The reader checks the governor before each
-    // block, so an expired deadline stops the fetch from inside the
-    // producer; the consumer's unwind (Close) still runs.
-    while (!cancel_.load(std::memory_order_acquire)) {
-      std::vector<ElementPtr> elements;
-      if (!reader.Next(sql::kDefaultBlockRows, &elements)) {
-        final_status = reader.status();
-        break;
-      }
-      if (elements.empty()) continue;
-      if (qctx != nullptr) {
-        // Blocks parked in the bounded queue count against the query's
-        // memory budget; the consumer releases the charge on pop. Charges
-        // stranded by cancellation die with the query context.
-        final_status = qctx->ChargeMemory(elements.size() *
-                                          governor::kApproxElementBytes);
-        if (!final_status.ok()) break;
-      }
-      if (!queue.Push(std::move(elements))) break;
-    }
-    reader.Close();
-    queue.MarkDone(std::move(final_status));
-  }
+  const Status& status() const override { return status_; }
 
-  bool NextParallel(std::vector<ElementPtr>* out, size_t max) {
-    while (true) {
-      if (pending_pos_ < pending_.size()) {
-        size_t n = std::min(max, pending_.size() - pending_pos_);
-        for (size_t i = 0; i < n; ++i) {
-          out->push_back(std::move(pending_[pending_pos_ + i]));
-        }
-        pending_pos_ += n;
-        if (pending_pos_ >= pending_.size()) {
-          pending_.clear();
-          pending_pos_ = 0;
-        }
-        return true;
-      }
-      if (queue_pos_ >= queues_.size()) return false;
-      std::vector<ElementPtr> block;
-      if (!queues_[queue_pos_]->Pop(&block)) {
-        Status st = queues_[queue_pos_]->TakeStatus();
-        if (!st.ok()) {
-          status_ = std::move(st);
-          return false;
-        }
-        ++queue_pos_;  // table drained; move to the next in order
-        continue;
-      }
-      if (governor::QueryContext* qctx = governor::CurrentQueryContext()) {
-        qctx->ReleaseMemory(block.size() * governor::kApproxElementBytes);
-      }
-      pending_ = std::move(block);
-      pending_pos_ = 0;
-    }
-  }
-
+ private:
   SqlDialect* dialect_;
   const std::vector<Table>* tables_;
   LookupSpec spec_;
   std::vector<TableJob> jobs_;
   Status status_ = Status::OK();
   bool closed_ = false;
-
-  // Serial state.
   size_t job_pos_ = 0;
   std::optional<TableReader<Table>> reader_;
-
-  // Parallel state.
-  bool parallel_mode_ = false;
-  std::atomic<bool> cancel_{false};
-  std::vector<std::unique_ptr<BlockQueue<ElementPtr>>> queues_;
-  std::thread coordinator_;
-  size_t queue_pos_ = 0;
-  std::vector<ElementPtr> pending_;
-  size_t pending_pos_ = 0;
 };
 
 }  // namespace
@@ -849,9 +588,8 @@ Result<std::unique_ptr<Stream>> Db2GraphProvider::StreamTables(
   std::vector<TableJob> jobs;
   DB2G_RETURN_NOT_OK(PlanJobs(tables, spec, /*subset=*/nullptr,
                               /*aggregate=*/false, options_, &stats_, &jobs));
-  const bool parallel = BeginFanOut(jobs.size());
-  return std::unique_ptr<Stream>(new Db2ElementStream<Table>(
-      dialect_, &tables, spec, std::move(jobs), parallel));
+  return std::unique_ptr<Stream>(
+      new Db2ElementStream<Table>(dialect_, &tables, spec, std::move(jobs)));
 }
 
 // ----------------------------------------------------------------------
@@ -1003,29 +741,20 @@ Status Db2GraphProvider::EdgeEndpoints(const std::vector<EdgePtr>& edges,
     }
   }
 
-  // One job per pinned vertex table, in table-index order so the merge
-  // (and any trace) is deterministic under fan-out; each job looks up
-  // only the endpoint ids pinned to its table.
-  std::vector<TableJob> jobs;
-  std::vector<LookupSpec> job_specs;
+  // One lookup per pinned vertex table, in table-index order; each looks
+  // up only the endpoint ids pinned to its table. A failed one leaves `out`
+  // as the pinned lookups found it.
+  const size_t before_pinned = out->size();
   for (auto& [vertex_table, ids] : pinned) {
     LookupSpec vertex_spec = spec;
     vertex_spec.ids = std::move(ids);
     const std::vector<int> only = {vertex_table};
-    const size_t planned = jobs.size();
-    DB2G_RETURN_NOT_OK(PlanJobs(topology_.vertex_tables(), vertex_spec, &only,
-                                /*aggregate=*/false, options_, &stats_,
-                                &jobs));
-    if (jobs.size() > planned) job_specs.push_back(std::move(vertex_spec));
+    Status st = FetchTables(topology_.vertex_tables(), vertex_spec, &only, out);
+    if (!st.ok()) {
+      out->resize(before_pinned);
+      return st;
+    }
   }
-  DB2G_RETURN_NOT_OK(RunInOrder<VertexPtr>(
-      jobs.size(),
-      [&](size_t j, std::vector<VertexPtr>* slot) {
-        return DrainTable(dialect_,
-                          topology_.vertex_tables()[jobs[j].table_index],
-                          jobs[j], job_specs[j], slot);
-      },
-      out));
 
   if (!unpinned.empty()) {
     LookupSpec vertex_spec = spec;

@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +30,7 @@
 
 namespace db2graph::core {
 
-/// Toggles for the Section 6.3 data-dependent runtime optimizations, plus
-/// the execution-layer parallel fan-out that sits on top of them.
+/// Toggles for the Section 6.3 data-dependent runtime optimizations.
 struct RuntimeOptions {
   bool label_pruning = true;
   bool prefixed_id_pinning = true;
@@ -41,17 +39,11 @@ struct RuntimeOptions {
   bool vertex_from_edge_shortcut = true;
   bool implicit_edge_id_decomposition = true;
 
-  /// Fan per-table SQL of one lookup out across the shared thread pool
-  /// whenever more than one table survives pruning. Skipped when the
-  /// calling thread already holds the database read lock (graphQuery
-  /// inside a SELECT) — see DESIGN.md "Concurrency architecture".
-  bool parallel_fanout = true;
-
   static RuntimeOptions AllOff() {
     RuntimeOptions o;
     o.label_pruning = o.prefixed_id_pinning = o.property_pruning =
         o.endpoint_table_pruning = o.vertex_from_edge_shortcut =
-            o.implicit_edge_id_decomposition = o.parallel_fanout = false;
+            o.implicit_edge_id_decomposition = false;
     return o;
   }
 };
@@ -71,11 +63,9 @@ class Db2GraphProvider : public gremlin::GraphProvider {
                std::vector<gremlin::EdgePtr>* out) override;
 
   /// Streaming lookups read each table through the per-table reader the
-  /// materialized calls drain, so a consumer that stops pulling never pays
-  /// for the tables it did not reach. Without fan-out the tables stream
-  /// lazily in table order; with it, per-table producers feed bounded
-  /// queues drained in table order, and Close() cancels the ones not yet
-  /// started.
+  /// materialized calls drain, one table at a time in table order on the
+  /// calling thread, so a consumer that stops pulling never pays for the
+  /// tables it did not reach.
   Result<std::unique_ptr<gremlin::VertexStream>> VerticesStreaming(
       const gremlin::LookupSpec& spec) override;
   Result<std::unique_ptr<gremlin::EdgeStream>> EdgesStreaming(
@@ -121,8 +111,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
     metrics::Counter edge_tables_queried;
     metrics::Counter edge_tables_pruned;
     metrics::Counter shortcut_vertices;  // built from edge rows
-    metrics::Counter parallel_batches;   // fan-outs dispatched
-    metrics::Counter parallel_tasks;     // per-table jobs in them
 
     /// Plain-value copy of every counter.
     struct Counts {
@@ -131,9 +119,9 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       uint64_t edge_tables_queried = 0;
       uint64_t edge_tables_pruned = 0;
       uint64_t shortcut_vertices = 0;
-      uint64_t parallel_batches = 0;
+      // Always 0, kept for perfbench readers: lookups read their tables
+      // serially, and there is no graph-level vertex cache.
       uint64_t parallel_tasks = 0;
-      // Always 0: no graph-level vertex cache; kept for perfbench readers.
       uint64_t cache_hits = 0;
       uint64_t cache_misses = 0;
     };
@@ -145,8 +133,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       c.edge_tables_queried = edge_tables_queried.load();
       c.edge_tables_pruned = edge_tables_pruned.load();
       c.shortcut_vertices = shortcut_vertices.load();
-      c.parallel_batches = parallel_batches.load();
-      c.parallel_tasks = parallel_tasks.load();
       return c;
     }
 
@@ -156,8 +142,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
       edge_tables_queried = 0;
       edge_tables_pruned = 0;
       shortcut_vertices = 0;
-      parallel_batches = 0;
-      parallel_tasks = 0;
     }
   };
   const Stats& stats() const { return stats_; }
@@ -209,7 +193,7 @@ class Db2GraphProvider : public gremlin::GraphProvider {
 
   /// Materialized element fetch over `tables` (all of them, or only
   /// `subset` when it is non-null): plan, prune and count the tables, then
-  /// drain each survivor's reader through RunInOrder, in table order.
+  /// drain each survivor's reader in table order.
   template <typename Table, typename ElementPtr>
   Status FetchTables(const std::vector<Table>& tables,
                      const gremlin::LookupSpec& spec,
@@ -225,18 +209,6 @@ class Db2GraphProvider : public gremlin::GraphProvider {
   template <typename Table>
   Result<Value> AggregateTables(const std::vector<Table>& tables,
                                 const gremlin::LookupSpec& spec);
-  /// Runs job(j, &slot) for j in [0, n) — on the shared thread pool when
-  /// BeginFanOut(n) allows, serially otherwise — and appends the slots to
-  /// `out` in job order. The first failed job (in job order) wins. A job
-  /// appends to its slot, and only when it succeeds.
-  template <typename T>
-  Status RunInOrder(size_t n,
-                    const std::function<Status(size_t, std::vector<T>*)>& job,
-                    std::vector<T>* out);
-  /// True when `n` per-table jobs fan out across the pool: enabled, n > 1,
-  /// and the caller not inside a database read lock. Counts and traces
-  /// the fan-out it allows.
-  bool BeginFanOut(size_t n);
 
   SqlDialect* dialect_;
   overlay::Topology topology_;

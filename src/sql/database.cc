@@ -1,6 +1,7 @@
 #include "sql/database.h"
 
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/query_log.h"
 #include "common/strings.h"
@@ -21,18 +22,28 @@ namespace {
 // the same thread. A plain shared_mutex would self-deadlock, so we track a
 // per-thread shared-lock depth per database instance and only lock at depth
 // zero. Table functions must be read-only (as the paper's graphQuery is).
-thread_local std::unordered_map<const void*, int> tls_read_depth;
+// One (database, depth) entry per database the thread holds; the vector
+// keeps its capacity, so a warm thread's locks allocate nothing.
+thread_local std::vector<std::pair<const Database*, int>> tls_read_depth;
+
+int& ReadDepth(const Database* db) {
+  for (auto& [held, depth] : tls_read_depth) {
+    if (held == db) return depth;
+  }
+  return tls_read_depth.emplace_back(db, 0).second;
+}
 
 class ReadLock {
  public:
   explicit ReadLock(const Database* db, std::shared_mutex* mutex)
       : db_(db), mutex_(mutex) {
-    if (tls_read_depth[db_]++ == 0) mutex_->lock_shared();
+    if (ReadDepth(db_)++ == 0) mutex_->lock_shared();
   }
   ~ReadLock() {
-    if (--tls_read_depth[db_] == 0) {
+    if (--ReadDepth(db_) == 0) {
       mutex_->unlock_shared();
-      tls_read_depth.erase(db_);
+      std::erase_if(tls_read_depth,
+                    [&](const auto& entry) { return entry.first == db_; });
     }
   }
 
@@ -318,11 +329,6 @@ bool Database::SnapshotTableStats(const std::string& name,
     out->columns.push_back(table.GetColumnStats(c));
   }
   return true;
-}
-
-bool Database::ReadLockHeldByThisThread() const {
-  auto it = tls_read_depth.find(this);
-  return it != tls_read_depth.end() && it->second > 0;
 }
 
 void Database::SetExecConfig(const ExecConfig& config) {

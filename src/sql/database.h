@@ -261,13 +261,6 @@ class Database {
   };
   bool SnapshotTableStats(const std::string& name, TableStats* out) const;
 
-  /// True when the calling thread currently holds this database's shared
-  /// (read) lock — i.e. we are inside a SELECT, e.g. evaluating a
-  /// graphQuery table function. Used by the graph layer to suppress
-  /// intra-query fan-out: handing sub-reads to other threads while this
-  /// thread pins the shared lock could deadlock behind a queued writer.
-  bool ReadLockHeldByThisThread() const;
-
   // -- access control ------------------------------------------------------
   // Off by default (every statement runs unchecked). Once enabled, SELECT
   // requires a SELECT grant on every referenced relation and DML requires

@@ -87,7 +87,7 @@ TEST_F(FaultInjectionTest, ProviderFetchErrorFailsGremlinQuery) {
       "provider.fetch_vertex_table",
       fault::ErrorFault(StatusCode::kUnavailable, "table connection lost"));
   // Point lookups fetch materialized per-table; the injected error must
-  // surface as the query's status, not crash the fan-out.
+  // surface as the query's status, not crash the multi-table read.
   Result<std::vector<Traverser>> out = graph_->Execute("g.V(5)");
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable)
@@ -132,10 +132,10 @@ TEST_F(FaultInjectionTest, FirstHitsOnlyThenRecovers) {
   ExpectHealthy();
 }
 
-// Slow-block injection: each block a producer reads stalls 20 ms, so a
-// 60 ms deadline expires mid-stream and the governor cancels the fan-out.
-// Unwind is prompt: one in-flight sleep per producer at most, nowhere near
-// the ~10s a full injected-slow scan would take.
+// Slow-block injection: each block a table reader reads stalls 20 ms, so a
+// 60 ms deadline expires mid-stream and the reader's next governor check
+// fails the query. Unwind is prompt: one in-flight sleep at most, nowhere
+// near the ~10s a full injected-slow scan would take.
 void ExpectSlowProducerTripsDeadline(Db2Graph* graph, const char* query) {
   FailPointRegistry::Global().Enable("provider.read_block",
                                      fault::SleepFault(20));

@@ -15,8 +15,8 @@
 //  * GremlinService admission control (bounded queue sheds with
 //    kOverloaded under 4x-concurrency load) and Shutdown() cancelling
 //    in-flight queries through the shared token;
-//  * cancellation racing the parallel multi-table fan-out (a TSan
-//    target, so the suite name matches the CI stress regex).
+//  * cancels and deadlines fired from another thread racing a 10-table
+//    read (a TSan target, so the suite name matches the CI stress regex).
 
 #include <atomic>
 #include <chrono>
@@ -141,8 +141,7 @@ linkbench::Dataset* GovernorDeadlineTest::dataset_ = nullptr;
 sql::Database* GovernorDeadlineTest::db_ = nullptr;
 
 // The acceptance test: deadline 50 ms, full two-hop expansion, kTimeout
-// in well under 100 ms with the fan-out joined (Execute returning at all
-// proves the join — producers still running would crash on teardown).
+// in well under 100 ms.
 TEST_F(GovernorDeadlineTest, FullTraversalTimesOutUnder100ms) {
   uint64_t timeouts_before = CounterValue(governor::kTimeoutsCounter);
   ExecOptions options;
@@ -430,8 +429,8 @@ TEST_F(GovernorDeadlineTest, ServiceKillQueryCancelsOneRequest) {
 }
 
 // ------------------------------------------------------------------
-// Cancellation vs the parallel fan-out (TSan stress; the suite name
-// matches the CI tsan-stress regex).
+// Cancellation vs a 10-table read (TSan stress; the suite name matches
+// the CI tsan-stress regex).
 // ------------------------------------------------------------------
 
 class GovernorCancellationStressTest : public ::testing::Test {
@@ -452,9 +451,9 @@ class GovernorCancellationStressTest : public ::testing::Test {
   std::unique_ptr<Db2Graph> graph_;
 };
 
-// A cancel fired from another thread races the 10-table producer fan-out:
-// producers must observe the token (or the queue cancel) and join without
-// a leak or a data race, whatever the interleaving.
+// A cancel fired from another thread races the 10-table serial read: the
+// table readers must observe the token and unwind without a leak or a
+// data race, whatever the interleaving.
 TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     governor::CancelToken token = governor::CancelToken::Make();
@@ -467,7 +466,7 @@ TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
     Result<std::vector<Traverser>> out = graph_->Execute("g.V()", options);
     canceller.join();
     // Either the query won the race or it observed the cancel — both are
-    // valid; crashes, races, and stuck producers are what TSan hunts.
+    // valid; crashes and races are what TSan hunts.
     if (!out.ok()) {
       EXPECT_EQ(out.status().code(), StatusCode::kCancelled)
           << out.status().ToString();
@@ -475,8 +474,8 @@ TEST_F(GovernorCancellationStressTest, CancelRacesParallelProducers) {
   }
 }
 
-// Tight deadlines expire while producers are mid-table; every outcome
-// must be kTimeout or a complete result, with the fan-out joined.
+// Tight deadlines expire while the reads are mid-table; every outcome
+// must be kTimeout or a complete result.
 TEST_F(GovernorCancellationStressTest, DeadlineRacesParallelProducers) {
   for (int iter = 0; iter < 50; ++iter) {
     ExecOptions options;

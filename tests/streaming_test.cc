@@ -14,12 +14,11 @@
 //  * barrier-step drain equivalence (order/tail/groupCount/cap/aggregates
 //    over a streamed upstream);
 //  * edge-sourced plans (g.E(), g.V(ids).outE(l), g.V().out(l), limited
-//    or not) against the same one-block run, with the parallel fan-out on
-//    and off, since the provider streams edge tables natively;
-//  * early-termination cancellation racing the parallel multi-table
-//    fan-out of vertex and edge streams (a TSan target: Close()
-//    mid-stream must cleanly cancel producers that have not started and
-//    join the ones that have).
+//    or not) against the same one-block run, since the provider streams
+//    edge tables natively;
+//  * early termination of multi-table vertex and edge streams (a TSan
+//    target: Close() mid-stream must be idempotent and release the open
+//    table's statement and read lock).
 
 #include <cstdint>
 #include <limits>
@@ -59,7 +58,7 @@ std::vector<std::string> RunOrdered(Db2Graph* graph, const std::string& q) {
 // ------------------------------------------------------------------
 
 // Partitioned LinkBench (10 vertex tables, 10 edge tables) with plain
-// integer ids, so multi-table fan-out and table-order merging are always
+// integer ids, so multi-table lookups and table-order reading are always
 // in play.
 class StreamingEquivalenceTest : public ::testing::Test {
  protected:
@@ -70,12 +69,10 @@ class StreamingEquivalenceTest : public ::testing::Test {
     ASSERT_TRUE(linkbench::LoadIntoPartitionedDatabase(&db_, dataset_).ok());
   }
 
-  std::unique_ptr<Db2Graph> Open(size_t block_rows, bool vectorized = true,
-                                 bool fanout = true) {
+  std::unique_ptr<Db2Graph> Open(size_t block_rows, bool vectorized = true) {
     Db2Graph::Options options;
     options.exec =
         ExecConfig().block_rows(block_rows).vectorized(vectorized);
-    options.runtime.parallel_fanout = fanout;
     Result<std::unique_ptr<Db2Graph>> graph = Db2Graph::Open(
         &db_, linkbench::MakePartitionedOverlay(/*prefixed_ids=*/false),
         options);
@@ -145,9 +142,9 @@ TEST_F(StreamingEquivalenceTest, AllBlockSizesMatchOneBlock) {
   }
 }
 
-// Edge-sourced plans stream from the provider's edge stream: serially in
-// table order without the fan-out, through per-table producers with it.
-// Both must deliver exactly what a one-block run does, limited or not.
+// Edge-sourced plans stream from the provider's edge stream, one table at
+// a time in table order. They must deliver exactly what a one-block run
+// does, limited or not.
 TEST_F(StreamingEquivalenceTest, EdgeSourcedPlansMatchOneBlock) {
   const char* const kQueries[] = {
       "g.E()",
@@ -161,19 +158,16 @@ TEST_F(StreamingEquivalenceTest, EdgeSourcedPlansMatchOneBlock) {
       "g.V().out('et2').range(10, 14)",
   };
   const size_t kBlockSizes[] = {1, 7, 1024};
-  for (bool fanout : {true, false}) {
-    std::unique_ptr<Db2Graph> one_block = Open(kOneBlock, true, fanout);
-    ASSERT_NE(one_block, nullptr);
-    for (const char* q : kQueries) {
-      std::vector<std::string> expected = RunOrdered(one_block.get(), q);
-      ASSERT_FALSE(expected.empty()) << q;
-      for (size_t block : kBlockSizes) {
-        std::unique_ptr<Db2Graph> blocked = Open(block, true, fanout);
-        ASSERT_NE(blocked, nullptr);
-        EXPECT_EQ(expected, RunOrdered(blocked.get(), q))
-            << q << " at block size " << block
-            << (fanout ? " (fan-out)" : " (serial)");
-      }
+  std::unique_ptr<Db2Graph> one_block = Open(kOneBlock);
+  ASSERT_NE(one_block, nullptr);
+  for (const char* q : kQueries) {
+    std::vector<std::string> expected = RunOrdered(one_block.get(), q);
+    ASSERT_FALSE(expected.empty()) << q;
+    for (size_t block : kBlockSizes) {
+      std::unique_ptr<Db2Graph> blocked = Open(block);
+      ASSERT_NE(blocked, nullptr);
+      EXPECT_EQ(expected, RunOrdered(blocked.get(), q))
+          << q << " at block size " << block;
     }
   }
 }
@@ -282,10 +276,10 @@ TEST(StreamingScanBudgetTest, LimitShortCircuitsSingleTableScan) {
 }
 
 TEST(StreamingScanBudgetTest, LimitBudgetAppliesPerConsultedTable) {
-  // Ten vertex tables, no label: the limit's per-table budget is rendered
-  // as a SQL LIMIT in each table's statement, so even the tables the
-  // consumer never reaches (the parallel producers may have started them)
-  // scan at most the budget.
+  // Ten vertex tables, no label: the stream opens the tables in order and
+  // the first one holds ten vertices, so the limit is met before a second
+  // table is opened. Exactly one SELECT runs, and it scans at most the
+  // limit plus one block.
   linkbench::Config config;
   config.num_vertices = 20000;
   config.edges_per_vertex = 0;
@@ -301,14 +295,13 @@ TEST(StreamingScanBudgetTest, LimitBudgetAppliesPerConsultedTable) {
   sql::ExecStats::Counts after = db.stats().Snapshot();
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 10u);
-  const uint64_t kTables = 10;
   const uint64_t kBlock = 256;
-  EXPECT_LE(after.rows_scanned - before.rows_scanned,
-            kTables * (10 + kBlock));
+  EXPECT_EQ(after.selects - before.selects, 1u);
+  EXPECT_LE(after.rows_scanned - before.rows_scanned, 10 + kBlock);
 }
 
 // ------------------------------------------------------------------
-// Early-termination cancellation vs the parallel fan-out (TSan target).
+// Early termination of multi-table streams (TSan target).
 // ------------------------------------------------------------------
 
 class StreamingCancellationTest : public ::testing::Test {
@@ -331,8 +324,8 @@ class StreamingCancellationTest : public ::testing::Test {
 
 TEST_F(StreamingCancellationTest, CloseMidStreamRacesProducers) {
   // Directly drive the provider stream: pull a varying number of blocks
-  // (including zero — Close before any Next cancels producers that may
-  // not have started), then Close while the 10-table fan-out is running.
+  // (including zero — Close before any Next opens no table), then Close
+  // mid-way through the 10-table read, twice.
   for (int iter = 0; iter < 50; ++iter) {
     gremlin::LookupSpec spec;  // all tables
     Result<std::unique_ptr<gremlin::VertexStream>> stream =
@@ -349,7 +342,7 @@ TEST_F(StreamingCancellationTest, CloseMidStreamRacesProducers) {
 }
 
 TEST_F(StreamingCancellationTest, CloseMidEdgeStreamRacesProducers) {
-  // The same race on the edge stream: all ten edge tables fan out.
+  // The same on the edge stream, over all ten edge tables.
   for (int iter = 0; iter < 50; ++iter) {
     gremlin::LookupSpec spec;
     Result<std::unique_ptr<gremlin::EdgeStream>> stream =
@@ -366,8 +359,8 @@ TEST_F(StreamingCancellationTest, CloseMidEdgeStreamRacesProducers) {
 }
 
 TEST_F(StreamingCancellationTest, LimitQueriesCancelCleanly) {
-  // The same race through the full stack: a saturated limit closes the
-  // stream while per-table producers are mid-scan.
+  // The same through the full stack: a saturated limit closes the stream
+  // mid-way through its first table.
   for (int iter = 0; iter < 50; ++iter) {
     Result<std::vector<Traverser>> out =
         graph_->Execute("g.V().limit(" + std::to_string(1 + iter % 7) + ")");

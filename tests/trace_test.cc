@@ -120,7 +120,6 @@ TEST(QueryTraceTest, SpansNestAndCollectRecords) {
   int outer = trace.BeginStep("GraphStep", "V(1)", 1);
   trace.AddTableConsulted("Patient");
   trace.AddTablePruned("Disease");
-  trace.AddFanout(1, 4);
   SqlTraceRecord record;
   record.table = "Patient";
   record.sql = "SELECT * FROM \"Patient\"";
@@ -139,7 +138,6 @@ TEST(QueryTraceTest, SpansNestAndCollectRecords) {
   EXPECT_EQ(spans[0].tables_consulted,
             std::vector<std::string>{"Patient"});
   EXPECT_EQ(spans[0].tables_pruned, std::vector<std::string>{"Disease"});
-  EXPECT_EQ(spans[0].fanout_tasks, 4u);
   ASSERT_EQ(spans[0].statements.size(), 1u);
   EXPECT_EQ(spans[0].statements[0].access_path, "index");
   EXPECT_GE(spans[0].micros, 10u);  // fake clock: >= one step per pair
@@ -523,7 +521,6 @@ TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedOnEveryLookup) {
   EXPECT_EQ(lookup.tables_consulted.size(), 10u);
   EXPECT_EQ(lookup.tables_pruned.size(), 0u);
   EXPECT_EQ(lookup.statements.size(), 10u);
-  EXPECT_GT(lookup.fanout_tasks, 0u);
 
   // A repeat reads Db2's tables again: no graph-level cache answers it.
   QueryTrace repeat_trace;
@@ -541,16 +538,16 @@ TEST_F(PartitionedTraceTest, TraceShowsTablesConsultedOnEveryLookup) {
 TEST_F(PartitionedTraceTest, StreamedStatementsFileIntoTheIssuingStep) {
   // A streamed statement files its record when its stream ends. A limit
   // that saturates closes the source while every span is paused, and a
-  // parallel producer may finish between the consumer's pulls; either way
+  // drained table's stream ends between the consumer's pulls; either way
   // the record belongs to the step that opened the stream.
   struct Case {
     const char* query;
-    bool all_tables_run;  // false: a limit may cancel unstarted producers
+    bool all_tables_run;  // false: a limit may close before later tables
   };
   const Case cases[] = {
-      {"g.V().hasLabel('vt1').limit(5)", true},  // serial stream
-      {"g.V()", true},                           // parallel, fully drained
-      {"g.V().limit(5)", false},                 // parallel, closed early
+      {"g.V().hasLabel('vt1').limit(5)", true},  // one table
+      {"g.V()", true},                           // ten tables, drained
+      {"g.V().limit(5)", false},                 // ten tables, closed early
       {"g.V().out().limit(3)", false},
   };
   for (const Case& c : cases) {
@@ -572,7 +569,8 @@ TEST_F(PartitionedTraceTest, StreamedStatementsFileIntoTheIssuingStep) {
             << span.step << " recorded " << record.sql;
         unmatched.erase(it);
       }
-      // Only a cancelled producer of the source step runs no statement.
+      // Only a source-step table the stream never opened runs no
+      // statement.
       if (c.all_tables_run || span.index > 0) {
         EXPECT_TRUE(unmatched.empty())
             << span.step << " consulted " << span.tables_consulted.size()
